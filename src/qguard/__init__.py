@@ -84,7 +84,7 @@ from .errors import (
     RecordingExhausted,
 )
 from .executor import Branch, ConditionalResult, run_conditionally
-from .simulator import NoiseModel, StateVector, apply_gate, run_shots
+from .simulator import SIMULATOR_MAX_QUBITS, NoiseModel, StateVector, apply_gate, run_shots
 
 __version__ = "0.1.0"
 
@@ -126,6 +126,7 @@ __all__ = [
     "RecordingExhausted",
     "ReplayAdapter",
     "ResourceConstraint",
+    "SIMULATOR_MAX_QUBITS",
     "SimulatorAdapter",
     "StateVector",
     "apply_gate",

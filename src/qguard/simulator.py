@@ -7,11 +7,22 @@ qubit, 16 for two).  Averaged over shots this realizes the exact
 depolarizing channel rho -> (1-p)*rho + p*(I/d (x) rest) on those qubits.
 
 Determinism: every random draw for a run comes from one counter-based
-stream keyed by ``noise.seed``.  Shot ``i`` owns row ``i`` of a pre-drawn
-uniform matrix, so the mapping from (circuit, shots, noise) to counts is
-fixed no matter how shots are batched or grouped internally.  Shots sharing
-a noise trajectory are evolved once and sampled from the same distribution,
-which is what makes zero-noise runs cheap.
+(Philox) stream keyed by ``noise.seed``.  Shot ``i`` owns row ``i`` of a
+uniform matrix with one column per gate event, one per Pauli choice, one
+outcome draw and one per readout bit.  The matrix is streamed in blocks of
+rows; a counter-based stream yields the same numbers in blocks as in one
+draw, and each block is reduced at once to its trajectory codes, outcome
+draws and readout flip masks, so memory stays bounded as shots grow.  The
+mapping from (circuit, shots, noise) to counts is fixed no matter how the
+work is split.
+
+Evolution: shots sharing a noise trajectory (the per-gate Pauli codes) are
+evolved once and sampled from the same distribution.  The unique
+trajectories are evolved together in batches, each held as one
+``(B, 2, ..., 2)`` array whose size is capped by an amplitude byte budget.
+A gate is one batched op; the Pauli injections after it are masked ops, one
+per distinct Pauli on each target qubit.  A lone state (``apply_gate``, or a
+run with a single trajectory) is a batch of one.
 """
 
 from __future__ import annotations
@@ -95,6 +106,26 @@ class NoiseModel:
         return replace(self, seed=seed)
 
 
+# Widest circuit accepted.  One state takes 16 * 2**n bytes (16 MiB at 20
+# qubits), and a run also holds a few temporaries of that size.
+SIMULATOR_MAX_QUBITS = 20
+
+# Amplitude bytes evolved at once: 64 trajectories of the 8-qubit packed
+# CHSH circuit.  Larger batches bought little speed and raised peak memory.
+_BATCH_BYTES = 256 * 1024
+# Bytes of the uniform matrix drawn at once.
+_DRAW_BYTES = 4 * 1024 * 1024
+
+
+def _check_width(num_qubits: int):
+    if num_qubits < 1:
+        raise CircuitError(f"num_qubits must be positive, got {num_qubits}")
+    if num_qubits > SIMULATOR_MAX_QUBITS:
+        raise CircuitError(
+            f"simulator supports at most {SIMULATOR_MAX_QUBITS} qubits, got {num_qubits}"
+        )
+
+
 @dataclass
 class StateVector:
     """An n-qubit pure state as a (2,)*n complex array; axis q indexes qubit q.
@@ -108,48 +139,66 @@ class StateVector:
 
     @classmethod
     def zero(cls, num_qubits: int) -> "StateVector":
-        if num_qubits < 1:
-            raise CircuitError(f"num_qubits must be positive, got {num_qubits}")
-        return cls(_zero_amplitudes(num_qubits), num_qubits)
+        _check_width(num_qubits)
+        return cls(_zero_states(1, num_qubits)[0], num_qubits)
 
     def norm(self) -> float:
         flat = self.amplitudes.reshape(-1)
         return float(math.sqrt(np.vdot(flat, flat).real))
 
 
-def _zero_amplitudes(num_qubits: int) -> np.ndarray:
-    amps = np.zeros((2,) * num_qubits, dtype=np.complex128)
-    amps[(0,) * num_qubits] = 1.0
+# Batched kernels: ``amps`` has shape (B, 2, ..., 2); axis 0 indexes the
+# state, so qubit q lives on axis q + 1.
+
+
+def _zero_states(count: int, num_qubits: int) -> np.ndarray:
+    amps = np.zeros((count,) + (2,) * num_qubits, dtype=np.complex128)
+    amps.reshape(count, -1)[:, 0] = 1.0
     return amps
 
 
 def _apply_unitary(amps: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
-    out = np.tensordot(u, amps, axes=([1], [qubit]))
-    return np.moveaxis(out, 0, qubit)
+    out = np.tensordot(u, amps, axes=([1], [qubit + 1]))
+    return np.moveaxis(out, 0, qubit + 1)
 
 
 def _apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
     out = amps.copy()
     index = [slice(None)] * amps.ndim
-    index[control] = 1
+    index[control + 1] = 1
     # In the control=1 slice the target axis shifts down if it sat above the
     # control axis.
-    axis = target if target < control else target - 1
+    axis = target + 1 if target < control else target
     out[tuple(index)] = np.flip(out[tuple(index)], axis=axis)
     return out
 
 
-def _apply_gate_amplitudes(amps: np.ndarray, gate: Gate) -> np.ndarray:
+def _apply_gate(amps: np.ndarray, gate: Gate) -> np.ndarray:
     if gate.kind is GateKind.CNOT:
         return _apply_cnot(amps, gate.targets[0], gate.targets[1])
     return _apply_unitary(amps, gate_unitary(gate), gate.targets[0])
 
 
-def _check_norm(amps: np.ndarray):
-    flat = amps.reshape(-1)
-    norm = math.sqrt(np.vdot(flat, flat).real)
-    if abs(norm - 1.0) >= _NORM_TOL:
-        raise NormConservationError(f"statevector norm drifted to {norm!r}")
+def _apply_pauli_codes(amps: np.ndarray, targets: tuple[int, ...], codes: np.ndarray):
+    """Apply, in place, to state ``i`` the Pauli selected by ``codes[i]``: an
+    index into {I,X,Y,Z} for one qubit, or 4a+b for the pair (a on
+    targets[0], b on targets[1]).  One masked op per distinct non-identity
+    Pauli per qubit."""
+    digits = (codes,) if len(targets) == 1 else divmod(codes, 4)
+    for qubit, digit in zip(targets, digits):
+        for pauli in range(1, 4):
+            rows = np.flatnonzero(digit == pauli)
+            if rows.size:
+                amps[rows] = _apply_unitary(amps[rows], PAULIS[pauli], qubit)
+
+
+def _check_norms(amps: np.ndarray):
+    norms = np.sqrt(np.sum(np.abs(amps) ** 2, axis=tuple(range(1, amps.ndim))))
+    drifted = np.abs(norms - 1.0) >= _NORM_TOL
+    if drifted.any():
+        raise NormConservationError(
+            f"statevector norm drifted to {float(norms[drifted][0])!r}"
+        )
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -163,44 +212,78 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
             raise CircuitError(
                 f"gate target {t} out of range for {state.num_qubits} qubit(s)"
             )
-    amps = _apply_gate_amplitudes(state.amplitudes, gate)
-    _check_norm(amps)
-    return StateVector(amps, state.num_qubits)
+    amps = _apply_gate(state.amplitudes[np.newaxis], gate)
+    _check_norms(amps)
+    return StateVector(amps[0], state.num_qubits)
 
 
-def _apply_pauli_code(amps: np.ndarray, targets: tuple[int, ...], code: int) -> np.ndarray:
-    """Apply the Pauli selected by ``code``: index into {I,X,Y,Z} for one
-    qubit, or 4a+b for the pair (a on targets[0], b on targets[1])."""
-    if len(targets) == 1:
-        return _apply_unitary(amps, PAULIS[code], targets[0])
-    first, second = divmod(code, 4)
-    if first:
-        amps = _apply_unitary(amps, PAULIS[first], targets[0])
-    if second:
-        amps = _apply_unitary(amps, PAULIS[second], targets[1])
+def _evolve(circuit: Circuit, trajectories: np.ndarray) -> np.ndarray:
+    """Run the gate list from |0...0> once per row of ``trajectories``, a
+    (B, num_gates) array of Pauli-injection codes (0 = none)."""
+    amps = _zero_states(len(trajectories), circuit.num_qubits)
+    for gate, codes in zip(circuit.gates, trajectories.T):
+        amps = _apply_gate(amps, gate)
+        if codes.any():
+            _apply_pauli_codes(amps, gate.targets, codes)
+        _check_norms(amps)
     return amps
 
 
-def _evolve_with_trajectory(circuit: Circuit, codes) -> np.ndarray:
-    """Run the gate list with one Pauli-injection pattern (code 0 = none)."""
-    amps = _zero_amplitudes(circuit.num_qubits)
-    for gate, code in zip(circuit.gates, codes):
-        amps = _apply_gate_amplitudes(amps, gate)
-        if code:
-            amps = _apply_pauli_code(amps, gate.targets, int(code))
-        _check_norm(amps)
-    return amps
-
-
-def _measurement_distribution(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """Born probabilities over measured qubits, flattened with
-    measured_qubits[0] as the most significant bit."""
+def _born_cdfs(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
+    """Per-state cumulative Born probabilities over measured qubits, flattened
+    with measured_qubits[0] as the most significant bit; the last column is
+    exactly 1."""
     probs = np.abs(amps) ** 2
     measured = set(circuit.measured_qubits)
-    unmeasured = tuple(q for q in range(circuit.num_qubits) if q not in measured)
-    if unmeasured:
-        probs = probs.sum(axis=unmeasured)
-    return probs.reshape(-1)
+    unmeasured = tuple(q + 1 for q in range(circuit.num_qubits) if q not in measured)
+    probs = probs.sum(axis=unmeasured).reshape(len(amps), -1)
+    cdfs = np.cumsum(probs, axis=1)
+    cdfs[:, -1] = 1.0
+    return cdfs
+
+
+def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
+    """Per-shot trajectory codes (int8, one column per gate), outcome draws
+    and readout flip masks.
+
+    The uniform matrix has columns, in order: per-gate event draws, per-gate
+    Pauli choices, the outcome draw, per-bit readout draws.  Row i belongs
+    to shot i.  It is drawn in blocks of rows and reduced block by block.
+    """
+    num_gates = len(circuit.gates)
+    k = circuit.num_measured
+    width = 2 * num_gates + 1 + k
+    event_p = np.array(
+        [noise.p2 if g.kind is GateKind.CNOT else noise.p1 for g in circuit.gates]
+    )
+    choices = np.array([16 if g.kind is GateKind.CNOT else 4 for g in circuit.gates])
+    bit_values = (1 << np.arange(k - 1, -1, -1)).astype(np.int64)
+
+    codes = np.empty((shots, num_gates), dtype=np.int8)
+    outcome_u = np.empty(shots)
+    flip_masks = np.empty(shots, dtype=np.int64)
+    rng = np.random.Generator(np.random.Philox(key=noise.seed))
+    rows = max(1, _DRAW_BYTES // (8 * width))
+    for start in range(0, shots, rows):
+        block = rng.random((min(rows, shots - start), width))
+        stop = start + len(block)
+        event_u = block[:, :num_gates]
+        choice_u = block[:, num_gates : 2 * num_gates]
+        codes[start:stop] = np.where(event_u < event_p, (choice_u * choices).astype(np.int8), 0)
+        outcome_u[start:stop] = block[:, 2 * num_gates]
+        flip_masks[start:stop] = (block[:, 2 * num_gates + 1 :] < noise.readout_flip) @ bit_values
+    return codes, outcome_u, flip_masks
+
+
+def _group(codes: np.ndarray):
+    """The unique rows of ``codes`` and, per shot, the index of its row."""
+    num_gates = codes.shape[1]
+    if not num_gates:
+        return codes[:1], np.zeros(len(codes), dtype=np.intp)
+    # Comparing rows as opaque byte blobs is much faster than unique(axis=0).
+    blobs = codes.view(np.dtype((np.void, num_gates))).reshape(-1)
+    unique_blobs, inverse = np.unique(blobs, return_inverse=True)
+    return unique_blobs.view(np.int8).reshape(len(unique_blobs), num_gates), inverse
 
 
 def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCounts:
@@ -211,59 +294,28 @@ def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCount
     ``measured_qubits`` (measurement is terminal, so a single joint sample is
     exact), then flip each readout bit independently with probability
     ``readout_flip``.  Output depends only on (circuit, shots, noise).
+
+    Raises :class:`CircuitError` for circuits wider than
+    ``SIMULATOR_MAX_QUBITS``.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    num_gates = len(circuit.gates)
-    k = circuit.num_measured
-
-    # One uniform matrix drives everything; columns are, in order: per-gate
-    # event draws, per-gate Pauli choices, the outcome draw, per-bit readout
-    # draws.  Row i belongs to shot i.
-    rng = np.random.Generator(np.random.Philox(key=noise.seed))
-    uniforms = rng.random((shots, 2 * num_gates + 1 + k))
-    outcome_u = uniforms[:, 2 * num_gates]
-
-    if num_gates:
-        event_u = uniforms[:, :num_gates]
-        choice_u = uniforms[:, num_gates : 2 * num_gates]
-        event_p = np.array(
-            [noise.p2 if g.kind is GateKind.CNOT else noise.p1 for g in circuit.gates]
-        )
-        choices = np.array(
-            [16 if g.kind is GateKind.CNOT else 4 for g in circuit.gates]
-        )
-        codes = np.where(event_u < event_p, (choice_u * choices).astype(np.int8), 0)
-        codes = np.ascontiguousarray(codes)
-        # Group shots sharing a trajectory; comparing rows as opaque byte
-        # blobs is much faster than unique(axis=0).
-        blobs = codes.view(np.dtype((np.void, num_gates))).reshape(-1)
-        unique_blobs, inverse = np.unique(blobs, return_inverse=True)
-        trajectories = unique_blobs.view(np.int8).reshape(len(unique_blobs), num_gates)
-    else:
-        trajectories = np.zeros((1, 0), dtype=np.int8)
-        inverse = np.zeros(shots, dtype=np.intp)
+    _check_width(circuit.num_qubits)
+    codes, outcome_u, flip_masks = _draw(circuit, shots, noise)
+    trajectories, inverse = _group(codes)
 
     order = np.argsort(inverse, kind="stable")
-    sorted_inverse = inverse[order]
-    group_ids = np.arange(len(trajectories))
-    starts = np.searchsorted(sorted_inverse, group_ids, side="left")
-    ends = np.searchsorted(sorted_inverse, group_ids, side="right")
-
+    bounds = np.searchsorted(inverse[order], np.arange(len(trajectories) + 1))
     outcomes = np.empty(shots, dtype=np.int64)
-    for i in range(len(trajectories)):
-        members = order[starts[i] : ends[i]]
-        amps = _evolve_with_trajectory(circuit, trajectories[i])
-        cdf = np.cumsum(_measurement_distribution(amps, circuit))
-        cdf[-1] = 1.0
-        outcomes[members] = np.searchsorted(cdf, outcome_u[members], side="right")
+    batch = max(1, _BATCH_BYTES // (16 << circuit.num_qubits))
+    for first in range(0, len(trajectories), batch):
+        cdfs = _born_cdfs(_evolve(circuit, trajectories[first : first + batch]), circuit)
+        for i, cdf in enumerate(cdfs, first):
+            members = order[bounds[i] : bounds[i + 1]]
+            outcomes[members] = np.searchsorted(cdf, outcome_u[members], side="right")
+    outcomes ^= flip_masks
 
-    if noise.readout_flip > 0.0:
-        readout_u = uniforms[:, 2 * num_gates + 1 :]
-        bit_values = (1 << np.arange(k - 1, -1, -1)).astype(np.int64)
-        flip_masks = (readout_u < noise.readout_flip) @ bit_values
-        outcomes ^= flip_masks.astype(np.int64)
-
+    k = circuit.num_measured
     values, tallies = np.unique(outcomes, return_counts=True)
     return BitstringCounts(
         {format(int(v), f"0{k}b"): int(t) for v, t in zip(values, tallies)}

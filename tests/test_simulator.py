@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -5,16 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qguard import (
+    SIMULATOR_MAX_QUBITS,
     Circuit,
     CircuitError,
     Gate,
     GateKind,
     NoiseModel,
+    NormConservationError,
     StateVector,
     apply_gate,
+    packed_chsh_circuit,
     phi_plus,
     run_shots,
 )
+from qguard import simulator
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -211,3 +217,132 @@ def test_full_readout_flip_inverts_deterministic_outcome():
     circuit = Circuit(1, (Gate.x(0),), (0,))
     counts = run_shots(circuit, 30, NoiseModel(p1=0, p2=0, readout_flip=1.0, seed=0))
     assert dict(counts) == {"0": 30}
+
+
+def test_qubit_cap_rejects_before_allocating():
+    wide = SIMULATOR_MAX_QUBITS + 1
+    with pytest.raises(CircuitError):
+        StateVector.zero(wide)
+    with pytest.raises(CircuitError):
+        run_shots(Circuit(wide, (Gate.h(0),), (0,)), 10, NoiseModel.ideal())
+
+
+# --- determinism pins --------------------------------------------------------
+# sha256 of the sorted-JSON counts, recorded with the per-trajectory
+# simulator that batched evolution replaced.  The same (circuit, shots,
+# noise) must keep giving byte-identical counts.
+
+
+def _digest(counts) -> str:
+    return hashlib.sha256(json.dumps(dict(counts), sort_keys=True).encode()).hexdigest()
+
+
+_CIRCUITS = {"packed_chsh": packed_chsh_circuit, "phi_plus": phi_plus}
+
+# (circuit, p2, seed) -> digest; 2000 shots, p1=0.001, readout_flip=0.02.
+_PINNED_GRID = {
+    ("packed_chsh", 0.0, 0): "b4ad02854a76477807ca4d99877f3b1b27018cd05668375ceb0eba98845363f4",
+    ("packed_chsh", 0.0, 1): "fff6210337a194f74ba69099352e4c7a4bd9c84400d5cde8579ecbdc162c96fa",
+    ("packed_chsh", 0.0, 2): "c98547d44271fe16b24d938f7df13bce7c7f03f9f5081df6ced8a412a13f5ae3",
+    ("packed_chsh", 0.01, 0): "e4f99978846d470b6ab2ad343b5fbf3fee66fabac9b226ce17289ec5f6312176",
+    ("packed_chsh", 0.01, 1): "2004a448b9c94d6dff35d0afde2d8d537686c426959971c664e79786ed3c7940",
+    ("packed_chsh", 0.01, 2): "a71e577e51fd43fac66d1cb496d435b94c492bb3d07fd2026bb3e7d50ac246a0",
+    ("packed_chsh", 0.3, 0): "39f0582bd560fed4d7b2b378bb715090e4653f9d231487b45ef27417f46501eb",
+    ("packed_chsh", 0.3, 1): "55301a2f4b9494d00ab7d20c63cd4f722437fb813d6c3f18a9203113be4c2a99",
+    ("packed_chsh", 0.3, 2): "f20a8d4741a288e1ed9fae77c81d2f1cd80ee7ff592e44c09abfe97928d00fd6",
+    ("packed_chsh", 1.0, 0): "6dec4c7d154071de49d69307be2e00a4fade8703662f265c659834f289333a0f",
+    ("packed_chsh", 1.0, 1): "3008505e722f32c491ede0e12903572fef189faed604fe9565783bae0491b16a",
+    ("packed_chsh", 1.0, 2): "193ef3e31ebf01bd0ebc8180c4d739ef6c734cac26d18a91edba08b304c51c02",
+    ("phi_plus", 0.0, 0): "7f473e986f66af90dc8b652bcdc859366620fde04f0d33fed1fabe26e5dca091",
+    ("phi_plus", 0.0, 1): "37037816b9fb42ee4b3dec216c76487211e751cfbe9f95998f00167fac3be653",
+    ("phi_plus", 0.0, 2): "cc9209d84f7ebe06f7bc42617fd4f83b65ac573d98d5df3cd9f29a48b58efb7f",
+    ("phi_plus", 0.01, 0): "958671237fe23da5d2ea60ada879b89918823d8b9c9f96ad9a72b136cd3e6ebc",
+    ("phi_plus", 0.01, 1): "10b58c1fdd8547deb0ef1654d4689b271e27d1b678eaed32371a5387ede9657a",
+    ("phi_plus", 0.01, 2): "95f4af400a4bd11ec9b1f7a6e4b9d50e3bbaebb8f3aeb482b254a008c80e633c",
+    ("phi_plus", 0.3, 0): "757f983a7cec7357627b83ad0b0a22fd5321e5b5ee5d21141b1bdb87666b918f",
+    ("phi_plus", 0.3, 1): "40478ee99476a0242df2a5c2af6f59434de4cffb45d7ce3111dae588db85a6dc",
+    ("phi_plus", 0.3, 2): "08463025b8cada3e04fdf6981d27765147439bc0f0f6723c4f60f0b797dbc7b4",
+    ("phi_plus", 1.0, 0): "3a1bd2f4dba7a3bda7f5426ae7802dbb7cbaffcab1b0f9a8a2abd8393d435cef",
+    ("phi_plus", 1.0, 1): "0b8ee8764ca2f74639c8c374997e02fa53dd30d82a73d5b7fa881101050aa2f9",
+    ("phi_plus", 1.0, 2): "56d0ad8f2ab43166fbdd05dcb6f584357b836def5ee8e9641aa4976b0b4607c8",
+}
+
+
+def _unmeasured_circuit() -> Circuit:
+    # Qubits 0 and 2 are summed out of the Born distribution.
+    return Circuit(
+        4,
+        (Gate.h(0), Gate.cnot(0, 1), Gate.ry(2, 0.7), Gate.cnot(1, 2), Gate.cnot(2, 3), Gate.rx(3, -1.1)),
+        (1, 3),
+    )
+
+
+# name -> (circuit, shots, noise, digest)
+_PINNED_CASES = {
+    "unmeasured": (
+        _unmeasured_circuit,
+        3000,
+        NoiseModel(p1=0.05, p2=0.2, readout_flip=0.03, seed=11),
+        "77479853e67f39024dbea49e936a86f01baca1725397404ae2f8a4efd44ebcf5",
+    ),
+    # Nearly every shot has its own trajectory: many batches.
+    "many_trajectories": (
+        packed_chsh_circuit,
+        3000,
+        NoiseModel(p1=0.05, p2=1.0, readout_flip=0.02, seed=5),
+        "dbe47a4b7dad77aa16a2761d0c82f617fbef2330e998a32fd06227ddd424c444",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, p2, seed", sorted(_PINNED_GRID))
+def test_counts_match_pinned_digest(name, p2, seed):
+    noise = NoiseModel(p1=0.001, p2=p2, readout_flip=0.02, seed=seed)
+    counts = run_shots(_CIRCUITS[name](), 2000, noise)
+    assert _digest(counts) == _PINNED_GRID[(name, p2, seed)]
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_CASES))
+def test_special_counts_match_pinned_digest(case):
+    build, shots, noise, digest = _PINNED_CASES[case]
+    assert _digest(run_shots(build(), shots, noise)) == digest
+
+
+def test_many_trajectories_case_spans_batches():
+    build, shots, noise, _ = _PINNED_CASES["many_trajectories"]
+    circuit = build()
+    trajectories, _ = simulator._group(simulator._draw(circuit, shots, noise)[0])
+    per_batch = simulator._BATCH_BYTES // (16 << circuit.num_qubits)
+    assert len(trajectories) > 2 * per_batch
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_CASES))
+def test_counts_independent_of_batch_and_draw_block_sizes(monkeypatch, case):
+    build, shots, noise, digest = _PINNED_CASES[case]
+    circuit = build()
+    width = 2 * len(circuit.gates) + 1 + circuit.num_measured
+    monkeypatch.setattr(simulator, "_BATCH_BYTES", 3 * (16 << circuit.num_qubits))
+    monkeypatch.setattr(simulator, "_DRAW_BYTES", 7 * 8 * width)
+    assert _digest(run_shots(circuit, shots, noise)) == digest
+
+
+def test_norm_check_covers_every_trajectory_in_a_batch(monkeypatch):
+    # All trajectories of this run fit in one batch.  Only those with an X
+    # injection see the leaky matrix; the first, which has no injection at
+    # all, stays normalised.
+    leaky_x = 1.001 * simulator.PAULIS[1]
+    monkeypatch.setattr(simulator, "PAULIS", (simulator.PAULIS[0], leaky_x) + simulator.PAULIS[2:])
+    with pytest.raises(NormConservationError):
+        run_shots(phi_plus(), 2000, NoiseModel(p1=0.001, p2=0.3, seed=1))
+
+
+def test_norm_check_on_a_non_unitary_gate(monkeypatch):
+    real = simulator.gate_unitary
+
+    def leaky(gate):
+        u = real(gate)
+        return 1.001 * u if gate.targets == (7,) else u
+
+    monkeypatch.setattr(simulator, "gate_unitary", leaky)
+    with pytest.raises(NormConservationError):
+        run_shots(packed_chsh_circuit(), 2000, NoiseModel(p1=0.001, p2=0.3, seed=1))
