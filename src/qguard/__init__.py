@@ -78,6 +78,7 @@ from .errors import (
     CircuitError,
     DocumentError,
     IntrospectionError,
+    NoiseModelError,
     NormConservationError,
     OracleLimitError,
     QGuardError,
@@ -113,6 +114,7 @@ __all__ = [
     "MeasurementSettings",
     "MinimumAcceptableValue",
     "NoiseModel",
+    "NoiseModelError",
     "NormConservationError",
     "NotConstraint",
     "ORACLE_MAX_QUBITS",

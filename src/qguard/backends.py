@@ -13,7 +13,6 @@ time.
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -27,7 +26,8 @@ from .calibration import (
     synthetic_calibration_for,
 )
 from .circuits import BitstringCounts, Circuit
-from .errors import BackendError, DocumentError, RecordingExhausted
+from .errors import BackendError, RecordingExhausted
+from .fields import decode, integer, items, located, obj, required, string
 from .simulator import NoiseModel, run_shots
 from .timestamps import format_timestamp, parse_timestamp, utc_now
 
@@ -163,60 +163,32 @@ class Recording:
 
 
 def recording_from_dict(doc: Mapping[str, Any]) -> Recording:
-    if not isinstance(doc, Mapping):
-        raise DocumentError("", f"expected an object, got {type(doc).__name__}")
-    if "calibration" not in doc:
-        raise DocumentError("calibration", "required field missing")
-    snapshot = calibration_from_dict(doc["calibration"], "calibration")
-    if "results" not in doc:
-        raise DocumentError("results", "required field missing")
-    raw_results = doc["results"]
-    if not isinstance(raw_results, list):
-        raise DocumentError("results", "expected a list")
+    snapshot = calibration_from_dict(required(doc, "calibration", ""), "calibration")
     results = []
-    for i, raw in enumerate(raw_results):
+    for i, raw in enumerate(required(doc, "results", "", items)):
         rpath = f"results[{i}]"
-        if not isinstance(raw, Mapping):
-            raise DocumentError(rpath, "expected an object")
-        for key in ("counts", "shots", "backend_name", "submitted_at", "completed_at"):
-            if key not in raw:
-                raise DocumentError(f"{rpath}.{key}", "required field missing")
-        raw_counts = raw["counts"]
-        if not isinstance(raw_counts, Mapping):
-            raise DocumentError(f"{rpath}.counts", "expected an object")
-        shots = raw["shots"]
-        if isinstance(shots, bool) or not isinstance(shots, int) or shots < 1:
-            raise DocumentError(f"{rpath}.shots", f"expected a positive integer, got {shots!r}")
-        metadata = raw.get("metadata", {})
-        if not isinstance(metadata, Mapping) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
-        ):
-            raise DocumentError(f"{rpath}.metadata", "expected string-to-string mapping")
-        try:
-            result = ExperimentResult(
-                counts=BitstringCounts(raw_counts),
-                shots=shots,
-                backend_name=str(raw["backend_name"]),
-                submitted_at=parse_timestamp(raw["submitted_at"], f"{rpath}.submitted_at"),
-                completed_at=parse_timestamp(raw["completed_at"], f"{rpath}.completed_at"),
-                metadata=dict(metadata),
+        counts = required(raw, "counts", rpath, obj)
+        metadata = obj(raw.get("metadata", {}), f"{rpath}.metadata")
+        with located(rpath):
+            results.append(
+                ExperimentResult(
+                    counts=counts,
+                    shots=required(raw, "shots", rpath, integer),
+                    backend_name=required(raw, "backend_name", rpath, string),
+                    submitted_at=required(raw, "submitted_at", rpath, parse_timestamp),
+                    completed_at=required(raw, "completed_at", rpath, parse_timestamp),
+                    metadata={
+                        key: string(value, f"{rpath}.metadata.{key}")
+                        for key, value in metadata.items()
+                    },
+                )
             )
-        except (BackendError, ValueError) as exc:
-            raise DocumentError(rpath, str(exc)) from None
-        results.append(result)
     return Recording(calibration=snapshot, results=tuple(results))
 
 
 def parse_recording(document: str | Mapping[str, Any]) -> Recording:
     """Parse a recording document (JSON text or decoded mapping)."""
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise DocumentError("", f"invalid JSON: {exc}") from None
-    else:
-        doc = document
-    return recording_from_dict(doc)
+    return recording_from_dict(decode(document) if isinstance(document, str) else document)
 
 
 class ReplayAdapter(BackendAdapter):

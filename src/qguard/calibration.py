@@ -7,12 +7,12 @@ here is testable with synthetic clocks and files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Any, Mapping
 
 from .errors import CalibrationError, DocumentError
+from .fields import decode, integer, integers, items, join, number, required, string
 from .simulator import NoiseModel
 from .timestamps import format_timestamp, parse_timestamp, utc_now
 
@@ -144,76 +144,38 @@ def calibration_to_dict(snapshot: CalibrationSnapshot) -> dict[str, Any]:
     }
 
 
-def _number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DocumentError(path, f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(path, f"expected an integer, got {value!r}")
-    return value
-
-
-def _field(doc: Mapping[str, Any], key: str, path: str) -> Any:
-    if not isinstance(doc, Mapping):
-        raise DocumentError(path, f"expected an object, got {type(doc).__name__}")
-    if key not in doc:
-        raise DocumentError(f"{path}.{key}" if path else key, "required field missing")
-    return doc[key]
-
-
 def calibration_from_dict(doc: Mapping[str, Any], path: str = "") -> CalibrationSnapshot:
-    if not isinstance(doc, Mapping):
-        raise DocumentError(path, f"expected an object, got {type(doc).__name__}")
-    prefix = f"{path}." if path else ""
-    taken_at = parse_timestamp(_field(doc, "taken_at", path), f"{prefix}taken_at")
-    num_qubits = _int(_field(doc, "num_qubits", path), f"{prefix}num_qubits")
-    raw_qubits = _field(doc, "qubits", path)
-    if not isinstance(raw_qubits, list):
-        raise DocumentError(f"{prefix}qubits", "expected a list")
+    taken_at = required(doc, "taken_at", path, parse_timestamp)
+    num_qubits = required(doc, "num_qubits", path, integer)
+    qubits_path = join(path, "qubits")
     qubits = []
-    for i, raw in enumerate(raw_qubits):
-        qpath = f"{prefix}qubits[{i}]"
+    for i, raw in enumerate(required(doc, "qubits", path, items)):
+        qpath = f"{qubits_path}[{i}]"
         qubits.append(
             QubitCalibration(
-                t1_us=_number(_field(raw, "t1_us", qpath), f"{qpath}.t1_us"),
-                t2_us=_number(_field(raw, "t2_us", qpath), f"{qpath}.t2_us"),
-                readout_error=_number(
-                    _field(raw, "readout_error", qpath), f"{qpath}.readout_error"
-                ),
+                t1_us=required(raw, "t1_us", qpath, number),
+                t2_us=required(raw, "t2_us", qpath, number),
+                readout_error=required(raw, "readout_error", qpath, number),
             )
         )
-    raw_gates = _field(doc, "gates", path)
-    if not isinstance(raw_gates, list):
-        raise DocumentError(f"{prefix}gates", "expected a list")
+    gates_path = join(path, "gates")
     gates = []
-    for i, raw in enumerate(raw_gates):
-        gpath = f"{prefix}gates[{i}]"
-        name = _field(raw, "name", gpath)
-        if not isinstance(name, str):
-            raise DocumentError(f"{gpath}.name", f"expected a string, got {name!r}")
-        raw_indices = _field(raw, "qubits", gpath)
-        if not isinstance(raw_indices, list):
-            raise DocumentError(f"{gpath}.qubits", "expected a list")
-        indices = [_int(v, f"{gpath}.qubits[{j}]") for j, v in enumerate(raw_indices)]
+    for i, raw in enumerate(required(doc, "gates", path, items)):
+        gpath = f"{gates_path}[{i}]"
         gates.append(
             GateCalibration(
-                name=name,
-                qubits=tuple(indices),
-                error=_number(_field(raw, "error", gpath), f"{gpath}.error"),
+                name=required(raw, "name", gpath, string),
+                qubits=tuple(required(raw, "qubits", gpath, integers)),
+                error=required(raw, "error", gpath, number),
             )
         )
-    raw_coupling = _field(doc, "coupling_map", path)
-    if not isinstance(raw_coupling, list):
-        raise DocumentError(f"{prefix}coupling_map", "expected a list")
+    coupling_path = join(path, "coupling_map")
     coupling = []
-    for i, raw in enumerate(raw_coupling):
-        cpath = f"{prefix}coupling_map[{i}]"
+    for i, raw in enumerate(required(doc, "coupling_map", path, items)):
+        cpath = f"{coupling_path}[{i}]"
         if not isinstance(raw, list) or len(raw) != 2:
             raise DocumentError(cpath, f"expected a pair of qubit indices, got {raw!r}")
-        coupling.append((_int(raw[0], f"{cpath}[0]"), _int(raw[1], f"{cpath}[1]")))
+        coupling.append(tuple(integers(raw, cpath)))
     return CalibrationSnapshot(
         taken_at=taken_at,
         num_qubits=num_qubits,
@@ -229,11 +191,4 @@ def parse_calibration(document: str | Mapping[str, Any]) -> CalibrationSnapshot:
     Schema violations raise :class:`DocumentError` naming the field;
     physical-bound violations raise :class:`CalibrationError`.
     """
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise DocumentError("", f"invalid JSON: {exc}") from None
-    else:
-        doc = document
-    return calibration_from_dict(doc)
+    return calibration_from_dict(decode(document) if isinstance(document, str) else document)

@@ -16,6 +16,7 @@ from enum import Enum
 from typing import Any, Iterable, Mapping
 
 from .errors import CircuitError, DocumentError
+from .fields import decode, integer, integers, items, join, located, no_unknown, number, required
 
 
 class BitstringCounts(Mapping):
@@ -298,27 +299,6 @@ def circuit_to_dict(circuit: Circuit) -> dict[str, Any]:
     }
 
 
-def _require(doc: Mapping[str, Any], key: str, path: str) -> Any:
-    if key not in doc:
-        raise DocumentError(_join(path, key), "required field missing")
-    return doc[key]
-
-
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
-
-
-def _int_list(value: Any, path: str) -> list[int]:
-    if not isinstance(value, list):
-        raise DocumentError(path, f"expected a list, got {type(value).__name__}")
-    out = []
-    for i, item in enumerate(value):
-        if not isinstance(item, int) or isinstance(item, bool):
-            raise DocumentError(f"{path}[{i}]", f"expected an integer, got {item!r}")
-        out.append(item)
-    return out
-
-
 def circuit_from_dict(doc: Mapping[str, Any], path: str = "") -> Circuit:
     """Build a :class:`Circuit` from its document form.
 
@@ -326,46 +306,26 @@ def circuit_from_dict(doc: Mapping[str, Any], path: str = "") -> Circuit:
     documents, unknown gate kinds, out-of-range indices, and missing or
     surplus angles.
     """
-    if not isinstance(doc, Mapping):
-        raise DocumentError(path, f"expected an object, got {type(doc).__name__}")
-    num_qubits = _require(doc, "num_qubits", path)
-    if not isinstance(num_qubits, int) or isinstance(num_qubits, bool) or num_qubits < 1:
-        raise DocumentError(_join(path, "num_qubits"), f"expected a positive integer, got {num_qubits!r}")
-    raw_gates = _require(doc, "gates", path)
-    if not isinstance(raw_gates, list):
-        raise DocumentError(_join(path, "gates"), "expected a list")
+    num_qubits = required(doc, "num_qubits", path, integer)
+    gates_path = join(path, "gates")
     gates = []
-    for i, raw in enumerate(raw_gates):
-        gate_path = f"{_join(path, 'gates')}[{i}]"
-        if not isinstance(raw, Mapping):
-            raise DocumentError(gate_path, "expected an object")
-        kind_name = _require(raw, "kind", gate_path)
+    for i, raw in enumerate(required(doc, "gates", path, items)):
+        gate_path = f"{gates_path}[{i}]"
+        kind_name = required(raw, "kind", gate_path)
         try:
             kind = GateKind(kind_name)
         except ValueError:
             raise DocumentError(f"{gate_path}.kind", f"unknown gate kind {kind_name!r}") from None
-        targets = _int_list(_require(raw, "targets", gate_path), f"{gate_path}.targets")
+        targets = required(raw, "targets", gate_path, integers)
         angle = raw.get("angle")
-        if angle is not None and (isinstance(angle, bool) or not isinstance(angle, (int, float))):
-            raise DocumentError(f"{gate_path}.angle", f"expected a number, got {angle!r}")
-        unknown = set(raw) - {"kind", "targets", "angle"}
-        if unknown:
-            raise DocumentError(gate_path, f"unknown field(s): {sorted(unknown)}")
-        try:
-            gate = Gate(kind, tuple(targets), angle)
-        except CircuitError as exc:
-            raise DocumentError(gate_path, str(exc)) from None
-        for t in gate.targets:
-            if t >= num_qubits:
-                raise DocumentError(
-                    f"{gate_path}.targets", f"index {t} out of range for {num_qubits} qubit(s)"
-                )
-        gates.append(gate)
-    measure = _int_list(_require(doc, "measure", path), _join(path, "measure"))
-    try:
+        if angle is not None:
+            angle = number(angle, f"{gate_path}.angle")
+        no_unknown(raw, ("kind", "targets", "angle"), gate_path)
+        with located(gate_path):
+            gates.append(Gate(kind, tuple(targets), angle))
+    measure = required(doc, "measure", path, integers)
+    with located(path):
         return Circuit(num_qubits, tuple(gates), tuple(measure))
-    except CircuitError as exc:
-        raise DocumentError(_join(path, "measure"), str(exc)) from None
 
 
 def serialize_circuit(circuit: Circuit) -> str:
@@ -375,8 +335,4 @@ def serialize_circuit(circuit: Circuit) -> str:
 
 def parse_circuit(text: str) -> Circuit:
     """Parse a JSON circuit document; inverse of :func:`serialize_circuit`."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError("", f"invalid JSON: {exc}") from None
-    return circuit_from_dict(doc)
+    return circuit_from_dict(decode(text))

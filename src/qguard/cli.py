@@ -1,10 +1,13 @@
 """Command-line front end for declarative conditional workflows.
 
 A workflow file names a backend, a constraint tree, a main circuit, and
-shot counts; ``run`` executes it through the conditional executor and
-writes a JSON report, ``validate`` checks the file without executing
-anything.  Exit statuses: 0 constraint passed, 3 constraint failed,
-1 configuration error, 2 runtime/backend error.
+shot counts.  Both commands load it the same way: every object a run would
+use (the noise model with its calibration, or the replay recording; the
+constraint tree; the main circuit) is built once, and whatever fails to
+build is reported with its document path.  ``validate`` stops there and
+executes nothing; ``run`` executes the built objects through the
+conditional executor and writes a JSON report.  Exit statuses: 0 constraint
+passed, 3 constraint failed, 1 configuration error, 2 runtime/backend error.
 """
 
 from __future__ import annotations
@@ -14,17 +17,18 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from . import __version__
 from .backends import BackendAdapter, ExperimentResult, ReplayAdapter, SimulatorAdapter
 from .calibration import parse_calibration, synthetic_calibration_for
 from .circuits import Circuit, circuit_from_dict, circuit_to_dict
-from .constraints import constraint_from_dict
-from .errors import DocumentError, QGuardError
+from .constraints import ResourceConstraint, constraint_from_dict
+from .errors import DocumentError, NoiseModelError, QGuardError
 from .executor import Branch, run_conditionally
+from .fields import boolean, decode, integer, no_unknown, obj, required, string
 from .simulator import NoiseModel
-from .timestamps import format_timestamp, utc_now
+from .timestamps import format_timestamp
 
 EXIT_PASSED = 0
 EXIT_CONFIG_ERROR = 1
@@ -57,212 +61,138 @@ class Diagnostic:
         return f"{self.path}: {self.message}" if self.path else self.message
 
 
-def _positive_int(doc: Mapping[str, Any], key: str, diagnostics: list[Diagnostic]):
-    if key not in doc:
-        diagnostics.append(Diagnostic(key, "required field missing"))
-        return
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        diagnostics.append(Diagnostic(key, f"expected a positive integer, got {value!r}"))
+@dataclass(frozen=True)
+class Workflow:
+    """The objects a workflow document describes, built and checked."""
+
+    adapter: BackendAdapter
+    backend: dict[str, Any]  # the backend as the report records it
+    constraint: ResourceConstraint
+    main_circuit: Circuit
+    constraint_shots: int
+    main_shots: int
 
 
-def _validate_backend(
-    doc: Mapping[str, Any], base_dir: Path, diagnostics: list[Diagnostic]
-):
-    backend = doc.get("backend")
-    if backend is None:
-        diagnostics.append(Diagnostic("backend", "required field missing"))
-        return
-    if not isinstance(backend, Mapping):
-        diagnostics.append(Diagnostic("backend", "expected an object"))
-        return
+def _referenced(base_dir: Path, name: Any, path: str, load: Callable[[Path], Any]) -> Any:
+    """``load`` applied to the file named by the workflow field at ``path``."""
+    file = base_dir / string(name, path)
+    try:
+        return load(file)
+    except OSError as exc:
+        raise DocumentError(path, f"cannot read {file}: {exc}") from None
+    except (QGuardError, ValueError) as exc:
+        raise DocumentError(path, f"{file}: {exc}") from None
+
+
+def _load_backend(
+    doc: Mapping[str, Any], base_dir: Path, seed_override: int | None
+) -> tuple[BackendAdapter, dict[str, Any]]:
+    backend = required(doc, "backend", "", obj)
     kind = backend.get("type")
     if kind not in _BACKEND_KEYS:
-        diagnostics.append(
-            Diagnostic("backend.type", f"expected \"simulator\" or \"replay\", got {kind!r}")
+        raise DocumentError("backend.type", f"expected \"simulator\" or \"replay\", got {kind!r}")
+    no_unknown(backend, _BACKEND_KEYS[kind], "backend")
+    if kind == "replay":
+        strict = boolean(backend.get("strict", False), "backend.strict")
+        recording_file = required(backend, "recording_file", "backend")
+        adapter = _referenced(
+            base_dir,
+            recording_file,
+            "backend.recording_file",
+            lambda file: ReplayAdapter.from_file(file, strict=strict),
         )
-        return
-    unknown = set(backend) - _BACKEND_KEYS[kind]
-    if unknown:
-        diagnostics.append(
-            Diagnostic("backend", f"unknown field(s) for type {kind!r}: {sorted(unknown)}")
-        )
-    if kind == "simulator":
-        noise = backend.get("noise", {})
-        if not isinstance(noise, Mapping):
-            diagnostics.append(Diagnostic("backend.noise", "expected an object"))
-        else:
-            unknown = set(noise) - set(_NOISE_KEYS)
-            if unknown:
-                diagnostics.append(
-                    Diagnostic("backend.noise", f"unknown field(s): {sorted(unknown)}")
-                )
-            for key in _NOISE_KEYS:
-                if key in noise:
-                    value = noise[key]
-                    if (
-                        isinstance(value, bool)
-                        or not isinstance(value, (int, float))
-                        or not 0.0 <= value <= 1.0
-                    ):
-                        diagnostics.append(
-                            Diagnostic(
-                                f"backend.noise.{key}",
-                                f"expected a probability in [0, 1], got {value!r}",
-                            )
-                        )
-        seed = backend.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-            diagnostics.append(
-                Diagnostic("backend.seed", f"expected an unsigned 64-bit integer, got {seed!r}")
-            )
-        calibration_file = backend.get("calibration_file")
-        if calibration_file is not None:
-            if not isinstance(calibration_file, str):
-                diagnostics.append(Diagnostic("backend.calibration_file", "expected a path string"))
-            else:
-                _validate_referenced_file(
-                    base_dir / calibration_file,
-                    "backend.calibration_file",
-                    parse_calibration,
-                    diagnostics,
-                )
-    else:
-        recording_file = backend.get("recording_file")
-        if recording_file is None:
-            diagnostics.append(
-                Diagnostic("backend.recording_file", "required for replay backends")
-            )
-        elif not isinstance(recording_file, str):
-            diagnostics.append(Diagnostic("backend.recording_file", "expected a path string"))
-        else:
-            from .backends import parse_recording
+        return adapter, {"type": "replay", "recording_file": recording_file, "strict": strict}
 
-            _validate_referenced_file(
-                base_dir / recording_file,
-                "backend.recording_file",
-                parse_recording,
-                diagnostics,
-            )
-        strict = backend.get("strict", False)
-        if not isinstance(strict, bool):
-            diagnostics.append(Diagnostic("backend.strict", f"expected a boolean, got {strict!r}"))
-
-
-def _validate_referenced_file(path: Path, doc_path: str, parser, diagnostics: list[Diagnostic]):
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        diagnostics.append(Diagnostic(doc_path, f"cannot read {path}: {exc}"))
-        return
-    try:
-        parser(text)
-    except (QGuardError, ValueError) as exc:
-        diagnostics.append(Diagnostic(doc_path, f"{path}: {exc}"))
-
-
-def _validate_main_circuit(
-    doc: Mapping[str, Any], base_dir: Path, diagnostics: list[Diagnostic]
-):
-    main = doc.get("main_circuit")
-    if main is None:
-        diagnostics.append(Diagnostic("main_circuit", "required field missing"))
-        return
-    if isinstance(main, str):
-        _validate_referenced_file(
-            base_dir / main,
-            "main_circuit",
-            lambda text: circuit_from_dict(json.loads(text)),
-            diagnostics,
-        )
-        return
-    if not isinstance(main, Mapping):
-        diagnostics.append(Diagnostic("main_circuit", "expected a circuit object or a path string"))
-        return
-    try:
-        circuit_from_dict(main, "main_circuit")
-    except DocumentError as exc:
-        diagnostics.append(Diagnostic(exc.path, str(exc).removeprefix(f"{exc.path}: ")))
-
-
-def validate_workflow(doc: Any, base_dir: Path) -> list[Diagnostic]:
-    """Full schema and invariant check of a workflow document.
-
-    Purely static: referenced files are read and parsed, but nothing is
-    executed.  Returns one diagnostic per violation, each with a document
-    path; an empty list means the workflow is runnable.
-    """
-    diagnostics: list[Diagnostic] = []
-    if not isinstance(doc, Mapping):
-        return [Diagnostic("", f"expected a configuration object, got {type(doc).__name__}")]
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        diagnostics.append(Diagnostic("", f"unknown field(s): {sorted(unknown)}"))
-
-    _validate_backend(doc, base_dir, diagnostics)
-
-    constraint = doc.get("constraint")
-    if constraint is None:
-        diagnostics.append(Diagnostic("constraint", "required field missing"))
-    else:
-        try:
-            constraint_from_dict(constraint)
-        except DocumentError as exc:
-            diagnostics.append(Diagnostic(exc.path, str(exc).removeprefix(f"{exc.path}: ")))
-
-    _validate_main_circuit(doc, base_dir, diagnostics)
-    _positive_int(doc, "constraint_shots", diagnostics)
-    _positive_int(doc, "main_shots", diagnostics)
-
-    report_path = doc.get("report_path")
-    if report_path is not None and not isinstance(report_path, str):
-        diagnostics.append(Diagnostic("report_path", "expected a path string"))
-    return diagnostics
-
-
-def _resolve_noise(backend_doc: Mapping[str, Any], seed_override: int | None) -> NoiseModel:
-    noise_doc = backend_doc.get("noise", {})
-    seed = seed_override if seed_override is not None else backend_doc.get("seed", 0)
-    return NoiseModel(
-        p1=noise_doc.get("p1", 0.0),
-        p2=noise_doc.get("p2", 0.0),
-        readout_flip=noise_doc.get("readout_flip", 0.0),
-        seed=seed,
+    noise_doc = obj(backend.get("noise", {}), "backend.noise")
+    no_unknown(noise_doc, _NOISE_KEYS, "backend.noise")
+    noise = NoiseModel(
+        **{key: noise_doc.get(key, 0.0) for key in _NOISE_KEYS}, seed=backend.get("seed", 0)
     )
-
-
-def _build_adapter(
-    backend_doc: Mapping[str, Any], base_dir: Path, seed_override: int | None
-) -> tuple[BackendAdapter, dict[str, Any]]:
-    """Construct the adapter and the resolved backend description for the report."""
-    if backend_doc["type"] == "simulator":
-        noise = _resolve_noise(backend_doc, seed_override)
-        calibration_file = backend_doc.get("calibration_file")
-        if calibration_file is not None:
-            calibration = parse_calibration((base_dir / calibration_file).read_text())
-        else:
-            calibration = synthetic_calibration_for(noise)
-        resolved = {
-            "type": "simulator",
-            "noise": {"p1": noise.p1, "p2": noise.p2, "readout_flip": noise.readout_flip},
-            "seed": noise.seed,
-        }
-        if calibration_file is not None:
-            resolved["calibration_file"] = calibration_file
-        return SimulatorAdapter(noise, calibration), resolved
     if seed_override is not None:
-        print("warning: --seed has no effect on replay backends", file=sys.stderr)
-    recording_file = backend_doc["recording_file"]
-    strict = backend_doc.get("strict", False)
-    adapter = ReplayAdapter.from_file(base_dir / recording_file, strict=strict)
-    return adapter, {"type": "replay", "recording_file": recording_file, "strict": strict}
+        noise = noise.with_seed(seed_override)
+    resolved = {
+        "type": "simulator",
+        "noise": {key: getattr(noise, key) for key in _NOISE_KEYS},
+        "seed": noise.seed,
+    }
+    calibration_file = backend.get("calibration_file")
+    if calibration_file is None:
+        calibration = synthetic_calibration_for(noise)
+    else:
+        calibration = _referenced(
+            base_dir,
+            calibration_file,
+            "backend.calibration_file",
+            lambda file: parse_calibration(file.read_text()),
+        )
+        resolved["calibration_file"] = calibration_file
+    return SimulatorAdapter(noise, calibration), resolved
 
 
 def _load_main_circuit(doc: Mapping[str, Any], base_dir: Path) -> Circuit:
-    main = doc["main_circuit"]
+    main = required(doc, "main_circuit", "")
     if isinstance(main, str):
-        return circuit_from_dict(json.loads((base_dir / main).read_text()), "main_circuit")
+        return _referenced(
+            base_dir, main, "main_circuit", lambda file: circuit_from_dict(decode(file.read_text()))
+        )
     return circuit_from_dict(main, "main_circuit")
+
+
+def _shots(doc: Mapping[str, Any], key: str) -> int:
+    shots = required(doc, key, "", integer)
+    if shots < 1:
+        raise DocumentError(key, f"expected a positive integer, got {shots!r}")
+    return shots
+
+
+def load_workflow(
+    doc: Any, base_dir: Path, seed_override: int | None = None
+) -> tuple[Workflow | None, list[Diagnostic]]:
+    """Build every object a workflow document describes, executing nothing.
+
+    Referenced files are resolved against ``base_dir`` and each is read and
+    parsed once.  The sections (top-level fields, backend, constraint, main
+    circuit, shot counts, report path) are built independently, and each
+    one that fails adds its diagnostics.  Returns the workflow and no
+    diagnostics, or ``None`` and at least one diagnostic.
+    """
+    if not isinstance(doc, Mapping):
+        return None, [Diagnostic("", f"expected a configuration object, got {type(doc).__name__}")]
+    diagnostics: list[Diagnostic] = []
+
+    def build(load: Callable[..., Any], *args) -> Any:
+        try:
+            return load(*args)
+        except DocumentError as exc:
+            diagnostics.append(Diagnostic(exc.path, exc.message))
+        except NoiseModelError as exc:
+            diagnostics.extend(
+                Diagnostic("backend.seed" if name == "seed" else f"backend.noise.{name}", problem)
+                for name, problem in exc.problems.items()
+            )
+        return None
+
+    build(no_unknown, doc, _TOP_KEYS, "")
+    backend = build(_load_backend, doc, base_dir, seed_override)
+    constraint = build(lambda: constraint_from_dict(required(doc, "constraint", "")))
+    main_circuit = build(_load_main_circuit, doc, base_dir)
+    constraint_shots = build(_shots, doc, "constraint_shots")
+    main_shots = build(_shots, doc, "main_shots")
+    if doc.get("report_path") is not None:
+        build(string, doc["report_path"], "report_path")
+    if diagnostics:
+        return None, diagnostics
+    adapter, resolved_backend = backend
+    workflow = Workflow(
+        adapter, resolved_backend, constraint, main_circuit, constraint_shots, main_shots
+    )
+    return workflow, []
+
+
+def validate_workflow(doc: Any, base_dir: Path) -> list[Diagnostic]:
+    """The diagnostics of :func:`load_workflow`; an empty list means the
+    workflow is runnable."""
+    return load_workflow(doc, base_dir)[1]
 
 
 def run_workflow(
@@ -274,33 +204,24 @@ def run_workflow(
     config_path = Path(config_path)
     base_dir = config_path.parent
     try:
-        doc = json.loads(config_path.read_text())
+        doc = decode(config_path.read_text())
     except OSError as exc:
         print(f"error: cannot read {config_path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except json.JSONDecodeError as exc:
-        print(f"error: {config_path}: invalid JSON: {exc}", file=sys.stderr)
+    except DocumentError as exc:
+        print(f"error: {config_path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    diagnostics = validate_workflow(doc, base_dir)
+    workflow, diagnostics = load_workflow(doc, base_dir, seed_override)
     if diagnostics:
         for diagnostic in diagnostics:
             print(f"error: {diagnostic}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-
-    started_at = utc_now()
-    try:
-        adapter, resolved_backend = _build_adapter(doc["backend"], base_dir, seed_override)
-        constraint = constraint_from_dict(doc["constraint"])
-        main_circuit = _load_main_circuit(doc, base_dir)
-    except (QGuardError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-
-    main_shots = doc["main_shots"]
+    if seed_override is not None and workflow.backend["type"] == "replay":
+        print("warning: --seed has no effect on replay backends", file=sys.stderr)
 
     def on_pass(backend: BackendAdapter, introspection) -> ExperimentResult:
-        return backend.run(main_circuit, main_shots)
+        return backend.run(workflow.main_circuit, workflow.main_shots)
 
     def on_fail(backend: BackendAdapter, introspection):
         print(
@@ -311,11 +232,11 @@ def run_workflow(
 
     try:
         outcome = run_conditionally(
-            adapter,
-            constraint,
+            workflow.adapter,
+            workflow.constraint,
             on_pass=on_pass,
             on_fail=on_fail,
-            shots=doc["constraint_shots"],
+            shots=workflow.constraint_shots,
         )
     except QGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -326,11 +247,11 @@ def run_workflow(
         "branch": outcome.branch.value,
         "introspection": outcome.introspection.to_dict(),
         "config": {
-            "backend": resolved_backend,
+            "backend": workflow.backend,
             "constraint": doc["constraint"],
-            "main_circuit": circuit_to_dict(main_circuit),
-            "constraint_shots": doc["constraint_shots"],
-            "main_shots": main_shots,
+            "main_circuit": circuit_to_dict(workflow.main_circuit),
+            "constraint_shots": workflow.constraint_shots,
+            "main_shots": workflow.main_shots,
             "report_path": str(report_path),
         },
         "started_at": format_timestamp(outcome.started_at),
@@ -355,12 +276,12 @@ def run_workflow(
 def _cmd_validate(config_path: str) -> int:
     path = Path(config_path)
     try:
-        doc = json.loads(path.read_text())
+        doc = decode(path.read_text())
     except OSError as exc:
         print(f"{path}: cannot read: {exc}")
         return EXIT_CONFIG_ERROR
-    except json.JSONDecodeError as exc:
-        print(f"{path}: invalid JSON: {exc}")
+    except DocumentError as exc:
+        print(f"{path}: {exc}")
         return EXIT_CONFIG_ERROR
     diagnostics = validate_workflow(doc, path.parent)
     for diagnostic in diagnostics:

@@ -28,6 +28,7 @@ from .chsh import (
 )
 from .circuits import MeasurementSettings, packed_chsh_circuit
 from .errors import DocumentError
+from .fields import items, located, no_unknown, number, obj, required
 from .timestamps import format_timestamp, utc_now
 
 
@@ -242,15 +243,18 @@ class CalibrationConstraint(ResourceConstraint):
         )
 
 
-class AndConstraint(ResourceConstraint):
-    """Passes iff every child passes.
+class _Composite(ResourceConstraint):
+    """Shared body of AND and OR: children run in order, and the first child
+    whose outcome equals ``_decisive`` decides the whole.
 
-    Short-circuits on the first failure by default, because each child
-    evaluation may spend paid shots; later children then never run and are
-    absent from ``children``.  ``evaluate_all=True`` trades that economy for
-    a complete report.
+    Evaluation stops there by default, because each child evaluation may
+    spend paid shots; later children then never run and are absent from
+    ``children``.  ``evaluate_all=True`` trades that economy for a complete
+    report.
     """
 
+    _decisive: bool
+
     def __init__(
         self,
         children: Iterable[ResourceConstraint],
@@ -259,21 +263,21 @@ class AndConstraint(ResourceConstraint):
     ):
         self._children = tuple(children)
         if not self._children:
-            raise ValueError("AndConstraint requires at least one child")
+            raise ValueError(f"{self.name()} requires at least one child")
         self._evaluate_all = evaluate_all
         self._clock = clock
 
     def name(self) -> str:
-        return "AndConstraint"
+        return type(self).__name__
 
     def evaluate(self, adapter: BackendAdapter, shots: int) -> IntrospectionResult:
         evaluated: list[IntrospectionResult] = []
-        passed = True
+        passed = not self._decisive
         for child in self._children:
             outcome = child.evaluate(adapter, shots)
             evaluated.append(outcome)
-            if not outcome.passed:
-                passed = False
+            if outcome.passed == self._decisive:
+                passed = self._decisive
                 if not self._evaluate_all:
                     break
         return IntrospectionResult(
@@ -284,40 +288,22 @@ class AndConstraint(ResourceConstraint):
         )
 
 
-class OrConstraint(ResourceConstraint):
-    """Passes iff any child passes; short-circuits on the first success."""
+# Each subclass holds ``evaluate`` in its own ``__dict__``, where per-class
+# instrumentation such as perfbench's span tracer looks it up.
 
-    def __init__(
-        self,
-        children: Iterable[ResourceConstraint],
-        evaluate_all: bool = False,
-        clock: Callable[[], datetime] = utc_now,
-    ):
-        self._children = tuple(children)
-        if not self._children:
-            raise ValueError("OrConstraint requires at least one child")
-        self._evaluate_all = evaluate_all
-        self._clock = clock
 
-    def name(self) -> str:
-        return "OrConstraint"
+class AndConstraint(_Composite):
+    """Passes iff every child passes; stops at the first failure."""
 
-    def evaluate(self, adapter: BackendAdapter, shots: int) -> IntrospectionResult:
-        evaluated: list[IntrospectionResult] = []
-        passed = False
-        for child in self._children:
-            outcome = child.evaluate(adapter, shots)
-            evaluated.append(outcome)
-            if outcome.passed:
-                passed = True
-                if not self._evaluate_all:
-                    break
-        return IntrospectionResult(
-            constraint_name=self.name(),
-            passed=passed,
-            evaluated_at=self._clock(),
-            children=tuple(evaluated),
-        )
+    _decisive = False
+    evaluate = _Composite.evaluate
+
+
+class OrConstraint(_Composite):
+    """Passes iff any child passes; stops at the first success."""
+
+    _decisive = True
+    evaluate = _Composite.evaluate
 
 
 class NotConstraint(ResourceConstraint):
@@ -346,8 +332,10 @@ class FreshWithin(ResourceConstraint):
     """TTL cache around a child constraint.
 
     Introspection and use of its result are separated in time; this wrapper
-    bounds that gap.  The child result is cached and reused while
-    ``now - evaluated_at <= ttl``; past the ttl the child is re-evaluated.
+    bounds that gap.  The child result is reused while ``0 <= now -
+    evaluated_at <= ttl``, for the same shot count on a backend of the same
+    ``name()``; otherwise the child is re-evaluated.  A negative age means
+    the clock stepped back, so the result's age is unknown and it is stale.
     The cached result is returned as-is, original ``evaluated_at`` included,
     so callers can see exactly how stale their information is.  Errors do
     not populate the cache.
@@ -364,24 +352,26 @@ class FreshWithin(ResourceConstraint):
         clock: Callable[[], datetime] = utc_now,
     ):
         if ttl <= timedelta(0):
-            raise ValueError(f"ttl must be positive, got {ttl!r}")
+            raise ValueError(f"ttl must be positive, got {ttl.total_seconds()} s")
         self._child = child
         self._ttl = ttl
         self._clock = clock
         self._lock = threading.Lock()
         self._cached: IntrospectionResult | None = None
+        self._cached_for: tuple[str, int] | None = None
 
     def name(self) -> str:
         return f"FreshWithin({self._child.name()})"
 
     def evaluate(self, adapter: BackendAdapter, shots: int) -> IntrospectionResult:
+        request = (adapter.name(), shots)
         with self._lock:
-            if self._cached is not None:
+            if self._cached is not None and self._cached_for == request:
                 age = self._clock() - self._cached.evaluated_at
-                if age <= self._ttl:
+                if timedelta(0) <= age <= self._ttl:
                     return self._cached
             outcome = self._child.evaluate(adapter, shots)
-            self._cached = outcome
+            self._cached, self._cached_for = outcome, request
             return outcome
 
 
@@ -403,23 +393,7 @@ _ALLOWED_KEYS = {
 }
 
 
-def _check_keys(doc: Mapping[str, Any], kind: str, path: str):
-    unknown = set(doc) - _ALLOWED_KEYS[kind]
-    if unknown:
-        raise DocumentError(path, f"unknown field(s) for type {kind!r}: {sorted(unknown)}")
-
-
-def _child_docs(doc: Mapping[str, Any], path: str, exactly: int | None = None) -> list:
-    if "children" not in doc:
-        raise DocumentError(f"{path}.children", "required field missing")
-    children = doc["children"]
-    if not isinstance(children, list) or not children:
-        raise DocumentError(f"{path}.children", "expected a non-empty list")
-    if exactly is not None and len(children) != exactly:
-        raise DocumentError(
-            f"{path}.children", f"expected exactly {exactly} child(ren), got {len(children)}"
-        )
-    return children
+_POLICIES = {"min": MinimumAcceptableValue, "max": MaximumAcceptableValue}
 
 
 def constraint_from_dict(
@@ -433,85 +407,46 @@ def constraint_from_dict(
     field.  ``clock`` is threaded through to every node so whole trees can
     run against synthetic time.
     """
-    if not isinstance(doc, Mapping):
-        raise DocumentError(path, f"expected an object, got {type(doc).__name__}")
-    kind = doc.get("type")
+    kind = obj(doc, path).get("type")
     if kind not in _ALLOWED_KEYS:
-        raise DocumentError(
-            f"{path}.type", f"unknown constraint type {kind!r}"
-        )
-    _check_keys(doc, kind, path)
+        raise DocumentError(f"{path}.type", f"unknown constraint type {kind!r}")
+    no_unknown(doc, _ALLOWED_KEYS[kind], path)
 
     if kind == "packed_chsh":
-        if "policy" not in doc:
-            raise DocumentError(f"{path}.policy", "required field missing")
-        raw_policy = doc["policy"]
-        if not isinstance(raw_policy, Mapping):
-            raise DocumentError(f"{path}.policy", "expected an object")
-        unknown = set(raw_policy) - {"kind", "threshold"}
-        if unknown:
-            raise DocumentError(f"{path}.policy", f"unknown field(s): {sorted(unknown)}")
-        policy_kind = raw_policy.get("kind")
-        if policy_kind not in ("min", "max"):
+        policy_path = f"{path}.policy"
+        policy = required(doc, "policy", path, obj)
+        no_unknown(policy, ("kind", "threshold"), policy_path)
+        policy_kind = policy.get("kind")
+        if policy_kind not in _POLICIES:
             raise DocumentError(
-                f"{path}.policy.kind", f"expected \"min\" or \"max\", got {policy_kind!r}"
+                f"{policy_path}.kind", f"expected \"min\" or \"max\", got {policy_kind!r}"
             )
-        threshold = raw_policy.get("threshold")
-        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
-            raise DocumentError(
-                f"{path}.policy.threshold", f"expected a number, got {threshold!r}"
-            )
-        policy: Policy = (
-            MinimumAcceptableValue(float(threshold))
-            if policy_kind == "min"
-            else MaximumAcceptableValue(float(threshold))
-        )
-        return PackedCHSHTest(policy, clock=clock)
+        threshold = required(policy, "threshold", policy_path, number)
+        return PackedCHSHTest(_POLICIES[policy_kind](threshold), clock=clock)
 
     if kind == "calibration":
-        if "criteria" not in doc:
-            raise DocumentError(f"{path}.criteria", "required field missing")
-        criteria = doc["criteria"]
-        if not isinstance(criteria, Mapping) or not criteria:
-            raise DocumentError(f"{path}.criteria", "expected a non-empty object")
-        unknown = set(criteria) - set(CalibrationConstraint._CRITERIA)
-        if unknown:
-            raise DocumentError(
-                f"{path}.criteria", f"unknown criterion(s): {sorted(unknown)}"
-            )
-        for key, value in criteria.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise DocumentError(
-                    f"{path}.criteria.{key}", f"expected a number, got {value!r}"
-                )
-        kwargs = {key: criteria[key] for key in criteria}
-        if "min_qubits" in kwargs:
-            kwargs["min_qubits"] = int(kwargs["min_qubits"])
-        return CalibrationConstraint(clock=clock, **kwargs)
+        criteria_path = f"{path}.criteria"
+        criteria = required(doc, "criteria", path, obj)
+        no_unknown(criteria, CalibrationConstraint._CRITERIA, criteria_path)
+        kwargs = {key: number(value, f"{criteria_path}.{key}") for key, value in criteria.items()}
+        with located(criteria_path):
+            if "min_qubits" in kwargs:
+                kwargs["min_qubits"] = int(kwargs["min_qubits"])
+            return CalibrationConstraint(clock=clock, **kwargs)
 
+    children_path = f"{path}.children"
+    child_docs = required(doc, "children", path, items)
+    if kind in ("not", "fresh_within") and len(child_docs) != 1:
+        raise DocumentError(children_path, f"expected exactly 1 child, got {len(child_docs)}")
+    children = [
+        constraint_from_dict(child, f"{children_path}[{i}]", clock)
+        for i, child in enumerate(child_docs)
+    ]
     if kind in ("and", "or"):
-        children = [
-            constraint_from_dict(c, f"{path}.children[{i}]", clock)
-            for i, c in enumerate(_child_docs(doc, path))
-        ]
-        cls = AndConstraint if kind == "and" else OrConstraint
-        return cls(children, clock=clock)
-
+        with located(children_path):
+            return (AndConstraint if kind == "and" else OrConstraint)(children, clock=clock)
     if kind == "not":
-        child_doc = _child_docs(doc, path, exactly=1)[0]
-        return NotConstraint(
-            constraint_from_dict(child_doc, f"{path}.children[0]", clock), clock=clock
-        )
-
-    # fresh_within
-    child_doc = _child_docs(doc, path, exactly=1)[0]
-    ttl = doc.get("ttl_seconds")
-    if isinstance(ttl, bool) or not isinstance(ttl, (int, float)):
-        raise DocumentError(f"{path}.ttl_seconds", f"expected a number, got {ttl!r}")
-    if ttl <= 0:
-        raise DocumentError(f"{path}.ttl_seconds", f"must be positive, got {ttl}")
-    return FreshWithin(
-        constraint_from_dict(child_doc, f"{path}.children[0]", clock),
-        ttl=timedelta(seconds=float(ttl)),
-        clock=clock,
-    )
+        return NotConstraint(children[0], clock=clock)
+    ttl = required(doc, "ttl_seconds", path, number)
+    with located(f"{path}.ttl_seconds"):
+        return FreshWithin(children[0], ttl=timedelta(seconds=ttl), clock=clock)

@@ -16,7 +16,20 @@ class DocumentError(QGuardError, ValueError):
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}" if path else message)
+
+
+class NoiseModelError(QGuardError, ValueError):
+    """Noise-model parameters are out of range or of the wrong type.
+
+    ``problems`` maps each offending field (``p1``, ``p2``, ``readout_flip``,
+    ``seed``) to what is wrong with it.
+    """
+
+    def __init__(self, problems: dict[str, str]):
+        self.problems = problems
+        super().__init__("; ".join(f"{name}: {problem}" for name, problem in problems.items()))
 
 
 class NormConservationError(QGuardError):

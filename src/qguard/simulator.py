@@ -28,12 +28,13 @@ run with a single trajectory) is a batch of one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .circuits import BitstringCounts, Circuit, Gate, GateKind
-from .errors import CircuitError, NormConservationError
+from .errors import CircuitError, NoiseModelError, NormConservationError
 
 _NORM_TOL = 1e-10
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -89,14 +90,19 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
+        problems = {}
         for name in ("p1", "p2", "readout_flip"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be a probability in [0, 1], got {value}")
-            object.__setattr__(self, name, float(value))
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= 1:
+                problems[name] = f"expected a probability in [0, 1], got {value!r}"
+            else:
+                object.__setattr__(self, name, float(value))
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+            problems["seed"] = f"expected an unsigned 64-bit integer, got {seed!r}"
+        if problems:
+            raise NoiseModelError(problems)
+        object.__setattr__(self, "seed", int(seed))
 
     @classmethod
     def ideal(cls, seed: int = 0) -> "NoiseModel":

@@ -302,6 +302,26 @@ def test_run_replay_workflow(tmp_path):
     }
 
 
+def test_run_parses_the_recording_once(tmp_path, monkeypatch):
+    import qguard.backends
+
+    record_session(tmp_path, [(packed_chsh_circuit(), 4000), (phi_plus(), 1000)])
+    config = write_workflow(
+        tmp_path,
+        backend={"type": "replay", "recording_file": "session.json", "strict": True},
+    )
+    calls = []
+    parse = qguard.backends.parse_recording
+
+    def counting_parse(document):
+        calls.append(document)
+        return parse(document)
+
+    monkeypatch.setattr(qguard.backends, "parse_recording", counting_parse)
+    assert main(["run", str(config)]) == EXIT_PASSED
+    assert len(calls) == 1
+
+
 def test_run_exhausted_recording_is_a_runtime_error(tmp_path, capsys):
     record_session(tmp_path, [])  # calibration only, no results
     config = write_workflow(

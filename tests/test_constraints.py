@@ -443,6 +443,40 @@ def test_fresh_within_evaluates_child_once_under_contention():
     assert all(r is results[0] for r in results)
 
 
+def test_fresh_within_treats_a_clock_stepped_back_as_stale():
+    clock = ManualClock()
+    child = ClockedStub(clock)
+    fresh = FreshWithin(child, ttl=timedelta(seconds=60), clock=clock)
+    adapter = CountingAdapter()
+    fresh.evaluate(adapter, 1)
+    clock.advance(-365 * 24 * 3600)  # the cached result now lies a year ahead
+    fresh.evaluate(adapter, 1)
+    assert child.evaluations == 2
+
+
+def test_fresh_within_reevaluates_for_other_shots():
+    fresh = FreshWithin(PackedCHSHTest(MinimumAcceptableValue(2.0)), ttl=timedelta(seconds=60))
+    first = fresh.evaluate(SimulatorAdapter(NoiseModel.ideal()), 1000)
+    second = fresh.evaluate(SimulatorAdapter(NoiseModel(p1=0.0, p2=0.5, readout_flip=0.0)), 50)
+    assert second is not first
+    assert second.evidence.shots == 50
+
+
+def test_fresh_within_reevaluates_for_other_backend():
+    class OtherAdapter(CountingAdapter):
+        def name(self):
+            return "other"
+
+    clock = ManualClock()
+    child = ClockedStub(clock)
+    fresh = FreshWithin(child, ttl=timedelta(seconds=60), clock=clock)
+    first = fresh.evaluate(CountingAdapter(), 1)
+    second = fresh.evaluate(OtherAdapter(), 1)
+    assert child.evaluations == 2
+    assert second is not first
+    assert fresh.evaluate(OtherAdapter(), 1) is second
+
+
 # --- document form ---------------------------------------------------------
 
 

@@ -13,7 +13,9 @@ from qguard import (
     Gate,
     GateKind,
     NoiseModel,
+    NoiseModelError,
     NormConservationError,
+    QGuardError,
     StateVector,
     apply_gate,
     packed_chsh_circuit,
@@ -34,6 +36,25 @@ def test_noise_model_validation():
         NoiseModel(seed=-1)
     with pytest.raises(ValueError):
         NoiseModel(seed=2**64)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [({"p1": True}, "p1"), ({"seed": 1.5}, "seed"), ({"p1": "0.1"}, "p1")],
+    ids=["bool_probability", "fractional_seed", "string_probability"],
+)
+def test_noise_model_rejects_wrong_types(kwargs, field):
+    with pytest.raises(NoiseModelError) as excinfo:
+        NoiseModel(**kwargs)
+    assert isinstance(excinfo.value, QGuardError)
+    assert isinstance(excinfo.value, ValueError)
+    assert set(excinfo.value.problems) == {field}
+
+
+def test_noise_model_reports_every_bad_field():
+    with pytest.raises(NoiseModelError) as excinfo:
+        NoiseModel(p1=1.5, readout_flip=-1, seed=-1)
+    assert set(excinfo.value.problems) == {"p1", "readout_flip", "seed"}
 
 
 def test_noise_model_defaults_and_ideal():
