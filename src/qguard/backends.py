@@ -17,7 +17,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Hashable, Mapping
 
 from .calibration import (
     CalibrationSnapshot,
@@ -96,6 +96,12 @@ class BackendAdapter(ABC):
     def name(self) -> str:
         """Stable identifier used in results and reports."""
 
+    def cache_key(self) -> Hashable:
+        """What this backend's results depend on besides the request: results
+        of adapters with equal keys are interchangeable evidence.  Defaults
+        to ``name()``."""
+        return self.name()
+
 
 class SimulatorAdapter(BackendAdapter):
     """Runs circuits on the built-in noisy simulator.
@@ -143,6 +149,11 @@ class SimulatorAdapter(BackendAdapter):
 
     def name(self) -> str:
         return "simulator"
+
+    def cache_key(self) -> Hashable:
+        # Every simulator has one name; its noise tells them apart.  The seed
+        # only picks the random draws, so it is left out.
+        return (self.name(), self._noise.with_seed(0))
 
 
 @dataclass(frozen=True)
@@ -261,6 +272,9 @@ class RecordingAdapter(BackendAdapter):
 
     def name(self) -> str:
         return self._inner.name()
+
+    def cache_key(self) -> Hashable:
+        return self._inner.cache_key()
 
     def recording(self) -> Recording:
         return Recording(

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Any, Iterable, Mapping
 
 from .errors import CircuitError, DocumentError
-from .fields import decode, integer, integers, items, join, located, no_unknown, number, required
+from .fields import decode, integer, integers, items, join, located, no_unknown, number, obj, required
 
 
 class BitstringCounts(Mapping):
@@ -303,9 +303,10 @@ def circuit_from_dict(doc: Mapping[str, Any], path: str = "") -> Circuit:
     """Build a :class:`Circuit` from its document form.
 
     Raises :class:`DocumentError` naming the offending field for malformed
-    documents, unknown gate kinds, out-of-range indices, and missing or
-    surplus angles.
+    documents, unknown fields, unknown gate kinds, out-of-range indices, and
+    missing or surplus angles.
     """
+    no_unknown(obj(doc, path), ("num_qubits", "gates", "measure"), path)
     num_qubits = required(doc, "num_qubits", path, integer)
     gates_path = join(path, "gates")
     gates = []

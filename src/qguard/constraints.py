@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Any, Callable, Iterable, Mapping, Protocol
+from typing import Any, Callable, Hashable, Iterable, Mapping, Protocol
 
 from .backends import BackendAdapter, ExperimentResult
 from .chsh import (
@@ -28,7 +28,7 @@ from .chsh import (
 )
 from .circuits import MeasurementSettings, packed_chsh_circuit
 from .errors import DocumentError
-from .fields import items, located, no_unknown, number, obj, required
+from .fields import integer, items, located, no_unknown, number, obj, required
 from .timestamps import format_timestamp, utc_now
 
 
@@ -333,9 +333,10 @@ class FreshWithin(ResourceConstraint):
 
     Introspection and use of its result are separated in time; this wrapper
     bounds that gap.  The child result is reused while ``0 <= now -
-    evaluated_at <= ttl``, for the same shot count on a backend of the same
-    ``name()``; otherwise the child is re-evaluated.  A negative age means
-    the clock stepped back, so the result's age is unknown and it is stale.
+    evaluated_at <= ttl``, for the same shot count on a backend with the same
+    ``cache_key()`` (``name()`` for adapters without one); otherwise the
+    child is re-evaluated.  A negative age means the clock stepped back, so
+    the result's age is unknown and it is stale.
     The cached result is returned as-is, original ``evaluated_at`` included,
     so callers can see exactly how stale their information is.  Errors do
     not populate the cache.
@@ -358,13 +359,13 @@ class FreshWithin(ResourceConstraint):
         self._clock = clock
         self._lock = threading.Lock()
         self._cached: IntrospectionResult | None = None
-        self._cached_for: tuple[str, int] | None = None
+        self._cached_for: tuple[Hashable, int] | None = None
 
     def name(self) -> str:
         return f"FreshWithin({self._child.name()})"
 
     def evaluate(self, adapter: BackendAdapter, shots: int) -> IntrospectionResult:
-        request = (adapter.name(), shots)
+        request = (getattr(adapter, "cache_key", adapter.name)(), shots)
         with self._lock:
             if self._cached is not None and self._cached_for == request:
                 age = self._clock() - self._cached.evaluated_at
@@ -428,10 +429,11 @@ def constraint_from_dict(
         criteria_path = f"{path}.criteria"
         criteria = required(doc, "criteria", path, obj)
         no_unknown(criteria, CalibrationConstraint._CRITERIA, criteria_path)
-        kwargs = {key: number(value, f"{criteria_path}.{key}") for key, value in criteria.items()}
+        kwargs = {
+            key: (integer if key == "min_qubits" else number)(value, f"{criteria_path}.{key}")
+            for key, value in criteria.items()
+        }
         with located(criteria_path):
-            if "min_qubits" in kwargs:
-                kwargs["min_qubits"] = int(kwargs["min_qubits"])
             return CalibrationConstraint(clock=clock, **kwargs)
 
     children_path = f"{path}.children"

@@ -11,13 +11,18 @@ Determinism: every random draw for a run comes from one counter-based
 uniform matrix with one column per gate event, one per Pauli choice, one
 outcome draw and one per readout bit.  The matrix is streamed in blocks of
 rows; a counter-based stream yields the same numbers in blocks as in one
-draw, and each block is reduced at once to its trajectory codes, outcome
-draws and readout flip masks, so memory stays bounded as shots grow.  The
-mapping from (circuit, shots, noise) to counts is fixed no matter how the
-work is split.
+draw.  Each block is reduced at once: every shot keeps its outcome draw and
+readout flip mask, and only a noisy shot, one where some event drew a
+non-identity Pauli, keeps its row of per-gate Pauli codes and its index.
+So memory stays bounded as shots grow, and the codes cost per noisy shot.
+The mapping from (circuit, shots, noise) to counts is fixed no matter how
+the work is split.
 
 Evolution: shots sharing a noise trajectory (the per-gate Pauli codes) are
-evolved once and sampled from the same distribution.  The unique
+evolved once and sampled from the same distribution.  Trajectory 0 is the
+noiseless one: every shot is first sampled from it in one search, and then
+each noisy shot is sampled again from its own trajectory, so grouping and
+sampling beyond that one search cost per noisy shot.  The unique
 trajectories are evolved together in batches, each held as one
 ``(B, 2, ..., 2)`` array whose size is capped by an amplitude byte budget.
 A gate is one batched op; the Pauli injections after it are masked ops, one
@@ -199,7 +204,8 @@ def _apply_pauli_codes(amps: np.ndarray, targets: tuple[int, ...], codes: np.nda
 
 
 def _check_norms(amps: np.ndarray):
-    norms = np.sqrt(np.sum(np.abs(amps) ** 2, axis=tuple(range(1, amps.ndim))))
+    flat = np.ascontiguousarray(amps).reshape(len(amps), -1).view(np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     drifted = np.abs(norms - 1.0) >= _NORM_TOL
     if drifted.any():
         raise NormConservationError(
@@ -249,12 +255,14 @@ def _born_cdfs(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
 
 
 def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
-    """Per-shot trajectory codes (int8, one column per gate), outcome draws
-    and readout flip masks.
+    """The Pauli codes of the noisy shots, the shot each code row belongs
+    to, and every shot's outcome draw and readout flip mask.
 
     The uniform matrix has columns, in order: per-gate event draws, per-gate
     Pauli choices, the outcome draw, per-bit readout draws.  Row i belongs
     to shot i.  It is drawn in blocks of rows and reduced block by block.
+    A shot is noisy if some event fired and drew a non-identity Pauli; only
+    noisy shots get a code row (int8, one column per gate), in shot order.
     """
     num_gates = len(circuit.gates)
     k = circuit.num_measured
@@ -262,34 +270,46 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
     event_p = np.array(
         [noise.p2 if g.kind is GateKind.CNOT else noise.p1 for g in circuit.gates]
     )
+    # A uniform draw is never below 0, so gates with p = 0 never fire.
+    live = np.flatnonzero(event_p)
     choices = np.array([16 if g.kind is GateKind.CNOT else 4 for g in circuit.gates])
     bit_values = (1 << np.arange(k - 1, -1, -1)).astype(np.int64)
 
-    codes = np.empty((shots, num_gates), dtype=np.int8)
+    codes, rows = [], []
     outcome_u = np.empty(shots)
     flip_masks = np.empty(shots, dtype=np.int64)
     rng = np.random.Generator(np.random.Philox(key=noise.seed))
-    rows = max(1, _DRAW_BYTES // (8 * width))
-    for start in range(0, shots, rows):
-        block = rng.random((min(rows, shots - start), width))
+    block_rows = max(1, _DRAW_BYTES // (8 * width))
+    for start in range(0, shots, block_rows):
+        block = rng.random((min(block_rows, shots - start), width))
         stop = start + len(block)
-        event_u = block[:, :num_gates]
-        choice_u = block[:, num_gates : 2 * num_gates]
-        codes[start:stop] = np.where(event_u < event_p, (choice_u * choices).astype(np.int8), 0)
+        hit_rows = np.flatnonzero((block[:, live] < event_p[live]).any(axis=1))
+        hit_codes = np.where(
+            block[hit_rows, :num_gates] < event_p,
+            (block[hit_rows, num_gates : 2 * num_gates] * choices).astype(np.int8),
+            0,
+        )
+        noisy = hit_codes.any(axis=1)
+        codes.append(hit_codes[noisy])
+        rows.append(start + hit_rows[noisy])
         outcome_u[start:stop] = block[:, 2 * num_gates]
         flip_masks[start:stop] = (block[:, 2 * num_gates + 1 :] < noise.readout_flip) @ bit_values
-    return codes, outcome_u, flip_masks
+    return np.concatenate(codes), np.concatenate(rows), outcome_u, flip_masks
 
 
 def _group(codes: np.ndarray):
-    """The unique rows of ``codes`` and, per shot, the index of its row."""
+    """The unique trajectories and, per row of ``codes``, the index of its
+    trajectory.  Trajectory 0 is always the noiseless all-zero code; the
+    rows of ``codes`` are nonzero, and sort after it."""
     num_gates = codes.shape[1]
-    if not num_gates:
-        return codes[:1], np.zeros(len(codes), dtype=np.intp)
+    noiseless = np.zeros((1, num_gates), dtype=np.int8)
+    if not len(codes):
+        return noiseless, np.zeros(0, dtype=np.intp)
     # Comparing rows as opaque byte blobs is much faster than unique(axis=0).
     blobs = codes.view(np.dtype((np.void, num_gates))).reshape(-1)
     unique_blobs, inverse = np.unique(blobs, return_inverse=True)
-    return unique_blobs.view(np.int8).reshape(len(unique_blobs), num_gates), inverse
+    unique = unique_blobs.view(np.int8).reshape(len(unique_blobs), num_gates)
+    return np.concatenate([noiseless, unique]), inverse + 1
 
 
 def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCounts:
@@ -307,17 +327,21 @@ def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCount
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     _check_width(circuit.num_qubits)
-    codes, outcome_u, flip_masks = _draw(circuit, shots, noise)
+    codes, rows, outcome_u, flip_masks = _draw(circuit, shots, noise)
     trajectories, inverse = _group(codes)
 
     order = np.argsort(inverse, kind="stable")
+    members_by_trajectory = rows[order]
     bounds = np.searchsorted(inverse[order], np.arange(len(trajectories) + 1))
-    outcomes = np.empty(shots, dtype=np.int64)
     batch = max(1, _BATCH_BYTES // (16 << circuit.num_qubits))
     for first in range(0, len(trajectories), batch):
         cdfs = _born_cdfs(_evolve(circuit, trajectories[first : first + batch]), circuit)
+        if not first:
+            # Every shot starts on the noiseless trajectory; the noisy ones
+            # are overwritten below.
+            outcomes = np.searchsorted(cdfs[0], outcome_u, side="right")
         for i, cdf in enumerate(cdfs, first):
-            members = order[bounds[i] : bounds[i + 1]]
+            members = members_by_trajectory[bounds[i] : bounds[i + 1]]
             outcomes[members] = np.searchsorted(cdf, outcome_u[members], side="right")
     outcomes ^= flip_masks
 

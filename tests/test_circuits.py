@@ -224,6 +224,13 @@ def test_parse_rejects_unknown_gate_field():
         circuit_from_dict(doc)
 
 
+def test_parse_rejects_unknown_circuit_field():
+    doc = {"num_qubits": 1, "gates": [], "measure": [0], "measured_qubits": [5]}
+    with pytest.raises(DocumentError, match="measured_qubits") as excinfo:
+        circuit_from_dict(doc)
+    assert excinfo.value.path == ""
+
+
 def test_parse_reports_missing_fields():
     with pytest.raises(DocumentError, match="num_qubits"):
         circuit_from_dict({"gates": [], "measure": [0]})

@@ -23,6 +23,7 @@ from qguard import (
     OrConstraint,
     PackedCHSHTest,
     QubitCalibration,
+    RecordingAdapter,
     ResourceConstraint,
     SimulatorAdapter,
     constraint_from_dict,
@@ -477,6 +478,20 @@ def test_fresh_within_reevaluates_for_other_backend():
     assert fresh.evaluate(OtherAdapter(), 1) is second
 
 
+def test_fresh_within_reevaluates_for_other_simulator_noise():
+    fresh = FreshWithin(PackedCHSHTest(MinimumAcceptableValue(2.0)), ttl=timedelta(seconds=60))
+    noisy = NoiseModel(p1=0.0, p2=0.5, readout_flip=0.0)
+    ideal_result = fresh.evaluate(SimulatorAdapter(NoiseModel.ideal()), 1000)
+    noisy_result = fresh.evaluate(SimulatorAdapter(noisy), 1000)
+    assert noisy_result is not ideal_result
+    assert not noisy_result.passed
+    assert fresh.evaluate(RecordingAdapter(SimulatorAdapter(NoiseModel.ideal())), 1000).passed
+    recorded_noisy = fresh.evaluate(RecordingAdapter(SimulatorAdapter(noisy)), 1000)
+    assert not recorded_noisy.passed
+    # Same noise, other seed: the same backend, so the result is reused.
+    assert fresh.evaluate(SimulatorAdapter(noisy.with_seed(9)), 1000) is recorded_noisy
+
+
 # --- document form ---------------------------------------------------------
 
 
@@ -541,6 +556,13 @@ def test_constraint_from_dict_bad_ttl():
 def test_constraint_from_dict_unknown_criterion():
     with pytest.raises(DocumentError, match="criteria"):
         constraint_from_dict({"type": "calibration", "criteria": {"min_t9": 5}})
+
+
+def test_constraint_from_dict_min_qubits_must_be_an_integer():
+    doc = {"type": "calibration", "criteria": {"min_qubits": 8.9}}
+    with pytest.raises(DocumentError) as excinfo:
+        constraint_from_dict(doc)
+    assert excinfo.value.path == "constraint.criteria.min_qubits"
 
 
 def test_constraint_from_dict_bad_policy():

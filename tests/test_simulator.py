@@ -249,9 +249,11 @@ def test_qubit_cap_rejects_before_allocating():
 
 
 # --- determinism pins --------------------------------------------------------
-# sha256 of the sorted-JSON counts, recorded with the per-trajectory
-# simulator that batched evolution replaced.  The same (circuit, shots,
-# noise) must keep giving byte-identical counts.
+# sha256 of the sorted-JSON counts.  The grid and the first two cases were
+# recorded with the per-trajectory simulator that batched evolution replaced;
+# the readout-only and ideal cases with the dense per-shot code matrix that
+# the noisy-shot layout replaced.  The same (circuit, shots, noise) must keep
+# giving byte-identical counts.
 
 
 def _digest(counts) -> str:
@@ -313,6 +315,26 @@ _PINNED_CASES = {
         NoiseModel(p1=0.05, p2=1.0, readout_flip=0.02, seed=5),
         "dbe47a4b7dad77aa16a2761d0c82f617fbef2330e998a32fd06227ddd424c444",
     ),
+    # No gate noise: every shot shares the noiseless trajectory.
+    "readout_only": (
+        packed_chsh_circuit,
+        3000,
+        NoiseModel(p1=0.0, p2=0.0, readout_flip=0.02, seed=3),
+        "042b18cd1ace0cd140b87e8d75c8f1faecf3d1bdfb5213629b81009781ef4360",
+    ),
+    "ideal": (
+        packed_chsh_circuit,
+        3000,
+        NoiseModel.ideal(seed=4),
+        "d4ec807487bb2b5b945e4f92bec7ee96da43f7d4cdfe1d5aabe7a631c59d5651",
+    ),
+    # Enough shots to span several draw blocks.
+    "readout_only_blocks": (
+        packed_chsh_circuit,
+        30_000,
+        NoiseModel(p1=0.0, p2=0.0, readout_flip=0.02, seed=6),
+        "778639fe92ac86a19c2cb4834fdca1abbe5ace37eb48cce31216ab8b29501bf7",
+    ),
 }
 
 
@@ -335,6 +357,13 @@ def test_many_trajectories_case_spans_batches():
     trajectories, _ = simulator._group(simulator._draw(circuit, shots, noise)[0])
     per_batch = simulator._BATCH_BYTES // (16 << circuit.num_qubits)
     assert len(trajectories) > 2 * per_batch
+
+
+def test_readout_only_blocks_case_spans_draw_blocks():
+    build, shots, _, _ = _PINNED_CASES["readout_only_blocks"]
+    circuit = build()
+    width = 2 * len(circuit.gates) + 1 + circuit.num_measured
+    assert shots > 2 * (simulator._DRAW_BYTES // (8 * width))
 
 
 @pytest.mark.parametrize("case", sorted(_PINNED_CASES))
