@@ -76,6 +76,7 @@ from .errors import (
     CalibrationError,
     CallbackError,
     CircuitError,
+    ConstraintError,
     DocumentError,
     IntrospectionError,
     NoiseModelError,
@@ -102,6 +103,7 @@ __all__ = [
     "Circuit",
     "CircuitError",
     "ConditionalResult",
+    "ConstraintError",
     "DocumentError",
     "ExperimentResult",
     "FreshWithin",

@@ -202,6 +202,20 @@ def parse_recording(document: str | Mapping[str, Any]) -> Recording:
     return recording_from_dict(decode(document) if isinstance(document, str) else document)
 
 
+class _SameObject:
+    """A key equal only to another key for the very same object.  It holds
+    the object, so the id it hashes by cannot be reused while it lives."""
+
+    def __init__(self, target: Any):
+        self._target = target
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _SameObject) and other._target is self._target
+
+    def __hash__(self) -> int:
+        return id(self._target)
+
+
 class ReplayAdapter(BackendAdapter):
     """Replays a recorded session: each run() returns the next recorded
     result, in order, exactly once.
@@ -249,6 +263,10 @@ class ReplayAdapter(BackendAdapter):
 
     def name(self) -> str:
         return "replay"
+
+    def cache_key(self) -> Hashable:
+        # Replays of one recording share evidence; replays of two never do.
+        return (self.name(), _SameObject(self._recording))
 
 
 class RecordingAdapter(BackendAdapter):

@@ -14,6 +14,7 @@ plug in by implementing :class:`ResourceConstraint`.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
@@ -27,7 +28,7 @@ from .chsh import (
     score_standard_error,
 )
 from .circuits import MeasurementSettings, packed_chsh_circuit
-from .errors import DocumentError
+from .errors import ConstraintError, DocumentError
 from .fields import integer, items, located, no_unknown, number, obj, required
 from .timestamps import format_timestamp, utc_now
 
@@ -195,7 +196,16 @@ class CalibrationConstraint(ResourceConstraint):
             "max_gate_error": max_gate_error,
         }
         if all(v is None for v in self._criteria.values()):
-            raise ValueError("at least one criterion must be set")
+            raise ConstraintError("at least one criterion must be set")
+        problems = []
+        for key, value in self._criteria.items():
+            kind, wanted = (
+                (numbers.Integral, "an integer") if key == "min_qubits" else (numbers.Real, "a number")
+            )
+            if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+                problems.append(f"{key}: expected {wanted}, got {value!r}")
+        if problems:
+            raise ConstraintError("; ".join(problems))
         self._clock = clock
 
     def name(self) -> str:

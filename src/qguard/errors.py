@@ -32,6 +32,10 @@ class NoiseModelError(QGuardError, ValueError):
         super().__init__("; ".join(f"{name}: {problem}" for name, problem in problems.items()))
 
 
+class ConstraintError(QGuardError, ValueError):
+    """A constraint was built with missing or ill-typed parameters."""
+
+
 class NormConservationError(QGuardError):
     """A statevector lost unit norm beyond tolerance; indicates a simulator bug."""
 

@@ -21,13 +21,16 @@ the work is split.
 Evolution: shots sharing a noise trajectory (the per-gate Pauli codes) are
 evolved once and sampled from the same distribution.  Trajectory 0 is the
 noiseless one: every shot is first sampled from it in one search, and then
-each noisy shot is sampled again from its own trajectory, so grouping and
-sampling beyond that one search cost per noisy shot.  The unique
-trajectories are evolved together in batches, each held as one
-``(B, 2, ..., 2)`` array whose size is capped by an amplitude byte budget.
-A gate is one batched op; the Pauli injections after it are masked ops, one
-per distinct Pauli on each target qubit.  A lone state (``apply_gate``, or a
-run with a single trajectory) is a batch of one.
+the noisy shots of each batch are sampled again, each from its own
+trajectory, in one vectorised binary search, so grouping and sampling
+beyond that first search cost per noisy shot.  The unique trajectories are
+evolved together in batches, each held as one ``(2, ..., 2, B)`` array
+whose size is capped by an amplitude byte budget: qubit q is axis q and the
+state is the last axis.  A one-qubit gate is one matmul on a contiguous
+reshaped view and a CNOT a flip in its control=1 slice; the Pauli
+injections after a gate apply each state's own Pauli, broadcast over the
+batch axis, in place.  A lone state (``apply_gate``, or a run with a single
+trajectory) is a batch of one.
 """
 
 from __future__ import annotations
@@ -151,35 +154,44 @@ class StateVector:
     @classmethod
     def zero(cls, num_qubits: int) -> "StateVector":
         _check_width(num_qubits)
-        return cls(_zero_states(1, num_qubits)[0], num_qubits)
+        return cls(_zero_states(1, num_qubits)[..., 0], num_qubits)
 
     def norm(self) -> float:
         flat = self.amplitudes.reshape(-1)
         return float(math.sqrt(np.vdot(flat, flat).real))
 
 
-# Batched kernels: ``amps`` has shape (B, 2, ..., 2); axis 0 indexes the
-# state, so qubit q lives on axis q + 1.
+# Batched kernels: ``amps`` has shape (2, ..., 2, B); qubit q lives on axis
+# q and the trailing axis indexes the state; to the gate kernels, any axes
+# after the qubits act as batch.
+# Every kernel works on a contiguous reshaped view and returns a C-contiguous
+# array: no gate transposes the batch, and the Pauli injections write in
+# place through a view.
 
 
 def _zero_states(count: int, num_qubits: int) -> np.ndarray:
-    amps = np.zeros((count,) + (2,) * num_qubits, dtype=np.complex128)
-    amps.reshape(count, -1)[:, 0] = 1.0
+    amps = np.zeros((2,) * num_qubits + (count,), dtype=np.complex128)
+    amps.reshape(-1, count)[0] = 1.0
     return amps
 
 
 def _apply_unitary(amps: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
-    out = np.tensordot(u, amps, axes=([1], [qubit + 1]))
-    return np.moveaxis(out, 0, qubit + 1)
+    view = amps.reshape(1 << qubit, 2, -1)
+    if view.shape[-1] == 1:
+        # numpy sends a lone column down its matrix-vector path, which rounds
+        # differently from the matrix-matrix one; a copied second column keeps
+        # every state's amplitudes independent of the batch it is evolved in.
+        return np.matmul(u, np.repeat(view, 2, axis=-1))[..., :1].reshape(amps.shape)
+    return np.matmul(u, view).reshape(amps.shape)
 
 
 def _apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
     out = amps.copy()
     index = [slice(None)] * amps.ndim
-    index[control + 1] = 1
+    index[control] = 1
     # In the control=1 slice the target axis shifts down if it sat above the
     # control axis.
-    axis = target + 1 if target < control else target
+    axis = target if target < control else target - 1
     out[tuple(index)] = np.flip(out[tuple(index)], axis=axis)
     return out
 
@@ -190,22 +202,28 @@ def _apply_gate(amps: np.ndarray, gate: Gate) -> np.ndarray:
     return _apply_unitary(amps, gate_unitary(gate), gate.targets[0])
 
 
-def _apply_pauli_codes(amps: np.ndarray, targets: tuple[int, ...], codes: np.ndarray):
+def _apply_pauli_codes(
+    amps: np.ndarray, targets: tuple[int, ...], codes: np.ndarray, paulis: np.ndarray
+):
     """Apply, in place, to state ``i`` the Pauli selected by ``codes[i]``: an
-    index into {I,X,Y,Z} for one qubit, or 4a+b for the pair (a on
-    targets[0], b on targets[1]).  One masked op per distinct non-identity
-    Pauli per qubit."""
+    index into ``paulis`` ({I,X,Y,Z}, stacked) for one qubit, or 4a+b for the
+    pair (a on targets[0], b on targets[1]).  Each state's 2x2 entries
+    broadcast over the trailing batch axis; Pauli entries are 0, +-1 and
+    +-i, so the identity leaves a state exact."""
     digits = (codes,) if len(targets) == 1 else divmod(codes, 4)
     for qubit, digit in zip(targets, digits):
-        for pauli in range(1, 4):
-            rows = np.flatnonzero(digit == pauli)
-            if rows.size:
-                amps[rows] = _apply_unitary(amps[rows], PAULIS[pauli], qubit)
+        if digit.any():
+            (p00, p01), (p10, p11) = paulis[digit].transpose(1, 2, 0)
+            view = amps.reshape(1 << qubit, 2, -1, amps.shape[-1])
+            zero, one = view[:, 0], view[:, 1]
+            new_one = p10 * zero + p11 * one
+            view[:, 0] = p00 * zero + p01 * one
+            view[:, 1] = new_one
 
 
 def _check_norms(amps: np.ndarray):
-    flat = np.ascontiguousarray(amps).reshape(len(amps), -1).view(np.float64)
-    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    flat = amps.reshape(-1, amps.shape[-1]).view(np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->j", flat, flat).reshape(-1, 2).sum(axis=1))
     drifted = np.abs(norms - 1.0) >= _NORM_TOL
     if drifted.any():
         raise NormConservationError(
@@ -224,34 +242,55 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
             raise CircuitError(
                 f"gate target {t} out of range for {state.num_qubits} qubit(s)"
             )
-    amps = _apply_gate(state.amplitudes[np.newaxis], gate)
+    amps = _apply_gate(state.amplitudes[..., np.newaxis], gate)
     _check_norms(amps)
-    return StateVector(amps[0], state.num_qubits)
+    return StateVector(amps[..., 0], state.num_qubits)
 
 
 def _evolve(circuit: Circuit, trajectories: np.ndarray) -> np.ndarray:
     """Run the gate list from |0...0> once per row of ``trajectories``, a
-    (B, num_gates) array of Pauli-injection codes (0 = none)."""
+    (B, num_gates) array of Pauli-injection codes (0 = none).  Returns the
+    (2, ..., 2, B) amplitudes."""
     amps = _zero_states(len(trajectories), circuit.num_qubits)
+    paulis = np.stack(PAULIS)
     for gate, codes in zip(circuit.gates, trajectories.T):
         amps = _apply_gate(amps, gate)
         if codes.any():
-            _apply_pauli_codes(amps, gate.targets, codes)
+            _apply_pauli_codes(amps, gate.targets, codes, paulis)
         _check_norms(amps)
     return amps
 
 
 def _born_cdfs(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """Per-state cumulative Born probabilities over measured qubits, flattened
-    with measured_qubits[0] as the most significant bit; the last column is
-    exactly 1."""
-    probs = np.abs(amps) ** 2
+    """Per-state cumulative Born probabilities over measured qubits, one row
+    per state, flattened with measured_qubits[0] as the most significant
+    bit; the last column is exactly 1."""
+    # One transpose to a row per state: summed in that layout, each state's
+    # probabilities add up in the same order whatever batch it is in.
+    probs = np.ascontiguousarray(np.moveaxis(np.abs(amps) ** 2, -1, 0))
     measured = set(circuit.measured_qubits)
     unmeasured = tuple(q + 1 for q in range(circuit.num_qubits) if q not in measured)
-    probs = probs.sum(axis=unmeasured).reshape(len(amps), -1)
+    probs = probs.sum(axis=unmeasured).reshape(len(probs), -1)
     cdfs = np.cumsum(probs, axis=1)
     cdfs[:, -1] = 1.0
     return cdfs
+
+
+def _search_rows(cdfs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each draw ``u[i]``, the number of entries of ``cdfs[rows[i]]`` that
+    are <= it: one binary search over all draws at once.  Equals
+    ``searchsorted(cdfs[rows[i]], u[i], side="right")``, since each row
+    rises up to its last entry, 1.0, and every draw is below 1."""
+    width = cdfs.shape[1]
+    flat = cdfs.reshape(-1)
+    base = rows * width - 1
+    found = np.zeros(len(u), dtype=np.intp)
+    step = width >> 1
+    while step:
+        probe = found + step
+        found = np.where(flat[base + probe] <= u, probe, found)
+        step >>= 1
+    return found
 
 
 def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
@@ -332,7 +371,8 @@ def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCount
 
     order = np.argsort(inverse, kind="stable")
     members_by_trajectory = rows[order]
-    bounds = np.searchsorted(inverse[order], np.arange(len(trajectories) + 1))
+    trajectory_of_member = inverse[order]
+    bounds = np.searchsorted(trajectory_of_member, np.arange(len(trajectories) + 1))
     batch = max(1, _BATCH_BYTES // (16 << circuit.num_qubits))
     for first in range(0, len(trajectories), batch):
         cdfs = _born_cdfs(_evolve(circuit, trajectories[first : first + batch]), circuit)
@@ -340,13 +380,15 @@ def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCount
             # Every shot starts on the noiseless trajectory; the noisy ones
             # are overwritten below.
             outcomes = np.searchsorted(cdfs[0], outcome_u, side="right")
-        for i, cdf in enumerate(cdfs, first):
-            members = members_by_trajectory[bounds[i] : bounds[i + 1]]
-            outcomes[members] = np.searchsorted(cdf, outcome_u[members], side="right")
+        lo, hi = bounds[first], bounds[min(first + batch, len(trajectories))]
+        members = members_by_trajectory[lo:hi]
+        outcomes[members] = _search_rows(
+            cdfs, trajectory_of_member[lo:hi] - first, outcome_u[members]
+        )
     outcomes ^= flip_masks
 
     k = circuit.num_measured
-    values, tallies = np.unique(outcomes, return_counts=True)
+    tallies = np.bincount(outcomes, minlength=1 << k)
     return BitstringCounts(
-        {format(int(v), f"0{k}b"): int(t) for v, t in zip(values, tallies)}
+        {format(int(v), f"0{k}b"): int(tallies[v]) for v in np.flatnonzero(tallies)}
     )

@@ -12,6 +12,7 @@ from qguard import (
     BitstringCounts,
     CalibrationConstraint,
     CalibrationSnapshot,
+    ConstraintError,
     DocumentError,
     ExperimentResult,
     FreshWithin,
@@ -22,11 +23,14 @@ from qguard import (
     NotConstraint,
     OrConstraint,
     PackedCHSHTest,
+    QGuardError,
     QubitCalibration,
     RecordingAdapter,
+    ReplayAdapter,
     ResourceConstraint,
     SimulatorAdapter,
     constraint_from_dict,
+    packed_chsh_circuit,
     synthetic_calibration_for,
 )
 
@@ -233,6 +237,24 @@ def test_calibration_constraint_runs_no_circuits():
 def test_calibration_constraint_requires_a_criterion():
     with pytest.raises(ValueError):
         CalibrationConstraint()
+
+
+def test_calibration_constraint_without_criteria_raises_a_typed_error():
+    with pytest.raises(ConstraintError, match="at least one criterion must be set"):
+        CalibrationConstraint()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"min_qubits": "8"}, {"min_qubits": 8.9}, {"min_qubits": True}, {"min_t1_us": "50"}, {"max_gate_error": False}],
+    ids=["string_qubits", "fractional_qubits", "bool_qubits", "string_t1", "bool_gate_error"],
+)
+def test_calibration_constraint_rejects_ill_typed_criteria(kwargs):
+    with pytest.raises(ConstraintError) as excinfo:
+        CalibrationConstraint(**kwargs)
+    assert isinstance(excinfo.value, QGuardError)
+    assert isinstance(excinfo.value, ValueError)
+    assert str(excinfo.value).startswith(f"{next(iter(kwargs))}: expected")
 
 
 def test_calibration_constraint_gate_error_vacuous_without_gate_data():
@@ -490,6 +512,23 @@ def test_fresh_within_reevaluates_for_other_simulator_noise():
     assert not recorded_noisy.passed
     # Same noise, other seed: the same backend, so the result is reused.
     assert fresh.evaluate(SimulatorAdapter(noisy.with_seed(9)), 1000) is recorded_noisy
+
+
+def test_fresh_within_reevaluates_for_other_recording():
+    ideal = RecordingAdapter(SimulatorAdapter(NoiseModel.ideal()))
+    noisy = RecordingAdapter(SimulatorAdapter(NoiseModel(p1=0.0, p2=0.5, readout_flip=0.0)))
+    circuit = packed_chsh_circuit()
+    ideal.run(circuit, 1000)
+    noisy.run(circuit, 1000)
+    ideal_recording, noisy_recording = ideal.recording(), noisy.recording()
+    fresh = FreshWithin(PackedCHSHTest(MinimumAcceptableValue(2.0)), ttl=timedelta(seconds=60))
+    ideal_result = fresh.evaluate(ReplayAdapter(ideal_recording), 1000)
+    assert ideal_result.passed
+    noisy_result = fresh.evaluate(ReplayAdapter(noisy_recording), 1000)
+    assert noisy_result is not ideal_result
+    assert not noisy_result.passed
+    # A new replay of the same recording is the same evidence.
+    assert fresh.evaluate(ReplayAdapter(noisy_recording), 1000) is noisy_result
 
 
 # --- document form ---------------------------------------------------------

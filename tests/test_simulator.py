@@ -300,6 +300,23 @@ def _unmeasured_circuit() -> Circuit:
     )
 
 
+def _one_measured_circuit() -> Circuit:
+    # The packed CHSH gates with a single measured qubit: k = 1.
+    return Circuit(8, packed_chsh_circuit().gates, (5,))
+
+
+def _five_qubit_subset_circuit() -> Circuit:
+    # Measures the non-contiguous subset (0, 2, 4); CNOTs run both ways.
+    return Circuit(
+        5,
+        (
+            Gate.h(0), Gate.cnot(0, 1), Gate.ry(2, 0.4), Gate.cnot(1, 3), Gate.cnot(3, 2), Gate.s(4),
+            Gate.cnot(2, 4), Gate.rz(1, 0.9), Gate.cnot(4, 0), Gate.t(3), Gate.cnot(0, 3),
+        ),
+        (0, 2, 4),
+    )
+
+
 # name -> (circuit, shots, noise, digest)
 _PINNED_CASES = {
     "unmeasured": (
@@ -335,6 +352,19 @@ _PINNED_CASES = {
         NoiseModel(p1=0.0, p2=0.0, readout_flip=0.02, seed=6),
         "778639fe92ac86a19c2cb4834fdca1abbe5ace37eb48cce31216ab8b29501bf7",
     ),
+    # The two cases below span several batches.
+    "one_measured": (
+        _one_measured_circuit,
+        3000,
+        NoiseModel(p1=0.01, p2=0.3, readout_flip=0.02, seed=21),
+        "66efc189c98bbf311e5c4da3f0b90677e62f22e077f52ae3e27135586d8bdddd",
+    ),
+    "five_qubit_subset": (
+        _five_qubit_subset_circuit,
+        4000,
+        NoiseModel(p1=0.02, p2=0.3, readout_flip=0.02, seed=22),
+        "4d415a782224a8e201889373b3deb12ed8aa7f5e479aee1012154fe653b51e4f",
+    ),
 }
 
 
@@ -359,6 +389,14 @@ def test_many_trajectories_case_spans_batches():
     assert len(trajectories) > 2 * per_batch
 
 
+@pytest.mark.parametrize("case", ["one_measured", "five_qubit_subset"])
+def test_sampling_cases_span_batches(case):
+    build, shots, noise, _ = _PINNED_CASES[case]
+    circuit = build()
+    trajectories, _ = simulator._group(simulator._draw(circuit, shots, noise)[0])
+    assert len(trajectories) > 2 * (simulator._BATCH_BYTES // (16 << circuit.num_qubits))
+
+
 def test_readout_only_blocks_case_spans_draw_blocks():
     build, shots, _, _ = _PINNED_CASES["readout_only_blocks"]
     circuit = build()
@@ -374,6 +412,41 @@ def test_counts_independent_of_batch_and_draw_block_sizes(monkeypatch, case):
     monkeypatch.setattr(simulator, "_BATCH_BYTES", 3 * (16 << circuit.num_qubits))
     monkeypatch.setattr(simulator, "_DRAW_BYTES", 7 * 8 * width)
     assert _digest(run_shots(circuit, shots, noise)) == digest
+
+
+@pytest.mark.parametrize("case", ["many_trajectories", "one_measured", "five_qubit_subset"])
+def test_evolve_is_independent_of_batch(case):
+    # Counts must not depend on which batch a trajectory lands in, so each
+    # state of a batch must come out bit for bit as it would alone.
+    build, shots, noise, _ = _PINNED_CASES[case]
+    circuit = build()
+    trajectories, _ = simulator._group(simulator._draw(circuit, shots, noise)[0])
+    trajectories = trajectories[:9]
+    amps = simulator._evolve(circuit, trajectories)
+    cdfs = simulator._born_cdfs(amps, circuit)
+    for i in range(len(trajectories)):
+        alone = simulator._evolve(circuit, trajectories[i : i + 1])
+        np.testing.assert_array_equal(np.abs(amps[..., i]) ** 2, np.abs(alone[..., 0]) ** 2)
+        np.testing.assert_array_equal(cdfs[i], simulator._born_cdfs(alone, circuit)[0])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_row_search_matches_searchsorted(k):
+    # Zero-probability outcomes give tied CDF entries, and some draws equal
+    # an entry exactly; rounding may leave an entry just above the final 1.0.
+    rng = np.random.default_rng(k)
+    probs = rng.integers(0, 3, size=(5, 1 << k)).astype(float)
+    probs[:, 0] += 1.0
+    cdfs = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+    if k > 1:
+        cdfs[0, -2] = np.nextafter(1.0, 2.0)
+    cdfs[:, -1] = 1.0
+    rows = rng.integers(0, len(cdfs), size=400)
+    u = rng.random(400)
+    u[::2] = cdfs[rows[::2], rng.integers(0, (1 << k) - 1, size=200)] % 1.0
+    u[1] = 0.0
+    expected = [np.searchsorted(cdfs[row], x, side="right") for row, x in zip(rows, u)]
+    np.testing.assert_array_equal(simulator._search_rows(cdfs, rows, u), expected)
 
 
 def test_norm_check_covers_every_trajectory_in_a_batch(monkeypatch):
