@@ -273,12 +273,15 @@ class RecordingAdapter(BackendAdapter):
     """Pass-through wrapper that captures another adapter's outputs.
 
     ``recording()`` packages everything seen so far, suitable for feeding a
-    :class:`ReplayAdapter`.
+    :class:`ReplayAdapter`: every result, and the first calibration snapshot
+    served, which is what a constraint judged.  Only if none was served does
+    it ask the inner adapter for one.
     """
 
     def __init__(self, inner: BackendAdapter):
         self._inner = inner
         self._results: list[ExperimentResult] = []
+        self._served: CalibrationSnapshot | None = None
 
     def run(self, circuit: Circuit, shots: int) -> ExperimentResult:
         result = self._inner.run(circuit, shots)
@@ -286,7 +289,10 @@ class RecordingAdapter(BackendAdapter):
         return result
 
     def calibration(self) -> CalibrationSnapshot:
-        return self._inner.calibration()
+        snapshot = self._inner.calibration()
+        if self._served is None:
+            self._served = snapshot
+        return snapshot
 
     def name(self) -> str:
         return self._inner.name()
@@ -295,6 +301,5 @@ class RecordingAdapter(BackendAdapter):
         return self._inner.cache_key()
 
     def recording(self) -> Recording:
-        return Recording(
-            calibration=self._inner.calibration(), results=tuple(self._results)
-        )
+        served = self._served if self._served is not None else self._inner.calibration()
+        return Recording(calibration=served, results=tuple(self._results))

@@ -263,8 +263,9 @@ def packed_chsh_circuit(settings: MeasurementSettings = MeasurementSettings()) -
 def chsh_pair_circuit(alice_angle: float, bob_angle: float) -> Circuit:
     """One Bell pair measured at a single CHSH setting combination.
 
-    The 2-qubit analogue of one pair of :func:`packed_chsh_circuit`; useful
-    with the density-matrix oracle, which is capped at small qubit counts.
+    The 2-qubit analogue of one pair of :func:`packed_chsh_circuit`: each
+    correlator of the packed circuit equals that of this circuit at the
+    pair's settings.
     """
     return Circuit(
         num_qubits=2,

@@ -14,13 +14,16 @@ plug in by implementing :class:`ResourceConstraint`.
 
 from __future__ import annotations
 
+import math
 import numbers
+import operator
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Any, Callable, Hashable, Iterable, Mapping, Protocol
+from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple, Protocol
 
 from .backends import BackendAdapter, ExperimentResult
+from .calibration import CalibrationSnapshot
 from .chsh import (
     chsh_score,
     compute_pair_correlator,
@@ -29,7 +32,7 @@ from .chsh import (
 )
 from .circuits import MeasurementSettings, packed_chsh_circuit
 from .errors import ConstraintError, DocumentError
-from .fields import integer, items, located, no_unknown, number, obj, required
+from .fields import integer, items, join, located, no_unknown, number, obj, required
 from .timestamps import format_timestamp, utc_now
 
 
@@ -42,20 +45,27 @@ class Policy(Protocol):
 
 
 @dataclass(frozen=True)
-class MinimumAcceptableValue:
-    """Passes iff the score is at least the threshold (boundary passes)."""
-
+class _Threshold:
     threshold: float
+
+    def __post_init__(self):
+        # NaN compares false with every score; an infinite threshold still
+        # decides every score one way, as written.
+        if isinstance(self.threshold, numbers.Real) and math.isnan(self.threshold):
+            raise ConstraintError(f"threshold must not be NaN, got {self.threshold!r}")
+
+
+@dataclass(frozen=True)
+class MinimumAcceptableValue(_Threshold):
+    """Passes iff the score is at least the threshold (boundary passes)."""
 
     def decide(self, value: float) -> bool:
         return value >= self.threshold
 
 
 @dataclass(frozen=True)
-class MaximumAcceptableValue:
+class MaximumAcceptableValue(_Threshold):
     """Passes iff the score is at most the threshold (boundary passes)."""
-
-    threshold: float
 
     def decide(self, value: float) -> bool:
         return value <= self.threshold
@@ -161,49 +171,58 @@ class PackedCHSHTest(ResourceConstraint):
         )
 
 
+class _Criterion(NamedTuple):
+    score: str
+    worst: Callable[[CalibrationSnapshot], float | None]
+    passes: Callable[[float, float], bool]
+    integral: bool = False
+
+
+# One row per calibration criterion, keyed by its keyword and document key:
+# the name of its score, the snapshot's worst case for it (None when the
+# snapshot carries no data for it), and how that worst case must compare
+# with the limit.
+_CRITERIA = {
+    "min_qubits": _Criterion("num_qubits", lambda s: float(s.num_qubits), operator.ge, True),
+    "min_t1_us": _Criterion("worst_t1_us", lambda s: min(q.t1_us for q in s.qubits), operator.ge),
+    "min_t2_us": _Criterion("worst_t2_us", lambda s: min(q.t2_us for q in s.qubits), operator.ge),
+    "max_readout_error": _Criterion(
+        "worst_readout_error", lambda s: max(q.readout_error for q in s.qubits), operator.le
+    ),
+    "max_gate_error": _Criterion(
+        "worst_gate_error", lambda s: max((g.error for g in s.gates), default=None), operator.le
+    ),
+}
+
+
 class CalibrationConstraint(ResourceConstraint):
     """Threshold checks against the backend's calibration snapshot.
 
-    Aggregation is worst-case: minimum over qubits for T1/T2, maximum for
-    error rates, because one bad qubit in the selected set breaks a
-    computation.  No circuit is run and ``shots`` is ignored.  A criterion
-    over data the snapshot does not carry (e.g. max_gate_error with an empty
-    gate list) passes vacuously and reports no score for it.
+    The criteria are keywords: ``min_qubits`` (an integer), ``min_t1_us``,
+    ``min_t2_us``, ``max_readout_error`` and ``max_gate_error`` (finite
+    numbers); one left out or None is not checked.  Aggregation is
+    worst-case: minimum over qubits for T1/T2, maximum for error rates,
+    because one bad qubit in the selected set breaks a computation.  No
+    circuit is run and ``shots`` is ignored.  A criterion over data the
+    snapshot does not carry (e.g. max_gate_error with an empty gate list)
+    passes vacuously and reports no score for it.
     """
 
-    _CRITERIA = (
-        "min_qubits",
-        "min_t1_us",
-        "min_t2_us",
-        "max_readout_error",
-        "max_gate_error",
-    )
-
-    def __init__(
-        self,
-        min_qubits: int | None = None,
-        min_t1_us: float | None = None,
-        min_t2_us: float | None = None,
-        max_readout_error: float | None = None,
-        max_gate_error: float | None = None,
-        clock: Callable[[], datetime] = utc_now,
-    ):
-        self._criteria = {
-            "min_qubits": min_qubits,
-            "min_t1_us": min_t1_us,
-            "min_t2_us": min_t2_us,
-            "max_readout_error": max_readout_error,
-            "max_gate_error": max_gate_error,
-        }
-        if all(v is None for v in self._criteria.values()):
+    def __init__(self, *, clock: Callable[[], datetime] = utc_now, **criteria: float | None):
+        unknown = sorted(set(criteria) - set(_CRITERIA))
+        if unknown:
+            raise ConstraintError(f"unknown criteria: {unknown}")
+        self._criteria = {key: criteria[key] for key in _CRITERIA if criteria.get(key) is not None}
+        if not self._criteria:
             raise ConstraintError("at least one criterion must be set")
         problems = []
         for key, value in self._criteria.items():
-            kind, wanted = (
-                (numbers.Integral, "an integer") if key == "min_qubits" else (numbers.Real, "a number")
-            )
-            if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+            integral = _CRITERIA[key].integral
+            kind, wanted = (numbers.Integral, "an integer") if integral else (numbers.Real, "a number")
+            if isinstance(value, bool) or not isinstance(value, kind):
                 problems.append(f"{key}: expected {wanted}, got {value!r}")
+            elif not integral and not math.isfinite(value):
+                problems.append(f"{key}: expected a finite number, got {value!r}")
         if problems:
             raise ConstraintError("; ".join(problems))
         self._clock = clock
@@ -215,36 +234,12 @@ class CalibrationConstraint(ResourceConstraint):
         snapshot = adapter.calibration()
         scores: dict[str, float] = {}
         passed = True
-
-        limit = self._criteria["min_qubits"]
-        if limit is not None:
-            scores["num_qubits"] = float(snapshot.num_qubits)
-            passed &= snapshot.num_qubits >= limit
-
-        limit = self._criteria["min_t1_us"]
-        if limit is not None:
-            worst = min(q.t1_us for q in snapshot.qubits)
-            scores["worst_t1_us"] = worst
-            passed &= worst >= limit
-
-        limit = self._criteria["min_t2_us"]
-        if limit is not None:
-            worst = min(q.t2_us for q in snapshot.qubits)
-            scores["worst_t2_us"] = worst
-            passed &= worst >= limit
-
-        limit = self._criteria["max_readout_error"]
-        if limit is not None:
-            worst = max(q.readout_error for q in snapshot.qubits)
-            scores["worst_readout_error"] = worst
-            passed &= worst <= limit
-
-        limit = self._criteria["max_gate_error"]
-        if limit is not None and snapshot.gates:
-            worst = max(g.error for g in snapshot.gates)
-            scores["worst_gate_error"] = worst
-            passed &= worst <= limit
-
+        for key, limit in self._criteria.items():
+            criterion = _CRITERIA[key]
+            worst = criterion.worst(snapshot)
+            if worst is not None:
+                scores[criterion.score] = worst
+                passed = passed and criterion.passes(worst, limit)
         return IntrospectionResult(
             constraint_name=self.name(),
             passed=bool(passed),
@@ -438,9 +433,9 @@ def constraint_from_dict(
     if kind == "calibration":
         criteria_path = f"{path}.criteria"
         criteria = required(doc, "criteria", path, obj)
-        no_unknown(criteria, CalibrationConstraint._CRITERIA, criteria_path)
+        no_unknown(criteria, _CRITERIA, criteria_path)
         kwargs = {
-            key: (integer if key == "min_qubits" else number)(value, f"{criteria_path}.{key}")
+            key: (integer if _CRITERIA[key].integral else number)(value, join(criteria_path, key))
             for key, value in criteria.items()
         }
         with located(criteria_path):

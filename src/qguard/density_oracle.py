@@ -1,10 +1,14 @@
-"""Exact density-matrix reference for small circuits.
+"""Exact density-matrix reference.
 
-This is a test oracle, not a backend: cost grows as 16^n, so it is capped
-at 3 qubits.  Gates act as rho -> U rho U^dag, each depolarizing step is
-the explicit Pauli-set average (which equals (1-p)*rho + p*(I/d (x) rest)),
-and readout error is an exact per-bit convolution of the outcome
-distribution.
+This is a test oracle, not a backend.  rho is held as a (2,)*2n tensor with
+a trailing batch axis of one: row qubit q is axis q and column qubit q is
+axis n+q.  So the simulator's own gate kernels evolve it, rho -> U rho U^dag
+being U on axis q and conj(U) on axis n+q (a CNOT on the row axes and again
+on the column axes).  Each depolarizing step is the explicit Pauli-set
+average (which equals (1-p)*rho + p*(I/d (x) rest)), built term by term with
+the same kernels, and readout error is an exact per-bit convolution of the
+outcome distribution.  rho takes 16 * 4**n bytes (16 MiB at the 10-qubit
+cap), and a depolarizing step holds several copies of it.
 """
 
 from __future__ import annotations
@@ -13,46 +17,42 @@ import numpy as np
 
 from .circuits import Circuit, Gate, GateKind
 from .errors import OracleLimitError
-from .simulator import NoiseModel, PAULIS, gate_unitary
+from .simulator import PAULIS, NoiseModel, _apply_cnot, _apply_unitary, _zero_states, gate_unitary
 
-ORACLE_MAX_QUBITS = 3
-
-
-def _embed_single(u: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    full = np.eye(1, dtype=np.complex128)
-    for q in range(num_qubits):
-        full = np.kron(full, u if q == qubit else np.eye(2))
-    return full
+ORACLE_MAX_QUBITS = 10
 
 
-def _cnot_matrix(control: int, target: int, num_qubits: int) -> np.ndarray:
-    dim = 1 << num_qubits
-    full = np.zeros((dim, dim), dtype=np.complex128)
-    control_bit = 1 << (num_qubits - 1 - control)
-    target_bit = 1 << (num_qubits - 1 - target)
-    for j in range(dim):
-        image = j ^ target_bit if j & control_bit else j
-        full[image, j] = 1.0
-    return full
+def _conjugate(rho: np.ndarray, u: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
+    return _apply_unitary(_apply_unitary(rho, u, qubit), u.conj(), num_qubits + qubit)
 
 
-def _gate_matrix(gate: Gate, num_qubits: int) -> np.ndarray:
+def _apply(rho: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
     if gate.kind is GateKind.CNOT:
-        return _cnot_matrix(gate.targets[0], gate.targets[1], num_qubits)
-    return _embed_single(gate_unitary(gate), gate.targets[0], num_qubits)
+        control, target = gate.targets
+        rho = _apply_cnot(rho, control, target)
+        return _apply_cnot(rho, num_qubits + control, num_qubits + target)
+    return _conjugate(rho, gate_unitary(gate), gate.targets[0], num_qubits)
+
+
+def _pauli_sum(rho: np.ndarray, targets: tuple[int, ...], num_qubits: int) -> np.ndarray:
+    """The sum of P rho P^dag over the 4**len(targets) Pauli products P on
+    ``targets``.  Terms sharing a factor on ``targets[0]`` share its
+    application, and the identity leaves a term as it is."""
+    if not targets:
+        return rho
+    first, rest = targets[0], targets[1:]
+    total = _pauli_sum(rho, rest, num_qubits)
+    for sigma in PAULIS[1:]:
+        # Not +=: the identity term may be rho itself.
+        total = total + _pauli_sum(_conjugate(rho, sigma, first, num_qubits), rest, num_qubits)
+    return total
 
 
 def _depolarize(rho: np.ndarray, targets: tuple[int, ...], p: float, num_qubits: int) -> np.ndarray:
-    if len(targets) == 1:
-        paulis = [_embed_single(sigma, targets[0], num_qubits) for sigma in PAULIS]
-    else:
-        paulis = [
-            _embed_single(a, targets[0], num_qubits) @ _embed_single(b, targets[1], num_qubits)
-            for a in PAULIS
-            for b in PAULIS
-        ]
-    twirled = sum(sigma @ rho @ sigma.conj().T for sigma in paulis) / len(paulis)
-    return (1.0 - p) * rho + p * twirled
+    # The kernels are slower the later the axis, and the first target's
+    # Paulis are applied 3 times to the second's 12, so the later one goes first.
+    twirled = _pauli_sum(rho, tuple(sorted(targets, reverse=True)), num_qubits)
+    return (1.0 - p) * rho + (p / 4 ** len(targets)) * twirled
 
 
 def density_matrix_oracle(circuit: Circuit, noise: NoiseModel) -> dict[str, float]:
@@ -68,17 +68,14 @@ def density_matrix_oracle(circuit: Circuit, noise: NoiseModel) -> dict[str, floa
             f"got {circuit.num_qubits}"
         )
     n = circuit.num_qubits
-    dim = 1 << n
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    rho[0, 0] = 1.0
+    rho = _zero_states(1, 2 * n)
     for gate in circuit.gates:
-        u = _gate_matrix(gate, n)
-        rho = u @ rho @ u.conj().T
+        rho = _apply(rho, gate, n)
         p = noise.p2 if gate.kind is GateKind.CNOT else noise.p1
         if p > 0.0:
             rho = _depolarize(rho, gate.targets, p, n)
 
-    probs = np.real(np.diag(rho)).reshape((2,) * n)
+    probs = np.real(np.diagonal(rho.reshape(1 << n, 1 << n))).reshape((2,) * n)
     measured = set(circuit.measured_qubits)
     unmeasured = tuple(q for q in range(n) if q not in measured)
     if unmeasured:

@@ -3,14 +3,16 @@
 Every document parser in the package reads its input through these
 helpers.  Each one checks the JSON shape of one value and raises
 :class:`DocumentError` naming the value's path (``backend.noise.p1``,
-``gates[2].targets[0]``).  Ranges and invariants are not checked here: the
-constructors of the objects being built own them, and :func:`located`
+``gates[2].targets[0]``).  A number must also be finite.  Ranges and
+invariants are not checked here: the constructors of the objects being
+built own them, and :func:`located`
 re-raises a constructor's error at the document path it was built from.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -50,9 +52,17 @@ def items(value: Any, path: str) -> list:
 
 
 def number(value: Any, path: str) -> float:
+    """A finite number, as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DocumentError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        result = float(value)
+    except OverflowError:  # an integer too large for a float
+        result = math.inf
+    # json decodes NaN and Infinity too.
+    if not math.isfinite(result):
+        raise DocumentError(path, f"expected a finite number, got {value!r}")
+    return result
 
 
 def integer(value: Any, path: str) -> int:

@@ -10,6 +10,8 @@ PASS line with the measured numbers when it succeeds:
   5. the callback dispatch contract of the conditional executor
   6. composite constraint logic and TTL freshness caching
   7. the CLI on a passing and a failing workflow, with reproducible reports
+  8. the real 8-qubit packed probe against the density-matrix oracle: the
+     exact Werner score, and sampled outcomes and S at typical and heavy noise
 
 Tolerances are 5-standard-error bands unless the quantity is exact, so a
 correct implementation fails any single check with probability well under
@@ -44,6 +46,7 @@ from qguard import (
     SimulatorAdapter,
     chsh_pair_circuit,
     density_matrix_oracle,
+    packed_chsh_circuit,
     phi_plus,
     run_conditionally,
     run_shots,
@@ -514,4 +517,57 @@ def test_cli_end_to_end(tmp_path):
         f"{passing['introspection']['scores']['CHSH_score']:.4f}), failing workflow "
         f"exit 3 (S={failing['introspection']['scores']['CHSH_score']:.4f}), reports "
         f"schema-valid and rerun-identical modulo timestamps"
+    )
+
+
+# --- 8: the packed probe against the density oracle -------------------------
+
+
+def oracle_packed_score(probabilities):
+    signs = [
+        sum(p if bits[2 * pair] == bits[2 * pair + 1] else -p for bits, p in probabilities.items())
+        for pair in range(4)
+    ]
+    return signs[0] + signs[1] + signs[2] - signs[3]
+
+
+def test_packed_probe_oracle_werner_score():
+    for lam in (0.0, 0.15, 0.3):
+        noise = NoiseModel(p1=0.0, p2=lam, readout_flip=0.0)
+        s = oracle_packed_score(density_matrix_oracle(packed_chsh_circuit(), noise))
+        assert abs(s - CHSH_MAX * (1.0 - lam)) <= 1e-12, f"oracle S {s!r} at lam={lam}"
+    report("PASS packed probe oracle: S = 2*sqrt(2)*(1-lam) to 1e-12 at lam=0/0.15/0.3")
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [
+        NoiseModel(p1=0.001, p2=0.01, readout_flip=0.02, seed=71),
+        NoiseModel(p1=0.001, p2=0.3, readout_flip=0.02, seed=72),
+    ],
+    ids=["readme", "werner_heavy"],
+)
+def test_packed_probe_matches_oracle(noise):
+    shots = 100_000
+    probabilities = density_matrix_oracle(packed_chsh_circuit(), noise)
+    result = PackedCHSHTest(MinimumAcceptableValue(2.2)).evaluate(SimulatorAdapter(noise), shots)
+    counts = result.evidence.counts
+
+    worst_pull = 0.0
+    for outcome, probability in probabilities.items():
+        se = math.sqrt(probability * (1.0 - probability) / shots)
+        pull = abs(counts.get(outcome, 0) / shots - probability) / se
+        worst_pull = max(worst_pull, pull)
+        assert pull <= 5.0, f"outcome {outcome} is {pull:.2f} se from oracle {probability:.6f}"
+
+    exact = oracle_packed_score(probabilities)
+    deviation = abs(result["CHSH_score"] - exact)
+    assert deviation <= 5 * result["se_S"], (
+        f"sampled S {result['CHSH_score']:.4f} is {deviation / result['se_S']:.1f} se "
+        f"from oracle S {exact:.4f}"
+    )
+    report(
+        f"PASS packed probe vs oracle: {len(probabilities)} outcomes of {shots} shots "
+        f"within 5 se (worst pull {worst_pull:.2f}), S {result['CHSH_score']:.4f} vs "
+        f"exact {exact:.4f} ({deviation / result['se_S']:.2f} se)"
     )

@@ -253,6 +253,22 @@ def test_recording_adapter_passthrough():
     assert recorder.calibration().num_qubits == inner.calibration().num_qubits
 
 
+def test_recording_keeps_the_calibration_that_was_served():
+    clock = TickingClock(step=timedelta(hours=1))
+    recorder = RecordingAdapter(SimulatorAdapter(NoiseModel.ideal(), clock=clock))
+    served = recorder.calibration()
+    recorder.calibration()  # a later snapshot; the first one is what was judged
+    recorder.run(phi_plus(), 16)
+    assert recorder.recording().calibration == served
+    assert recorder.recording().calibration.taken_at == T0
+
+
+def test_recording_fetches_a_calibration_if_none_was_served():
+    clock = TickingClock(step=timedelta(hours=1))
+    recorder = RecordingAdapter(SimulatorAdapter(NoiseModel.ideal(), clock=clock))
+    assert recorder.recording().calibration.taken_at == T0
+
+
 def test_simulator_session_replays_identically():
     # the polymorphism contract: replaying a recorded simulator session is
     # indistinguishable result-wise from the live session

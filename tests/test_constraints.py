@@ -123,6 +123,12 @@ def test_policy_coherence(threshold, x):
     assert MaximumAcceptableValue(threshold).decide(x) == (x <= threshold)
 
 
+@pytest.mark.parametrize("policy", [MinimumAcceptableValue, MaximumAcceptableValue])
+def test_policy_rejects_nan_threshold(policy):
+    with pytest.raises(ConstraintError, match="NaN"):
+        policy(math.nan)
+
+
 # --- IntrospectionResult ---------------------------------------------------
 
 
@@ -255,6 +261,18 @@ def test_calibration_constraint_rejects_ill_typed_criteria(kwargs):
     assert isinstance(excinfo.value, QGuardError)
     assert isinstance(excinfo.value, ValueError)
     assert str(excinfo.value).startswith(f"{next(iter(kwargs))}: expected")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["min_t1_us", "max_readout_error"])
+def test_calibration_constraint_rejects_non_finite_criteria(key, value):
+    with pytest.raises(ConstraintError, match=f"^{key}: expected a finite number"):
+        CalibrationConstraint(**{key: value})
+
+
+def test_calibration_constraint_rejects_unknown_criteria():
+    with pytest.raises(ConstraintError, match="min_t9"):
+        CalibrationConstraint(min_t9=5)
 
 
 def test_calibration_constraint_gate_error_vacuous_without_gate_data():
@@ -602,6 +620,27 @@ def test_constraint_from_dict_min_qubits_must_be_an_integer():
     with pytest.raises(DocumentError) as excinfo:
         constraint_from_dict(doc)
     assert excinfo.value.path == "constraint.criteria.min_qubits"
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "minus_inf", "huge_int"]
+)
+def test_constraint_from_dict_rejects_non_finite_numbers(value):
+    docs = {
+        "constraint.policy.threshold": {
+            "type": "packed_chsh",
+            "policy": {"kind": "min", "threshold": value},
+        },
+        "constraint.criteria.max_readout_error": {
+            "type": "calibration",
+            "criteria": {"max_readout_error": value},
+        },
+    }
+    for path, doc in docs.items():
+        # json writes and reads NaN, Infinity and integers of any size.
+        with pytest.raises(DocumentError, match="expected a finite number") as excinfo:
+            constraint_from_dict(json.loads(json.dumps(doc)))
+        assert excinfo.value.path == path
 
 
 def test_constraint_from_dict_bad_policy():

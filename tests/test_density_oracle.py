@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qguard import (
     Circuit,
     Gate,
     NoiseModel,
+    ORACLE_MAX_QUBITS,
     OracleLimitError,
     chsh_pair_circuit,
     density_matrix_oracle,
@@ -42,7 +44,7 @@ def test_phi_plus_exact():
 
 
 def test_qubit_cap():
-    circuit = Circuit(4, (), (0,))
+    circuit = Circuit(ORACLE_MAX_QUBITS + 1, (), (0,))
     with pytest.raises(OracleLimitError):
         density_matrix_oracle(circuit, NoiseModel.ideal())
 
@@ -128,3 +130,179 @@ def test_marginal_consistency():
         for c in "01":
             marginal = sum(full[a + b + c] for b in "01")
             assert partial[a + c] == pytest.approx(marginal, abs=1e-12)
+
+
+def test_cap_is_checked_before_allocation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle allocated rho for a circuit over the cap")
+
+    monkeypatch.setattr("qguard.density_oracle._zero_states", refuse)
+    circuit = Circuit(ORACLE_MAX_QUBITS + 1, (Gate.h(0),), (0,))
+    with pytest.raises(OracleLimitError):
+        density_matrix_oracle(circuit, NoiseModel())
+
+
+def test_widest_circuit_runs():
+    n = ORACLE_MAX_QUBITS
+    gates = (Gate.h(0),) + tuple(Gate.cnot(q, q + 1) for q in range(n - 1))
+    probs = density_matrix_oracle(Circuit(n, gates, (0, n - 1)), NoiseModel.ideal())
+    assert probs == pytest.approx({"00": 0.5, "01": 0.0, "10": 0.0, "11": 0.5}, abs=1e-12)
+
+
+# --- distributions pinned from the Kronecker-matrix oracle ------------------
+#
+# The oracle used to build full 2^n x 2^n gate matrices with np.kron.  These
+# distributions were computed by that implementation for the seeded circuits
+# of ``pinned_case``; the tensor-kernel oracle must reproduce them.
+
+PINNED_GATE_KINDS = ("h", "x", "y", "z", "s", "t", "rx", "ry", "rz", "cnot")
+
+
+def pinned_case(seed):
+    """A seeded noisy circuit of 1-3 qubits over every gate kind, measuring
+    a random subset of its qubits."""
+    rng = random.Random(seed)
+    n = (1, 2, 3, 3)[seed % 4]
+    gates = []
+    for _ in range(rng.randint(2, 12)):
+        kind = rng.choice(PINNED_GATE_KINDS)
+        if kind == "cnot":
+            if n < 2:
+                continue
+            control, target = rng.sample(range(n), 2)
+            gates.append(Gate.cnot(control, target))
+        elif kind in ("rx", "ry", "rz"):
+            gates.append(getattr(Gate, kind)(rng.randrange(n), rng.uniform(-math.pi, math.pi)))
+        else:
+            gates.append(getattr(Gate, kind)(rng.randrange(n)))
+    measured = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+    noise = NoiseModel(
+        p1=rng.uniform(0, 0.3), p2=rng.uniform(0, 0.3), readout_flip=rng.uniform(0, 0.2)
+    )
+    return Circuit(n, tuple(gates), measured), noise
+
+
+PINNED_DISTRIBUTIONS = {
+    0: {  # n=1, 8 gates, measured (0,)
+        '0': 0.5084872980570768,
+        '1': 0.49151270194292324,
+    },
+    1: {  # n=2, 4 gates, measured (0, 1)
+        '00': 0.25956515927272156,
+        '01': 0.5757400989391392,
+        '10': 0.07130639808579932,
+        '11': 0.09338834370233981,
+    },
+    2: {  # n=3, 2 gates, measured (0, 1, 2)
+        '000': 0.189853951597987,
+        '001': 0.02497148086507046,
+        '010': 0.02497148086507046,
+        '011': 0.003284497643298945,
+        '100': 0.5911763659374969,
+        '101': 0.07775739817704497,
+        '110': 0.07775739817704497,
+        '111': 0.010227426736986237,
+    },
+    3: {  # n=3, 5 gates, measured (0,)
+        '0': 0.745453514028312,
+        '1': 0.25454648597168794,
+    },
+    4: {  # n=1, 5 gates, measured (0,)
+        '0': 0.4999999999999999,
+        '1': 0.4999999999999999,
+    },
+    5: {  # n=2, 11 gates, measured (0, 1)
+        '00': 0.15538636207493178,
+        '01': 0.3446136379250685,
+        '10': 0.15538636207493178,
+        '11': 0.3446136379250685,
+    },
+    6: {  # n=3, 11 gates, measured (0, 1)
+        '00': 0.368827600497056,
+        '01': 0.13117239950294368,
+        '10': 0.368827600497056,
+        '11': 0.13117239950294368,
+    },
+    7: {  # n=3, 7 gates, measured (0, 1, 2)
+        '000': 0.14796676134584175,
+        '001': 0.14796676134584175,
+        '010': 0.06449982528591339,
+        '011': 0.06449982528591339,
+        '100': 0.20024507678731424,
+        '101': 0.20024507678731424,
+        '110': 0.08728833658093069,
+        '111': 0.08728833658093069,
+    },
+    8: {  # n=1, 5 gates, measured (0,)
+        '0': 0.4999999999999999,
+        '1': 0.4999999999999999,
+    },
+    9: {  # n=2, 9 gates, measured (0,)
+        '0': 0.49999999999999967,
+        '1': 0.49999999999999967,
+    },
+    10: {  # n=3, 11 gates, measured (1, 2)
+        '00': 0.2748838950640038,
+        '01': 0.08329133360325508,
+        '10': 0.49257257055151227,
+        '11': 0.14925220078122875,
+    },
+    11: {  # n=3, 9 gates, measured (0,)
+        '0': 0.671263953876859,
+        '1': 0.3287360461231405,
+    },
+    12: {  # n=1, 8 gates, measured (0,)
+        '0': 0.15562102023720348,
+        '1': 0.8443789797627965,
+    },
+    13: {  # n=2, 6 gates, measured (0,)
+        '0': 0.4175911411707821,
+        '1': 0.5824088588292176,
+    },
+    14: {  # n=3, 3 gates, measured (0, 1, 2)
+        '000': 0.5620443358017173,
+        '001': 0.13720414014086024,
+        '010': 0.08977444622168182,
+        '011': 0.021915398689852112,
+        '100': 0.09967219942735675,
+        '101': 0.0633501755205529,
+        '110': 0.015920481601374492,
+        '111': 0.010118822596604493,
+    },
+    15: {  # n=3, 5 gates, measured (0, 2)
+        '00': 0.08897081844755923,
+        '01': 0.41102918155244067,
+        '10': 0.08897081844755923,
+        '11': 0.41102918155244067,
+    },
+    16: {  # n=1, 7 gates, measured (0,)
+        '0': 0.5661555487192586,
+        '1': 0.43384445128074123,
+    },
+    17: {  # n=2, 10 gates, measured (0,)
+        '0': 0.6740004939624976,
+        '1': 0.32599950603750183,
+    },
+    18: {  # n=3, 4 gates, measured (0, 1)
+        '00': 0.3869657704179481,
+        '01': 0.5086130480898114,
+        '10': 0.045118779172809285,
+        '11': 0.05930240231943075,
+    },
+    19: {  # n=3, 12 gates, measured (0,)
+        '0': 0.4999999999999997,
+        '1': 0.4999999999999997,
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_DISTRIBUTIONS))
+def test_matches_pinned_distribution(seed):
+    circuit, noise = pinned_case(seed)
+    probs = density_matrix_oracle(circuit, noise)
+    assert probs == pytest.approx(PINNED_DISTRIBUTIONS[seed], abs=1e-12)
+
+
+def test_pinned_cases_cover_every_gate_kind():
+    kinds = {gate.kind.value for seed in PINNED_DISTRIBUTIONS for gate in pinned_case(seed)[0].gates}
+    assert kinds == {kind.upper() for kind in PINNED_GATE_KINDS}
