@@ -27,7 +27,7 @@ from .calibration import (
 )
 from .circuits import BitstringCounts, Circuit
 from .errors import BackendError, RecordingExhausted
-from .fields import decode, integer, items, located, obj, required, string
+from .fields import decode, integer, items, located, no_unknown, obj, required, string
 from .simulator import NoiseModel, run_shots
 from .timestamps import format_timestamp, parse_timestamp, utc_now
 
@@ -173,11 +173,16 @@ class Recording:
         }
 
 
+_RESULT_KEYS = ("counts", "shots", "backend_name", "submitted_at", "completed_at", "metadata")
+
+
 def recording_from_dict(doc: Mapping[str, Any]) -> Recording:
+    no_unknown(obj(doc, ""), ("calibration", "results"), "")
     snapshot = calibration_from_dict(required(doc, "calibration", ""), "calibration")
     results = []
     for i, raw in enumerate(required(doc, "results", "", items)):
         rpath = f"results[{i}]"
+        no_unknown(obj(raw, rpath), _RESULT_KEYS, rpath)
         counts = required(raw, "counts", rpath, obj)
         metadata = obj(raw.get("metadata", {}), f"{rpath}.metadata")
         with located(rpath):

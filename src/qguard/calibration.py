@@ -7,12 +7,13 @@ here is testable with synthetic clocks and files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Any, Mapping
 
 from .errors import CalibrationError, DocumentError
-from .fields import decode, integer, integers, items, join, number, required, string
+from .fields import decode, integer, integers, items, join, no_unknown, number, obj, required, string
 from .simulator import NoiseModel
 from .timestamps import format_timestamp, parse_timestamp, utc_now
 
@@ -24,9 +25,10 @@ class QubitCalibration:
     readout_error: float
 
     def __post_init__(self):
-        if self.t1_us <= 0.0 or self.t2_us <= 0.0:
+        # Written so that NaN fails too.
+        if not (0.0 < self.t1_us < math.inf and 0.0 < self.t2_us < math.inf):
             raise CalibrationError(
-                f"relaxation times must be positive, got t1={self.t1_us}, t2={self.t2_us}"
+                f"relaxation times must be positive and finite, got t1={self.t1_us}, t2={self.t2_us}"
             )
         # physical bound: T2 can reach at most twice T1
         if self.t2_us > 2.0 * self.t1_us:
@@ -145,12 +147,14 @@ def calibration_to_dict(snapshot: CalibrationSnapshot) -> dict[str, Any]:
 
 
 def calibration_from_dict(doc: Mapping[str, Any], path: str = "") -> CalibrationSnapshot:
+    no_unknown(obj(doc, path), ("taken_at", "num_qubits", "qubits", "gates", "coupling_map"), path)
     taken_at = required(doc, "taken_at", path, parse_timestamp)
     num_qubits = required(doc, "num_qubits", path, integer)
     qubits_path = join(path, "qubits")
     qubits = []
     for i, raw in enumerate(required(doc, "qubits", path, items)):
         qpath = f"{qubits_path}[{i}]"
+        no_unknown(obj(raw, qpath), ("t1_us", "t2_us", "readout_error"), qpath)
         qubits.append(
             QubitCalibration(
                 t1_us=required(raw, "t1_us", qpath, number),
@@ -162,6 +166,7 @@ def calibration_from_dict(doc: Mapping[str, Any], path: str = "") -> Calibration
     gates = []
     for i, raw in enumerate(required(doc, "gates", path, items)):
         gpath = f"{gates_path}[{i}]"
+        no_unknown(obj(raw, gpath), ("name", "qubits", "error"), gpath)
         gates.append(
             GateCalibration(
                 name=required(raw, "name", gpath, string),

@@ -4,11 +4,13 @@ This is a test oracle, not a backend.  rho is held as a (2,)*2n tensor with
 a trailing batch axis of one: row qubit q is axis q and column qubit q is
 axis n+q.  So the simulator's own gate kernels evolve it, rho -> U rho U^dag
 being U on axis q and conj(U) on axis n+q (a CNOT on the row axes and again
-on the column axes).  Each depolarizing step is the explicit Pauli-set
-average (which equals (1-p)*rho + p*(I/d (x) rest)), built term by term with
-the same kernels, and readout error is an exact per-bit convolution of the
-outcome distribution.  rho takes 16 * 4**n bytes (16 MiB at the 10-qubit
-cap), and a depolarizing step holds several copies of it.
+on the column axes).  Each depolarizing step is the channel's closed form,
+(1-p)*rho + p*(I/d (x) Tr_targets rho): each target's row and column axes
+are traced out and I/2 put back in their place, so no Pauli matrix is used
+and the oracle does not share the simulator's Pauli table.  Readout error
+is an exact per-bit convolution of the outcome distribution.  rho takes
+16 * 4**n bytes (16 MiB at the 10-qubit cap), and a depolarizing step holds
+up to four arrays of that size.
 """
 
 from __future__ import annotations
@@ -17,13 +19,9 @@ import numpy as np
 
 from .circuits import Circuit, Gate, GateKind
 from .errors import OracleLimitError
-from .simulator import PAULIS, NoiseModel, _apply_cnot, _apply_unitary, _zero_states, gate_unitary
+from .simulator import NoiseModel, _apply_cnot, _apply_unitary, _zero_states, gate_unitary
 
 ORACLE_MAX_QUBITS = 10
-
-
-def _conjugate(rho: np.ndarray, u: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    return _apply_unitary(_apply_unitary(rho, u, qubit), u.conj(), num_qubits + qubit)
 
 
 def _apply(rho: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
@@ -31,28 +29,21 @@ def _apply(rho: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
         control, target = gate.targets
         rho = _apply_cnot(rho, control, target)
         return _apply_cnot(rho, num_qubits + control, num_qubits + target)
-    return _conjugate(rho, gate_unitary(gate), gate.targets[0], num_qubits)
-
-
-def _pauli_sum(rho: np.ndarray, targets: tuple[int, ...], num_qubits: int) -> np.ndarray:
-    """The sum of P rho P^dag over the 4**len(targets) Pauli products P on
-    ``targets``.  Terms sharing a factor on ``targets[0]`` share its
-    application, and the identity leaves a term as it is."""
-    if not targets:
-        return rho
-    first, rest = targets[0], targets[1:]
-    total = _pauli_sum(rho, rest, num_qubits)
-    for sigma in PAULIS[1:]:
-        # Not +=: the identity term may be rho itself.
-        total = total + _pauli_sum(_conjugate(rho, sigma, first, num_qubits), rest, num_qubits)
-    return total
+    u, qubit = gate_unitary(gate), gate.targets[0]
+    return _apply_unitary(_apply_unitary(rho, u, qubit), u.conj(), num_qubits + qubit)
 
 
 def _depolarize(rho: np.ndarray, targets: tuple[int, ...], p: float, num_qubits: int) -> np.ndarray:
-    # The kernels are slower the later the axis, and the first target's
-    # Paulis are applied 3 times to the second's 12, so the later one goes first.
-    twirled = _pauli_sum(rho, tuple(sorted(targets, reverse=True)), num_qubits)
-    return (1.0 - p) * rho + (p / 4 ** len(targets)) * twirled
+    # Replacing each target by I/2 in turn leaves I/d (x) Tr_targets(rho).
+    mixed = rho
+    for q in targets:
+        half = 0.5 * np.diagonal(mixed, axis1=q, axis2=num_qubits + q).sum(-1)
+        mixed = np.zeros_like(rho)
+        index = [slice(None)] * rho.ndim
+        for bit in (0, 1):
+            index[q] = index[num_qubits + q] = bit
+            mixed[tuple(index)] = half
+    return (1.0 - p) * rho + p * mixed
 
 
 def density_matrix_oracle(circuit: Circuit, noise: NoiseModel) -> dict[str, float]:

@@ -244,6 +244,25 @@ def test_recording_schema_violations():
         parse_recording(doc)
 
 
+@pytest.mark.parametrize(
+    "where, key, path",
+    [
+        ((), "format", ""),
+        (("results", 0), "metdata", "results[0]"),
+        (("calibration", "qubits", 0), "t3_us", "calibration.qubits[0]"),
+    ],
+)
+def test_recording_rejects_unknown_fields(where, key, path):
+    doc = make_recording(1).to_dict()
+    target = doc
+    for step in where:
+        target = target[step]
+    target[key] = {}
+    with pytest.raises(DocumentError, match=key) as caught:
+        parse_recording(doc)
+    assert caught.value.path == path
+
+
 def test_recording_adapter_passthrough():
     inner = SimulatorAdapter(NoiseModel.ideal(seed=2))
     recorder = RecordingAdapter(inner)

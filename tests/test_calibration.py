@@ -1,4 +1,5 @@
 import json
+import math
 from datetime import datetime, timezone
 
 import pytest
@@ -115,6 +116,36 @@ def test_error_paths_name_the_field():
 def test_rejects_nonpositive_times():
     with pytest.raises(CalibrationError):
         QubitCalibration(t1_us=0.0, t2_us=0.0, readout_error=0.0)
+
+
+@pytest.mark.parametrize(
+    "times", [(math.nan, 100.0), (math.inf, 100.0), (120.0, math.nan), (120.0, math.inf)]
+)
+def test_rejects_non_finite_times(times):
+    # A NaN T1 on the last of 8 qubits used to pass min_t1_us=50 with a
+    # worst T1 of 120, and on the first qubit to fail with a worst of nan.
+    t1, t2 = times
+    with pytest.raises(CalibrationError, match="finite"):
+        CalibrationSnapshot(
+            taken_at=NOW,
+            num_qubits=8,
+            qubits=(QubitCalibration(120.0, 100.0, 0.01),) * 7
+            + (QubitCalibration(t1_us=t1, t2_us=t2, readout_error=0.01),),
+            gates=(),
+            coupling_map=(),
+        )
+
+
+@pytest.mark.parametrize("where, path", [((), ""), (("qubits", 1), "qubits[1]"), (("gates", 0), "gates[0]")])
+def test_rejects_unknown_fields(where, path):
+    doc = sample_doc()
+    target = doc
+    for key in where:
+        target = target[key]
+    target["t3_us"] = 90.0
+    with pytest.raises(DocumentError, match="t3_us") as caught:
+        parse_calibration(doc)
+    assert caught.value.path == path
 
 
 def test_gate_record_validation():

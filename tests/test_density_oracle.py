@@ -14,7 +14,9 @@ from qguard import (
     chsh_pair_circuit,
     density_matrix_oracle,
     phi_plus,
+    run_shots,
 )
+from qguard import density_oracle, simulator
 
 CHSH_MAX = 2.0 * math.sqrt(2.0)
 DEFAULT_ANGLES = (
@@ -147,6 +149,31 @@ def test_widest_circuit_runs():
     gates = (Gate.h(0),) + tuple(Gate.cnot(q, q + 1) for q in range(n - 1))
     probs = density_matrix_oracle(Circuit(n, gates, (0, n - 1)), NoiseModel.ideal())
     assert probs == pytest.approx({"00": 0.5, "01": 0.0, "10": 0.0, "11": 0.5}, abs=1e-12)
+
+
+def test_oracle_is_independent_of_the_pauli_table(monkeypatch):
+    # The oracle is the reference for the simulator's Pauli unraveling, so a
+    # wrong entry in the simulator's table must move the simulator alone.
+    gates = (Gate.h(0), Gate.h(0), Gate.h(1), Gate.cnot(0, 1), Gate.h(1))
+    circuit = Circuit(2, gates, (0, 1))
+    noise = NoiseModel(p1=0.2, p2=0.3, readout_flip=0.0, seed=7)
+    expected = density_matrix_oracle(circuit, noise)
+    shots = 20_000
+
+    def worst_pull():
+        counts = run_shots(circuit, shots, noise)
+        return max(
+            abs(counts.get(outcome, 0) / shots - p) / math.sqrt(p * (1.0 - p) / shots)
+            for outcome, p in expected.items()
+        )
+
+    assert worst_pull() <= 5.0
+    identity, x, _, z = simulator.PAULIS
+    wrong = (identity, x, x, z)
+    monkeypatch.setattr(simulator, "PAULIS", wrong)
+    monkeypatch.setattr(density_oracle, "PAULIS", wrong, raising=False)
+    assert density_matrix_oracle(circuit, noise) == expected
+    assert worst_pull() > 5.0
 
 
 # --- distributions pinned from the Kronecker-matrix oracle ------------------
