@@ -8,6 +8,7 @@ here is testable with synthetic clocks and files.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Any, Mapping
@@ -18,6 +19,16 @@ from .simulator import NoiseModel
 from .timestamps import format_timestamp, parse_timestamp, utc_now
 
 
+def _real(value: Any) -> bool:
+    """A real number and not a bool; plain floats take the first test."""
+    return type(value) is float or (not isinstance(value, bool) and isinstance(value, numbers.Real))
+
+
+def _index(value: Any) -> bool:
+    """An integer and not a bool; plain ints take the first test."""
+    return type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
+
+
 @dataclass(frozen=True)
 class QubitCalibration:
     t1_us: float
@@ -25,6 +36,11 @@ class QubitCalibration:
     readout_error: float
 
     def __post_init__(self):
+        if not (_real(self.t1_us) and _real(self.t2_us) and _real(self.readout_error)):
+            raise CalibrationError(
+                f"qubit calibration fields must be numbers, got t1_us={self.t1_us!r}, "
+                f"t2_us={self.t2_us!r}, readout_error={self.readout_error!r}"
+            )
         # Written so that NaN fails too.
         if not (0.0 < self.t1_us < math.inf and 0.0 < self.t2_us < math.inf):
             raise CalibrationError(
@@ -48,6 +64,12 @@ class GateCalibration:
     error: float
 
     def __post_init__(self):
+        if not isinstance(self.qubits, (tuple, list)) or not all(map(_index, self.qubits)):
+            raise CalibrationError(
+                f"gate {self.name!r} qubits must be a sequence of integers, got {self.qubits!r}"
+            )
+        if not _real(self.error):
+            raise CalibrationError(f"gate {self.name!r} error must be a number, got {self.error!r}")
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
         if not self.qubits:
             raise CalibrationError(f"gate {self.name!r} lists no qubits")

@@ -173,24 +173,31 @@ class PackedCHSHTest(ResourceConstraint):
 
 class _Criterion(NamedTuple):
     score: str
-    worst: Callable[[CalibrationSnapshot], float | None]
+    worst: Callable[[CalibrationSnapshot, datetime], float | None]
     passes: Callable[[float, float], bool]
     integral: bool = False
 
 
 # One row per calibration criterion, keyed by its keyword and document key:
-# the name of its score, the snapshot's worst case for it (None when the
-# snapshot carries no data for it), and how that worst case must compare
-# with the limit.
+# the name of its score, the snapshot's worst case for it at the given time
+# (None when the snapshot carries no data for it), and how that worst case
+# must compare with the limit.
 _CRITERIA = {
-    "min_qubits": _Criterion("num_qubits", lambda s: float(s.num_qubits), operator.ge, True),
-    "min_t1_us": _Criterion("worst_t1_us", lambda s: min(q.t1_us for q in s.qubits), operator.ge),
-    "min_t2_us": _Criterion("worst_t2_us", lambda s: min(q.t2_us for q in s.qubits), operator.ge),
+    "min_qubits": _Criterion("num_qubits", lambda s, now: float(s.num_qubits), operator.ge, True),
+    "min_t1_us": _Criterion("worst_t1_us", lambda s, now: min(q.t1_us for q in s.qubits), operator.ge),
+    "min_t2_us": _Criterion("worst_t2_us", lambda s, now: min(q.t2_us for q in s.qubits), operator.ge),
     "max_readout_error": _Criterion(
-        "worst_readout_error", lambda s: max(q.readout_error for q in s.qubits), operator.le
+        "worst_readout_error", lambda s, now: max(q.readout_error for q in s.qubits), operator.le
     ),
     "max_gate_error": _Criterion(
-        "worst_gate_error", lambda s: max((g.error for g in s.gates), default=None), operator.le
+        "worst_gate_error", lambda s, now: max((g.error for g in s.gates), default=None), operator.le
+    ),
+    # A negative age means the snapshot is stamped after the clock's now, so
+    # its age is unknown and it is stale, as in FreshWithin.
+    "max_age_s": _Criterion(
+        "calibration_age_s",
+        lambda s, now: (now - s.taken_at).total_seconds(),
+        lambda age, limit: 0.0 <= age <= limit,
     ),
 }
 
@@ -199,10 +206,12 @@ class CalibrationConstraint(ResourceConstraint):
     """Threshold checks against the backend's calibration snapshot.
 
     The criteria are keywords: ``min_qubits`` (an integer), ``min_t1_us``,
-    ``min_t2_us``, ``max_readout_error`` and ``max_gate_error`` (finite
-    numbers); one left out or None is not checked.  Aggregation is
-    worst-case: minimum over qubits for T1/T2, maximum for error rates,
-    because one bad qubit in the selected set breaks a computation.  No
+    ``min_t2_us``, ``max_readout_error``, ``max_gate_error`` and
+    ``max_age_s`` (finite numbers); one left out or None is not checked.
+    Aggregation is worst-case: minimum over qubits for T1/T2, maximum for
+    error rates, because one bad qubit in the selected set breaks a
+    computation.  ``max_age_s`` bounds the snapshot's age, ``taken_at`` to
+    the constraint's clock; a snapshot stamped in the future fails it.  No
     circuit is run and ``shots`` is ignored.  A criterion over data the
     snapshot does not carry (e.g. max_gate_error with an empty gate list)
     passes vacuously and reports no score for it.
@@ -232,11 +241,12 @@ class CalibrationConstraint(ResourceConstraint):
 
     def evaluate(self, adapter: BackendAdapter, shots: int) -> IntrospectionResult:
         snapshot = adapter.calibration()
+        now = self._clock()
         scores: dict[str, float] = {}
         passed = True
         for key, limit in self._criteria.items():
             criterion = _CRITERIA[key]
-            worst = criterion.worst(snapshot)
+            worst = criterion.worst(snapshot, now)
             if worst is not None:
                 scores[criterion.score] = worst
                 passed = passed and criterion.passes(worst, limit)
@@ -244,7 +254,7 @@ class CalibrationConstraint(ResourceConstraint):
             constraint_name=self.name(),
             passed=bool(passed),
             scores=scores,
-            evaluated_at=self._clock(),
+            evaluated_at=now,
         )
 
 

@@ -31,6 +31,21 @@ reshaped view and a CNOT a flip in its control=1 slice; the Pauli
 injections after a gate apply each state's own Pauli, broadcast over the
 batch axis, in place.  A lone state (``apply_gate``, or a run with a single
 trajectory) is a batch of one.
+
+Components: qubits that no chain of CNOTs links never interact, so a
+circuit splits into connected components, and each is simulated as a small
+circuit of its own.  Each component's gate columns are cut out of the
+shared code rows and grouped into the component's own trajectories; a
+component with a measured qubit evolves them, in batches, into each
+trajectory's Born marginal over its measured qubits (one without is
+skipped).  A shot's trajectory is then its tuple of component trajectory
+indices, ranked into one key.  The distribution of each unique key is the
+outer product of its component marginals, axes put in ``measured_qubits``
+order, and these joint rows are built in batches under the same byte
+budget and sampled exactly as above.  A component's marginals are held
+when all of them fit that budget; a wider one evolves, for each batch of
+joint rows, just the trajectories the batch needs.  A circuit of one component is
+evolved whole, as before.  The draws are the same either way.
 """
 
 from __future__ import annotations
@@ -196,10 +211,11 @@ def _apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
     return out
 
 
-def _apply_gate(amps: np.ndarray, gate: Gate) -> np.ndarray:
+def _apply_gate(amps: np.ndarray, gate: Gate, axes: tuple[int, ...]) -> np.ndarray:
+    """Apply ``gate`` with its targets on ``axes``."""
     if gate.kind is GateKind.CNOT:
-        return _apply_cnot(amps, gate.targets[0], gate.targets[1])
-    return _apply_unitary(amps, gate_unitary(gate), gate.targets[0])
+        return _apply_cnot(amps, axes[0], axes[1])
+    return _apply_unitary(amps, gate_unitary(gate), axes[0])
 
 
 def _apply_pauli_codes(
@@ -242,38 +258,58 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
             raise CircuitError(
                 f"gate target {t} out of range for {state.num_qubits} qubit(s)"
             )
-    amps = _apply_gate(state.amplitudes[..., np.newaxis], gate)
+    amps = _apply_gate(state.amplitudes[..., np.newaxis], gate, gate.targets)
     _check_norms(amps)
     return StateVector(amps[..., 0], state.num_qubits)
 
 
-def _evolve(circuit: Circuit, trajectories: np.ndarray) -> np.ndarray:
-    """Run the gate list from |0...0> once per row of ``trajectories``, a
-    (B, num_gates) array of Pauli-injection codes (0 = none).  Returns the
-    (2, ..., 2, B) amplitudes."""
-    amps = _zero_states(len(trajectories), circuit.num_qubits)
+def _gates_on(circuit: Circuit, qubits) -> list[int]:
+    """The indices of the gates that act on ``qubits``, a component."""
+    return [i for i, gate in enumerate(circuit.gates) if gate.targets[0] in qubits]
+
+
+def _evolve(
+    circuit: Circuit, trajectories: np.ndarray, qubits: tuple[int, ...] | None = None
+) -> np.ndarray:
+    """Run the gates on ``qubits``, a component (default: all qubits), from
+    |0...0> once per row of ``trajectories``, a (B, gates) array of
+    Pauli-injection codes (0 = none).  Returns the (2, ..., 2, B)
+    amplitudes, with qubit ``qubits[i]`` on axis i."""
+    if qubits is None:
+        qubits = tuple(range(circuit.num_qubits))
+    axis = {q: i for i, q in enumerate(qubits)}
+    amps = _zero_states(len(trajectories), len(qubits))
     paulis = np.stack(PAULIS)
-    for gate, codes in zip(circuit.gates, trajectories.T):
-        amps = _apply_gate(amps, gate)
+    for i, codes in zip(_gates_on(circuit, axis), trajectories.T):
+        gate = circuit.gates[i]
+        axes = tuple(axis[t] for t in gate.targets)
+        amps = _apply_gate(amps, gate, axes)
         if codes.any():
-            _apply_pauli_codes(amps, gate.targets, codes, paulis)
+            _apply_pauli_codes(amps, axes, codes, paulis)
         _check_norms(amps)
     return amps
 
 
-def _born_cdfs(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """Per-state cumulative Born probabilities over measured qubits, one row
-    per state, flattened with measured_qubits[0] as the most significant
-    bit; the last column is exactly 1."""
+def _born_probs(amps: np.ndarray, measured: tuple[int, ...]) -> np.ndarray:
+    """Per-state Born probabilities over the ascending ``measured`` axes,
+    one row per state, flattened with the first as the most significant
+    bit."""
     # One transpose to a row per state: summed in that layout, each state's
     # probabilities add up in the same order whatever batch it is in.
     probs = np.ascontiguousarray(np.moveaxis(np.abs(amps) ** 2, -1, 0))
-    measured = set(circuit.measured_qubits)
-    unmeasured = tuple(q + 1 for q in range(circuit.num_qubits) if q not in measured)
-    probs = probs.sum(axis=unmeasured).reshape(len(probs), -1)
+    unmeasured = tuple(a for a in range(1, probs.ndim) if a - 1 not in measured)
+    return probs.sum(axis=unmeasured).reshape(len(probs), -1)
+
+
+def _cdfs(probs: np.ndarray) -> np.ndarray:
+    """Cumulative sums of probability rows; the last column is exactly 1."""
     cdfs = np.cumsum(probs, axis=1)
     cdfs[:, -1] = 1.0
     return cdfs
+
+
+def _born_cdfs(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
+    return _cdfs(_born_probs(amps, circuit.measured_qubits))
 
 
 def _search_rows(cdfs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -351,6 +387,122 @@ def _group(codes: np.ndarray):
     return np.concatenate([noiseless, unique]), inverse + 1
 
 
+def _slices(count: int, item_bytes: int):
+    """Consecutive slices of ``count`` items, each within the batch budget."""
+    step = max(1, _BATCH_BYTES // item_bytes)
+    return (slice(first, first + step) for first in range(0, count, step))
+
+
+def _components(circuit: Circuit) -> list[tuple[int, ...]]:
+    """The qubits of each connected component under the two-qubit gates,
+    each ascending, in the order of their lowest qubit.  A qubit that no
+    two-qubit gate touches is a component of its own."""
+    root = list(range(circuit.num_qubits))
+
+    def find(q: int) -> int:
+        while root[q] != q:
+            root[q] = root[root[q]]
+            q = root[q]
+        return q
+
+    for gate in circuit.gates:
+        if len(gate.targets) == 2:
+            low, high = sorted(find(t) for t in gate.targets)
+            root[high] = low
+    blocks: dict[int, list[int]] = {}
+    for q in range(circuit.num_qubits):
+        blocks.setdefault(find(q), []).append(q)
+    return [tuple(qubits) for qubits in blocks.values()]
+
+
+def _split(circuit: Circuit, components: list[tuple[int, ...]], codes: np.ndarray):
+    """Per component with a measured qubit: its qubits, its unique
+    trajectories, and per row of ``codes`` the index of its trajectory there
+    (0 where the row has no Pauli on the component)."""
+    measured = set(circuit.measured_qubits)
+    parts = []
+    for qubits in components:
+        if measured.isdisjoint(qubits):
+            continue
+        block = codes[:, _gates_on(circuit, qubits)]
+        noisy = block.any(axis=1)
+        trajectories, inverse = _group(block[noisy])
+        index = np.zeros(len(codes), dtype=np.intp)
+        index[noisy] = inverse
+        parts.append((qubits, trajectories, index))
+    return parts
+
+
+def _marginal_rows(circuit: Circuit, qubits: tuple[int, ...], trajectories: np.ndarray):
+    """A function from trajectory indices of the component ``qubits`` to
+    their Born marginal rows over its measured qubits.  The rows of all its
+    trajectories are evolved once and held when they fit the batch budget;
+    otherwise each call evolves just the trajectories asked for, so memory
+    stays bounded however many trajectories a wide component has."""
+    measured = tuple(i for i, q in enumerate(qubits) if q in circuit.measured_qubits)
+
+    def evolve(indices: np.ndarray) -> np.ndarray:
+        needed, local = np.unique(indices, return_inverse=True)
+        rows = np.concatenate([
+            _born_probs(_evolve(circuit, trajectories[needed[part]], qubits), measured)
+            for part in _slices(len(needed), 16 << len(qubits))
+        ])
+        return rows[local]
+
+    if len(trajectories) * (8 << len(measured)) > _BATCH_BYTES:
+        return evolve
+    held = evolve(np.arange(len(trajectories)))
+    return lambda indices: held[indices]
+
+
+def _fold(indices: list[np.ndarray], counts: list[int]):
+    """The unique tuples of component trajectory indices, the all-zero
+    tuple first, and per row the rank of its tuple.  Each component is
+    folded into a 1-D int64 key that is re-ranked at once, so the key stays
+    below (rows + 1) times one component's trajectory count, however many
+    components there are."""
+    # Row 0 is the noiseless tuple, which ranks first.
+    key = np.zeros(len(indices[0]) + 1, dtype=np.int64)
+    tuples = np.zeros((1, 0), dtype=np.int64)
+    for index, count in zip(indices, counts):
+        unique, key = np.unique(key * count + np.insert(index, 0, 0), return_inverse=True)
+        tuples = np.column_stack([tuples[unique // count], unique % count])
+    return tuples, key[1:]
+
+
+def _joint_cdfs(marginal_rows: list, tuples: np.ndarray, axes: tuple[int, ...]):
+    """The CDF rows of the given tuples: each the outer product of its
+    component marginals, its outcome axes taken in the order ``axes``."""
+    joint = marginal_rows[0](tuples[:, 0])
+    for rows_of, column in zip(marginal_rows[1:], tuples.T[1:]):
+        joint = joint[:, :, np.newaxis] * rows_of(column)[:, np.newaxis, :]
+        joint = joint.reshape(len(tuples), -1)
+    joint = joint.reshape((len(tuples),) + (2,) * len(axes))
+    return _cdfs(joint.transpose((0,) + tuple(a + 1 for a in axes)).reshape(len(tuples), -1))
+
+
+def _sample(cdf_batches, rows: np.ndarray, inverse: np.ndarray, outcome_u: np.ndarray):
+    """Every shot's outcome index.  ``cdf_batches`` yields the CDF rows of
+    consecutive distributions, the noiseless one first; noisy shot
+    ``rows[i]`` draws from distribution ``inverse[i]``, every other shot
+    from the noiseless one."""
+    order = np.argsort(inverse, kind="stable")
+    members_by_row = rows[order]
+    row_of_member = inverse[order]
+    first = 0
+    for cdfs in cdf_batches:
+        stop = first + len(cdfs)
+        if not first:
+            # Every shot starts on the noiseless row; the noisy ones are
+            # overwritten below.
+            outcomes = np.searchsorted(cdfs[0], outcome_u, side="right")
+        lo, hi = np.searchsorted(row_of_member, (first, stop))
+        members = members_by_row[lo:hi]
+        outcomes[members] = _search_rows(cdfs, row_of_member[lo:hi] - first, outcome_u[members])
+        first = stop
+    return outcomes
+
+
 def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCounts:
     """Sample ``shots`` measurement outcomes under the given noise model.
 
@@ -367,27 +519,28 @@ def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCount
         raise ValueError(f"shots must be >= 1, got {shots}")
     _check_width(circuit.num_qubits)
     codes, rows, outcome_u, flip_masks = _draw(circuit, shots, noise)
-    trajectories, inverse = _group(codes)
-
-    order = np.argsort(inverse, kind="stable")
-    members_by_trajectory = rows[order]
-    trajectory_of_member = inverse[order]
-    bounds = np.searchsorted(trajectory_of_member, np.arange(len(trajectories) + 1))
-    batch = max(1, _BATCH_BYTES // (16 << circuit.num_qubits))
-    for first in range(0, len(trajectories), batch):
-        cdfs = _born_cdfs(_evolve(circuit, trajectories[first : first + batch]), circuit)
-        if not first:
-            # Every shot starts on the noiseless trajectory; the noisy ones
-            # are overwritten below.
-            outcomes = np.searchsorted(cdfs[0], outcome_u, side="right")
-        lo, hi = bounds[first], bounds[min(first + batch, len(trajectories))]
-        members = members_by_trajectory[lo:hi]
-        outcomes[members] = _search_rows(
-            cdfs, trajectory_of_member[lo:hi] - first, outcome_u[members]
+    k = circuit.num_measured
+    components = _components(circuit)
+    if len(components) == 1:
+        trajectories, inverse = _group(codes)
+        cdf_batches = (
+            _born_cdfs(_evolve(circuit, trajectories[part]), circuit)
+            for part in _slices(len(trajectories), 16 << circuit.num_qubits)
         )
+    else:
+        parts = _split(circuit, components, codes)
+        marginal_rows = [_marginal_rows(circuit, qubits, t) for qubits, t, _ in parts]
+        tuples, inverse = _fold([index for *_, index in parts], [len(t) for _, t, _ in parts])
+        # The measured qubits in the order the marginals multiply out, and
+        # where each of measured_qubits sits in that order.
+        product = [q for qubits in components for q in qubits if q in circuit.measured_qubits]
+        axes = tuple(map(product.index, circuit.measured_qubits))
+        cdf_batches = (
+            _joint_cdfs(marginal_rows, tuples[part], axes) for part in _slices(len(tuples), 8 << k)
+        )
+    outcomes = _sample(cdf_batches, rows, inverse, outcome_u)
     outcomes ^= flip_masks
 
-    k = circuit.num_measured
     tallies = np.bincount(outcomes, minlength=1 << k)
     return BitstringCounts(
         {format(int(v), f"0{k}b"): int(tallies[v]) for v in np.flatnonzero(tallies)}

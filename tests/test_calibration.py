@@ -155,6 +155,22 @@ def test_gate_record_validation():
         GateCalibration(name="u", qubits=(0,), error=1.2)
 
 
+# Each used to escape as a bare TypeError or ValueError.
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: QubitCalibration("100", 80.0, 0.01),
+        lambda: QubitCalibration(100.0, 80.0, None),
+        lambda: GateCalibration("u", (0,), "0.1"),
+        lambda: GateCalibration("u", ("a",), 0.1),
+    ],
+    ids=["string_t1", "missing_readout_error", "string_gate_error", "string_gate_qubit"],
+)
+def test_wrong_typed_record_raises_calibration_error(build):
+    with pytest.raises(CalibrationError, match="must be"):
+        build()
+
+
 def test_with_taken_at():
     snapshot = parse_calibration(sample_doc())
     later = datetime(2027, 1, 1, tzinfo=timezone.utc)

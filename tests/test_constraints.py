@@ -292,6 +292,42 @@ def test_calibration_constraint_gate_error():
     assert CalibrationConstraint(max_gate_error=0.02).evaluate(adapter, 1).passed
 
 
+def test_calibration_constraint_max_age():
+    # Nothing read taken_at before: a six-year-old snapshot passed.
+    clock = ManualClock()
+    six_years = 6 * 365 * 24 * 3600
+    old = synthetic_calibration_for(NoiseModel.ideal(), 2, taken_at=T0 - timedelta(seconds=six_years))
+    constraint = CalibrationConstraint(max_age_s=3600, clock=clock)
+    result = constraint.evaluate(CountingAdapter(old), 1)
+    assert not result.passed
+    assert result.scores == {"calibration_age_s": six_years}
+    assert result.evaluated_at == T0
+    hour_old = old.with_taken_at(T0 - timedelta(seconds=3600))  # the boundary passes
+    assert constraint.evaluate(CountingAdapter(hour_old), 1).passed
+
+
+def test_calibration_constraint_rejects_a_snapshot_from_the_future():
+    # A negative age is unknown, so the snapshot is stale, as in FreshWithin.
+    future = synthetic_calibration_for(NoiseModel.ideal(), 2, taken_at=T0 + timedelta(seconds=1))
+    result = CalibrationConstraint(max_age_s=3600, clock=ManualClock()).evaluate(CountingAdapter(future), 1)
+    assert not result.passed
+    assert result.scores["calibration_age_s"] == -1.0
+
+
+def test_constraint_from_dict_reads_max_age():
+    doc = {"type": "calibration", "criteria": {"min_qubits": 2, "max_age_s": 60}}
+    clock = ManualClock()
+    snapshot = synthetic_calibration_for(NoiseModel.ideal(), 2, taken_at=T0)
+    constraint = constraint_from_dict(doc, clock=clock)
+    assert constraint.evaluate(CountingAdapter(snapshot), 1).passed
+    clock.advance(61)
+    assert not constraint.evaluate(CountingAdapter(snapshot), 1).passed
+    doc["criteria"]["max_age_s"] = "1h"
+    with pytest.raises(DocumentError) as caught:
+        constraint_from_dict(doc)
+    assert caught.value.path == "constraint.criteria.max_age_s"
+
+
 # --- composites ------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,6 +318,57 @@ def _five_qubit_subset_circuit() -> Circuit:
     )
 
 
+def _interleaved_circuit() -> Circuit:
+    # Components {0, 3}, {1, 5} and {2, 4}: their gates alternate, CNOTs run
+    # both ways, and every component's qubits are apart in measured order.
+    return Circuit(
+        6,
+        (
+            Gate.h(0), Gate.ry(5, 0.8), Gate.rx(4, 1.2), Gate.cnot(0, 3), Gate.cnot(5, 1),
+            Gate.cnot(4, 2), Gate.rz(3, 0.5), Gate.cnot(3, 0), Gate.s(1), Gate.cnot(1, 5),
+            Gate.ry(2, -0.6), Gate.t(4), Gate.rx(0, 0.9), Gate.cnot(2, 4),
+        ),
+        (0, 1, 2, 3, 4, 5),
+    )
+
+
+def _unmeasured_component_circuit() -> Circuit:
+    # Component {2, 3} has gates but no measured qubit.
+    return Circuit(
+        5,
+        (
+            Gate.h(0), Gate.h(2), Gate.cnot(0, 1), Gate.cnot(2, 3), Gate.ry(4, 1.0),
+            Gate.rx(3, 0.4), Gate.ry(1, 0.5),
+        ),
+        (0, 1, 4),
+    )
+
+
+def _idle_qubit_circuit() -> Circuit:
+    # Qubit 1 has no gate and sits between the qubits of a Bell pair.
+    return Circuit(3, (Gate.h(0), Gate.cnot(0, 2), Gate.ry(2, 0.3)), (0, 1, 2))
+
+
+def _packed_partial_circuit() -> Circuit:
+    # Pair (0, 1) and pair (4, 5) are measured on one qubit each.
+    return Circuit(8, packed_chsh_circuit().gates, (1, 2, 5, 6, 7))
+
+
+def _wide_component_circuit() -> Circuit:
+    # A 10-qubit GHZ chain and a qubit of its own: the chain's marginal rows
+    # take 8 KiB per trajectory.
+    chain = (Gate.h(0),) + tuple(Gate.cnot(q, q + 1) for q in range(9))
+    return Circuit(11, chain + (Gate.x(10),), tuple(range(11)))
+
+
+def _singletons_circuit() -> Circuit:
+    # 16 qubits that never interact, three one-qubit gates each.
+    gates = [Gate.h(q) for q in range(16)]
+    gates += [Gate.ry(q, 0.1 * q + 0.2) for q in range(16)]
+    gates += [Gate.rx(q, 0.7 - 0.05 * q) for q in range(16)]
+    return Circuit(16, tuple(gates), tuple(range(16)))
+
+
 # name -> (circuit, shots, noise, digest)
 _PINNED_CASES = {
     "unmeasured": (
@@ -364,6 +416,52 @@ _PINNED_CASES = {
         4000,
         NoiseModel(p1=0.02, p2=0.3, readout_flip=0.02, seed=22),
         "4d415a782224a8e201889373b3deb12ed8aa7f5e479aee1012154fe653b51e4f",
+    ),
+    # The cases below have several components; they were recorded with the
+    # simulator that evolved every circuit whole.
+    "interleaved": (
+        _interleaved_circuit,
+        3000,
+        NoiseModel(p1=0.02, p2=0.2, readout_flip=0.02, seed=31),
+        "10a4ec71f50f793f50799541efb998b21c5a77cfa03a82dfb3a033a0049f5610",
+    ),
+    "unmeasured_component": (
+        _unmeasured_component_circuit,
+        3000,
+        NoiseModel(p1=0.02, p2=0.2, readout_flip=0.02, seed=32),
+        "63092b48004aadfbc3201c69bd021314d693c76e5fdf1cc2f95f6015f94b70dc",
+    ),
+    "idle_qubit": (
+        _idle_qubit_circuit,
+        3000,
+        NoiseModel(p1=0.05, p2=0.3, readout_flip=0.02, seed=33),
+        "412be58a2e5815c0c0f652eb58bc43b7d358384a86493b6aebddb14e0d0b5469",
+    ),
+    "packed_partial": (
+        _packed_partial_circuit,
+        3000,
+        NoiseModel(p1=0.01, p2=0.3, readout_flip=0.02, seed=34),
+        "fc5380ecaa17c6a8941484656b0fa3919cde69d0a8c2cb3fbc910fab97695b5a",
+    ),
+    # Unique tuples of pair trajectories span several joint-row batches.
+    "packed_keys_span_batches": (
+        packed_chsh_circuit,
+        4000,
+        NoiseModel(p1=0.01, p2=1.0, readout_flip=0.02, seed=35),
+        "21dedfe23d8f8b325f1fc363be2bc328aacd2e25a8e79caa2c13de79d07114ef",
+    ),
+    "wide_component": (
+        _wide_component_circuit,
+        1000,
+        NoiseModel(p1=0.01, p2=0.3, readout_flip=0.02, seed=37),
+        "94f41f835df294369f01e2248c50f430030fb1ce8845f9ca376676a7c251a328",
+    ),
+    # More tuples are possible than an int64 mixed-radix key can count.
+    "singletons": (
+        _singletons_circuit,
+        500,
+        NoiseModel(p1=1.0, p2=0.0, readout_flip=0.02, seed=36),
+        "0ba6b6ab1fa201cb5afa2f7d9b78778761fa2efde4eb6c861c99ece6ef69dff6",
     ),
 }
 
@@ -428,6 +526,80 @@ def test_evolve_is_independent_of_batch(case):
         alone = simulator._evolve(circuit, trajectories[i : i + 1])
         np.testing.assert_array_equal(np.abs(amps[..., i]) ** 2, np.abs(alone[..., 0]) ** 2)
         np.testing.assert_array_equal(cdfs[i], simulator._born_cdfs(alone, circuit)[0])
+
+
+def test_components():
+    assert simulator._components(packed_chsh_circuit()) == [(0, 1), (2, 3), (4, 5), (6, 7)]
+    assert simulator._components(phi_plus()) == [(0, 1)]
+    assert simulator._components(_idle_qubit_circuit()) == [(0, 2), (1,)]
+    assert simulator._components(_interleaved_circuit()) == [(0, 3), (1, 5), (2, 4)]
+    assert simulator._components(_five_qubit_subset_circuit()) == [(0, 1, 2, 3, 4)]
+
+
+def _parts(case):
+    build, shots, noise, _ = _PINNED_CASES[case]
+    circuit = build()
+    codes = simulator._draw(circuit, shots, noise)[0]
+    return circuit, simulator._split(circuit, simulator._components(circuit), codes)
+
+
+def _tuples(case):
+    circuit, parts = _parts(case)
+    counts = [len(trajectories) for _, trajectories, _ in parts]
+    tuples, _ = simulator._fold([index for *_, index in parts], counts)
+    return circuit, counts, tuples
+
+
+def test_split_skips_a_component_without_measured_qubits():
+    _, parts = _parts("unmeasured_component")
+    assert [qubits for qubits, *_ in parts] == [(0, 1), (4,)]
+
+
+def test_keys_case_spans_joint_row_batches():
+    circuit, _, tuples = _tuples("packed_keys_span_batches")
+    assert len(tuples) > 2 * (simulator._BATCH_BYTES // (8 << circuit.num_measured))
+
+
+def test_tuple_key_does_not_overflow():
+    # A mixed-radix key over all components would need more than 63 bits;
+    # re-ranking after each component keeps every tuple distinct.
+    circuit, counts, tuples = _tuples("singletons")
+    assert len(counts) == 16
+    assert math.prod(counts) > 2**63
+    assert len(np.unique(tuples, axis=0)) == len(tuples)
+    assert not tuples[0].any()
+
+
+@pytest.mark.parametrize("case", ["singletons", "wide_component"])
+def test_memory_stays_bounded(case):
+    # Holding every joint row of the singletons case would take 250 MiB,
+    # and every marginal row of the wide chain 7 MiB.
+    build, shots, noise, digest = _PINNED_CASES[case]
+    circuit = build()
+    tracemalloc.start()
+    try:
+        counts = run_shots(circuit, shots, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _digest(counts) == digest
+    assert peak < 4 * 2**20
+
+
+def test_wide_component_marginals_exceed_the_memory_bound():
+    _, counts, _ = _tuples("wide_component")
+    assert counts[0] * (8 << 10) > 4 * 2**20
+
+
+@pytest.mark.parametrize(
+    "case", ["interleaved", "unmeasured_component", "idle_qubit", "packed_partial", "one_measured"]
+)
+def test_components_counts_with_batches_of_one(monkeypatch, case):
+    # No component's marginals fit the budget: every joint row is built
+    # alone, from component trajectories evolved alone.
+    build, shots, noise, digest = _PINNED_CASES[case]
+    monkeypatch.setattr(simulator, "_BATCH_BYTES", 1)
+    assert _digest(run_shots(build(), shots, noise)) == digest
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 6])
