@@ -64,13 +64,17 @@ class GateCalibration:
     error: float
 
     def __post_init__(self):
-        if not isinstance(self.qubits, (tuple, list)) or not all(map(_index, self.qubits)):
+        try:
+            qubits = tuple(self.qubits)
+        except TypeError:
+            qubits = None
+        if qubits is None or not all(map(_index, qubits)):
             raise CalibrationError(
-                f"gate {self.name!r} qubits must be a sequence of integers, got {self.qubits!r}"
+                f"gate {self.name!r} qubits must be integers, got {self.qubits!r}"
             )
         if not _real(self.error):
             raise CalibrationError(f"gate {self.name!r} error must be a number, got {self.error!r}")
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(map(int, qubits)))
         if not self.qubits:
             raise CalibrationError(f"gate {self.name!r} lists no qubits")
         if not 0.0 <= self.error <= 1.0:

@@ -25,8 +25,8 @@ the noisy shots of each batch are sampled again, each from its own
 trajectory, in one vectorised binary search, so grouping and sampling
 beyond that first search cost per noisy shot.  The unique trajectories are
 evolved together in batches, each held as one ``(2, ..., 2, B)`` array
-whose size is capped by an amplitude byte budget: qubit q is axis q and the
-state is the last axis.  A one-qubit gate is one matmul on a contiguous
+whose size is capped by an amplitude byte budget: each qubit is one axis
+and the state is the last axis.  A one-qubit gate is one matmul on a contiguous
 reshaped view and a CNOT a flip in its control=1 slice; the Pauli
 injections after a gate apply each state's own Pauli, broadcast over the
 batch axis, in place.  A lone state (``apply_gate``, or a run with a single
@@ -44,8 +44,8 @@ outer product of its component marginals, axes put in ``measured_qubits``
 order, and these joint rows are built in batches under the same byte
 budget and sampled exactly as above.  A component's marginals are held
 when all of them fit that budget; a wider one evolves, for each batch of
-joint rows, just the trajectories the batch needs.  A circuit of one component is
-evolved whole, as before.  The draws are the same either way.
+joint rows, just the trajectories the batch needs.  A circuit of one
+component takes the same path: its joint rows are its marginals.
 """
 
 from __future__ import annotations
@@ -309,6 +309,7 @@ def _cdfs(probs: np.ndarray) -> np.ndarray:
 
 
 def _born_cdfs(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
+    """The CDF rows of whole-register states over ``measured_qubits``."""
     return _cdfs(_born_probs(amps, circuit.measured_qubits))
 
 
@@ -461,10 +462,11 @@ def _fold(indices: list[np.ndarray], counts: list[int]):
     folded into a 1-D int64 key that is re-ranked at once, so the key stays
     below (rows + 1) times one component's trajectory count, however many
     components there are."""
-    # Row 0 is the noiseless tuple, which ranks first.
-    key = np.zeros(len(indices[0]) + 1, dtype=np.int64)
-    tuples = np.zeros((1, 0), dtype=np.int64)
-    for index, count in zip(indices, counts):
+    # Row 0 is the noiseless tuple, which ranks first.  Every index of a
+    # component occurs, so the first component's indices are already ranks.
+    key = np.insert(indices[0], 0, 0)
+    tuples = np.arange(counts[0])[:, np.newaxis]
+    for index, count in zip(indices[1:], counts[1:]):
         unique, key = np.unique(key * count + np.insert(index, 0, 0), return_inverse=True)
         tuples = np.column_stack([tuples[unique // count], unique % count])
     return tuples, key[1:]
@@ -521,23 +523,16 @@ def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCount
     codes, rows, outcome_u, flip_masks = _draw(circuit, shots, noise)
     k = circuit.num_measured
     components = _components(circuit)
-    if len(components) == 1:
-        trajectories, inverse = _group(codes)
-        cdf_batches = (
-            _born_cdfs(_evolve(circuit, trajectories[part]), circuit)
-            for part in _slices(len(trajectories), 16 << circuit.num_qubits)
-        )
-    else:
-        parts = _split(circuit, components, codes)
-        marginal_rows = [_marginal_rows(circuit, qubits, t) for qubits, t, _ in parts]
-        tuples, inverse = _fold([index for *_, index in parts], [len(t) for _, t, _ in parts])
-        # The measured qubits in the order the marginals multiply out, and
-        # where each of measured_qubits sits in that order.
-        product = [q for qubits in components for q in qubits if q in circuit.measured_qubits]
-        axes = tuple(map(product.index, circuit.measured_qubits))
-        cdf_batches = (
-            _joint_cdfs(marginal_rows, tuples[part], axes) for part in _slices(len(tuples), 8 << k)
-        )
+    parts = _split(circuit, components, codes)
+    marginal_rows = [_marginal_rows(circuit, qubits, t) for qubits, t, _ in parts]
+    tuples, inverse = _fold([index for *_, index in parts], [len(t) for _, t, _ in parts])
+    # The measured qubits in the order the marginals multiply out, and where
+    # each of measured_qubits sits in that order.
+    product = [q for qubits in components for q in qubits if q in circuit.measured_qubits]
+    axes = tuple(map(product.index, circuit.measured_qubits))
+    cdf_batches = (
+        _joint_cdfs(marginal_rows, tuples[part], axes) for part in _slices(len(tuples), 8 << k)
+    )
     outcomes = _sample(cdf_batches, rows, inverse, outcome_u)
     outcomes ^= flip_masks
 

@@ -2,6 +2,7 @@ import json
 import math
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 
 from qguard import (
@@ -169,6 +170,15 @@ def test_gate_record_validation():
 def test_wrong_typed_record_raises_calibration_error(build):
     with pytest.raises(CalibrationError, match="must be"):
         build()
+
+
+def test_gate_qubits_accept_any_iterable_of_integers():
+    for qubits in (range(2), [0, 1], np.array([0, 1]), (q for q in (0, 1))):
+        assert GateCalibration("cx", qubits, 0.01).qubits == (0, 1)
+    with pytest.raises(CalibrationError, match="must be integers"):
+        GateCalibration("u", 0, 0.1)
+    with pytest.raises(CalibrationError, match="must be integers"):
+        GateCalibration("u", (0.0,), 0.1)
 
 
 def test_with_taken_at():
