@@ -86,7 +86,7 @@ from .errors import (
     RecordingExhausted,
 )
 from .executor import Branch, ConditionalResult, run_conditionally
-from .simulator import SIMULATOR_MAX_QUBITS, NoiseModel, StateVector, apply_gate, run_shots
+from .simulator import SIMULATOR_MAX_QUBITS, NoiseModel, run_shots
 
 __version__ = "0.1.0"
 
@@ -132,8 +132,6 @@ __all__ = [
     "ResourceConstraint",
     "SIMULATOR_MAX_QUBITS",
     "SimulatorAdapter",
-    "StateVector",
-    "apply_gate",
     "calibration_from_dict",
     "calibration_to_dict",
     "chsh_pair_circuit",

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Mapping
@@ -33,7 +35,7 @@ class BitstringCounts(Mapping):
         num_bits: int | None = None
         entries = counts.items() if isinstance(counts, Mapping) else counts
         for key, value in entries:
-            if not isinstance(key, str) or not key or any(c not in "01" for c in key):
+            if not isinstance(key, str) or not key or key.strip("01"):
                 raise CircuitError(f"invalid bitstring key {key!r}")
             if num_bits is None:
                 num_bits = len(key)
@@ -88,6 +90,16 @@ ROTATION_KINDS = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ})
 TWO_QUBIT_KINDS = frozenset({GateKind.CNOT})
 
 
+def _integer(value: Any, what: str) -> int:
+    """``value`` as an int; a float or string would be truncated or crash
+    later, far from where it was given."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise CircuitError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate application: a kind, its target qubits, and (for rotations) an angle.
@@ -101,7 +113,7 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+        object.__setattr__(self, "targets", tuple(_integer(t, "qubit index") for t in self.targets))
         arity = 2 if self.kind in TWO_QUBIT_KINDS else 1
         if len(self.targets) != arity:
             raise CircuitError(
@@ -114,13 +126,18 @@ class Gate:
         if self.kind in ROTATION_KINDS:
             if self.angle is None:
                 raise CircuitError(f"{self.kind.value} gate requires an angle")
-            object.__setattr__(self, "angle", float(self.angle))
+            angle = self.angle
+            # A NaN angle would give a NaN unitary, and every shot outcome 0.
+            # The bound also rejects an integer too large for a float.
+            if (
+                isinstance(angle, bool)
+                or not isinstance(angle, numbers.Real)
+                or not abs(angle) <= sys.float_info.max
+            ):
+                raise CircuitError(f"{self.kind.value} angle must be a finite number, got {angle!r}")
+            object.__setattr__(self, "angle", float(angle))
         elif self.angle is not None:
             raise CircuitError(f"{self.kind.value} gate takes no angle")
-
-    @property
-    def num_targets(self) -> int:
-        return len(self.targets)
 
     @classmethod
     def h(cls, q: int) -> "Gate":
@@ -175,8 +192,11 @@ class Circuit:
     measured_qubits: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "num_qubits", _integer(self.num_qubits, "num_qubits"))
         object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "measured_qubits", tuple(int(q) for q in self.measured_qubits))
+        object.__setattr__(
+            self, "measured_qubits", tuple(_integer(q, "qubit index") for q in self.measured_qubits)
+        )
         if self.num_qubits < 1:
             raise CircuitError(f"num_qubits must be positive, got {self.num_qubits}")
         for i, gate in enumerate(self.gates):

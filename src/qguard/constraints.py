@@ -143,7 +143,7 @@ class PackedCHSHTest(ResourceConstraint):
 
     def evaluate(self, adapter: BackendAdapter, shots: int) -> IntrospectionResult:
         if shots < 1:
-            raise ValueError(f"shots must be >= 1, got {shots}")
+            raise ConstraintError(f"shots must be >= 1, got {shots}")
         result = adapter.run(packed_chsh_circuit(self._settings), shots)
         correlators = tuple(
             compute_pair_correlator(result.counts, pair) for pair in range(4)
@@ -278,7 +278,7 @@ class _Composite(ResourceConstraint):
     ):
         self._children = tuple(children)
         if not self._children:
-            raise ValueError(f"{self.name()} requires at least one child")
+            raise ConstraintError(f"{self.name()} requires at least one child")
         self._evaluate_all = evaluate_all
         self._clock = clock
 
@@ -368,7 +368,7 @@ class FreshWithin(ResourceConstraint):
         clock: Callable[[], datetime] = utc_now,
     ):
         if ttl <= timedelta(0):
-            raise ValueError(f"ttl must be positive, got {ttl.total_seconds()} s")
+            raise ConstraintError(f"ttl must be positive, got {ttl.total_seconds()} s")
         self._child = child
         self._ttl = ttl
         self._clock = clock

@@ -8,7 +8,8 @@ class QGuardError(Exception):
 
 
 class CircuitError(QGuardError, ValueError):
-    """A gate or circuit violates a structural invariant."""
+    """A gate or circuit violates a structural invariant, or a circuit is run
+    with a shot count that is not a positive integer."""
 
 
 class DocumentError(QGuardError, ValueError):

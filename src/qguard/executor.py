@@ -16,7 +16,7 @@ from typing import Any, Callable
 
 from .backends import BackendAdapter
 from .constraints import IntrospectionResult, ResourceConstraint
-from .errors import CallbackError, IntrospectionError
+from .errors import CallbackError, ConstraintError, IntrospectionError
 from .timestamps import utc_now
 
 Callback = Callable[[BackendAdapter, IntrospectionResult], Any]
@@ -64,7 +64,7 @@ def run_conditionally(
     introspection result that were already decided.
     """
     if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+        raise ConstraintError(f"shots must be >= 1, got {shots}")
     started_at = clock()
     try:
         introspection = constraint.evaluate(adapter, shots)

@@ -29,23 +29,24 @@ whose size is capped by an amplitude byte budget: each qubit is one axis
 and the state is the last axis.  A one-qubit gate is one matmul on a contiguous
 reshaped view and a CNOT a flip in its control=1 slice; the Pauli
 injections after a gate apply each state's own Pauli, broadcast over the
-batch axis, in place.  A lone state (``apply_gate``, or a run with a single
-trajectory) is a batch of one.
+batch axis, in place.  A run with a single trajectory evolves a batch of
+one.
 
 Components: qubits that no chain of CNOTs links never interact, so a
 circuit splits into connected components, and each is simulated as a small
-circuit of its own.  Each component's gate columns are cut out of the
-shared code rows and grouped into the component's own trajectories; a
-component with a measured qubit evolves them, in batches, into each
-trajectory's Born marginal over its measured qubits (one without is
-skipped).  A shot's trajectory is then its tuple of component trajectory
-indices, ranked into one key.  The distribution of each unique key is the
-outer product of its component marginals, axes put in ``measured_qubits``
-order, and these joint rows are built in batches under the same byte
-budget and sampled exactly as above.  A component's marginals are held
-when all of them fit that budget; a wider one evolves, for each batch of
-joint rows, just the trajectories the batch needs.  A circuit of one
-component takes the same path: its joint rows are its marginals.
+circuit of its own.  The noisy shots' code rows, cut to the gate columns of
+the components with a measured qubit (one without is skipped), are grouped
+once into unique joint trajectories.  These few rows are then split
+column-wise and grouped again per component, which gives each component's
+own trajectories and each joint trajectory's tuple of component trajectory
+indices.  A component evolves its trajectories, in batches, into each one's
+Born marginal over its measured qubits.  The distribution of a joint
+trajectory is the outer product of its component marginals, axes put in
+``measured_qubits`` order, and these joint rows are built in batches under
+the same byte budget and sampled exactly as above.  A component's marginals
+are held when all of them fit that budget; a wider one evolves, for each
+batch of joint rows, just the trajectories the batch needs.  A circuit of
+one component takes the same path: its joint rows are its marginals.
 """
 
 from __future__ import annotations
@@ -147,33 +148,10 @@ _DRAW_BYTES = 4 * 1024 * 1024
 
 
 def _check_width(num_qubits: int):
-    if num_qubits < 1:
-        raise CircuitError(f"num_qubits must be positive, got {num_qubits}")
     if num_qubits > SIMULATOR_MAX_QUBITS:
         raise CircuitError(
             f"simulator supports at most {SIMULATOR_MAX_QUBITS} qubits, got {num_qubits}"
         )
-
-
-@dataclass
-class StateVector:
-    """An n-qubit pure state as a (2,)*n complex array; axis q indexes qubit q.
-
-    In the flattened C-order view, qubit 0 is the most significant bit of
-    the basis index, matching the bitstring convention.
-    """
-
-    amplitudes: np.ndarray
-    num_qubits: int
-
-    @classmethod
-    def zero(cls, num_qubits: int) -> "StateVector":
-        _check_width(num_qubits)
-        return cls(_zero_states(1, num_qubits)[..., 0], num_qubits)
-
-    def norm(self) -> float:
-        flat = self.amplitudes.reshape(-1)
-        return float(math.sqrt(np.vdot(flat, flat).real))
 
 
 # Batched kernels: ``amps`` has shape (2, ..., 2, B); qubit q lives on axis
@@ -240,27 +218,12 @@ def _apply_pauli_codes(
 def _check_norms(amps: np.ndarray):
     flat = amps.reshape(-1, amps.shape[-1]).view(np.float64)
     norms = np.sqrt(np.einsum("ij,ij->j", flat, flat).reshape(-1, 2).sum(axis=1))
-    drifted = np.abs(norms - 1.0) >= _NORM_TOL
+    # Written so that a NaN norm counts as drift.
+    drifted = ~(np.abs(norms - 1.0) < _NORM_TOL)
     if drifted.any():
         raise NormConservationError(
             f"statevector norm drifted to {float(norms[drifted][0])!r}"
         )
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate, returning a new state; the input is not modified.
-
-    Raises :class:`CircuitError` for out-of-range targets and
-    :class:`NormConservationError` if unit norm is not preserved to 1e-10.
-    """
-    for t in gate.targets:
-        if t >= state.num_qubits:
-            raise CircuitError(
-                f"gate target {t} out of range for {state.num_qubits} qubit(s)"
-            )
-    amps = _apply_gate(state.amplitudes[..., np.newaxis], gate, gate.targets)
-    _check_norms(amps)
-    return StateVector(amps[..., 0], state.num_qubits)
 
 
 def _gates_on(circuit: Circuit, qubits) -> list[int]:
@@ -268,15 +231,11 @@ def _gates_on(circuit: Circuit, qubits) -> list[int]:
     return [i for i, gate in enumerate(circuit.gates) if gate.targets[0] in qubits]
 
 
-def _evolve(
-    circuit: Circuit, trajectories: np.ndarray, qubits: tuple[int, ...] | None = None
-) -> np.ndarray:
-    """Run the gates on ``qubits``, a component (default: all qubits), from
-    |0...0> once per row of ``trajectories``, a (B, gates) array of
-    Pauli-injection codes (0 = none).  Returns the (2, ..., 2, B)
-    amplitudes, with qubit ``qubits[i]`` on axis i."""
-    if qubits is None:
-        qubits = tuple(range(circuit.num_qubits))
+def _evolve(circuit: Circuit, trajectories: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """Run the gates on ``qubits``, a component, from |0...0> once per row
+    of ``trajectories``, a (B, gates) array of Pauli-injection codes
+    (0 = none).  Returns the (2, ..., 2, B) amplitudes, with qubit
+    ``qubits[i]`` on axis i."""
     axis = {q: i for i, q in enumerate(qubits)}
     amps = _zero_states(len(trajectories), len(qubits))
     paulis = np.stack(PAULIS)
@@ -306,11 +265,6 @@ def _cdfs(probs: np.ndarray) -> np.ndarray:
     cdfs = np.cumsum(probs, axis=1)
     cdfs[:, -1] = 1.0
     return cdfs
-
-
-def _born_cdfs(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """The CDF rows of whole-register states over ``measured_qubits``."""
-    return _cdfs(_born_probs(amps, circuit.measured_qubits))
 
 
 def _search_rows(cdfs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -375,17 +329,20 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
 
 def _group(codes: np.ndarray):
     """The unique trajectories and, per row of ``codes``, the index of its
-    trajectory.  Trajectory 0 is always the noiseless all-zero code; the
-    rows of ``codes`` are nonzero, and sort after it."""
+    trajectory.  Trajectory 0 is always the noiseless all-zero code, and
+    every all-zero row maps to it."""
     num_gates = codes.shape[1]
-    noiseless = np.zeros((1, num_gates), dtype=np.int8)
-    if not len(codes):
-        return noiseless, np.zeros(0, dtype=np.intp)
-    # Comparing rows as opaque byte blobs is much faster than unique(axis=0).
-    blobs = codes.view(np.dtype((np.void, num_gates))).reshape(-1)
-    unique_blobs, inverse = np.unique(blobs, return_inverse=True)
-    unique = unique_blobs.view(np.int8).reshape(len(unique_blobs), num_gates)
-    return np.concatenate([noiseless, unique]), inverse + 1
+    if not num_gates:
+        # Zero-width rows viewed as blobs would be an empty array.
+        return np.zeros((1, 0), dtype=np.int8), np.zeros(len(codes), dtype=np.intp)
+    # A leading all-zero row puts the noiseless code first: codes are
+    # non-negative, so it sorts before every other row.  Comparing rows as
+    # opaque byte blobs is much faster than unique(axis=0).
+    rows = np.zeros((len(codes) + 1, num_gates), dtype=np.int8)
+    rows[1:] = codes
+    blobs = rows.view(np.dtype((np.void, num_gates))).reshape(-1)
+    unique, inverse = np.unique(blobs, return_inverse=True)
+    return unique.view(np.int8).reshape(len(unique), num_gates), inverse[1:]
 
 
 def _slices(count: int, item_bytes: int):
@@ -416,22 +373,24 @@ def _components(circuit: Circuit) -> list[tuple[int, ...]]:
     return [tuple(qubits) for qubits in blocks.values()]
 
 
-def _split(circuit: Circuit, components: list[tuple[int, ...]], codes: np.ndarray):
-    """Per component with a measured qubit: its qubits, its unique
-    trajectories, and per row of ``codes`` the index of its trajectory there
-    (0 where the row has no Pauli on the component)."""
+def _split(circuit: Circuit, codes: np.ndarray):
+    """Group the rows of ``codes`` once over the gates of the components
+    with a measured qubit, then split the unique rows by component.
+    Returns, per such component, its qubits and unique trajectories; per
+    joint trajectory, its tuple of component trajectory indices; and per
+    row of ``codes``, the index of its joint trajectory.  Index 0 is the
+    noiseless trajectory at both levels."""
     measured = set(circuit.measured_qubits)
-    parts = []
-    for qubits in components:
-        if measured.isdisjoint(qubits):
-            continue
-        block = codes[:, _gates_on(circuit, qubits)]
-        noisy = block.any(axis=1)
-        trajectories, inverse = _group(block[noisy])
-        index = np.zeros(len(codes), dtype=np.intp)
-        index[noisy] = inverse
-        parts.append((qubits, trajectories, index))
-    return parts
+    components = [qubits for qubits in _components(circuit) if not measured.isdisjoint(qubits)]
+    gates = [_gates_on(circuit, qubits) for qubits in components]
+    joint, inverse = _group(codes[:, [i for part in gates for i in part]])
+    parts, columns, start = [], [], 0
+    for qubits, part in zip(components, gates):
+        trajectories, index = _group(joint[:, start : start + len(part)])
+        parts.append((qubits, trajectories))
+        columns.append(index)
+        start += len(part)
+    return parts, np.column_stack(columns), inverse
 
 
 def _marginal_rows(circuit: Circuit, qubits: tuple[int, ...], trajectories: np.ndarray):
@@ -454,22 +413,6 @@ def _marginal_rows(circuit: Circuit, qubits: tuple[int, ...], trajectories: np.n
         return evolve
     held = evolve(np.arange(len(trajectories)))
     return lambda indices: held[indices]
-
-
-def _fold(indices: list[np.ndarray], counts: list[int]):
-    """The unique tuples of component trajectory indices, the all-zero
-    tuple first, and per row the rank of its tuple.  Each component is
-    folded into a 1-D int64 key that is re-ranked at once, so the key stays
-    below (rows + 1) times one component's trajectory count, however many
-    components there are."""
-    # Row 0 is the noiseless tuple, which ranks first.  Every index of a
-    # component occurs, so the first component's indices are already ranks.
-    key = np.insert(indices[0], 0, 0)
-    tuples = np.arange(counts[0])[:, np.newaxis]
-    for index, count in zip(indices[1:], counts[1:]):
-        unique, key = np.unique(key * count + np.insert(index, 0, 0), return_inverse=True)
-        tuples = np.column_stack([tuples[unique // count], unique % count])
-    return tuples, key[1:]
 
 
 def _joint_cdfs(marginal_rows: list, tuples: np.ndarray, axes: tuple[int, ...]):
@@ -515,20 +458,20 @@ def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCount
     ``readout_flip``.  Output depends only on (circuit, shots, noise).
 
     Raises :class:`CircuitError` for circuits wider than
-    ``SIMULATOR_MAX_QUBITS``.
+    ``SIMULATOR_MAX_QUBITS`` and for a shot count that is not a positive
+    integer.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
+        raise CircuitError(f"shots must be a positive integer, got {shots!r}")
+    shots = int(shots)
     _check_width(circuit.num_qubits)
     codes, rows, outcome_u, flip_masks = _draw(circuit, shots, noise)
     k = circuit.num_measured
-    components = _components(circuit)
-    parts = _split(circuit, components, codes)
-    marginal_rows = [_marginal_rows(circuit, qubits, t) for qubits, t, _ in parts]
-    tuples, inverse = _fold([index for *_, index in parts], [len(t) for _, t, _ in parts])
+    parts, tuples, inverse = _split(circuit, codes)
+    marginal_rows = [_marginal_rows(circuit, qubits, t) for qubits, t in parts]
     # The measured qubits in the order the marginals multiply out, and where
     # each of measured_qubits sits in that order.
-    product = [q for qubits in components for q in qubits if q in circuit.measured_qubits]
+    product = [q for qubits, _ in parts for q in qubits if q in circuit.measured_qubits]
     axes = tuple(map(product.index, circuit.measured_qubits))
     cdf_batches = (
         _joint_cdfs(marginal_rows, tuples[part], axes) for part in _slices(len(tuples), 8 << k)

@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from qguard import (
     Gate,
     GateKind,
     MeasurementSettings,
+    QGuardError,
     chsh_pair_circuit,
     circuit_from_dict,
     circuit_to_dict,
@@ -75,6 +77,39 @@ def test_circuit_measured_qubits_strictly_increasing():
 def test_circuit_rejects_out_of_range_measurement():
     with pytest.raises(CircuitError):
         Circuit(2, (), (0, 2))
+
+
+@pytest.mark.parametrize(
+    "angle", [math.nan, math.inf, -math.inf, "abc", "0.5", True, 10**400],
+    ids=["nan", "inf", "minus_inf", "string", "numeric_string", "bool", "huge_int"],
+)
+def test_gate_rejects_a_bad_angle(angle):
+    with pytest.raises(CircuitError, match="angle"):
+        Gate.rx(0, angle)
+
+
+def test_gate_accepts_any_finite_real_angle():
+    assert Gate.ry(0, 2).angle == 2.0
+    assert type(Gate.rz(0, Fraction(1, 4)).angle) is float
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Gate.h("a"),
+        lambda: Gate.h(1.0),
+        lambda: Gate.cnot(0, True),
+        lambda: Circuit("2", (), (0,)),
+        lambda: Circuit(2.5, (), (0,)),
+        lambda: Circuit(2, (), (0.0,)),
+    ],
+    ids=["string_target", "float_target", "bool_target", "string_width", "float_width", "float_measured"],
+)
+def test_non_integer_indices_raise_a_typed_error(build):
+    with pytest.raises(CircuitError, match="must be an integer") as excinfo:
+        build()
+    assert isinstance(excinfo.value, QGuardError)
+    assert isinstance(excinfo.value, ValueError)
 
 
 def test_phi_plus_structure():

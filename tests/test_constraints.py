@@ -187,6 +187,19 @@ def test_packed_chsh_rejects_bad_shots():
         PackedCHSHTest(MinimumAcceptableValue(2.2)).evaluate(CountingAdapter(), 0)
 
 
+def test_constraint_misuse_raises_a_typed_error():
+    bad = [
+        lambda: PackedCHSHTest(MinimumAcceptableValue(2.2)).evaluate(CountingAdapter(), 0),
+        lambda: AndConstraint([]),
+        lambda: OrConstraint([]),
+        lambda: FreshWithin(StubConstraint(True), ttl=timedelta(0)),
+    ]
+    for build in bad:
+        with pytest.raises(ConstraintError) as excinfo:
+            build()
+        assert isinstance(excinfo.value, QGuardError)
+
+
 # --- CalibrationConstraint -------------------------------------------------
 
 

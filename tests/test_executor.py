@@ -6,11 +6,13 @@ from qguard import (
     Branch,
     CallbackError,
     ConditionalResult,
+    ConstraintError,
     IntrospectionError,
     IntrospectionResult,
     MinimumAcceptableValue,
     NoiseModel,
     PackedCHSHTest,
+    QGuardError,
     ResourceConstraint,
     SimulatorAdapter,
     phi_plus,
@@ -236,6 +238,18 @@ def test_rejects_bad_shots():
             on_fail=lambda a, i: None,
             shots=0,
         )
+
+
+def test_bad_shots_raise_a_typed_error_before_any_evaluation():
+    with pytest.raises(ConstraintError) as excinfo:
+        run_conditionally(
+            SimulatorAdapter(NoiseModel.ideal()),
+            ExplodingConstraint(),
+            on_pass=lambda a, i: None,
+            on_fail=lambda a, i: None,
+            shots=-1,
+        )
+    assert isinstance(excinfo.value, QGuardError)
 
 
 def test_timestamps_use_injected_clock():

@@ -17,8 +17,6 @@ from qguard import (
     NoiseModelError,
     NormConservationError,
     QGuardError,
-    StateVector,
-    apply_gate,
     packed_chsh_circuit,
     phi_plus,
     run_shots,
@@ -68,51 +66,45 @@ def test_noise_model_defaults_and_ideal():
     assert ideal.with_seed(4).seed == 4
 
 
+def _state(num_qubits: int, *gates: Gate) -> np.ndarray:
+    """The (2,)*n state after ``gates`` from |0...0>, evolved noiselessly
+    through the simulator's kernels."""
+    circuit = Circuit(num_qubits, gates, (0,))
+    codes = np.zeros((1, len(gates)), dtype=np.int8)
+    return simulator._evolve(circuit, codes, tuple(range(num_qubits)))[..., 0]
+
+
 def test_hadamard_on_zero():
-    state = apply_gate(StateVector.zero(1), Gate.h(0))
-    np.testing.assert_allclose(
-        state.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-12
-    )
+    np.testing.assert_allclose(_state(1, Gate.h(0)), [INV_SQRT2, INV_SQRT2], atol=1e-12)
 
 
 def test_cnot_completes_bell_pair():
-    state = StateVector.zero(2)
-    state = apply_gate(state, Gate.h(0))
-    # state here is (|00> + |10>)/sqrt(2)
+    # After H alone the state is (|00> + |10>)/sqrt(2).
     np.testing.assert_allclose(
-        state.amplitudes, [[INV_SQRT2, 0.0], [INV_SQRT2, 0.0]], atol=1e-12
+        _state(2, Gate.h(0)), [[INV_SQRT2, 0.0], [INV_SQRT2, 0.0]], atol=1e-12
     )
-    state = apply_gate(state, Gate.cnot(0, 1))
     np.testing.assert_allclose(
-        state.amplitudes, [[INV_SQRT2, 0.0], [0.0, INV_SQRT2]], atol=1e-12
+        _state(2, Gate.h(0), Gate.cnot(0, 1)), [[INV_SQRT2, 0.0], [0.0, INV_SQRT2]], atol=1e-12
     )
 
 
 def test_ry_pi_flips_zero():
-    state = apply_gate(StateVector.zero(1), Gate.ry(0, math.pi))
-    probs = np.abs(state.amplitudes) ** 2
+    probs = np.abs(_state(1, Gate.ry(0, math.pi))) ** 2
     np.testing.assert_allclose(probs, [0.0, 1.0], atol=1e-12)
 
 
 def test_cnot_respects_control_order():
     # target-before-control exercises the axis bookkeeping
-    state = StateVector.zero(2)
-    state = apply_gate(state, Gate.x(1))
-    state = apply_gate(state, Gate.cnot(1, 0))
-    probs = np.abs(state.amplitudes.reshape(-1)) ** 2
+    probs = np.abs(_state(2, Gate.x(1), Gate.cnot(1, 0)).reshape(-1)) ** 2
     np.testing.assert_allclose(probs, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
 
-def test_apply_gate_rejects_bad_target():
-    with pytest.raises(CircuitError):
-        apply_gate(StateVector.zero(1), Gate.x(1))
-
-
 def test_apply_gate_leaves_input_untouched():
-    state = StateVector.zero(1)
-    before = state.amplitudes.copy()
-    apply_gate(state, Gate.h(0))
-    np.testing.assert_array_equal(state.amplitudes, before)
+    amps = np.random.default_rng(0).normal(size=(2, 2, 3)).astype(np.complex128)
+    before = amps.copy()
+    for gate in (Gate.h(0), Gate.cnot(0, 1)):
+        simulator._apply_gate(amps, gate, gate.targets)
+        np.testing.assert_array_equal(amps, before)
 
 
 _SELF_INVERSE = (Gate.h(0), Gate.x(0), Gate.y(0), Gate.z(0), Gate.h(1), Gate.cnot(0, 1))
@@ -125,27 +117,26 @@ def test_self_inverse_gates_twice_is_identity(seed, gate_index):
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=4) + 1j * rng.normal(size=4)
     raw /= np.linalg.norm(raw)
-    state = StateVector(raw.reshape(2, 2).copy(), 2)
-    twice = apply_gate(apply_gate(state, gate), gate)
-    np.testing.assert_allclose(twice.amplitudes, state.amplitudes, atol=1e-10)
+    amps = raw.reshape(2, 2, 1)
+    twice = simulator._apply_gate(simulator._apply_gate(amps, gate, gate.targets), gate, gate.targets)
+    np.testing.assert_allclose(twice, amps, atol=1e-10)
 
 
 @given(st.integers(0, 2**32))
 @settings(max_examples=30, deadline=None)
 def test_norm_preserved_through_random_gate_chain(seed):
     rng = np.random.default_rng(seed)
-    state = StateVector.zero(3)
+    gates = []
     for _ in range(15):
         kind = rng.choice(list(GateKind))
         if kind is GateKind.CNOT:
             control, target = rng.choice(3, size=2, replace=False)
-            gate = Gate.cnot(int(control), int(target))
+            gates.append(Gate.cnot(int(control), int(target)))
         elif kind in (GateKind.RX, GateKind.RY, GateKind.RZ):
-            gate = Gate(kind, (int(rng.integers(3)),), float(rng.uniform(-7, 7)))
+            gates.append(Gate(kind, (int(rng.integers(3)),), float(rng.uniform(-7, 7))))
         else:
-            gate = Gate(kind, (int(rng.integers(3)),))
-        state = apply_gate(state, gate)
-        assert abs(state.norm() - 1.0) < 1e-10
+            gates.append(Gate(kind, (int(rng.integers(3)),)))
+        assert abs(np.linalg.norm(_state(3, *gates)) - 1.0) < 1e-10
 
 
 # --- run_shots -------------------------------------------------------------
@@ -154,6 +145,18 @@ def test_norm_preserved_through_random_gate_chain(seed):
 def test_run_shots_rejects_zero_shots():
     with pytest.raises(ValueError):
         run_shots(phi_plus(), 0, NoiseModel.ideal())
+
+
+@pytest.mark.parametrize("shots", [0, -3, 2.5, True, "10"])
+def test_run_shots_rejects_bad_shots_with_a_typed_error(shots):
+    with pytest.raises(CircuitError, match="shots") as excinfo:
+        run_shots(phi_plus(), shots, NoiseModel.ideal())
+    assert isinstance(excinfo.value, QGuardError)
+    assert isinstance(excinfo.value, ValueError)
+
+
+def test_run_shots_accepts_a_numpy_integer():
+    assert run_shots(phi_plus(), np.int64(7), NoiseModel.ideal()).total == 7
 
 
 def test_noiseless_bell_counts():
@@ -243,8 +246,6 @@ def test_full_readout_flip_inverts_deterministic_outcome():
 
 def test_qubit_cap_rejects_before_allocating():
     wide = SIMULATOR_MAX_QUBITS + 1
-    with pytest.raises(CircuitError):
-        StateVector.zero(wide)
     with pytest.raises(CircuitError):
         run_shots(Circuit(wide, (Gate.h(0),), (0,)), 10, NoiseModel.ideal())
 
@@ -520,12 +521,17 @@ def test_evolve_is_independent_of_batch(case):
     circuit = build()
     trajectories, _ = simulator._group(simulator._draw(circuit, shots, noise)[0])
     trajectories = trajectories[:9]
-    amps = simulator._evolve(circuit, trajectories)
-    cdfs = simulator._born_cdfs(amps, circuit)
+    qubits = tuple(range(circuit.num_qubits))
+
+    def cdfs_of(amps):
+        return simulator._cdfs(simulator._born_probs(amps, circuit.measured_qubits))
+
+    amps = simulator._evolve(circuit, trajectories, qubits)
+    cdfs = cdfs_of(amps)
     for i in range(len(trajectories)):
-        alone = simulator._evolve(circuit, trajectories[i : i + 1])
+        alone = simulator._evolve(circuit, trajectories[i : i + 1], qubits)
         np.testing.assert_array_equal(np.abs(amps[..., i]) ** 2, np.abs(alone[..., 0]) ** 2)
-        np.testing.assert_array_equal(cdfs[i], simulator._born_cdfs(alone, circuit)[0])
+        np.testing.assert_array_equal(cdfs[i], cdfs_of(alone)[0])
 
 
 def test_components():
@@ -536,34 +542,50 @@ def test_components():
     assert simulator._components(_five_qubit_subset_circuit()) == [(0, 1, 2, 3, 4)]
 
 
-def _parts(case):
+def _split_case(case):
+    """A pinned case's circuit, noisy code rows, and their split."""
     build, shots, noise, _ = _PINNED_CASES[case]
     circuit = build()
     codes = simulator._draw(circuit, shots, noise)[0]
-    return circuit, simulator._split(circuit, simulator._components(circuit), codes)
+    return circuit, codes, simulator._split(circuit, codes)
 
 
-def _tuples(case):
-    circuit, parts = _parts(case)
-    counts = [len(trajectories) for _, trajectories, _ in parts]
-    tuples, _ = simulator._fold([index for *_, index in parts], counts)
-    return circuit, counts, tuples
+def _trajectory_counts(case):
+    circuit, _, (parts, tuples, _) = _split_case(case)
+    return circuit, [len(trajectories) for _, trajectories in parts], tuples
 
 
 def test_split_skips_a_component_without_measured_qubits():
-    _, parts = _parts("unmeasured_component")
-    assert [qubits for qubits, *_ in parts] == [(0, 1), (4,)]
+    _, _, (parts, _, _) = _split_case("unmeasured_component")
+    assert [qubits for qubits, _ in parts] == [(0, 1), (4,)]
+
+
+def test_split_gives_a_gateless_component_its_noiseless_trajectory():
+    _, _, (parts, tuples, _) = _split_case("idle_qubit")
+    assert [qubits for qubits, _ in parts] == [(0, 2), (1,)]
+    assert parts[1][1].shape == (1, 0)
+    assert not tuples[:, 1].any()
+
+
+@pytest.mark.parametrize("case", ["interleaved", "unmeasured_component", "idle_qubit", "singletons"])
+def test_split_recovers_every_shots_component_codes(case):
+    circuit, codes, (parts, tuples, inverse) = _split_case(case)
+    assert not tuples[0].any()
+    for (qubits, trajectories), column in zip(parts, tuples.T):
+        np.testing.assert_array_equal(
+            trajectories[column[inverse]], codes[:, simulator._gates_on(circuit, qubits)]
+        )
 
 
 def test_keys_case_spans_joint_row_batches():
-    circuit, _, tuples = _tuples("packed_keys_span_batches")
+    circuit, _, tuples = _trajectory_counts("packed_keys_span_batches")
     assert len(tuples) > 2 * (simulator._BATCH_BYTES // (8 << circuit.num_measured))
 
 
 def test_tuple_key_does_not_overflow():
-    # A mixed-radix key over all components would need more than 63 bits;
-    # re-ranking after each component keeps every tuple distinct.
-    circuit, counts, tuples = _tuples("singletons")
+    # A mixed-radix int64 key over all components could not count these
+    # tuples; splitting the joint trajectories keeps every tuple distinct.
+    _, counts, tuples = _trajectory_counts("singletons")
     assert len(counts) == 16
     assert math.prod(counts) > 2**63
     assert len(np.unique(tuples, axis=0)) == len(tuples)
@@ -587,7 +609,7 @@ def test_memory_stays_bounded(case):
 
 
 def test_wide_component_marginals_exceed_the_memory_bound():
-    _, counts, _ = _tuples("wide_component")
+    _, counts, _ = _trajectory_counts("wide_component")
     assert counts[0] * (8 << 10) > 4 * 2**20
 
 
@@ -641,3 +663,10 @@ def test_norm_check_on_a_non_unitary_gate(monkeypatch):
     monkeypatch.setattr(simulator, "gate_unitary", leaky)
     with pytest.raises(NormConservationError):
         run_shots(packed_chsh_circuit(), 2000, NoiseModel(p1=0.001, p2=0.3, seed=1))
+
+
+def test_norm_check_catches_a_nan_state(monkeypatch):
+    # |nan - 1| >= tol is False, so a plain comparison would let NaN through.
+    monkeypatch.setattr(simulator, "gate_unitary", lambda gate: np.full((2, 2), np.nan, complex))
+    with pytest.raises(NormConservationError):
+        run_shots(Circuit(1, (Gate.rx(0, 0.5),), (0,)), 100, NoiseModel.ideal())
