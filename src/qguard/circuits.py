@@ -100,6 +100,14 @@ def _integer(value: Any, what: str) -> int:
     return int(value)
 
 
+def _tuple(value: Any, what: str) -> tuple:
+    """``value``, an iterable, as a tuple."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise CircuitError(f"{what} must be an iterable, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate application: a kind, its target qubits, and (for rotations) an angle.
@@ -113,7 +121,10 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(_integer(t, "qubit index") for t in self.targets))
+        if not isinstance(self.kind, GateKind):
+            raise CircuitError(f"gate kind must be a GateKind, got {self.kind!r}")
+        targets = _tuple(self.targets, "targets")
+        object.__setattr__(self, "targets", tuple(_integer(t, "qubit index") for t in targets))
         arity = 2 if self.kind in TWO_QUBIT_KINDS else 1
         if len(self.targets) != arity:
             raise CircuitError(
@@ -193,9 +204,10 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "num_qubits", _integer(self.num_qubits, "num_qubits"))
-        object.__setattr__(self, "gates", tuple(self.gates))
+        object.__setattr__(self, "gates", _tuple(self.gates, "gates"))
+        measured = _tuple(self.measured_qubits, "measured_qubits")
         object.__setattr__(
-            self, "measured_qubits", tuple(_integer(q, "qubit index") for q in self.measured_qubits)
+            self, "measured_qubits", tuple(_integer(q, "qubit index") for q in measured)
         )
         if self.num_qubits < 1:
             raise CircuitError(f"num_qubits must be positive, got {self.num_qubits}")

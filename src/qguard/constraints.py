@@ -108,6 +108,14 @@ class IntrospectionResult:
         return doc
 
 
+def check_shots(shots: Any) -> int:
+    """``shots`` as an int, or :class:`ConstraintError` unless it is a
+    positive integer."""
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
+        raise ConstraintError(f"shots must be a positive integer, got {shots!r}")
+    return int(shots)
+
+
 class ResourceConstraint:
     """Interface for runtime resource checks; an extension point."""
 
@@ -142,8 +150,7 @@ class PackedCHSHTest(ResourceConstraint):
         return "PackedCHSHTest"
 
     def evaluate(self, adapter: BackendAdapter, shots: int) -> IntrospectionResult:
-        if shots < 1:
-            raise ConstraintError(f"shots must be >= 1, got {shots}")
+        shots = check_shots(shots)
         result = adapter.run(packed_chsh_circuit(self._settings), shots)
         correlators = tuple(
             compute_pair_correlator(result.counts, pair) for pair in range(4)
@@ -367,6 +374,8 @@ class FreshWithin(ResourceConstraint):
         ttl: timedelta,
         clock: Callable[[], datetime] = utc_now,
     ):
+        if not isinstance(ttl, timedelta):
+            raise ConstraintError(f"ttl must be a timedelta, got {ttl!r}")
         if ttl <= timedelta(0):
             raise ConstraintError(f"ttl must be positive, got {ttl.total_seconds()} s")
         self._child = child

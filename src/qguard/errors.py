@@ -34,7 +34,8 @@ class NoiseModelError(QGuardError, ValueError):
 
 
 class ConstraintError(QGuardError, ValueError):
-    """A constraint was built with missing or ill-typed parameters."""
+    """A constraint was built with missing or ill-typed parameters, or
+    evaluated with a shot count that is not a positive integer."""
 
 
 class NormConservationError(QGuardError):

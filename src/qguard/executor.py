@@ -15,8 +15,8 @@ from enum import Enum
 from typing import Any, Callable
 
 from .backends import BackendAdapter
-from .constraints import IntrospectionResult, ResourceConstraint
-from .errors import CallbackError, ConstraintError, IntrospectionError
+from .constraints import IntrospectionResult, ResourceConstraint, check_shots
+from .errors import CallbackError, IntrospectionError
 from .timestamps import utc_now
 
 Callback = Callable[[BackendAdapter, IntrospectionResult], Any]
@@ -58,13 +58,14 @@ def run_conditionally(
     callback's business.  The callback receives the same adapter and the
     introspection result that ends up in the returned record.
 
-    If constraint evaluation raises, neither callback runs and the error
-    surfaces as :class:`IntrospectionError`.  If the chosen callback raises,
-    the error surfaces as :class:`CallbackError` carrying the branch and
+    A ``shots`` that is not a positive integer raises
+    :class:`ConstraintError` before anything runs.  If constraint
+    evaluation raises, neither callback runs and the error surfaces as
+    :class:`IntrospectionError`.  If the chosen callback raises, the error
+    surfaces as :class:`CallbackError` carrying the branch and
     introspection result that were already decided.
     """
-    if shots < 1:
-        raise ConstraintError(f"shots must be >= 1, got {shots}")
+    shots = check_shots(shots)
     started_at = clock()
     try:
         introspection = constraint.evaluate(adapter, shots)

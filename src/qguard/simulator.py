@@ -15,8 +15,13 @@ draw.  Each block is reduced at once: every shot keeps its outcome draw and
 readout flip mask, and only a noisy shot, one where some event drew a
 non-identity Pauli, keeps its row of per-gate Pauli codes and its index.
 So memory stays bounded as shots grow, and the codes cost per noisy shot.
-The mapping from (circuit, shots, noise) to counts is fixed no matter how
-the work is split.
+A matrix of several blocks is drawn in contiguous stripes of rows, one per
+usable CPU, on a thread pool.  A stripe starting at row r jumps its own
+Philox stream straight to the word r * width: the counter r * width // 4
+(each counter step yields four 64-bit words, one per uniform double), then
+r * width % 4 words skipped.  The stripes' results are joined in row order,
+so the counts do not depend on the number of CPUs.  The mapping from
+(circuit, shots, noise) to counts is fixed no matter how the work is split.
 
 Evolution: shots sharing a noise trajectory (the per-gate Pauli codes) are
 evolved once and sampled from the same distribution.  Trajectory 0 is the
@@ -53,6 +58,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -284,6 +290,31 @@ def _search_rows(cdfs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarra
     return found
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# (pid, executor): the draw's thread pool, made on first use.  A forked child
+# inherits the parent's executor but none of its threads, and that executor
+# would never start new ones, so a child builds its own.
+_pool = None
+
+
+def _executor():
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        # Imported here: concurrent.futures loads logging, about 0.7 MB of
+        # resident memory that a process drawing no large matrix never needs.
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = (os.getpid(), ThreadPoolExecutor(_cpu_count(), thread_name_prefix="qguard-draw"))
+    return _pool[1]
+
+
 def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
     """The Pauli codes of the noisy shots, the shot each code row belongs
     to, and every shot's outcome draw and readout flip mask.
@@ -293,6 +324,11 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
     to shot i.  It is drawn in blocks of rows and reduced block by block.
     A shot is noisy if some event fired and drew a non-identity Pauli; only
     noisy shots get a code row (int8, one column per gate), in shot order.
+
+    A draw of several blocks is split into contiguous stripes of rows, one
+    per CPU, drawn and reduced on the thread pool.  Each stripe jumps its
+    own Philox stream to its first row and reuses one buffer, and the
+    stripes' buffers together hold the bytes of one block.
     """
     num_gates = len(circuit.gates)
     k = circuit.num_measured
@@ -304,14 +340,12 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
     live = np.flatnonzero(event_p)
     choices = np.array([16 if g.kind is GateKind.CNOT else 4 for g in circuit.gates])
     bit_values = (1 << np.arange(k - 1, -1, -1)).astype(np.int64)
-
-    codes, rows = [], []
     outcome_u = np.empty(shots)
     flip_masks = np.empty(shots, dtype=np.int64)
-    rng = np.random.Generator(np.random.Philox(key=noise.seed))
-    block_rows = max(1, _DRAW_BYTES // (8 * width))
-    for start in range(0, shots, block_rows):
-        block = rng.random((min(block_rows, shots - start), width))
+
+    def reduce(block: np.ndarray, start: int):
+        """Store the outcome draws and flip masks of the rows of ``block``,
+        shots ``start`` on; return its noisy shots' code rows and indices."""
         stop = start + len(block)
         hit_rows = np.flatnonzero((block[:, live] < event_p[live]).any(axis=1))
         hit_codes = np.where(
@@ -320,10 +354,35 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
             0,
         )
         noisy = hit_codes.any(axis=1)
-        codes.append(hit_codes[noisy])
-        rows.append(start + hit_rows[noisy])
         outcome_u[start:stop] = block[:, 2 * num_gates]
         flip_masks[start:stop] = (block[:, 2 * num_gates + 1 :] < noise.readout_flip) @ bit_values
+        return hit_codes[noisy], start + hit_rows[noisy]
+
+    block_rows = max(1, _DRAW_BYTES // (8 * width))
+    stripes = min(_cpu_count(), -(-shots // block_rows))
+    bounds = [shots * i // stripes for i in range(stripes + 1)]
+    stripe_rows = min(max(1, _DRAW_BYTES // stripes // (8 * width)), -(-shots // stripes))
+    buffers = np.empty((stripes, stripe_rows, width))
+
+    def stripe(i: int):
+        first, last = bounds[i], bounds[i + 1]
+        # Philox yields four 64-bit words per counter step and random()
+        # takes one word per double: row ``first`` starts at word
+        # first * width of the stream.
+        bit_generator = np.random.Philox(key=noise.seed, counter=first * width // 4)
+        bit_generator.random_raw(first * width % 4)
+        rng = np.random.Generator(bit_generator)
+        out = []
+        for start in range(first, last, stripe_rows):
+            block = buffers[i, : min(stripe_rows, last - start)]
+            rng.random(out=block)
+            out.append(reduce(block, start))
+        return out
+
+    # One stripe, such as a draw of one block, runs inline.
+    outs = [stripe(0)] if stripes == 1 else _executor().map(stripe, range(stripes))
+    parts = [part for out in outs for part in out]
+    codes, rows = zip(*parts)
     return np.concatenate(codes), np.concatenate(rows), outcome_u, flip_masks
 
 

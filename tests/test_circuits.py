@@ -112,6 +112,22 @@ def test_non_integer_indices_raise_a_typed_error(build):
     assert isinstance(excinfo.value, ValueError)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Gate(GateKind.H, 0),
+        lambda: Gate("H", (0,)),
+        lambda: Circuit(2, None, (0,)),
+        lambda: Circuit(2, (), 0),
+    ],
+    ids=["int_targets", "string_kind", "none_gates", "int_measured"],
+)
+def test_malformed_gate_and_circuit_fields_raise_a_typed_error(build):
+    with pytest.raises(CircuitError) as excinfo:
+        build()
+    assert isinstance(excinfo.value, QGuardError)
+
+
 def test_phi_plus_structure():
     c = phi_plus()
     assert c.num_qubits == 2

@@ -4,6 +4,7 @@ import math
 import threading
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -185,6 +186,19 @@ def test_packed_chsh_runs_one_job():
 def test_packed_chsh_rejects_bad_shots():
     with pytest.raises(ValueError):
         PackedCHSHTest(MinimumAcceptableValue(2.2)).evaluate(CountingAdapter(), 0)
+
+
+@pytest.mark.parametrize("shots", ["10", 2.5, True], ids=["string", "float", "bool"])
+def test_packed_chsh_rejects_non_integer_shots_before_running(shots):
+    adapter = CountingAdapter()
+    with pytest.raises(ConstraintError):
+        PackedCHSHTest(MinimumAcceptableValue(2.2)).evaluate(adapter, shots)
+    assert adapter.run_calls == 0
+
+
+def test_packed_chsh_accepts_a_numpy_integer_shot_count():
+    result = PackedCHSHTest(MinimumAcceptableValue(0.0)).evaluate(CountingAdapter(), np.int64(10))
+    assert result.evidence.shots == 10
 
 
 def test_constraint_misuse_raises_a_typed_error():
@@ -474,6 +488,12 @@ def test_fresh_within_rejects_nonpositive_ttl():
         FreshWithin(StubConstraint(True), ttl=timedelta(0))
     with pytest.raises(ValueError):
         FreshWithin(StubConstraint(True), ttl=timedelta(seconds=-3))
+
+
+@pytest.mark.parametrize("ttl", [5, 5.0, None], ids=["int", "float", "none"])
+def test_fresh_within_rejects_a_ttl_that_is_not_a_timedelta(ttl):
+    with pytest.raises(ConstraintError, match="timedelta"):
+        FreshWithin(StubConstraint(True), ttl=ttl)
 
 
 def test_fresh_within_does_not_cache_errors():

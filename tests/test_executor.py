@@ -252,6 +252,18 @@ def test_bad_shots_raise_a_typed_error_before_any_evaluation():
     assert isinstance(excinfo.value, QGuardError)
 
 
+@pytest.mark.parametrize("shots", ["10", 2.5, True], ids=["string", "float", "bool"])
+def test_non_integer_shots_raise_a_typed_error_before_any_evaluation(shots):
+    with pytest.raises(ConstraintError):
+        run_conditionally(
+            SimulatorAdapter(NoiseModel.ideal()),
+            ExplodingConstraint(),
+            on_pass=lambda a, i: None,
+            on_fail=lambda a, i: None,
+            shots=shots,
+        )
+
+
 def test_timestamps_use_injected_clock():
     times = [T0, T0 + timedelta(seconds=5)]
     clock_calls = iter(times)

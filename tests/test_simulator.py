@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import signal
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -511,6 +515,79 @@ def test_counts_independent_of_batch_and_draw_block_sizes(monkeypatch, case):
     monkeypatch.setattr(simulator, "_BATCH_BYTES", 3 * (16 << circuit.num_qubits))
     monkeypatch.setattr(simulator, "_DRAW_BYTES", 7 * 8 * width)
     assert _digest(run_shots(circuit, shots, noise)) == digest
+
+
+@pytest.mark.parametrize(
+    "shots, noise, draw_rows",
+    [
+        (2999, NoiseModel(p1=0.05, p2=1.0, readout_flip=0.02, seed=5), 7),
+        (1_000_000, NoiseModel(p1=0.0, p2=0.0, readout_flip=0.02, seed=6), None),
+    ],
+    ids=["odd_block_rows", "default_budget_1m"],
+)
+def test_draw_is_independent_of_stripe_count(monkeypatch, shots, noise, draw_rows):
+    circuit = packed_chsh_circuit()
+    width = 2 * len(circuit.gates) + 1 + circuit.num_measured
+    if draw_rows is not None:
+        monkeypatch.setattr(simulator, "_DRAW_BYTES", draw_rows * 8 * width)
+    pooled = []
+    executor = simulator._executor
+    monkeypatch.setattr(simulator, "_executor", lambda: pooled.append(1) or executor())
+    draws = {}
+    for stripes in (1, 2, 3):
+        monkeypatch.setattr(simulator, "_cpu_count", lambda: stripes)
+        draws[stripes] = simulator._draw(circuit, shots, noise)
+    assert len(pooled) == 2
+    for stripes in (2, 3):
+        for one, many in zip(draws[1], draws[stripes]):
+            assert one.dtype == many.dtype
+            np.testing.assert_array_equal(one, many)
+    if draw_rows is not None:
+        # Stripes split the rows evenly, so here every later stripe starts
+        # mid-way through one Philox counter's four words.
+        assert all(shots * i // 3 * width % 4 for i in (1, 2)) and shots // 2 * width % 4
+        assert len(draws[1][0]) > 100
+
+
+def test_one_cpu_draws_inline(monkeypatch):
+    build, shots, noise, digest = _PINNED_CASES["readout_only_blocks"]
+
+    def no_pool():
+        raise AssertionError("a one-CPU draw must not use the pool")
+
+    monkeypatch.setattr(simulator, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(simulator, "_executor", no_pool)
+    assert _digest(run_shots(build(), shots, noise)) == digest
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_draws_on_a_pool_of_its_own(monkeypatch):
+    # A forked child inherits the parent's pool without its threads; a draw
+    # there on the inherited pool would wait forever.
+    build, shots, noise, digest = _PINNED_CASES["readout_only_blocks"]
+    monkeypatch.setattr(simulator, "_cpu_count", lambda: 2)
+    assert _digest(run_shots(build(), shots, noise)) == digest
+    with warnings.catch_warnings():
+        # Python 3.12 warns about forking a process that has threads.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            status = 0 if _digest(run_shots(build(), shots, noise)) == digest else 2
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.05)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's draw did not finish")
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 @pytest.mark.parametrize("case", ["many_trajectories", "one_measured", "five_qubit_subset"])
