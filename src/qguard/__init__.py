@@ -84,6 +84,7 @@ from .errors import (
     OracleLimitError,
     QGuardError,
     RecordingExhausted,
+    ScoreError,
 )
 from .executor import Branch, ConditionalResult, run_conditionally
 from .simulator import SIMULATOR_MAX_QUBITS, NoiseModel, run_shots
@@ -131,6 +132,7 @@ __all__ = [
     "ReplayAdapter",
     "ResourceConstraint",
     "SIMULATOR_MAX_QUBITS",
+    "ScoreError",
     "SimulatorAdapter",
     "calibration_from_dict",
     "calibration_to_dict",

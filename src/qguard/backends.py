@@ -26,7 +26,7 @@ from .calibration import (
     synthetic_calibration_for,
 )
 from .circuits import BitstringCounts, Circuit
-from .errors import BackendError, RecordingExhausted
+from .errors import BackendError, RecordingExhausted, check_shots
 from .fields import decode, integer, items, located, no_unknown, obj, required, string
 from .simulator import NoiseModel, run_shots
 from .timestamps import format_timestamp, parse_timestamp, utc_now
@@ -61,8 +61,7 @@ class ExperimentResult:
     def __post_init__(self):
         if not isinstance(self.counts, BitstringCounts):
             object.__setattr__(self, "counts", BitstringCounts(self.counts))
-        if self.shots < 1:
-            raise BackendError(f"shots must be >= 1, got {self.shots}")
+        object.__setattr__(self, "shots", check_shots(self.shots, BackendError))
         if self.counts.total != self.shots:
             raise BackendError(
                 f"counts sum to {self.counts.total} but shots is {self.shots}"

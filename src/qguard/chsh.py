@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from .errors import CircuitError
+from .errors import CircuitError, ScoreError, check_shots
 
 PACKED_BITS = 8
 
@@ -18,7 +18,7 @@ PACKED_BITS = 8
 def compute_pair_correlator(counts: Mapping[str, int], pair_index: int) -> float:
     """Parity correlator of bits (2i, 2i+1) over an 8-bit counts map."""
     if not 0 <= pair_index <= 3:
-        raise ValueError(f"pair_index must be in 0..3, got {pair_index}")
+        raise ScoreError(f"pair_index must be in 0..3, got {pair_index}")
     left = 2 * pair_index
     total = 0
     same = 0
@@ -33,7 +33,7 @@ def compute_pair_correlator(counts: Mapping[str, int], pair_index: int) -> float
         if bits[left] == bits[left + 1]:
             same += count
     if total == 0:
-        raise ValueError("counts total is zero")
+        raise ScoreError("counts total is zero")
     return (2 * same - total) / total
 
 
@@ -41,21 +41,19 @@ def chsh_score(e00: float, e01: float, e10: float, e11: float) -> float:
     """S = E00 + E01 + E10 - E11.  Each correlator must lie in [-1, 1]."""
     for name, value in (("E00", e00), ("E01", e01), ("E10", e10), ("E11", e11)):
         if not -1.0 <= value <= 1.0:
-            raise ValueError(f"{name} out of range [-1, 1]: {value}")
+            raise ScoreError(f"{name} out of range [-1, 1]: {value}")
     return e00 + e01 + e10 - e11
 
 
 def correlator_standard_error(correlator: float, shots: int) -> float:
     """Standard error of a single correlator estimated from ``shots`` samples."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = check_shots(shots, ScoreError)
     variance = max(0.0, 1.0 - correlator * correlator)
     return math.sqrt(variance / shots)
 
 
 def score_standard_error(correlators: tuple[float, float, float, float], shots: int) -> float:
     """Standard error of S; the four correlators come from independent pairs."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = check_shots(shots, ScoreError)
     variance = sum(max(0.0, 1.0 - e * e) for e in correlators)
     return math.sqrt(variance / shots)

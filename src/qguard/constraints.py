@@ -31,7 +31,7 @@ from .chsh import (
     score_standard_error,
 )
 from .circuits import MeasurementSettings, packed_chsh_circuit
-from .errors import ConstraintError, DocumentError
+from .errors import ConstraintError, DocumentError, check_shots
 from .fields import integer, items, join, located, no_unknown, number, obj, required
 from .timestamps import format_timestamp, utc_now
 
@@ -108,14 +108,6 @@ class IntrospectionResult:
         return doc
 
 
-def check_shots(shots: Any) -> int:
-    """``shots`` as an int, or :class:`ConstraintError` unless it is a
-    positive integer."""
-    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
-        raise ConstraintError(f"shots must be a positive integer, got {shots!r}")
-    return int(shots)
-
-
 class ResourceConstraint:
     """Interface for runtime resource checks; an extension point."""
 
@@ -150,7 +142,7 @@ class PackedCHSHTest(ResourceConstraint):
         return "PackedCHSHTest"
 
     def evaluate(self, adapter: BackendAdapter, shots: int) -> IntrospectionResult:
-        shots = check_shots(shots)
+        shots = check_shots(shots, ConstraintError)
         result = adapter.run(packed_chsh_circuit(self._settings), shots)
         correlators = tuple(
             compute_pair_correlator(result.counts, pair) for pair in range(4)

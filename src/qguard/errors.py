@@ -1,6 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one shot-count check
+that raises them."""
 
 from __future__ import annotations
+
+import numbers
+from typing import Any
 
 
 class QGuardError(Exception):
@@ -36,6 +40,12 @@ class NoiseModelError(QGuardError, ValueError):
 class ConstraintError(QGuardError, ValueError):
     """A constraint was built with missing or ill-typed parameters, or
     evaluated with a shot count that is not a positive integer."""
+
+
+class ScoreError(QGuardError, ValueError):
+    """Correlator or score arithmetic got an input outside its domain: a pair
+    index, counts that total zero, a correlator outside [-1, 1], or a shot
+    count that is not a positive integer."""
 
 
 class NormConservationError(QGuardError):
@@ -85,3 +95,11 @@ class CallbackError(QGuardError):
         self.introspection = introspection
         self.started_at = started_at
         self.failed_at = failed_at
+
+
+def check_shots(shots: Any, error: type[QGuardError]) -> int:
+    """``shots`` as an int; raises ``error`` unless it is a positive integer
+    (a bool is not one, a numpy integer is)."""
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
+        raise error(f"shots must be a positive integer, got {shots!r}")
+    return int(shots)

@@ -15,8 +15,8 @@ from enum import Enum
 from typing import Any, Callable
 
 from .backends import BackendAdapter
-from .constraints import IntrospectionResult, ResourceConstraint, check_shots
-from .errors import CallbackError, IntrospectionError
+from .constraints import IntrospectionResult, ResourceConstraint
+from .errors import CallbackError, ConstraintError, IntrospectionError, check_shots
 from .timestamps import utc_now
 
 Callback = Callable[[BackendAdapter, IntrospectionResult], Any]
@@ -65,7 +65,7 @@ def run_conditionally(
     surfaces as :class:`CallbackError` carrying the branch and
     introspection result that were already decided.
     """
-    shots = check_shots(shots)
+    shots = check_shots(shots, ConstraintError)
     started_at = clock()
     try:
         introspection = constraint.evaluate(adapter, shots)

@@ -24,18 +24,18 @@ so the counts do not depend on the number of CPUs.  The mapping from
 (circuit, shots, noise) to counts is fixed no matter how the work is split.
 
 Evolution: shots sharing a noise trajectory (the per-gate Pauli codes) are
-evolved once and sampled from the same distribution.  Trajectory 0 is the
+evolved once and sampled from the same distribution.  Distribution 0 is the
 noiseless one: every shot is first sampled from it in one search, and then
-the noisy shots of each batch are sampled again, each from its own
-trajectory, in one vectorised binary search, so grouping and sampling
-beyond that first search cost per noisy shot.  The unique trajectories are
-evolved together in batches, each held as one ``(2, ..., 2, B)`` array
-whose size is capped by an amplitude byte budget: each qubit is one axis
-and the state is the last axis.  A one-qubit gate is one matmul on a contiguous
-reshaped view and a CNOT a flip in its control=1 slice; the Pauli
-injections after a gate apply each state's own Pauli, broadcast over the
-batch axis, in place.  A run with a single trajectory evolves a batch of
-one.
+the shots of every other distribution are sampled again, each from its own,
+in one vectorised binary search per batch of distributions, so grouping and
+sampling beyond that first search cost per noisy shot.  The unique
+trajectories are evolved together in batches, each held as one
+``(2, ..., 2, B)`` array whose size is capped by an amplitude byte budget:
+each qubit is one axis and the state is the last axis.  A one-qubit gate is
+one matmul on a contiguous reshaped view and a CNOT a flip in its control=1
+slice; the Pauli injections after a gate apply each state's own Pauli,
+broadcast over the batch axis, in place.  A run with a single trajectory
+evolves a batch of one.
 
 Components: qubits that no chain of CNOTs links never interact, so a
 circuit splits into connected components, and each is simulated as a small
@@ -45,13 +45,20 @@ once into unique joint trajectories.  These few rows are then split
 column-wise and grouped again per component, which gives each component's
 own trajectories and each joint trajectory's tuple of component trajectory
 indices.  A component evolves its trajectories, in batches, into each one's
-Born marginal over its measured qubits.  The distribution of a joint
-trajectory is the outer product of its component marginals, axes put in
-``measured_qubits`` order, and these joint rows are built in batches under
-the same byte budget and sampled exactly as above.  A component's marginals
-are held when all of them fit that budget; a wider one evolves, for each
-batch of joint rows, just the trajectories the batch needs.  A circuit of
-one component takes the same path: its joint rows are its marginals.
+Born marginal over its measured qubits.  When all of a component's
+marginals fit the byte budget they are held, and trajectories whose rows
+are byte-identical (a Pauli such as ZZ after a Bell pair's CNOT leaves the
+pair's marginal unchanged, bit for bit) are merged into one distribution.
+A wider component keeps one distribution per trajectory and evolves, for
+each batch of joint rows, just the trajectories the batch needs, so memory
+stays bounded.  Mapped through these, the tuples are grouped once more into
+distinct joint distributions, each the outer product of its component
+marginals with axes put in ``measured_qubits`` order.  Their CDF rows are
+built in batches under the same budget and sampled as above.  Byte-equal
+marginals multiply and sum into byte-equal CDF rows, and each shot still
+searches its own outcome draw, so merging leaves every count unchanged.  A
+circuit of one component takes the same path: its joint rows are its
+marginals.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuits import BitstringCounts, Circuit, Gate, GateKind
-from .errors import CircuitError, NoiseModelError, NormConservationError
+from .errors import CircuitError, NoiseModelError, NormConservationError, check_shots
 
 _NORM_TOL = 1e-10
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -386,22 +393,22 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
     return np.concatenate(codes), np.concatenate(rows), outcome_u, flip_masks
 
 
-def _group(codes: np.ndarray):
-    """The unique trajectories and, per row of ``codes``, the index of its
-    trajectory.  Trajectory 0 is always the noiseless all-zero code, and
-    every all-zero row maps to it."""
-    num_gates = codes.shape[1]
-    if not num_gates:
+def _group(rows: np.ndarray):
+    """The unique rows, compared as bytes, and per row the index of its
+    unique row.  Index 0 is always the all-zero row (for Pauli codes, the
+    noiseless trajectory), and every all-zero row maps to it."""
+    count, width = rows.shape
+    if not width:
         # Zero-width rows viewed as blobs would be an empty array.
-        return np.zeros((1, 0), dtype=np.int8), np.zeros(len(codes), dtype=np.intp)
-    # A leading all-zero row puts the noiseless code first: codes are
-    # non-negative, so it sorts before every other row.  Comparing rows as
-    # opaque byte blobs is much faster than unique(axis=0).
-    rows = np.zeros((len(codes) + 1, num_gates), dtype=np.int8)
-    rows[1:] = codes
-    blobs = rows.view(np.dtype((np.void, num_gates))).reshape(-1)
+        return np.zeros((1, 0), dtype=rows.dtype), np.zeros(count, dtype=np.intp)
+    # A leading all-zero row takes index 0: as bytes it sorts before every
+    # other row.  Comparing rows as opaque byte blobs is much faster than
+    # unique(axis=0).
+    padded = np.zeros((count + 1, width), dtype=rows.dtype)
+    padded[1:] = rows
+    blobs = padded.view(np.dtype((np.void, width * rows.itemsize))).reshape(-1)
     unique, inverse = np.unique(blobs, return_inverse=True)
-    return unique.view(np.int8).reshape(len(unique), num_gates), inverse[1:]
+    return unique.view(rows.dtype).reshape(len(unique), width), inverse[1:]
 
 
 def _slices(count: int, item_bytes: int):
@@ -453,11 +460,16 @@ def _split(circuit: Circuit, codes: np.ndarray):
 
 
 def _marginal_rows(circuit: Circuit, qubits: tuple[int, ...], trajectories: np.ndarray):
-    """A function from trajectory indices of the component ``qubits`` to
-    their Born marginal rows over its measured qubits.  The rows of all its
-    trajectories are evolved once and held when they fit the batch budget;
-    otherwise each call evolves just the trajectories asked for, so memory
-    stays bounded however many trajectories a wide component has."""
+    """The Born marginals of the component ``qubits`` over its measured
+    qubits: a function from distribution indices to their rows, and per
+    trajectory the index of its distribution.
+
+    The rows of all its trajectories are evolved once and held when they
+    fit the batch budget.  Trajectories whose rows are byte-identical then
+    share one distribution, and the noiseless trajectory's is index 0.
+    Otherwise each trajectory is its own distribution, and each call evolves
+    just the trajectories asked for, so memory stays bounded however many
+    trajectories a wide component has."""
     measured = tuple(i for i, q in enumerate(qubits) if q in circuit.measured_qubits)
 
     def evolve(indices: np.ndarray) -> np.ndarray:
@@ -468,15 +480,23 @@ def _marginal_rows(circuit: Circuit, qubits: tuple[int, ...], trajectories: np.n
         ])
         return rows[local]
 
+    index = np.arange(len(trajectories))
     if len(trajectories) * (8 << len(measured)) > _BATCH_BYTES:
-        return evolve
-    held = evolve(np.arange(len(trajectories)))
-    return lambda indices: held[indices]
+        return evolve, index
+    held = evolve(index)
+    if len(held) > 1:
+        # XOR with the noiseless row maps exactly the rows equal to it, byte
+        # for byte, to the all-zero row that _group numbers 0.
+        noiseless = held[0].view(np.uint64)
+        distinct, index = _group(held.view(np.uint64) ^ noiseless)
+        held = (distinct ^ noiseless).view(np.float64)
+    return (lambda indices: held[indices]), index
 
 
-def _joint_cdfs(marginal_rows: list, tuples: np.ndarray, axes: tuple[int, ...]):
-    """The CDF rows of the given tuples: each the outer product of its
-    component marginals, its outcome axes taken in the order ``axes``."""
+def _joint_cdfs(marginal_rows: tuple, tuples: np.ndarray, axes: tuple[int, ...]):
+    """The CDF rows of the given tuples of component distribution indices:
+    each the outer product of its component marginals, its outcome axes
+    taken in the order ``axes``."""
     joint = marginal_rows[0](tuples[:, 0])
     for rows_of, column in zip(marginal_rows[1:], tuples.T[1:]):
         joint = joint[:, :, np.newaxis] * rows_of(column)[:, np.newaxis, :]
@@ -487,9 +507,9 @@ def _joint_cdfs(marginal_rows: list, tuples: np.ndarray, axes: tuple[int, ...]):
 
 def _sample(cdf_batches, rows: np.ndarray, inverse: np.ndarray, outcome_u: np.ndarray):
     """Every shot's outcome index.  ``cdf_batches`` yields the CDF rows of
-    consecutive distributions, the noiseless one first; noisy shot
-    ``rows[i]`` draws from distribution ``inverse[i]``, every other shot
-    from the noiseless one."""
+    consecutive distributions, the noiseless one first; shot ``rows[i]``
+    draws from distribution ``inverse[i]``, every other shot from the
+    noiseless one."""
     order = np.argsort(inverse, kind="stable")
     members_by_row = rows[order]
     row_of_member = inverse[order]
@@ -520,14 +540,17 @@ def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCount
     ``SIMULATOR_MAX_QUBITS`` and for a shot count that is not a positive
     integer.
     """
-    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
-        raise CircuitError(f"shots must be a positive integer, got {shots!r}")
-    shots = int(shots)
+    shots = check_shots(shots, CircuitError)
     _check_width(circuit.num_qubits)
     codes, rows, outcome_u, flip_masks = _draw(circuit, shots, noise)
     k = circuit.num_measured
     parts, tuples, inverse = _split(circuit, codes)
-    marginal_rows = [_marginal_rows(circuit, qubits, t) for qubits, t in parts]
+    marginal_rows, indices = zip(*(_marginal_rows(circuit, qubits, t) for qubits, t in parts))
+    # Joint trajectories whose component distributions all match share one
+    # joint distribution; the noiseless one stays index 0.
+    if len(tuples) > 1:
+        tuples, which = _group(np.column_stack([i[c] for i, c in zip(indices, tuples.T)]))
+        inverse = which[inverse]
     # The measured qubits in the order the marginals multiply out, and where
     # each of measured_qubits sits in that order.
     product = [q for qubits, _ in parts for q in qubits if q in circuit.measured_qubits]
@@ -535,7 +558,9 @@ def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCount
     cdf_batches = (
         _joint_cdfs(marginal_rows, tuples[part], axes) for part in _slices(len(tuples), 8 << k)
     )
-    outcomes = _sample(cdf_batches, rows, inverse, outcome_u)
+    # Shots of the noiseless distribution keep their first search.
+    moved = np.flatnonzero(inverse)
+    outcomes = _sample(cdf_batches, rows[moved], inverse[moved], outcome_u)
     outcomes ^= flip_masks
 
     tallies = np.bincount(outcomes, minlength=1 << k)

@@ -1,6 +1,7 @@
 import json
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 from qguard import (
@@ -47,6 +48,27 @@ def test_result_counts_must_sum_to_shots():
             submitted_at=T0,
             completed_at=T0,
         )
+
+
+@pytest.mark.parametrize("shots", ["1", True, 1.5, 0])
+def test_result_rejects_bad_shots_with_a_typed_error(shots):
+    # "1" used to escape as a bare TypeError, and True was accepted.
+    with pytest.raises(BackendError, match="positive integer"):
+        ExperimentResult(
+            counts=BitstringCounts({"0": 1}),
+            shots=shots,
+            backend_name="x",
+            submitted_at=T0,
+            completed_at=T0,
+        )
+
+
+def test_result_takes_a_numpy_integer_shot_count_as_int():
+    result = ExperimentResult(
+        counts={"0": 4}, shots=np.int64(4), backend_name="x", submitted_at=T0, completed_at=T0
+    )
+    assert type(result.shots) is int
+    assert json.dumps(result.to_dict()["shots"]) == "4"
 
 
 def test_result_timestamps_must_be_ordered():

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from qguard import (
     CircuitError,
+    QGuardError,
+    ScoreError,
     chsh_score,
     compute_pair_correlator,
     correlator_standard_error,
@@ -116,3 +118,38 @@ def test_standard_errors_reject_bad_shots():
         correlator_standard_error(0.0, 0)
     with pytest.raises(ValueError):
         score_standard_error((0, 0, 0, 0), 0)
+
+
+# Each used to raise a bare ValueError; ScoreError is still a ValueError.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: compute_pair_correlator({"00000000": 1}, 4),
+        lambda: compute_pair_correlator({"00000000": 0}, 0),
+        lambda: chsh_score(0.5, 1.2, 0.0, 0.0),
+        lambda: chsh_score(float("nan"), 0.0, 0.0, 0.0),
+        lambda: correlator_standard_error(0.0, 0),
+        lambda: score_standard_error((0, 0, 0, 0), 0),
+    ],
+    ids=["pair_index", "zero_total", "range", "nan", "correlator_shots", "score_shots"],
+)
+def test_score_errors_are_typed(call):
+    with pytest.raises(ScoreError) as excinfo:
+        call()
+    assert isinstance(excinfo.value, QGuardError)
+    assert isinstance(excinfo.value, ValueError)
+
+
+@pytest.mark.parametrize("shots", ["10", 2.5, True, -1])
+def test_standard_errors_reject_a_shot_count_that_is_not_a_positive_integer(shots):
+    # "10" used to escape as a bare TypeError, and 2.5 and True were taken.
+    with pytest.raises(ScoreError, match="positive integer"):
+        correlator_standard_error(0.0, shots)
+    with pytest.raises(ScoreError, match="positive integer"):
+        score_standard_error((0, 0, 0, 0), shots)
+
+
+def test_standard_errors_take_a_numpy_integer_shot_count():
+    import numpy as np
+
+    assert score_standard_error((0, 0, 0, 0), np.int64(100)) == pytest.approx(0.2)

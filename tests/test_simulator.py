@@ -468,6 +468,14 @@ _PINNED_CASES = {
         NoiseModel(p1=1.0, p2=0.0, readout_flip=0.02, seed=36),
         "0ba6b6ab1fa201cb5afa2f7d9b78778761fa2efde4eb6c861c99ece6ef69dff6",
     ),
+    # The 10k-shot probe at p2 = 0.3, recorded with the simulator that built
+    # one joint row per joint trajectory.
+    "werner_probe": (
+        packed_chsh_circuit,
+        10_000,
+        NoiseModel(p1=0.001, p2=0.3, readout_flip=0.02, seed=12345),
+        "6422b75807ded8c633900c2359635430dafa57786568247790408cef43f410f3",
+    ),
 }
 
 
@@ -667,6 +675,63 @@ def test_tuple_key_does_not_overflow():
     assert math.prod(counts) > 2**63
     assert len(np.unique(tuples, axis=0)) == len(tuples)
     assert not tuples[0].any()
+
+
+def _spy(monkeypatch, name, position=0):
+    """Patch simulator function ``name`` to record its argument at
+    ``position`` on every call."""
+    seen = []
+    real = getattr(simulator, name)
+
+    def spy(*args):
+        seen.append(args[position])
+        return real(*args)
+
+    monkeypatch.setattr(simulator, name, spy)
+    return seen
+
+
+def test_werner_probe_builds_a_joint_row_per_distinct_distribution(monkeypatch):
+    # A Pauli such as XX or ZZ after a Bell pair's CNOT leaves the pair's
+    # marginal unchanged bit for bit, so most joint trajectories share their
+    # distribution with others.
+    build, shots, noise, digest = _PINNED_CASES["werner_probe"]
+    _, _, tuples = _trajectory_counts("werner_probe")
+    built = _spy(monkeypatch, "_cdfs")
+    assert _digest(run_shots(build(), shots, noise)) == digest
+    assert len(tuples) > 1500
+    assert 10 * sum(map(len, built)) < len(tuples)
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_CASES))
+def test_held_marginals_are_distinct_and_exact(case):
+    circuit, _, (parts, _, _) = _split_case(case)
+    for qubits, trajectories in parts:
+        rows_of, index = simulator._marginal_rows(circuit, qubits, trajectories)
+        measured = tuple(i for i, q in enumerate(qubits) if q in circuit.measured_qubits)
+        if len(trajectories) * (8 << len(measured)) > simulator._BATCH_BYTES:
+            # Not held: every trajectory stays its own distribution.
+            np.testing.assert_array_equal(index, np.arange(len(trajectories)))
+            continue
+        assert index[0] == 0
+        distinct = rows_of(np.arange(index.max() + 1))
+        blobs = distinct.view(np.dtype((np.void, distinct.itemsize * distinct.shape[1])))
+        assert len(np.unique(blobs)) == len(distinct)
+        each = simulator._born_probs(simulator._evolve(circuit, trajectories, qubits), measured)
+        assert distinct[index].tobytes() == each.tobytes()
+
+
+def test_singletons_regroup_keeps_the_noiseless_distribution_first(monkeypatch):
+    # The joint trajectories of this case could not be keyed by one int64;
+    # grouping their distributions must not need such a key either.
+    build, shots, noise, digest = _PINNED_CASES["singletons"]
+    seen = _spy(monkeypatch, "_joint_cdfs", position=1)
+    assert _digest(run_shots(build(), shots, noise)) == digest
+    distributions = np.concatenate(seen)
+    assert len(seen) > 1
+    assert distributions.shape[1] == 16
+    assert not distributions[0].any()
+    assert len(np.unique(distributions, axis=0)) == len(distributions)
 
 
 @pytest.mark.parametrize("case", ["singletons", "wide_component"])
