@@ -62,6 +62,10 @@ class ExperimentResult:
         if not isinstance(self.counts, BitstringCounts):
             object.__setattr__(self, "counts", BitstringCounts(self.counts))
         object.__setattr__(self, "shots", check_shots(self.shots, BackendError))
+        for name in ("submitted_at", "completed_at"):
+            moment = getattr(self, name)
+            if not isinstance(moment, datetime) or moment.tzinfo is None:
+                raise BackendError(f"{name} must be a timezone-aware datetime, got {moment!r}")
         if self.counts.total != self.shots:
             raise BackendError(
                 f"counts sum to {self.counts.total} but shots is {self.shots}"
@@ -155,9 +159,12 @@ class SimulatorAdapter(BackendAdapter):
         return (self.name(), self._noise.with_seed(0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Recording:
-    """A recorded backend session: one calibration and an ordered result list."""
+    """A recorded backend session: one calibration and an ordered result list.
+
+    Recordings compare and hash by identity, so a replay's cache key names
+    the very recording it replays."""
 
     calibration: CalibrationSnapshot
     results: tuple[ExperimentResult, ...]
@@ -204,20 +211,6 @@ def recording_from_dict(doc: Mapping[str, Any]) -> Recording:
 def parse_recording(document: str | Mapping[str, Any]) -> Recording:
     """Parse a recording document (JSON text or decoded mapping)."""
     return recording_from_dict(decode(document) if isinstance(document, str) else document)
-
-
-class _SameObject:
-    """A key equal only to another key for the very same object.  It holds
-    the object, so the id it hashes by cannot be reused while it lives."""
-
-    def __init__(self, target: Any):
-        self._target = target
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _SameObject) and other._target is self._target
-
-    def __hash__(self) -> int:
-        return id(self._target)
 
 
 class ReplayAdapter(BackendAdapter):
@@ -270,7 +263,7 @@ class ReplayAdapter(BackendAdapter):
 
     def cache_key(self) -> Hashable:
         # Replays of one recording share evidence; replays of two never do.
-        return (self.name(), _SameObject(self._recording))
+        return (self.name(), self._recording)
 
 
 class RecordingAdapter(BackendAdapter):

@@ -8,25 +8,14 @@ here is testable with synthetic clocks and files.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Any, Mapping
 
-from .errors import CalibrationError, DocumentError
+from .errors import CalibrationError, DocumentError, is_index, is_real
 from .fields import decode, integer, integers, items, join, no_unknown, number, obj, required, string
 from .simulator import NoiseModel
 from .timestamps import format_timestamp, parse_timestamp, utc_now
-
-
-def _real(value: Any) -> bool:
-    """A real number and not a bool; plain floats take the first test."""
-    return type(value) is float or (not isinstance(value, bool) and isinstance(value, numbers.Real))
-
-
-def _index(value: Any) -> bool:
-    """An integer and not a bool; plain ints take the first test."""
-    return type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
 
 
 @dataclass(frozen=True)
@@ -36,7 +25,7 @@ class QubitCalibration:
     readout_error: float
 
     def __post_init__(self):
-        if not (_real(self.t1_us) and _real(self.t2_us) and _real(self.readout_error)):
+        if not (is_real(self.t1_us) and is_real(self.t2_us) and is_real(self.readout_error)):
             raise CalibrationError(
                 f"qubit calibration fields must be numbers, got t1_us={self.t1_us!r}, "
                 f"t2_us={self.t2_us!r}, readout_error={self.readout_error!r}"
@@ -68,11 +57,11 @@ class GateCalibration:
             qubits = tuple(self.qubits)
         except TypeError:
             qubits = None
-        if qubits is None or not all(map(_index, qubits)):
+        if qubits is None or not all(map(is_index, qubits)):
             raise CalibrationError(
                 f"gate {self.name!r} qubits must be integers, got {self.qubits!r}"
             )
-        if not _real(self.error):
+        if not is_real(self.error):
             raise CalibrationError(f"gate {self.name!r} error must be a number, got {self.error!r}")
         object.__setattr__(self, "qubits", tuple(map(int, qubits)))
         if not self.qubits:
@@ -94,11 +83,21 @@ class CalibrationSnapshot:
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(self.qubits))
         object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(
-            self, "coupling_map", tuple((int(a), int(b)) for a, b in self.coupling_map)
-        )
+        try:
+            coupling = tuple(map(tuple, self.coupling_map))
+        except TypeError:
+            coupling = None
+        if coupling is None or not all(len(p) == 2 and all(map(is_index, p)) for p in coupling):
+            raise CalibrationError(
+                f"coupling_map must be pairs of qubit indices, got {self.coupling_map!r}"
+            )
+        object.__setattr__(self, "coupling_map", tuple((int(a), int(b)) for a, b in coupling))
+        if not isinstance(self.taken_at, datetime):
+            raise CalibrationError(f"taken_at must be a datetime, got {self.taken_at!r}")
         if self.taken_at.tzinfo is None:
             raise CalibrationError("taken_at must be timezone-aware")
+        if not is_index(self.num_qubits):
+            raise CalibrationError(f"num_qubits must be an integer, got {self.num_qubits!r}")
         if self.num_qubits < 1:
             raise CalibrationError(f"num_qubits must be positive, got {self.num_qubits}")
         if len(self.qubits) != self.num_qubits:

@@ -10,28 +10,25 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
+from .circuits import BitstringCounts
 from .errors import CircuitError, ScoreError, check_shots
 
 PACKED_BITS = 8
 
 
 def compute_pair_correlator(counts: Mapping[str, int], pair_index: int) -> float:
-    """Parity correlator of bits (2i, 2i+1) over an 8-bit counts map."""
+    """Parity correlator of bits (2i, 2i+1) over an 8-bit counts map.
+
+    A plain mapping is checked by building :class:`BitstringCounts` from it."""
     if not 0 <= pair_index <= 3:
         raise ScoreError(f"pair_index must be in 0..3, got {pair_index}")
+    if not isinstance(counts, BitstringCounts):
+        counts = BitstringCounts(counts)
+    if counts.num_bits != PACKED_BITS:
+        raise CircuitError(f"expected {PACKED_BITS}-bit strings, got {next(iter(counts))!r}")
     left = 2 * pair_index
-    total = 0
-    same = 0
-    for bits, count in counts.items():
-        if len(bits) != PACKED_BITS:
-            raise CircuitError(
-                f"expected {PACKED_BITS}-bit strings, got {bits!r}"
-            )
-        if count < 0:
-            raise CircuitError(f"negative count for {bits!r}")
-        total += count
-        if bits[left] == bits[left + 1]:
-            same += count
+    total = counts.total
+    same = sum(count for bits, count in counts.items() if bits[left] == bits[left + 1])
     if total == 0:
         raise ScoreError("counts total is zero")
     return (2 * same - total) / total

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Mapping
 
-from .errors import CircuitError, DocumentError
+from .errors import CircuitError, DocumentError, is_index, is_real
 from .fields import decode, integer, integers, items, join, located, no_unknown, number, obj, required
 
 
@@ -93,9 +92,7 @@ TWO_QUBIT_KINDS = frozenset({GateKind.CNOT})
 def _integer(value: Any, what: str) -> int:
     """``value`` as an int; a float or string would be truncated or crash
     later, far from where it was given."""
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not is_index(value):
         raise CircuitError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
@@ -140,11 +137,7 @@ class Gate:
             angle = self.angle
             # A NaN angle would give a NaN unitary, and every shot outcome 0.
             # The bound also rejects an integer too large for a float.
-            if (
-                isinstance(angle, bool)
-                or not isinstance(angle, numbers.Real)
-                or not abs(angle) <= sys.float_info.max
-            ):
+            if not is_real(angle) or not abs(angle) <= sys.float_info.max:
                 raise CircuitError(f"{self.kind.value} angle must be a finite number, got {angle!r}")
             object.__setattr__(self, "angle", float(angle))
         elif self.angle is not None:

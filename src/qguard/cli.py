@@ -258,14 +258,11 @@ def run_workflow(
         "finished_at": format_timestamp(outcome.finished_at),
         "version": __version__,
     }
-    if isinstance(outcome.main_result, ExperimentResult):
+    if outcome.main_result is not None:
         report["main_result"] = outcome.main_result.to_dict()
-    elif outcome.main_result is not None:
-        report["main_result"] = outcome.main_result
 
     try:
-        resolved_report_path = base_dir / report_path if not Path(report_path).is_absolute() else Path(report_path)
-        resolved_report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        (base_dir / report_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     except (OSError, TypeError) as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR

@@ -15,12 +15,11 @@ plug in by implementing :class:`ResourceConstraint`.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple, Protocol
+from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from .backends import BackendAdapter, ExperimentResult
 from .calibration import CalibrationSnapshot
@@ -30,28 +29,24 @@ from .chsh import (
     correlator_standard_error,
     score_standard_error,
 )
-from .circuits import MeasurementSettings, packed_chsh_circuit
-from .errors import ConstraintError, DocumentError, check_shots
+from .circuits import packed_chsh_circuit
+from .errors import ConstraintError, DocumentError, check_shots, is_index, is_real
 from .fields import integer, items, join, located, no_unknown, number, obj, required
 from .timestamps import format_timestamp, utc_now
 
 
-class Policy(Protocol):
+@dataclass(frozen=True)
+class _Threshold:
     """A pure threshold decision over one scalar score."""
 
     threshold: float
 
-    def decide(self, value: float) -> bool: ...
-
-
-@dataclass(frozen=True)
-class _Threshold:
-    threshold: float
-
     def __post_init__(self):
+        if not is_real(self.threshold):
+            raise ConstraintError(f"threshold must be a number, got {self.threshold!r}")
         # NaN compares false with every score; an infinite threshold still
         # decides every score one way, as written.
-        if isinstance(self.threshold, numbers.Real) and math.isnan(self.threshold):
+        if math.isnan(self.threshold):
             raise ConstraintError(f"threshold must not be NaN, got {self.threshold!r}")
 
 
@@ -128,14 +123,8 @@ class PackedCHSHTest(ResourceConstraint):
     errors are reported in the scores but do not affect the decision.
     """
 
-    def __init__(
-        self,
-        policy: Policy,
-        settings: MeasurementSettings = MeasurementSettings(),
-        clock: Callable[[], datetime] = utc_now,
-    ):
+    def __init__(self, policy: _Threshold, clock: Callable[[], datetime] = utc_now):
         self._policy = policy
-        self._settings = settings
         self._clock = clock
 
     def name(self) -> str:
@@ -143,7 +132,7 @@ class PackedCHSHTest(ResourceConstraint):
 
     def evaluate(self, adapter: BackendAdapter, shots: int) -> IntrospectionResult:
         shots = check_shots(shots, ConstraintError)
-        result = adapter.run(packed_chsh_circuit(self._settings), shots)
+        result = adapter.run(packed_chsh_circuit(), shots)
         correlators = tuple(
             compute_pair_correlator(result.counts, pair) for pair in range(4)
         )
@@ -226,8 +215,8 @@ class CalibrationConstraint(ResourceConstraint):
         problems = []
         for key, value in self._criteria.items():
             integral = _CRITERIA[key].integral
-            kind, wanted = (numbers.Integral, "an integer") if integral else (numbers.Real, "a number")
-            if isinstance(value, bool) or not isinstance(value, kind):
+            valid, wanted = (is_index, "an integer") if integral else (is_real, "a number")
+            if not valid(value):
                 problems.append(f"{key}: expected {wanted}, got {value!r}")
             elif not integral and not math.isfinite(value):
                 problems.append(f"{key}: expected a finite number, got {value!r}")
@@ -261,24 +250,18 @@ class _Composite(ResourceConstraint):
     """Shared body of AND and OR: children run in order, and the first child
     whose outcome equals ``_decisive`` decides the whole.
 
-    Evaluation stops there by default, because each child evaluation may
-    spend paid shots; later children then never run and are absent from
-    ``children``.  ``evaluate_all=True`` trades that economy for a complete
-    report.
+    Evaluation stops there, because each child evaluation may spend paid
+    shots; later children never run and are absent from ``children``.
     """
 
     _decisive: bool
 
     def __init__(
-        self,
-        children: Iterable[ResourceConstraint],
-        evaluate_all: bool = False,
-        clock: Callable[[], datetime] = utc_now,
+        self, children: Iterable[ResourceConstraint], clock: Callable[[], datetime] = utc_now
     ):
         self._children = tuple(children)
         if not self._children:
             raise ConstraintError(f"{self.name()} requires at least one child")
-        self._evaluate_all = evaluate_all
         self._clock = clock
 
     def name(self) -> str:
@@ -292,8 +275,7 @@ class _Composite(ResourceConstraint):
             evaluated.append(outcome)
             if outcome.passed == self._decisive:
                 passed = self._decisive
-                if not self._evaluate_all:
-                    break
+                break
         return IntrospectionResult(
             constraint_name=self.name(),
             passed=passed,

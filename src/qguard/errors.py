@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one shot-count check
-that raises them."""
+"""Exception types shared across the package, the scalar type predicates
+its constructors check with, and the one shot-count check."""
 
 from __future__ import annotations
 
@@ -97,9 +97,19 @@ class CallbackError(QGuardError):
         self.failed_at = failed_at
 
 
+def is_real(value: Any) -> bool:
+    """A real number and not a bool; plain floats take the first test."""
+    return type(value) is float or (not isinstance(value, bool) and isinstance(value, numbers.Real))
+
+
+def is_index(value: Any) -> bool:
+    """An integer and not a bool; plain ints take the first test."""
+    return type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
+
+
 def check_shots(shots: Any, error: type[QGuardError]) -> int:
     """``shots`` as an int; raises ``error`` unless it is a positive integer
     (a bool is not one, a numpy integer is)."""
-    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
+    if not is_index(shots) or shots < 1:
         raise error(f"shots must be a positive integer, got {shots!r}")
     return int(shots)

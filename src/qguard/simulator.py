@@ -16,7 +16,8 @@ readout flip mask, and only a noisy shot, one where some event drew a
 non-identity Pauli, keeps its row of per-gate Pauli codes and its index.
 So memory stays bounded as shots grow, and the codes cost per noisy shot.
 A matrix of several blocks is drawn in contiguous stripes of rows, one per
-usable CPU, on a thread pool.  A stripe starting at row r jumps its own
+usable CPU, on a thread pool that lives only for that draw, so no thread
+outlives ``run_shots``.  A stripe starting at row r jumps its own
 Philox stream straight to the word r * width: the counter r * width // 4
 (each counter step yields four 64-bit words, one per uniform double), then
 r * width % 4 words skipped.  The stripes' results are joined in row order,
@@ -64,14 +65,15 @@ marginals.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .circuits import BitstringCounts, Circuit, Gate, GateKind
-from .errors import CircuitError, NoiseModelError, NormConservationError, check_shots
+from .errors import (
+    CircuitError, NoiseModelError, NormConservationError, check_shots, is_index, is_real
+)
 
 _NORM_TOL = 1e-10
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -130,12 +132,12 @@ class NoiseModel:
         problems = {}
         for name in ("p1", "p2", "readout_flip"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= 1:
+            if not is_real(value) or not 0 <= value <= 1:
                 problems[name] = f"expected a probability in [0, 1], got {value!r}"
             else:
                 object.__setattr__(self, name, float(value))
         seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        if not is_index(seed) or not 0 <= seed < 2**64:
             problems["seed"] = f"expected an unsigned 64-bit integer, got {seed!r}"
         if problems:
             raise NoiseModelError(problems)
@@ -305,23 +307,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# (pid, executor): the draw's thread pool, made on first use.  A forked child
-# inherits the parent's executor but none of its threads, and that executor
-# would never start new ones, so a child builds its own.
-_pool = None
-
-
-def _executor():
-    global _pool
-    if _pool is None or _pool[0] != os.getpid():
-        # Imported here: concurrent.futures loads logging, about 0.7 MB of
-        # resident memory that a process drawing no large matrix never needs.
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = (os.getpid(), ThreadPoolExecutor(_cpu_count(), thread_name_prefix="qguard-draw"))
-    return _pool[1]
-
-
 def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
     """The Pauli codes of the noisy shots, the shot each code row belongs
     to, and every shot's outcome draw and readout flip mask.
@@ -333,9 +318,10 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
     noisy shots get a code row (int8, one column per gate), in shot order.
 
     A draw of several blocks is split into contiguous stripes of rows, one
-    per CPU, drawn and reduced on the thread pool.  Each stripe jumps its
-    own Philox stream to its first row and reuses one buffer, and the
-    stripes' buffers together hold the bytes of one block.
+    per CPU, drawn and reduced on a pool of one thread per stripe, which is
+    shut down before this returns.  Each stripe jumps its own Philox stream
+    to its first row and reuses one buffer, and the stripes' buffers
+    together hold the bytes of one block.
     """
     num_gates = len(circuit.gates)
     k = circuit.num_measured
@@ -386,8 +372,16 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
             out.append(reduce(block, start))
         return out
 
-    # One stripe, such as a draw of one block, runs inline.
-    outs = [stripe(0)] if stripes == 1 else _executor().map(stripe, range(stripes))
+    if stripes == 1:
+        # One stripe, such as a draw of one block, runs inline.
+        outs = [stripe(0)]
+    else:
+        # Imported here: concurrent.futures loads logging, about 0.7 MB of
+        # resident memory that a process drawing no large matrix never needs.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(stripes, thread_name_prefix="qguard-draw") as pool:
+            outs = list(pool.map(stripe, range(stripes)))
     parts = [part for out in outs for part in out]
     codes, rows = zip(*parts)
     return np.concatenate(codes), np.concatenate(rows), outcome_u, flip_masks

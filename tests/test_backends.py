@@ -82,6 +82,17 @@ def test_result_timestamps_must_be_ordered():
         )
 
 
+@pytest.mark.parametrize(
+    "moment", ["2026-08-21T10:00:00Z", datetime(2026, 8, 21, 10)], ids=["string", "naive"]
+)
+@pytest.mark.parametrize("field", ["submitted_at", "completed_at"])
+def test_result_rejects_a_timestamp_that_is_not_an_aware_datetime(field, moment):
+    # Each used to escape as a bare TypeError from the ordering check.
+    stamps = {"submitted_at": T0, "completed_at": T0, field: moment}
+    with pytest.raises(BackendError, match=f"{field} must be a timezone-aware datetime"):
+        ExperimentResult(counts={"0": 1}, shots=1, backend_name="x", **stamps)
+
+
 def test_result_wraps_plain_dict_counts():
     result = ExperimentResult(
         counts={"0": 4},

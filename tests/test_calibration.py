@@ -156,7 +156,18 @@ def test_gate_record_validation():
         GateCalibration(name="u", qubits=(0,), error=1.2)
 
 
-# Each used to escape as a bare TypeError or ValueError.
+def snapshot_with(**fields):
+    one_qubit = dict(
+        taken_at=NOW,
+        num_qubits=1,
+        qubits=(QubitCalibration(100.0, 80.0, 0.01),),
+        gates=(),
+        coupling_map=(),
+    )
+    return CalibrationSnapshot(**{**one_qubit, **fields})
+
+
+# Each used to escape as a bare TypeError, AttributeError or ValueError.
 @pytest.mark.parametrize(
     "build",
     [
@@ -164,8 +175,19 @@ def test_gate_record_validation():
         lambda: QubitCalibration(100.0, 80.0, None),
         lambda: GateCalibration("u", (0,), "0.1"),
         lambda: GateCalibration("u", ("a",), 0.1),
+        lambda: snapshot_with(num_qubits="1"),
+        lambda: snapshot_with(taken_at="2026-08-21T12:00:00Z"),
+        lambda: snapshot_with(coupling_map=("x",)),
     ],
-    ids=["string_t1", "missing_readout_error", "string_gate_error", "string_gate_qubit"],
+    ids=[
+        "string_t1",
+        "missing_readout_error",
+        "string_gate_error",
+        "string_gate_qubit",
+        "string_num_qubits",
+        "string_taken_at",
+        "string_coupling_pair",
+    ],
 )
 def test_wrong_typed_record_raises_calibration_error(build):
     with pytest.raises(CalibrationError, match="must be"):

@@ -43,6 +43,17 @@ def test_rejects_wrong_length():
         compute_pair_correlator({"00": 5}, 0)
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [{"00000000": "5"}, {0: 3}, {"00000000": 1.5, "01000000": 1}, {"00000000": True}],
+    ids=["string_count", "integer_key", "float_count", "bool_count"],
+)
+def test_rejects_counts_that_are_not_a_histogram(counts):
+    # These used to raise a bare TypeError or give a correlator of 0.2 or 1.0.
+    with pytest.raises(CircuitError):
+        compute_pair_correlator(counts, 0)
+
+
 def test_rejects_zero_total():
     with pytest.raises(ValueError, match="zero"):
         compute_pair_correlator({"00000000": 0}, 0)

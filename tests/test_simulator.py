@@ -1,11 +1,12 @@
+import concurrent.futures
 import hashlib
 import json
 import math
 import os
 import signal
+import threading
 import time
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -539,8 +540,10 @@ def test_draw_is_independent_of_stripe_count(monkeypatch, shots, noise, draw_row
     if draw_rows is not None:
         monkeypatch.setattr(simulator, "_DRAW_BYTES", draw_rows * 8 * width)
     pooled = []
-    executor = simulator._executor
-    monkeypatch.setattr(simulator, "_executor", lambda: pooled.append(1) or executor())
+    pool = concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(
+        concurrent.futures, "ThreadPoolExecutor", lambda *a, **k: pooled.append(1) or pool(*a, **k)
+    )
     draws = {}
     for stripes in (1, 2, 3):
         monkeypatch.setattr(simulator, "_cpu_count", lambda: stripes)
@@ -560,25 +563,29 @@ def test_draw_is_independent_of_stripe_count(monkeypatch, shots, noise, draw_row
 def test_one_cpu_draws_inline(monkeypatch):
     build, shots, noise, digest = _PINNED_CASES["readout_only_blocks"]
 
-    def no_pool():
-        raise AssertionError("a one-CPU draw must not use the pool")
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-CPU draw must not use a pool")
 
     monkeypatch.setattr(simulator, "_cpu_count", lambda: 1)
-    monkeypatch.setattr(simulator, "_executor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     assert _digest(run_shots(build(), shots, noise)) == digest
+
+
+def test_no_draw_thread_outlives_the_draw(monkeypatch):
+    build, shots, noise, digest = _PINNED_CASES["readout_only_blocks"]
+    monkeypatch.setattr(simulator, "_cpu_count", lambda: 2)
+    assert _digest(run_shots(build(), shots, noise)) == digest
+    assert [t.name for t in threading.enumerate() if t.name.startswith("qguard-draw")] == []
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_draws_on_a_pool_of_its_own(monkeypatch):
-    # A forked child inherits the parent's pool without its threads; a draw
-    # there on the inherited pool would wait forever.
+    # A forked child gets none of its parent's threads; a draw there on a
+    # pool inherited from the parent would wait forever.
     build, shots, noise, digest = _PINNED_CASES["readout_only_blocks"]
     monkeypatch.setattr(simulator, "_cpu_count", lambda: 2)
     assert _digest(run_shots(build(), shots, noise)) == digest
-    with warnings.catch_warnings():
-        # Python 3.12 warns about forking a process that has threads.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
+    pid = os.fork()
     if pid == 0:
         status = 1
         try:
