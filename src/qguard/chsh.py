@@ -11,7 +11,7 @@ import math
 from typing import Mapping
 
 from .circuits import BitstringCounts
-from .errors import CircuitError, ScoreError, check_shots
+from .errors import CircuitError, ScoreError, check_shots, is_index
 
 PACKED_BITS = 8
 
@@ -20,8 +20,8 @@ def compute_pair_correlator(counts: Mapping[str, int], pair_index: int) -> float
     """Parity correlator of bits (2i, 2i+1) over an 8-bit counts map.
 
     A plain mapping is checked by building :class:`BitstringCounts` from it."""
-    if not 0 <= pair_index <= 3:
-        raise ScoreError(f"pair_index must be in 0..3, got {pair_index}")
+    if not is_index(pair_index) or not 0 <= pair_index <= 3:
+        raise ScoreError(f"pair_index must be an integer in 0..3, got {pair_index!r}")
     if not isinstance(counts, BitstringCounts):
         counts = BitstringCounts(counts)
     if counts.num_bits != PACKED_BITS:

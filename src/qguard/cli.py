@@ -51,17 +51,6 @@ _BACKEND_KEYS = {
 
 
 @dataclass(frozen=True)
-class Diagnostic:
-    """One validation finding: where, and what is wrong."""
-
-    path: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.path}: {self.message}" if self.path else self.message
-
-
-@dataclass(frozen=True)
 class Workflow:
     """The objects a workflow document describes, built and checked."""
 
@@ -147,7 +136,7 @@ def _shots(doc: Mapping[str, Any], key: str) -> int:
 
 def load_workflow(
     doc: Any, base_dir: Path, seed_override: int | None = None
-) -> tuple[Workflow | None, list[Diagnostic]]:
+) -> tuple[Workflow | None, list[DocumentError]]:
     """Build every object a workflow document describes, executing nothing.
 
     Referenced files are resolved against ``base_dir`` and each is read and
@@ -157,17 +146,17 @@ def load_workflow(
     diagnostics, or ``None`` and at least one diagnostic.
     """
     if not isinstance(doc, Mapping):
-        return None, [Diagnostic("", f"expected a configuration object, got {type(doc).__name__}")]
-    diagnostics: list[Diagnostic] = []
+        return None, [DocumentError("", f"expected a configuration object, got {type(doc).__name__}")]
+    diagnostics: list[DocumentError] = []
 
     def build(load: Callable[..., Any], *args) -> Any:
         try:
             return load(*args)
         except DocumentError as exc:
-            diagnostics.append(Diagnostic(exc.path, exc.message))
+            diagnostics.append(exc)
         except NoiseModelError as exc:
             diagnostics.extend(
-                Diagnostic("backend.seed" if name == "seed" else f"backend.noise.{name}", problem)
+                DocumentError("backend.seed" if name == "seed" else f"backend.noise.{name}", problem)
                 for name, problem in exc.problems.items()
             )
         return None
@@ -178,7 +167,7 @@ def load_workflow(
     main_circuit = build(_load_main_circuit, doc, base_dir)
     constraint_shots = build(_shots, doc, "constraint_shots")
     main_shots = build(_shots, doc, "main_shots")
-    if doc.get("report_path") is not None:
+    if "report_path" in doc:
         build(string, doc["report_path"], "report_path")
     if diagnostics:
         return None, diagnostics
@@ -189,7 +178,7 @@ def load_workflow(
     return workflow, []
 
 
-def validate_workflow(doc: Any, base_dir: Path) -> list[Diagnostic]:
+def validate_workflow(doc: Any, base_dir: Path) -> list[DocumentError]:
     """The diagnostics of :func:`load_workflow`; an empty list means the
     workflow is runnable."""
     return load_workflow(doc, base_dir)[1]

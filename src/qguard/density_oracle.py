@@ -19,7 +19,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate, GateKind
 from .errors import OracleLimitError
-from .simulator import NoiseModel, _apply_cnot, _apply_unitary, _zero_states, gate_unitary
+from .simulator import NoiseModel, _apply_1q, _apply_cnot, _zero_states, gate_unitary
 
 ORACLE_MAX_QUBITS = 10
 
@@ -30,7 +30,7 @@ def _apply(rho: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
         rho = _apply_cnot(rho, control, target)
         return _apply_cnot(rho, num_qubits + control, num_qubits + target)
     u, qubit = gate_unitary(gate), gate.targets[0]
-    return _apply_unitary(_apply_unitary(rho, u, qubit), u.conj(), num_qubits + qubit)
+    return _apply_1q(_apply_1q(rho, u, qubit), u.conj(), num_qubits + qubit)
 
 
 def _depolarize(rho: np.ndarray, targets: tuple[int, ...], p: float, num_qubits: int) -> np.ndarray:

@@ -32,11 +32,13 @@ in one vectorised binary search per batch of distributions, so grouping and
 sampling beyond that first search cost per noisy shot.  The unique
 trajectories are evolved together in batches, each held as one
 ``(2, ..., 2, B)`` array whose size is capped by an amplitude byte budget:
-each qubit is one axis and the state is the last axis.  A one-qubit gate is
-one matmul on a contiguous reshaped view and a CNOT a flip in its control=1
-slice; the Pauli injections after a gate apply each state's own Pauli,
-broadcast over the batch axis, in place.  A run with a single trajectory
-evolves a batch of one.
+each qubit is one axis and the state is the last axis.  Every one-qubit
+matrix, a gate's or the Pauli injections after it (each state's own,
+broadcast over the batch axis), goes through one elementwise 2x2 kernel,
+and a CNOT is a flip in its control=1 slice.  No amplitude goes through
+BLAS, so a state rounds the same way in any batch and whatever BLAS
+kernel numpy picks for the CPU.  A run with a single trajectory evolves a
+batch of one.
 
 Components: qubits that no chain of CNOTs links never interact, so a
 circuit splits into connected components, and each is simulated as a small
@@ -172,9 +174,8 @@ def _check_width(num_qubits: int):
 # Batched kernels: ``amps`` has shape (2, ..., 2, B); qubit q lives on axis
 # q and the trailing axis indexes the state; to the gate kernels, any axes
 # after the qubits act as batch.
-# Every kernel works on a contiguous reshaped view and returns a C-contiguous
-# array: no gate transposes the batch, and the Pauli injections write in
-# place through a view.
+# Every kernel works on a contiguous reshaped view and returns a new
+# C-contiguous array, so no gate transposes the batch.
 
 
 def _zero_states(count: int, num_qubits: int) -> np.ndarray:
@@ -183,14 +184,17 @@ def _zero_states(count: int, num_qubits: int) -> np.ndarray:
     return amps
 
 
-def _apply_unitary(amps: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
-    view = amps.reshape(1 << qubit, 2, -1)
-    if view.shape[-1] == 1:
-        # numpy sends a lone column down its matrix-vector path, which rounds
-        # differently from the matrix-matrix one; a copied second column keeps
-        # every state's amplitudes independent of the batch it is evolved in.
-        return np.matmul(u, np.repeat(view, 2, axis=-1))[..., :1].reshape(amps.shape)
-    return np.matmul(u, view).reshape(amps.shape)
+def _apply_1q(amps: np.ndarray, m: np.ndarray, qubit: int) -> np.ndarray:
+    """Apply ``m`` to ``qubit``: one 2x2 matrix for every state, or a
+    (2, 2, B) stack of one per state, broadcast over the trailing batch
+    axis.  Elementwise, so each state's amplitudes round the same way
+    whatever its batch and whatever BLAS numpy links."""
+    view = amps.reshape(1 << qubit, 2, -1, amps.shape[-1])
+    zero, one = view[:, 0], view[:, 1]
+    out = np.empty_like(view)
+    out[:, 0] = m[0, 0] * zero + m[0, 1] * one
+    out[:, 1] = m[1, 0] * zero + m[1, 1] * one
+    return out.reshape(amps.shape)
 
 
 def _apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
@@ -208,26 +212,7 @@ def _apply_gate(amps: np.ndarray, gate: Gate, axes: tuple[int, ...]) -> np.ndarr
     """Apply ``gate`` with its targets on ``axes``."""
     if gate.kind is GateKind.CNOT:
         return _apply_cnot(amps, axes[0], axes[1])
-    return _apply_unitary(amps, gate_unitary(gate), axes[0])
-
-
-def _apply_pauli_codes(
-    amps: np.ndarray, targets: tuple[int, ...], codes: np.ndarray, paulis: np.ndarray
-):
-    """Apply, in place, to state ``i`` the Pauli selected by ``codes[i]``: an
-    index into ``paulis`` ({I,X,Y,Z}, stacked) for one qubit, or 4a+b for the
-    pair (a on targets[0], b on targets[1]).  Each state's 2x2 entries
-    broadcast over the trailing batch axis; Pauli entries are 0, +-1 and
-    +-i, so the identity leaves a state exact."""
-    digits = (codes,) if len(targets) == 1 else divmod(codes, 4)
-    for qubit, digit in zip(targets, digits):
-        if digit.any():
-            (p00, p01), (p10, p11) = paulis[digit].transpose(1, 2, 0)
-            view = amps.reshape(1 << qubit, 2, -1, amps.shape[-1])
-            zero, one = view[:, 0], view[:, 1]
-            new_one = p10 * zero + p11 * one
-            view[:, 0] = p00 * zero + p01 * one
-            view[:, 1] = new_one
+    return _apply_1q(amps, gate_unitary(gate), axes[0])
 
 
 def _check_norms(amps: np.ndarray):
@@ -258,8 +243,14 @@ def _evolve(circuit: Circuit, trajectories: np.ndarray, qubits: tuple[int, ...])
         gate = circuit.gates[i]
         axes = tuple(axis[t] for t in gate.targets)
         amps = _apply_gate(amps, gate, axes)
-        if codes.any():
-            _apply_pauli_codes(amps, axes, codes, paulis)
+        # Each state gets the Pauli its code selects: an index into
+        # ``paulis`` for one qubit, or 4a+b for the pair (a on axes[0], b
+        # on axes[1]).  Pauli entries are 0, +-1 and +-i, so the identity
+        # leaves a state exact.
+        digits = (codes,) if len(axes) == 1 else divmod(codes, 4)
+        for target, digit in zip(axes, digits):
+            if digit.any():
+                amps = _apply_1q(amps, paulis[digit].transpose(1, 2, 0), target)
         _check_norms(amps)
     return amps
 

@@ -66,6 +66,13 @@ def test_rejects_bad_pair_index():
         compute_pair_correlator({"00000000": 1}, -1)
 
 
+@pytest.mark.parametrize("pair_index", ["1", 1.5, True, None], ids=["string", "float", "bool", "none"])
+def test_rejects_a_pair_index_that_is_not_an_integer(pair_index):
+    # "1" and 1.5 used to raise a bare TypeError, and True was read as pair 1.
+    with pytest.raises(ScoreError, match="pair_index"):
+        compute_pair_correlator({"00000000": 1}, pair_index)
+
+
 def test_score_algebraic_extremes():
     assert chsh_score(1, 1, 1, -1) == 4.0
     assert chsh_score(0, 0, 0, 0) == 0.0

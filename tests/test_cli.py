@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from qguard import (
+    DocumentError,
     NoiseModel,
     RecordingAdapter,
     SimulatorAdapter,
@@ -138,6 +139,31 @@ def test_validate_rejects_invalid_json(tmp_path, capsys):
 
 def test_validate_missing_file(tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == EXIT_CONFIG_ERROR
+
+
+def test_validate_rejects_a_null_report_path(tmp_path, capsys):
+    assert main(["validate", str(write_workflow(tmp_path, report_path=None))]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().out.startswith("report_path: ")
+
+
+def test_run_rejects_a_null_report_path_before_running_anything(tmp_path, monkeypatch, capsys):
+    # A null report_path used to pass validation, so run spent both
+    # circuits' shots before it failed to write the report.
+    import qguard.backends
+
+    def no_run(*args):
+        raise AssertionError("the backend must not run")
+
+    monkeypatch.setattr(qguard.backends, "run_shots", no_run)
+    assert main(["run", str(write_workflow(tmp_path, report_path=None))]) == EXIT_CONFIG_ERROR
+    assert "report_path" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_diagnostics_are_document_errors(tmp_path):
+    diagnostics = validate_workflow(workflow_doc(constraint_shots=0), tmp_path)
+    assert [(type(d), d.path) for d in diagnostics] == [(DocumentError, "constraint_shots")]
+    assert str(diagnostics[0]).startswith("constraint_shots: ")
 
 
 # --- run: exit statuses and report -----------------------------------------

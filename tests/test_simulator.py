@@ -3,7 +3,10 @@ import hashlib
 import json
 import math
 import os
+import platform
 import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -605,7 +608,9 @@ def test_forked_child_draws_on_a_pool_of_its_own(monkeypatch):
     assert os.waitstatus_to_exitcode(status) == 0
 
 
-@pytest.mark.parametrize("case", ["many_trajectories", "one_measured", "five_qubit_subset"])
+@pytest.mark.parametrize(
+    "case", ["many_trajectories", "one_measured", "five_qubit_subset", "werner_probe", "singletons"]
+)
 def test_evolve_is_independent_of_batch(case):
     # Counts must not depend on which batch a trajectory lands in, so each
     # state of a batch must come out bit for bit as it would alone.
@@ -624,6 +629,50 @@ def test_evolve_is_independent_of_batch(case):
         alone = simulator._evolve(circuit, trajectories[i : i + 1], qubits)
         np.testing.assert_array_equal(np.abs(amps[..., i]) ** 2, np.abs(alone[..., 0]) ** 2)
         np.testing.assert_array_equal(cdfs[i], cdfs_of(alone)[0])
+
+
+def _held_rows_digest() -> str:
+    """sha256 over every trajectory's Born marginal row, per component, of
+    three pinned cases."""
+    digest = hashlib.sha256()
+    for case in ("werner_probe", "five_qubit_subset", "singletons"):
+        circuit, _, (parts, _, _) = _split_case(case)
+        for qubits, trajectories in parts:
+            rows_of, index = simulator._marginal_rows(circuit, qubits, trajectories)
+            digest.update(rows_of(index).tobytes())
+    return digest.hexdigest()
+
+
+def _numpy_blas() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError):  # numpy before 1.25 has no mode="dicts"
+        return ""
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64") or "openblas" not in _numpy_blas(),
+    reason="needs numpy on x86-64 OpenBLAS, whose core type can be forced",
+)
+def test_held_rows_do_not_depend_on_the_blas_core_type():
+    # OpenBLAS picks a kernel per CPU at load time, and its FMA-era kernels
+    # round differently from the pre-FMA ones.  No row may go through BLAS.
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(simulator.__file__)))
+    env = dict(
+        os.environ,
+        OPENBLAS_CORETYPE="Prescott",
+        PYTHONPATH=os.pathsep.join([tests_dir, src_dir]),
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", "import test_simulator as t; print(t._held_rows_digest())"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == _held_rows_digest()
 
 
 def test_components():
