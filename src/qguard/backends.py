@@ -27,7 +27,7 @@ from .calibration import (
 )
 from .circuits import BitstringCounts, Circuit
 from .errors import BackendError, RecordingExhausted, check_shots
-from .fields import decode, integer, items, located, no_unknown, obj, required, string
+from .fields import decode, each, integer, join, located, obj, record, string
 from .simulator import NoiseModel, run_shots
 from .timestamps import format_timestamp, parse_timestamp, utc_now
 
@@ -154,9 +154,12 @@ class SimulatorAdapter(BackendAdapter):
         return "simulator"
 
     def cache_key(self) -> Hashable:
-        # Every simulator has one name; its noise tells them apart.  The seed
-        # only picks the random draws, so it is left out.
-        return (self.name(), self._noise.with_seed(0))
+        # Every simulator has one name; its noise and the snapshot that
+        # constraints judge tell them apart.  The seed only picks the random
+        # draws, and calibration() restamps taken_at, so both are left out.
+        snapshot = self._calibration
+        judged = (snapshot.num_qubits, snapshot.qubits, snapshot.gates, snapshot.coupling_map)
+        return (self.name(), self._noise.with_seed(0), judged)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,33 +182,30 @@ class Recording:
         }
 
 
-_RESULT_KEYS = ("counts", "shots", "backend_name", "submitted_at", "completed_at", "metadata")
+def _strings(value: Any, path: str) -> dict[str, str]:
+    return {key: string(item, join(path, key)) for key, item in obj(value, path).items()}
+
+
+_RESULT_FIELDS = {
+    "counts": obj,
+    "shots": integer,
+    "backend_name": string,
+    "submitted_at": parse_timestamp,
+    "completed_at": parse_timestamp,
+    "metadata": _strings,
+}
+
+
+def _result(value: Any, path: str) -> ExperimentResult:
+    fields = record(value, path, _RESULT_FIELDS, optional=("metadata",))
+    with located(path):
+        return ExperimentResult(**fields)
 
 
 def recording_from_dict(doc: Mapping[str, Any]) -> Recording:
-    no_unknown(obj(doc, ""), ("calibration", "results"), "")
-    snapshot = calibration_from_dict(required(doc, "calibration", ""), "calibration")
-    results = []
-    for i, raw in enumerate(required(doc, "results", "", items)):
-        rpath = f"results[{i}]"
-        no_unknown(obj(raw, rpath), _RESULT_KEYS, rpath)
-        counts = required(raw, "counts", rpath, obj)
-        metadata = obj(raw.get("metadata", {}), f"{rpath}.metadata")
-        with located(rpath):
-            results.append(
-                ExperimentResult(
-                    counts=counts,
-                    shots=required(raw, "shots", rpath, integer),
-                    backend_name=required(raw, "backend_name", rpath, string),
-                    submitted_at=required(raw, "submitted_at", rpath, parse_timestamp),
-                    completed_at=required(raw, "completed_at", rpath, parse_timestamp),
-                    metadata={
-                        key: string(value, f"{rpath}.metadata.{key}")
-                        for key, value in metadata.items()
-                    },
-                )
-            )
-    return Recording(calibration=snapshot, results=tuple(results))
+    # Built per call, so instrumentation that replaces calibration_from_dict sees every call.
+    readers = {"calibration": calibration_from_dict, "results": each(_result)}
+    return Recording(**record(doc, "", readers))
 
 
 def parse_recording(document: str | Mapping[str, Any]) -> Recording:

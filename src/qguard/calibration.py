@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Any, Mapping
 
-from .errors import CalibrationError, DocumentError, is_index, is_real
-from .fields import decode, integer, integers, items, join, no_unknown, number, obj, required, string
+from .errors import CalibrationError, DocumentError, as_float, is_index, is_real
+from .fields import decode, each, integer, integers, number, record, string
 from .simulator import NoiseModel
 from .timestamps import format_timestamp, parse_timestamp, utc_now
 
@@ -30,16 +30,15 @@ class QubitCalibration:
                 f"qubit calibration fields must be numbers, got t1_us={self.t1_us!r}, "
                 f"t2_us={self.t2_us!r}, readout_error={self.readout_error!r}"
             )
+        t1, t2 = as_float(self.t1_us), as_float(self.t2_us)
         # Written so that NaN fails too.
-        if not (0.0 < self.t1_us < math.inf and 0.0 < self.t2_us < math.inf):
+        if not (0.0 < t1 < math.inf and 0.0 < t2 < math.inf):
             raise CalibrationError(
                 f"relaxation times must be positive and finite, got t1={self.t1_us}, t2={self.t2_us}"
             )
         # physical bound: T2 can reach at most twice T1
-        if self.t2_us > 2.0 * self.t1_us:
-            raise CalibrationError(
-                f"t2 ({self.t2_us}) exceeds the physical bound 2*t1 ({2.0 * self.t1_us})"
-            )
+        if t2 > 2.0 * t1:
+            raise CalibrationError(f"t2 ({self.t2_us}) exceeds the physical bound 2*t1 ({2.0 * t1})")
         if not 0.0 <= self.readout_error <= 1.0:
             raise CalibrationError(
                 f"readout_error must be in [0, 1], got {self.readout_error}"
@@ -171,48 +170,25 @@ def calibration_to_dict(snapshot: CalibrationSnapshot) -> dict[str, Any]:
     }
 
 
+def _pair(value: Any, path: str) -> list[int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise DocumentError(path, f"expected a pair of qubit indices, got {value!r}")
+    return integers(value, path)
+
+
+_QUBIT_FIELDS = {"t1_us": number, "t2_us": number, "readout_error": number}
+_GATE_FIELDS = {"name": string, "qubits": integers, "error": number}
+_SNAPSHOT_FIELDS = {
+    "taken_at": parse_timestamp,
+    "num_qubits": integer,
+    "qubits": each(lambda value, path: QubitCalibration(**record(value, path, _QUBIT_FIELDS))),
+    "gates": each(lambda value, path: GateCalibration(**record(value, path, _GATE_FIELDS))),
+    "coupling_map": each(_pair),
+}
+
+
 def calibration_from_dict(doc: Mapping[str, Any], path: str = "") -> CalibrationSnapshot:
-    no_unknown(obj(doc, path), ("taken_at", "num_qubits", "qubits", "gates", "coupling_map"), path)
-    taken_at = required(doc, "taken_at", path, parse_timestamp)
-    num_qubits = required(doc, "num_qubits", path, integer)
-    qubits_path = join(path, "qubits")
-    qubits = []
-    for i, raw in enumerate(required(doc, "qubits", path, items)):
-        qpath = f"{qubits_path}[{i}]"
-        no_unknown(obj(raw, qpath), ("t1_us", "t2_us", "readout_error"), qpath)
-        qubits.append(
-            QubitCalibration(
-                t1_us=required(raw, "t1_us", qpath, number),
-                t2_us=required(raw, "t2_us", qpath, number),
-                readout_error=required(raw, "readout_error", qpath, number),
-            )
-        )
-    gates_path = join(path, "gates")
-    gates = []
-    for i, raw in enumerate(required(doc, "gates", path, items)):
-        gpath = f"{gates_path}[{i}]"
-        no_unknown(obj(raw, gpath), ("name", "qubits", "error"), gpath)
-        gates.append(
-            GateCalibration(
-                name=required(raw, "name", gpath, string),
-                qubits=tuple(required(raw, "qubits", gpath, integers)),
-                error=required(raw, "error", gpath, number),
-            )
-        )
-    coupling_path = join(path, "coupling_map")
-    coupling = []
-    for i, raw in enumerate(required(doc, "coupling_map", path, items)):
-        cpath = f"{coupling_path}[{i}]"
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise DocumentError(cpath, f"expected a pair of qubit indices, got {raw!r}")
-        coupling.append(tuple(integers(raw, cpath)))
-    return CalibrationSnapshot(
-        taken_at=taken_at,
-        num_qubits=num_qubits,
-        qubits=tuple(qubits),
-        gates=tuple(gates),
-        coupling_map=tuple(coupling),
-    )
+    return CalibrationSnapshot(**record(doc, path, _SNAPSHOT_FIELDS))
 
 
 def parse_calibration(document: str | Mapping[str, Any]) -> CalibrationSnapshot:

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Mapping
 
-from .errors import CircuitError, DocumentError, is_index, is_real
-from .fields import decode, integer, integers, items, join, located, no_unknown, number, obj, required
+from .errors import CircuitError, as_float, is_index, is_real
+from .fields import choice, decode, each, integer, integers, located, number, record
 
 
 class BitstringCounts(Mapping):
@@ -134,12 +133,12 @@ class Gate:
         if self.kind in ROTATION_KINDS:
             if self.angle is None:
                 raise CircuitError(f"{self.kind.value} gate requires an angle")
-            angle = self.angle
             # A NaN angle would give a NaN unitary, and every shot outcome 0.
-            # The bound also rejects an integer too large for a float.
-            if not is_real(angle) or not abs(angle) <= sys.float_info.max:
-                raise CircuitError(f"{self.kind.value} angle must be a finite number, got {angle!r}")
-            object.__setattr__(self, "angle", float(angle))
+            if not is_real(self.angle) or not math.isfinite(angle := as_float(self.angle)):
+                raise CircuitError(
+                    f"{self.kind.value} angle must be a finite number, got {self.angle!r}"
+                )
+            object.__setattr__(self, "angle", angle)
         elif self.angle is not None:
             raise CircuitError(f"{self.kind.value} gate takes no angle")
 
@@ -325,6 +324,19 @@ def circuit_to_dict(circuit: Circuit) -> dict[str, Any]:
     }
 
 
+_GATE_KIND = choice({kind.value: kind for kind in GateKind})
+_GATE_FIELDS = {"kind": _GATE_KIND, "targets": integers, "angle": number}
+
+
+def _gate(value: Any, path: str) -> Gate:
+    fields = record(value, path, _GATE_FIELDS, optional=("angle",))
+    with located(path):
+        return Gate(**fields)
+
+
+_CIRCUIT_FIELDS = {"num_qubits": integer, "gates": each(_gate), "measure": integers}
+
+
 def circuit_from_dict(doc: Mapping[str, Any], path: str = "") -> Circuit:
     """Build a :class:`Circuit` from its document form.
 
@@ -332,27 +344,9 @@ def circuit_from_dict(doc: Mapping[str, Any], path: str = "") -> Circuit:
     documents, unknown fields, unknown gate kinds, out-of-range indices, and
     missing or surplus angles.
     """
-    no_unknown(obj(doc, path), ("num_qubits", "gates", "measure"), path)
-    num_qubits = required(doc, "num_qubits", path, integer)
-    gates_path = join(path, "gates")
-    gates = []
-    for i, raw in enumerate(required(doc, "gates", path, items)):
-        gate_path = f"{gates_path}[{i}]"
-        kind_name = required(raw, "kind", gate_path)
-        try:
-            kind = GateKind(kind_name)
-        except ValueError:
-            raise DocumentError(f"{gate_path}.kind", f"unknown gate kind {kind_name!r}") from None
-        targets = required(raw, "targets", gate_path, integers)
-        angle = raw.get("angle")
-        if angle is not None:
-            angle = number(angle, f"{gate_path}.angle")
-        no_unknown(raw, ("kind", "targets", "angle"), gate_path)
-        with located(gate_path):
-            gates.append(Gate(kind, tuple(targets), angle))
-    measure = required(doc, "measure", path, integers)
+    fields = record(doc, path, _CIRCUIT_FIELDS)
     with located(path):
-        return Circuit(num_qubits, tuple(gates), tuple(measure))
+        return Circuit(fields["num_qubits"], fields["gates"], fields["measure"])
 
 
 def serialize_circuit(circuit: Circuit) -> str:

@@ -26,7 +26,7 @@ from .circuits import Circuit, circuit_from_dict, circuit_to_dict
 from .constraints import ResourceConstraint, constraint_from_dict
 from .errors import DocumentError, NoiseModelError, QGuardError
 from .executor import Branch, run_conditionally
-from .fields import boolean, decode, integer, no_unknown, obj, required, string
+from .fields import boolean, choice, decode, integer, no_unknown, number, record, required, string
 from .simulator import NoiseModel
 from .timestamps import format_timestamp
 
@@ -35,18 +35,15 @@ EXIT_CONFIG_ERROR = 1
 EXIT_RUNTIME_ERROR = 2
 EXIT_FAILED = 3
 
-_NOISE_KEYS = ("p1", "p2", "readout_flip")
-_TOP_KEYS = {
-    "backend",
-    "constraint",
-    "main_circuit",
-    "constraint_shots",
-    "main_shots",
-    "report_path",
-}
-_BACKEND_KEYS = {
-    "simulator": {"type", "noise", "seed", "calibration_file"},
-    "replay": {"type", "recording_file", "strict"},
+_NOISE_FIELDS = dict.fromkeys(("p1", "p2", "readout_flip"), number)
+_BACKEND_FIELDS = {
+    "simulator": {
+        "type": string,
+        "noise": lambda value, path: record(value, path, _NOISE_FIELDS, optional=_NOISE_FIELDS),
+        "seed": integer,
+        "calibration_file": string,
+    },
+    "replay": {"type": string, "recording_file": string, "strict": boolean},
 }
 
 
@@ -62,9 +59,9 @@ class Workflow:
     main_shots: int
 
 
-def _referenced(base_dir: Path, name: Any, path: str, load: Callable[[Path], Any]) -> Any:
+def _referenced(base_dir: Path, name: str, path: str, load: Callable[[Path], Any]) -> Any:
     """``load`` applied to the file named by the workflow field at ``path``."""
-    file = base_dir / string(name, path)
+    file = base_dir / name
     try:
         return load(file)
     except OSError as exc:
@@ -74,52 +71,46 @@ def _referenced(base_dir: Path, name: Any, path: str, load: Callable[[Path], Any
 
 
 def _load_backend(
-    doc: Mapping[str, Any], base_dir: Path, seed_override: int | None
+    backend: Any, base_dir: Path, seed_override: int | None
 ) -> tuple[BackendAdapter, dict[str, Any]]:
-    backend = required(doc, "backend", "", obj)
-    kind = backend.get("type")
-    if kind not in _BACKEND_KEYS:
-        raise DocumentError("backend.type", f"expected \"simulator\" or \"replay\", got {kind!r}")
-    no_unknown(backend, _BACKEND_KEYS[kind], "backend")
-    if kind == "replay":
-        strict = boolean(backend.get("strict", False), "backend.strict")
-        recording_file = required(backend, "recording_file", "backend")
+    readers = required(backend, "type", "backend", choice(_BACKEND_FIELDS))
+    fields = record(
+        backend, "backend", readers, optional=("noise", "seed", "calibration_file", "strict")
+    )
+    if fields["type"] == "replay":
+        resolved = {"strict": False, **fields}
         adapter = _referenced(
             base_dir,
-            recording_file,
+            fields["recording_file"],
             "backend.recording_file",
-            lambda file: ReplayAdapter.from_file(file, strict=strict),
+            lambda file: ReplayAdapter.from_file(file, strict=resolved["strict"]),
         )
-        return adapter, {"type": "replay", "recording_file": recording_file, "strict": strict}
+        return adapter, resolved
 
-    noise_doc = obj(backend.get("noise", {}), "backend.noise")
-    no_unknown(noise_doc, _NOISE_KEYS, "backend.noise")
     noise = NoiseModel(
-        **{key: noise_doc.get(key, 0.0) for key in _NOISE_KEYS}, seed=backend.get("seed", 0)
+        **{**dict.fromkeys(_NOISE_FIELDS, 0.0), **fields.get("noise", {})},
+        seed=fields.get("seed", 0),
     )
     if seed_override is not None:
         noise = noise.with_seed(seed_override)
     resolved = {
         "type": "simulator",
-        "noise": {key: getattr(noise, key) for key in _NOISE_KEYS},
+        "noise": {key: getattr(noise, key) for key in _NOISE_FIELDS},
         "seed": noise.seed,
     }
-    calibration_file = backend.get("calibration_file")
-    if calibration_file is None:
-        calibration = synthetic_calibration_for(noise)
-    else:
-        calibration = _referenced(
-            base_dir,
-            calibration_file,
-            "backend.calibration_file",
-            lambda file: parse_calibration(file.read_text()),
-        )
-        resolved["calibration_file"] = calibration_file
+    if "calibration_file" not in fields:
+        return SimulatorAdapter(noise, synthetic_calibration_for(noise)), resolved
+    calibration = _referenced(
+        base_dir,
+        fields["calibration_file"],
+        "backend.calibration_file",
+        lambda file: parse_calibration(file.read_text()),
+    )
+    resolved["calibration_file"] = fields["calibration_file"]
     return SimulatorAdapter(noise, calibration), resolved
 
 
-def _load_main_circuit(doc: Mapping[str, Any], base_dir: Path) -> Circuit:
-    main = required(doc, "main_circuit", "")
+def _load_main_circuit(main: Any, base_dir: Path) -> Circuit:
     if isinstance(main, str):
         return _referenced(
             base_dir, main, "main_circuit", lambda file: circuit_from_dict(decode(file.read_text()))
@@ -127,10 +118,10 @@ def _load_main_circuit(doc: Mapping[str, Any], base_dir: Path) -> Circuit:
     return circuit_from_dict(main, "main_circuit")
 
 
-def _shots(doc: Mapping[str, Any], key: str) -> int:
-    shots = required(doc, key, "", integer)
+def _shots(value: Any, path: str) -> int:
+    shots = integer(value, path)
     if shots < 1:
-        raise DocumentError(key, f"expected a positive integer, got {shots!r}")
+        raise DocumentError(path, f"expected a positive integer, got {shots!r}")
     return shots
 
 
@@ -161,21 +152,25 @@ def load_workflow(
             )
         return None
 
-    build(no_unknown, doc, _TOP_KEYS, "")
-    backend = build(_load_backend, doc, base_dir, seed_override)
-    constraint = build(lambda: constraint_from_dict(required(doc, "constraint", "")))
-    main_circuit = build(_load_main_circuit, doc, base_dir)
-    constraint_shots = build(_shots, doc, "constraint_shots")
-    main_shots = build(_shots, doc, "main_shots")
-    if "report_path" in doc:
-        build(string, doc["report_path"], "report_path")
+    sections = {
+        "backend": lambda value, path: _load_backend(value, base_dir, seed_override),
+        "constraint": constraint_from_dict,
+        "main_circuit": lambda value, path: _load_main_circuit(value, base_dir),
+        "constraint_shots": _shots,
+        "main_shots": _shots,
+        "report_path": string,
+    }
+    build(no_unknown, doc, sections, "")
+    built = {
+        key: build(required, doc, key, "", read)
+        for key, read in sections.items()
+        if key in doc or key != "report_path"  # the one section that may be left out
+    }
     if diagnostics:
         return None, diagnostics
-    adapter, resolved_backend = backend
-    workflow = Workflow(
-        adapter, resolved_backend, constraint, main_circuit, constraint_shots, main_shots
-    )
-    return workflow, []
+    adapter, resolved_backend = built.pop("backend")
+    built.pop("report_path", None)
+    return Workflow(adapter, resolved_backend, **built), []
 
 
 def validate_workflow(doc: Any, base_dir: Path) -> list[DocumentError]:

@@ -30,8 +30,8 @@ from .chsh import (
     score_standard_error,
 )
 from .circuits import packed_chsh_circuit
-from .errors import ConstraintError, DocumentError, check_shots, is_index, is_real
-from .fields import integer, items, join, located, no_unknown, number, obj, required
+from .errors import ConstraintError, DocumentError, as_float, check_shots, is_index, is_real
+from .fields import choice, each, integer, items, join, located, number, record, required, string
 from .timestamps import format_timestamp, utc_now
 
 
@@ -46,7 +46,7 @@ class _Threshold:
             raise ConstraintError(f"threshold must be a number, got {self.threshold!r}")
         # NaN compares false with every score; an infinite threshold still
         # decides every score one way, as written.
-        if math.isnan(self.threshold):
+        if math.isnan(as_float(self.threshold)):
             raise ConstraintError(f"threshold must not be NaN, got {self.threshold!r}")
 
 
@@ -218,7 +218,7 @@ class CalibrationConstraint(ResourceConstraint):
             valid, wanted = (is_index, "an integer") if integral else (is_real, "a number")
             if not valid(value):
                 problems.append(f"{key}: expected {wanted}, got {value!r}")
-            elif not integral and not math.isfinite(value):
+            elif not integral and not math.isfinite(as_float(value)):
                 problems.append(f"{key}: expected a finite number, got {value!r}")
         if problems:
             raise ConstraintError("; ".join(problems))
@@ -382,17 +382,18 @@ class FreshWithin(ResourceConstraint):
 #   "children": [...]?,                                      (composites, not, fresh_within)
 #   "ttl_seconds": number? }                                 (fresh_within)
 
-_ALLOWED_KEYS = {
-    "packed_chsh": {"type", "policy"},
-    "calibration": {"type", "criteria"},
-    "and": {"type", "children"},
-    "or": {"type", "children"},
-    "not": {"type", "children"},
-    "fresh_within": {"type", "children", "ttl_seconds"},
-}
+_POLICY_KIND = choice({"min": MinimumAcceptableValue, "max": MaximumAcceptableValue})
+_POLICY_FIELDS = {"kind": _POLICY_KIND, "threshold": number}
+_CRITERION_FIELDS = {key: integer if c.integral else number for key, c in _CRITERIA.items()}
 
 
-_POLICIES = {"min": MinimumAcceptableValue, "max": MaximumAcceptableValue}
+def _policy(value: Any, path: str) -> _Threshold:
+    policy = record(value, path, _POLICY_FIELDS)
+    return policy["kind"](policy["threshold"])
+
+
+def _criteria(value: Any, path: str) -> dict[str, float]:
+    return record(value, path, _CRITERION_FIELDS, optional=_CRITERION_FIELDS)
 
 
 def constraint_from_dict(
@@ -406,47 +407,32 @@ def constraint_from_dict(
     field.  ``clock`` is threaded through to every node so whole trees can
     run against synthetic time.
     """
-    kind = obj(doc, path).get("type")
-    if kind not in _ALLOWED_KEYS:
-        raise DocumentError(f"{path}.type", f"unknown constraint type {kind!r}")
-    no_unknown(doc, _ALLOWED_KEYS[kind], path)
+    children = each(lambda child, child_path: constraint_from_dict(child, child_path, clock))
 
+    def only_child(value: Any, children_path: str) -> ResourceConstraint:
+        if len(items(value, children_path)) != 1:
+            raise DocumentError(children_path, f"expected exactly 1 child, got {len(value)}")
+        return children(value, children_path)[0]
+
+    readers = {
+        "packed_chsh": {"policy": _policy},
+        "calibration": {"criteria": _criteria},
+        "and": {"children": children},
+        "or": {"children": children},
+        "not": {"children": only_child},
+        "fresh_within": {"children": only_child, "ttl_seconds": number},
+    }
+    fields = record(doc, path, {"type": string, **required(doc, "type", path, choice(readers))})
+    kind = fields["type"]
     if kind == "packed_chsh":
-        policy_path = f"{path}.policy"
-        policy = required(doc, "policy", path, obj)
-        no_unknown(policy, ("kind", "threshold"), policy_path)
-        policy_kind = policy.get("kind")
-        if policy_kind not in _POLICIES:
-            raise DocumentError(
-                f"{policy_path}.kind", f"expected \"min\" or \"max\", got {policy_kind!r}"
-            )
-        threshold = required(policy, "threshold", policy_path, number)
-        return PackedCHSHTest(_POLICIES[policy_kind](threshold), clock=clock)
-
+        return PackedCHSHTest(fields["policy"], clock=clock)
     if kind == "calibration":
-        criteria_path = f"{path}.criteria"
-        criteria = required(doc, "criteria", path, obj)
-        no_unknown(criteria, _CRITERIA, criteria_path)
-        kwargs = {
-            key: (integer if _CRITERIA[key].integral else number)(value, join(criteria_path, key))
-            for key, value in criteria.items()
-        }
-        with located(criteria_path):
-            return CalibrationConstraint(clock=clock, **kwargs)
-
-    children_path = f"{path}.children"
-    child_docs = required(doc, "children", path, items)
-    if kind in ("not", "fresh_within") and len(child_docs) != 1:
-        raise DocumentError(children_path, f"expected exactly 1 child, got {len(child_docs)}")
-    children = [
-        constraint_from_dict(child, f"{children_path}[{i}]", clock)
-        for i, child in enumerate(child_docs)
-    ]
+        with located(join(path, "criteria")):
+            return CalibrationConstraint(clock=clock, **fields["criteria"])
     if kind in ("and", "or"):
-        with located(children_path):
-            return (AndConstraint if kind == "and" else OrConstraint)(children, clock=clock)
+        with located(join(path, "children")):
+            return (AndConstraint if kind == "and" else OrConstraint)(fields["children"], clock)
     if kind == "not":
-        return NotConstraint(children[0], clock=clock)
-    ttl = required(doc, "ttl_seconds", path, number)
-    with located(f"{path}.ttl_seconds"):
-        return FreshWithin(children[0], ttl=timedelta(seconds=ttl), clock=clock)
+        return NotConstraint(fields["children"], clock=clock)
+    with located(join(path, "ttl_seconds")):
+        return FreshWithin(fields["children"], timedelta(seconds=fields["ttl_seconds"]), clock)

@@ -3,6 +3,7 @@ its constructors check with, and the one shot-count check."""
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Any
 
@@ -100,6 +101,14 @@ class CallbackError(QGuardError):
 def is_real(value: Any) -> bool:
     """A real number and not a bool; plain floats take the first test."""
     return type(value) is float or (not isinstance(value, bool) and isinstance(value, numbers.Real))
+
+
+def as_float(value: Any) -> float:
+    """The real ``value`` as a float; an integer too large for one becomes ±inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def is_index(value: Any) -> bool:

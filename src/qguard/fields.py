@@ -1,12 +1,16 @@
 """Typed readers for the fields of decoded JSON documents.
 
 Every document parser in the package reads its input through these
-helpers.  Each one checks the JSON shape of one value and raises
-:class:`DocumentError` naming the value's path (``backend.noise.p1``,
-``gates[2].targets[0]``).  A number must also be finite.  Ranges and
-invariants are not checked here: the constructors of the objects being
-built own them, and :func:`located`
-re-raises a constructor's error at the document path it was built from.
+helpers.  A reader ``read(value, path)`` checks the JSON shape of one value
+and returns it, or raises :class:`DocumentError` naming the value's path
+(``backend.noise.p1``, ``gates[2].targets[0]``); a number must also be
+finite.  :func:`record` reads an object through one ``key -> reader``
+table, which is both the object's allowed keys and the reads of their
+values; :func:`each` reads a list item by item; :func:`choice` reads a
+string naming one of a fixed set of options.  Ranges and invariants are not
+checked here: the constructors of the objects being built own them, and
+:func:`located` re-raises a constructor's error at the document path it was
+built from.
 """
 
 from __future__ import annotations
@@ -14,9 +18,11 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Collection, Iterator, Mapping
 
-from .errors import DocumentError, QGuardError
+from .errors import DocumentError, QGuardError, as_float, is_real
+
+Reader = Callable[[Any, str], Any]
 
 
 def join(path: str, key: str) -> str:
@@ -38,11 +44,29 @@ def obj(value: Any, path: str) -> Mapping[str, Any]:
     return value
 
 
-def required(doc: Any, key: str, path: str, read: Callable[[Any, str], Any] | None = None) -> Any:
-    """The required field ``key`` of the object at ``path``, checked by ``read`` if given."""
+def required(doc: Any, key: str, path: str, read: Reader) -> Any:
+    """The required field ``key`` of the object at ``path``, read by ``read``."""
     if key not in obj(doc, path):
         raise DocumentError(join(path, key), "required field missing")
-    return doc[key] if read is None else read(doc[key], join(path, key))
+    return read(doc[key], join(path, key))
+
+
+def record(
+    doc: Any, path: str, readers: Mapping[str, Reader], optional: Collection[str] = ()
+) -> dict[str, Any]:
+    """The fields of the object at ``path``, each read by its entry in ``readers``.
+
+    A key outside ``readers`` is an error, and so is a missing key unless it
+    is in ``optional``; a missing optional key is absent from the result.
+    """
+    no_unknown(obj(doc, path), readers, path)
+    fields = {}
+    for key, read in readers.items():
+        if key in doc:
+            fields[key] = read(doc[key], join(path, key))
+        elif key not in optional:
+            raise DocumentError(join(path, key), "required field missing")
+    return fields
 
 
 def items(value: Any, path: str) -> list:
@@ -51,16 +75,27 @@ def items(value: Any, path: str) -> list:
     return value
 
 
+def each(read: Reader) -> Reader:
+    """A reader of a list whose every item is read by ``read``."""
+    return lambda value, path: [read(v, f"{path}[{i}]") for i, v in enumerate(items(value, path))]
+
+
+def choice(options: Mapping[str, Any]) -> Reader:
+    """A reader of a string naming one of ``options``; it returns the option named."""
+
+    def read(value: Any, path: str) -> Any:
+        # The type is checked first: a list or object is not hashable.
+        if not isinstance(value, str) or value not in options:
+            raise DocumentError(path, f"expected one of {list(options)}, got {value!r}")
+        return options[value]
+
+    return read
+
+
 def number(value: Any, path: str) -> float:
     """A finite number, as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DocumentError(path, f"expected a number, got {value!r}")
-    try:
-        result = float(value)
-    except OverflowError:  # an integer too large for a float
-        result = math.inf
     # json decodes NaN and Infinity too.
-    if not math.isfinite(result):
+    if not is_real(value) or not math.isfinite(result := as_float(value)):
         raise DocumentError(path, f"expected a finite number, got {value!r}")
     return result
 
@@ -71,9 +106,7 @@ def integer(value: Any, path: str) -> int:
     return value
 
 
-def integers(value: Any, path: str) -> list[int]:
-    """A list of integers."""
-    return [integer(item, f"{path}[{i}]") for i, item in enumerate(items(value, path))]
+integers = each(integer)
 
 
 def string(value: Any, path: str) -> str:
@@ -88,10 +121,9 @@ def boolean(value: Any, path: str) -> bool:
     return value
 
 
-def no_unknown(doc: Mapping[str, Any], allowed: Iterable[str], path: str):
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        raise DocumentError(path, f"unknown field(s): {sorted(unknown)}")
+def no_unknown(doc: Mapping[str, Any], allowed: Mapping[str, Any], path: str):
+    if not doc.keys() <= allowed.keys():
+        raise DocumentError(path, f"unknown field(s): {sorted(doc.keys() - allowed.keys())}")
 
 
 @contextmanager

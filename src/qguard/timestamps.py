@@ -29,7 +29,10 @@ def parse_timestamp(value: object, path: str) -> datetime:
         raise DocumentError(path, f"not an RFC3339 timestamp: {value!r}") from None
     if parsed.tzinfo is None:
         raise DocumentError(path, f"timestamp lacks a UTC offset: {value!r}")
-    return parsed.astimezone(timezone.utc)
+    try:
+        return parsed.astimezone(timezone.utc)
+    except OverflowError:
+        raise DocumentError(path, f"timestamp outside years 1..9999 in UTC: {value!r}") from None
 
 
 def format_timestamp(moment: datetime) -> str:

@@ -235,3 +235,21 @@ def test_synthetic_calibration_mirrors_noise():
     assert len(single) == 4
     assert len(double) == 3
     assert (0, 1) in snapshot.coupling_map and (1, 0) in snapshot.coupling_map
+
+
+@pytest.mark.parametrize("times", [(10**400, 1.0), (1.0, 10**400)])
+def test_rejects_relaxation_times_too_large_for_a_float(times):
+    # 10**400 used to escape as a bare OverflowError from 2.0 * t1.
+    with pytest.raises(CalibrationError, match="finite"):
+        QubitCalibration(*times, 0.1)
+
+
+@pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"])
+def test_rejects_a_timestamp_outside_the_utc_calendar(stamp):
+    # Shifting either to UTC leaves years 1..9999; it used to escape as a
+    # bare OverflowError.
+    doc = sample_doc()
+    doc["taken_at"] = stamp
+    with pytest.raises(DocumentError) as caught:
+        parse_calibration(doc)
+    assert caught.value.path == "taken_at"

@@ -171,3 +171,10 @@ def test_standard_errors_take_a_numpy_integer_shot_count():
     import numpy as np
 
     assert score_standard_error((0, 0, 0, 0), np.int64(100)) == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("value", ["a", None, [0.5]], ids=["string", "none", "list"])
+def test_score_rejects_a_correlator_that_is_not_a_number(value):
+    # "a" used to escape as a bare TypeError from -1.0 <= "a".
+    with pytest.raises(ScoreError, match="E00"):
+        chsh_score(value, 0, 0, 0)

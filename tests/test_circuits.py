@@ -339,3 +339,15 @@ def test_round_trip_property(circuit):
 def test_document_is_plain_json(circuit):
     doc = circuit_to_dict(circuit)
     assert json.loads(json.dumps(doc)) == doc
+
+
+def test_gate_takes_a_numpy_float32_angle_without_a_warning():
+    # abs(angle) <= sys.float_info.max cast the bound to float32 and warned
+    # of an overflow, which the suite's filterwarnings = error turns into a
+    # failure.
+    import numpy as np
+
+    gate = Gate.rx(0, np.float32(1.0))
+    assert gate.angle == 1.0
+    assert type(gate.angle) is float
+

@@ -10,9 +10,11 @@ from qguard import (
     NoiseModel,
     RecordingAdapter,
     SimulatorAdapter,
+    calibration_to_dict,
     circuit_to_dict,
     packed_chsh_circuit,
     phi_plus,
+    synthetic_calibration_for,
 )
 from qguard.cli import (
     EXIT_CONFIG_ERROR,
@@ -166,6 +168,20 @@ def test_diagnostics_are_document_errors(tmp_path):
     assert str(diagnostics[0]).startswith("constraint_shots: ")
 
 
+@pytest.mark.parametrize(
+    "overrides, path",
+    [
+        ({"backend": {"type": ["simulator"]}}, "backend.type"),
+        ({"constraint": {"type": ["packed_chsh"]}}, "constraint.type"),
+    ],
+    ids=["backend_type", "constraint_type"],
+)
+def test_validate_reports_a_list_valued_type(tmp_path, capsys, overrides, path):
+    # Both used to escape as a bare TypeError: unhashable type.
+    assert main(["validate", str(write_workflow(tmp_path, **overrides))]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().out.startswith(f"{path}: ")
+
+
 # --- run: exit statuses and report -----------------------------------------
 
 
@@ -211,6 +227,33 @@ def test_run_failing_workflow(tmp_path, capsys):
 
 def test_run_missing_config(tmp_path):
     assert main(["run", str(tmp_path / "nope.json")]) == EXIT_CONFIG_ERROR
+
+
+def test_run_rejects_a_config_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text("{not json")
+    assert main(["run", str(path)]) == EXIT_CONFIG_ERROR
+    assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_run_reports_a_report_it_cannot_write(tmp_path, capsys):
+    config = write_workflow(tmp_path, report_path="no_such_directory/report.json")
+    assert main(["run", str(config)]) == EXIT_RUNTIME_ERROR
+    assert "cannot write report" in capsys.readouterr().err
+
+
+def test_run_judges_the_snapshot_of_a_calibration_file(tmp_path):
+    # Every qubit has T1 = 40 us; the synthetic snapshot has 120 us.
+    snapshot = synthetic_calibration_for(NoiseModel.ideal(), num_qubits=2)
+    weak = [{"t1_us": 40.0, "t2_us": 30.0, "readout_error": 0.0}] * 2
+    (tmp_path / "cal.json").write_text(json.dumps({**calibration_to_dict(snapshot), "qubits": weak}))
+    backend = {"type": "simulator", "calibration_file": "cal.json"}
+    constraint = {"type": "calibration", "criteria": {"min_t1_us": 100}}
+    config = write_workflow(tmp_path, backend=backend, constraint=constraint)
+    assert main(["run", str(config)]) == EXIT_FAILED
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config"]["backend"]["calibration_file"] == "cal.json"
+    assert report["introspection"]["scores"] == {"worst_t1_us": 40.0}
 
 
 def test_run_invalid_workflow_writes_no_report(tmp_path, capsys):

@@ -139,6 +139,14 @@ def test_policy_rejects_a_threshold_that_is_not_a_number(policy, threshold):
         policy(threshold)
 
 
+@pytest.mark.parametrize("policy", [MinimumAcceptableValue, MaximumAcceptableValue])
+def test_policy_takes_a_threshold_too_large_for_a_float(policy):
+    # math.isnan(10**400) used to raise a bare OverflowError.  The threshold
+    # is infinite in effect and decides every score one way.
+    assert policy(10**400).decide(4.0) is (policy is MaximumAcceptableValue)
+    assert policy(-(10**400)).decide(-4.0) is (policy is MinimumAcceptableValue)
+
+
 # --- IntrospectionResult ---------------------------------------------------
 
 
@@ -304,6 +312,13 @@ def test_calibration_constraint_rejects_ill_typed_criteria(kwargs):
 def test_calibration_constraint_rejects_non_finite_criteria(key, value):
     with pytest.raises(ConstraintError, match=f"^{key}: expected a finite number"):
         CalibrationConstraint(**{key: value})
+
+
+@pytest.mark.parametrize("key", ["min_t1_us", "max_readout_error"])
+def test_calibration_constraint_rejects_criteria_too_large_for_a_float(key):
+    # math.isfinite(10**400) used to raise a bare OverflowError.
+    with pytest.raises(ConstraintError, match=f"^{key}: expected a finite number"):
+        CalibrationConstraint(**{key: 10**400})
 
 
 def test_calibration_constraint_rejects_unknown_criteria():
@@ -619,6 +634,28 @@ def test_fresh_within_reevaluates_for_other_recording():
     assert fresh.evaluate(ReplayAdapter(noisy_recording), 1000) is noisy_result
 
 
+def test_fresh_within_reevaluates_for_other_simulator_calibration():
+    # Simulators with one noise model used to share a cache key, so B
+    # passed on A's T1 of 120 although its own T1 is 40.
+    noise = NoiseModel.ideal()
+    synthetic = synthetic_calibration_for(noise)
+    weak = CalibrationSnapshot(
+        taken_at=synthetic.taken_at,
+        num_qubits=synthetic.num_qubits,
+        qubits=(QubitCalibration(t1_us=40.0, t2_us=30.0, readout_error=0.0),) * synthetic.num_qubits,
+        gates=synthetic.gates,
+        coupling_map=synthetic.coupling_map,
+    )
+    fresh = FreshWithin(CalibrationConstraint(min_t1_us=100), ttl=timedelta(seconds=60))
+    assert fresh.evaluate(SimulatorAdapter(noise), 1).passed
+    result = fresh.evaluate(SimulatorAdapter(noise, weak), 1)
+    assert not result.passed
+    assert result["worst_t1_us"] == 40.0
+    # The same snapshot stamped at another moment is the same backend.
+    restamped = SimulatorAdapter(noise, weak.with_taken_at(T0))
+    assert fresh.evaluate(restamped, 1) is result
+
+
 # --- document form ---------------------------------------------------------
 
 
@@ -718,6 +755,23 @@ def test_constraint_from_dict_bad_policy():
         constraint_from_dict({"type": "packed_chsh", "policy": {"kind": "exact", "threshold": 1}})
     with pytest.raises(DocumentError, match="threshold"):
         constraint_from_dict({"type": "packed_chsh", "policy": {"kind": "min"}})
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ({"type": ["and"], "children": []}, "constraint.type"),
+        ({"type": {"and": 1}}, "constraint.type"),
+        ({"type": "packed_chsh", "policy": {"kind": ["min"], "threshold": 2}}, "constraint.policy.kind"),
+        ({"type": "not", "children": [{"type": ["calibration"]}]}, "constraint.children[0].type"),
+    ],
+    ids=["list_type", "object_type", "list_policy_kind", "list_child_type"],
+)
+def test_constraint_from_dict_rejects_a_one_of_field_that_is_not_a_string(doc, path):
+    # Each used to escape as a bare TypeError: unhashable type.
+    with pytest.raises(DocumentError) as excinfo:
+        constraint_from_dict(doc)
+    assert excinfo.value.path == path
 
 
 def test_constraint_from_dict_child_errors_name_their_path():
