@@ -11,26 +11,33 @@ Determinism: every random draw for a run comes from one counter-based
 uniform matrix with one column per gate event, one per Pauli choice, one
 outcome draw and one per readout bit.  The matrix is streamed in blocks of
 rows; a counter-based stream yields the same numbers in blocks as in one
-draw.  Each block is reduced at once: every shot keeps its outcome draw and
-readout flip mask, and only a noisy shot, one where some event drew a
-non-identity Pauli, keeps its row of per-gate Pauli codes and its index.
-So memory stays bounded as shots grow, and the codes cost per noisy shot.
-A matrix of several blocks is drawn in contiguous stripes of rows, one per
+draw.  Each block is reduced at once.  A noisy shot, one where some event
+drew a non-identity Pauli, keeps its row of per-gate Pauli codes, its
+outcome draw and its readout flip mask.  Every other shot is sampled on the
+spot from the noiseless distribution, its flips applied, and added to a
+tally of outcomes.  So a run keeps nothing per noiseless shot, and memory
+does not grow with them.  A matrix of several blocks is drawn in contiguous stripes of rows, one per
 usable CPU, on a thread pool that lives only for that draw, so no thread
 outlives ``run_shots``.  A stripe starting at row r jumps its own
 Philox stream straight to the word r * width: the counter r * width // 4
 (each counter step yields four 64-bit words, one per uniform double), then
-r * width % 4 words skipped.  The stripes' results are joined in row order,
-so the counts do not depend on the number of CPUs.  The mapping from
-(circuit, shots, noise) to counts is fixed no matter how the work is split.
+r * width % 4 words skipped.  Each stripe keeps its own tally, and the
+noisy shots of the stripes are joined in row order, so the counts do not
+depend on the number of CPUs.  The mapping from (circuit, shots, noise) to
+counts is fixed no matter how the work is split.
 
-Evolution: shots sharing a noise trajectory (the per-gate Pauli codes) are
-evolved once and sampled from the same distribution.  Distribution 0 is the
-noiseless one: every shot is first sampled from it in one search, and then
-the shots of every other distribution are sampled again, each from its own,
-in one vectorised binary search per batch of distributions, so grouping and
-sampling beyond that first search cost per noisy shot.  The unique
-trajectories are evolved together in batches, each held as one
+Evolution: the noiseless distribution depends on the circuit alone.  It is
+computed before the draw and kept, for the last few circuits run, in a
+cache keyed by the circuit's value: each component's Born marginal, their
+joint CDF, and a table of that CDF over equal cells of [0, 1).  A cell that
+no CDF entry lies strictly inside gives every draw in it the same outcome,
+so a noiseless shot reads its outcome from the table, and only a draw in
+one of the few other cells is binary-searched.  Both give exactly the
+outcome that a search of the whole CDF gives.  Shots sharing a noise
+trajectory (the per-gate Pauli codes) are evolved once and sampled from the
+same distribution: for the noisy shots, one vectorised binary search per
+batch of distributions, so grouping and sampling cost per noisy shot.  The
+unique trajectories are evolved together in batches, each held as one
 ``(2, ..., 2, B)`` array whose size is capped by an amplitude byte budget:
 each qubit is one axis and the state is the last axis.  Every one-qubit
 matrix, a gate's or the Pauli injections after it (each state's own,
@@ -48,7 +55,8 @@ once into unique joint trajectories.  These few rows are then split
 column-wise and grouped again per component, which gives each component's
 own trajectories and each joint trajectory's tuple of component trajectory
 indices.  A component evolves its trajectories, in batches, into each one's
-Born marginal over its measured qubits.  When all of a component's
+Born marginal over its measured qubits; the noiseless trajectory's is read
+from the cache.  When all of a component's
 marginals fit the byte budget they are held, and trajectories whose rows
 are byte-identical (a Pauli such as ZZ after a Bell pair's CNOT leaves the
 pair's marginal unchanged, bit for bit) are merged into one distribution.
@@ -66,9 +74,11 @@ marginals.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,6 +172,10 @@ SIMULATOR_MAX_QUBITS = 20
 _BATCH_BYTES = 256 * 1024
 # Bytes of the uniform matrix drawn at once.
 _DRAW_BYTES = 4 * 1024 * 1024
+# Circuits whose noiseless distribution is kept between runs, and the number
+# of cells, a power of two, in the lookup table of its CDF.
+_NOISELESS_CIRCUITS = 4
+_CELLS = 4096
 
 
 def _check_width(num_qubits: int):
@@ -290,6 +304,32 @@ def _search_rows(cdfs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarra
     return found
 
 
+def _cell_table(cdf: np.ndarray) -> np.ndarray:
+    """The lookup table of ``cdf`` over ``_CELLS`` equal cells of [0, 1).
+    Cell c, the draws in [c, c + 1) / _CELLS, holds the number of entries
+    <= c / _CELLS, which is the search result of every draw in it, or -1
+    when an entry lies strictly inside it."""
+    # Scaling by a power of two is exact.  An entry e is <= c / _CELLS
+    # exactly when ceil(e * _CELLS) <= c, and lies strictly inside cell c
+    # exactly when floor(e * _CELLS) <= c < ceil(e * _CELLS).
+    scaled = cdf * _CELLS
+    at_most, below_next = (
+        np.cumsum(np.bincount(cell.astype(np.intp), minlength=_CELLS)[:_CELLS])
+        for cell in (np.ceil(scaled), np.floor(scaled))
+    )
+    return np.where(below_next > at_most, -1, at_most)
+
+
+def _cell_search(cdf: np.ndarray, table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, u, side="right")`` for draws ``u`` in [0, 1),
+    read from ``table``, the cell table of ``cdf``; only draws in a cell
+    with an entry inside are searched."""
+    found = table[(u * _CELLS).astype(np.intp)]
+    inside = np.flatnonzero(found < 0)
+    found[inside] = np.searchsorted(cdf, u[inside], side="right")
+    return found
+
+
 def _cpu_count() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -299,20 +339,24 @@ def _cpu_count() -> int:
 
 
 def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
-    """The Pauli codes of the noisy shots, the shot each code row belongs
-    to, and every shot's outcome draw and readout flip mask.
+    """The Pauli codes, outcome draws and readout flip masks of the noisy
+    shots, in shot order, and the tally of every other shot's outcome with
+    its readout flips applied.
 
     The uniform matrix has columns, in order: per-gate event draws, per-gate
     Pauli choices, the outcome draw, per-bit readout draws.  Row i belongs
     to shot i.  It is drawn in blocks of rows and reduced block by block.
     A shot is noisy if some event fired and drew a non-identity Pauli; only
-    noisy shots get a code row (int8, one column per gate), in shot order.
+    noisy shots get a code row (int8, one column per gate), outcome draw
+    and flip mask.  Every other shot draws from the noiseless distribution,
+    searched through its cell table, and is tallied at once, so nothing is
+    kept per noiseless shot.
 
     A draw of several blocks is split into contiguous stripes of rows, one
     per CPU, drawn and reduced on a pool of one thread per stripe, which is
     shut down before this returns.  Each stripe jumps its own Philox stream
-    to its first row and reuses one buffer, and the stripes' buffers
-    together hold the bytes of one block.
+    to its first row, reuses one buffer and keeps one tally, and the
+    stripes' buffers together hold the bytes of one block.
     """
     num_gates = len(circuit.gates)
     k = circuit.num_measured
@@ -324,13 +368,11 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
     live = np.flatnonzero(event_p)
     choices = np.array([16 if g.kind is GateKind.CNOT else 4 for g in circuit.gates])
     bit_values = (1 << np.arange(k - 1, -1, -1)).astype(np.int64)
-    outcome_u = np.empty(shots)
-    flip_masks = np.empty(shots, dtype=np.int64)
+    noiseless = _noiseless(circuit)
 
-    def reduce(block: np.ndarray, start: int):
-        """Store the outcome draws and flip masks of the rows of ``block``,
-        shots ``start`` on; return its noisy shots' code rows and indices."""
-        stop = start + len(block)
+    def reduce(block: np.ndarray, tally: np.ndarray):
+        """Add the outcomes of the noiseless rows of ``block`` to ``tally``;
+        return its noisy rows' codes, outcome draws and flip masks."""
         hit_rows = np.flatnonzero((block[:, live] < event_p[live]).any(axis=1))
         hit_codes = np.where(
             block[hit_rows, :num_gates] < event_p,
@@ -338,9 +380,15 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
             0,
         )
         noisy = hit_codes.any(axis=1)
-        outcome_u[start:stop] = block[:, 2 * num_gates]
-        flip_masks[start:stop] = (block[:, 2 * num_gates + 1 :] < noise.readout_flip) @ bit_values
-        return hit_codes[noisy], start + hit_rows[noisy]
+        rows = hit_rows[noisy]
+        outcome_u = block[:, 2 * num_gates]
+        flip_masks = (block[:, 2 * num_gates + 1 :] < noise.readout_flip) @ bit_values
+        clean = np.ones(len(block), dtype=bool)
+        clean[rows] = False
+        outcomes = _cell_search(noiseless.cdf, noiseless.table, outcome_u[clean])
+        # Unlike bincount(minlength=), this costs nothing per possible outcome.
+        np.add.at(tally, outcomes ^ flip_masks[clean], 1)
+        return hit_codes[noisy], outcome_u[rows], flip_masks[rows]
 
     block_rows = max(1, _DRAW_BYTES // (8 * width))
     stripes = min(_cpu_count(), -(-shots // block_rows))
@@ -356,12 +404,13 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
         bit_generator = np.random.Philox(key=noise.seed, counter=first * width // 4)
         bit_generator.random_raw(first * width % 4)
         rng = np.random.Generator(bit_generator)
+        tally = np.zeros(1 << k, dtype=np.int64)
         out = []
         for start in range(first, last, stripe_rows):
             block = buffers[i, : min(stripe_rows, last - start)]
             rng.random(out=block)
-            out.append(reduce(block, start))
-        return out
+            out.append(reduce(block, tally))
+        return out, tally
 
     if stripes == 1:
         # One stripe, such as a draw of one block, runs inline.
@@ -373,9 +422,9 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
 
         with ThreadPoolExecutor(stripes, thread_name_prefix="qguard-draw") as pool:
             outs = list(pool.map(stripe, range(stripes)))
-    parts = [part for out in outs for part in out]
-    codes, rows = zip(*parts)
-    return np.concatenate(codes), np.concatenate(rows), outcome_u, flip_masks
+    parts = [part for out, _ in outs for part in out]
+    codes, outcome_u, flip_masks = (np.concatenate(column) for column in zip(*parts))
+    return codes, outcome_u, flip_masks, sum(tally for _, tally in outs)
 
 
 def _group(rows: np.ndarray):
@@ -384,16 +433,22 @@ def _group(rows: np.ndarray):
     noiseless trajectory), and every all-zero row maps to it."""
     count, width = rows.shape
     if not width:
-        # Zero-width rows viewed as blobs would be an empty array.
+        # lexsort needs at least one key.
         return np.zeros((1, 0), dtype=rows.dtype), np.zeros(count, dtype=np.intp)
-    # A leading all-zero row takes index 0: as bytes it sorts before every
-    # other row.  Comparing rows as opaque byte blobs is much faster than
-    # unique(axis=0).
-    padded = np.zeros((count + 1, width), dtype=rows.dtype)
-    padded[1:] = rows
-    blobs = padded.view(np.dtype((np.void, width * rows.itemsize))).reshape(-1)
-    unique, inverse = np.unique(blobs, return_inverse=True)
-    return unique.view(rows.dtype).reshape(len(unique), width), inverse[1:]
+    # Each row, zero-padded to whole 8-byte words, is sorted as a key of
+    # uint64 words, the first most significant.  A leading all-zero row is
+    # the smallest key, so it takes index 0.
+    words = -(-width * rows.itemsize // 8)
+    padded = np.zeros((count + 1, words * 8 // rows.itemsize), dtype=rows.dtype)
+    padded[1:, :width] = rows
+    keys = padded.view(np.uint64)
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    first = np.ones(count + 1, dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(count + 1, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return padded[order[first], :width], inverse[1:]
 
 
 def _slices(count: int, item_bytes: int):
@@ -424,6 +479,50 @@ def _components(circuit: Circuit) -> list[tuple[int, ...]]:
     return [tuple(qubits) for qubits in blocks.values()]
 
 
+def _born_rows(circuit: Circuit, qubits: tuple[int, ...], trajectories: np.ndarray):
+    """Yield, batch by batch, the Born marginal of each row of
+    ``trajectories`` of the component ``qubits`` over its measured qubits."""
+    measured = tuple(i for i, q in enumerate(qubits) if q in circuit.measured_qubits)
+    for part in _slices(len(trajectories), 16 << len(qubits)):
+        yield _born_probs(_evolve(circuit, trajectories[part], qubits), measured)
+
+
+class _Noiseless(NamedTuple):
+    # Per component with a measured qubit, in the order of _components: its
+    # qubits and its (1, 2**m) Born marginal row.
+    marginals: dict
+    # Where each of measured_qubits sits in the order of the marginals.
+    axes: tuple[int, ...]
+    cdf: np.ndarray
+    table: np.ndarray
+
+
+@functools.lru_cache(maxsize=_NOISELESS_CIRCUITS)
+def _noiseless(circuit: Circuit) -> _Noiseless:
+    """The noiseless distribution of ``circuit``, which depends on nothing
+    else: its component marginals, their joint CDF over the measured qubits
+    and that CDF's cell table.
+
+    Circuits compare and hash by value, so equal circuits built apart share
+    one entry, and the arrays are read-only.  For k measured qubits an
+    entry holds at most 16 * 2**k bytes of rows (the marginals and the CDF)
+    and 8 * _CELLS of table, so the cache holds at most
+    _NOISELESS_CIRCUITS * (16 MiB + 32 KiB) at SIMULATOR_MAX_QUBITS."""
+    measured = set(circuit.measured_qubits)
+    marginals = {}
+    for qubits in _components(circuit):
+        if not measured.isdisjoint(qubits):
+            trajectory = np.zeros((1, len(_gates_on(circuit, qubits))), dtype=np.int8)
+            (marginals[qubits],) = _born_rows(circuit, qubits, trajectory)
+    product = [q for qubits in marginals for q in qubits if q in measured]
+    axes = tuple(map(product.index, circuit.measured_qubits))
+    cdf = _product_cdfs(list(marginals.values()), axes)[0]
+    noiseless = _Noiseless(marginals, axes, cdf, _cell_table(cdf))
+    for array in (*marginals.values(), noiseless.cdf, noiseless.table):
+        array.flags.writeable = False
+    return noiseless
+
+
 def _split(circuit: Circuit, codes: np.ndarray):
     """Group the rows of ``codes`` once over the gates of the components
     with a measured qubit, then split the unique rows by component.
@@ -431,8 +530,7 @@ def _split(circuit: Circuit, codes: np.ndarray):
     joint trajectory, its tuple of component trajectory indices; and per
     row of ``codes``, the index of its joint trajectory.  Index 0 is the
     noiseless trajectory at both levels."""
-    measured = set(circuit.measured_qubits)
-    components = [qubits for qubits in _components(circuit) if not measured.isdisjoint(qubits)]
+    components = list(_noiseless(circuit).marginals)
     gates = [_gates_on(circuit, qubits) for qubits in components]
     joint, inverse = _group(codes[:, [i for part in gates for i in part]])
     parts, columns, start = [], [], 0
@@ -454,19 +552,20 @@ def _marginal_rows(circuit: Circuit, qubits: tuple[int, ...], trajectories: np.n
     share one distribution, and the noiseless trajectory's is index 0.
     Otherwise each trajectory is its own distribution, and each call evolves
     just the trajectories asked for, so memory stays bounded however many
-    trajectories a wide component has."""
-    measured = tuple(i for i, q in enumerate(qubits) if q in circuit.measured_qubits)
+    trajectories a wide component has.  The noiseless trajectory's row is
+    never evolved here: it comes from the noiseless cache."""
+    measured = sum(q in circuit.measured_qubits for q in qubits)
+    noiseless = _noiseless(circuit).marginals[qubits]
 
     def evolve(indices: np.ndarray) -> np.ndarray:
         needed, local = np.unique(indices, return_inverse=True)
-        rows = np.concatenate([
-            _born_probs(_evolve(circuit, trajectories[needed[part]], qubits), measured)
-            for part in _slices(len(needed), 16 << len(qubits))
-        ])
-        return rows[local]
+        # Ascending, so trajectory 0 comes first when it is needed.
+        cached = int(needed[0] == 0)
+        evolved = _born_rows(circuit, qubits, trajectories[needed[cached:]])
+        return np.concatenate([noiseless[:cached], *evolved])[local]
 
     index = np.arange(len(trajectories))
-    if len(trajectories) * (8 << len(measured)) > _BATCH_BYTES:
+    if len(trajectories) * (8 << measured) > _BATCH_BYTES:
         return evolve, index
     held = evolve(index)
     if len(held) > 1:
@@ -479,34 +578,35 @@ def _marginal_rows(circuit: Circuit, qubits: tuple[int, ...], trajectories: np.n
 
 
 def _joint_cdfs(marginal_rows: tuple, tuples: np.ndarray, axes: tuple[int, ...]):
-    """The CDF rows of the given tuples of component distribution indices:
-    each the outer product of its component marginals, its outcome axes
+    """The CDF rows of the given tuples of component distribution indices,
+    each the outer product of its component marginals."""
+    return _product_cdfs([rows_of(c) for rows_of, c in zip(marginal_rows, tuples.T)], axes)
+
+
+def _product_cdfs(rows: list, axes: tuple[int, ...]) -> np.ndarray:
+    """The CDF rows of the outer products, row by row, of ``rows``, one
+    (B, 2**m) array of marginal rows per component, with the outcome axes
     taken in the order ``axes``."""
-    joint = marginal_rows[0](tuples[:, 0])
-    for rows_of, column in zip(marginal_rows[1:], tuples.T[1:]):
-        joint = joint[:, :, np.newaxis] * rows_of(column)[:, np.newaxis, :]
-        joint = joint.reshape(len(tuples), -1)
-    joint = joint.reshape((len(tuples),) + (2,) * len(axes))
-    return _cdfs(joint.transpose((0,) + tuple(a + 1 for a in axes)).reshape(len(tuples), -1))
+    joint = rows[0]
+    for part in rows[1:]:
+        joint = joint[:, :, np.newaxis] * part[:, np.newaxis, :]
+        joint = joint.reshape(len(joint), -1)
+    joint = joint.reshape((len(joint),) + (2,) * len(axes))
+    return _cdfs(joint.transpose((0,) + tuple(a + 1 for a in axes)).reshape(len(joint), -1))
 
 
-def _sample(cdf_batches, rows: np.ndarray, inverse: np.ndarray, outcome_u: np.ndarray):
-    """Every shot's outcome index.  ``cdf_batches`` yields the CDF rows of
-    consecutive distributions, the noiseless one first; shot ``rows[i]``
-    draws from distribution ``inverse[i]``, every other shot from the
-    noiseless one."""
+def _sample(cdf_batches, inverse: np.ndarray, outcome_u: np.ndarray):
+    """The outcome index of each noisy shot: shot i draws ``outcome_u[i]``
+    from distribution ``inverse[i]``.  ``cdf_batches`` yields the CDF rows
+    of consecutive distributions, the noiseless one first."""
     order = np.argsort(inverse, kind="stable")
-    members_by_row = rows[order]
     row_of_member = inverse[order]
+    outcomes = np.empty(len(inverse), dtype=np.intp)
     first = 0
     for cdfs in cdf_batches:
         stop = first + len(cdfs)
-        if not first:
-            # Every shot starts on the noiseless row; the noisy ones are
-            # overwritten below.
-            outcomes = np.searchsorted(cdfs[0], outcome_u, side="right")
         lo, hi = np.searchsorted(row_of_member, (first, stop))
-        members = members_by_row[lo:hi]
+        members = order[lo:hi]
         outcomes[members] = _search_rows(cdfs, row_of_member[lo:hi] - first, outcome_u[members])
         first = stop
     return outcomes
@@ -527,7 +627,7 @@ def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCount
     """
     shots = check_shots(shots, CircuitError)
     _check_width(circuit.num_qubits)
-    codes, rows, outcome_u, flip_masks = _draw(circuit, shots, noise)
+    codes, outcome_u, flip_masks, tallies = _draw(circuit, shots, noise)
     k = circuit.num_measured
     parts, tuples, inverse = _split(circuit, codes)
     marginal_rows, indices = zip(*(_marginal_rows(circuit, qubits, t) for qubits, t in parts))
@@ -536,19 +636,11 @@ def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCount
     if len(tuples) > 1:
         tuples, which = _group(np.column_stack([i[c] for i, c in zip(indices, tuples.T)]))
         inverse = which[inverse]
-    # The measured qubits in the order the marginals multiply out, and where
-    # each of measured_qubits sits in that order.
-    product = [q for qubits, _ in parts for q in qubits if q in circuit.measured_qubits]
-    axes = tuple(map(product.index, circuit.measured_qubits))
+    axes = _noiseless(circuit).axes
     cdf_batches = (
         _joint_cdfs(marginal_rows, tuples[part], axes) for part in _slices(len(tuples), 8 << k)
     )
-    # Shots of the noiseless distribution keep their first search.
-    moved = np.flatnonzero(inverse)
-    outcomes = _sample(cdf_batches, rows[moved], inverse[moved], outcome_u)
-    outcomes ^= flip_masks
-
-    tallies = np.bincount(outcomes, minlength=1 << k)
+    np.add.at(tallies, _sample(cdf_batches, inverse, outcome_u) ^ flip_masks, 1)
     return BitstringCounts(
         {format(int(v), f"0{k}b"): int(tallies[v]) for v in np.flatnonzero(tallies)}
     )

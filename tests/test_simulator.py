@@ -806,6 +806,23 @@ def test_memory_stays_bounded(case):
     assert peak < 4 * 2**20
 
 
+def test_memory_does_not_grow_with_shots():
+    # A noiseless shot is tallied as it is drawn: no outcome draw, flip mask
+    # or outcome index is kept for it, so 8x the shots needs no more memory.
+    circuit = packed_chsh_circuit()
+    noise = NoiseModel(p1=0.0, p2=0.0, readout_flip=0.02, seed=8)
+    run_shots(circuit, 100_000, noise)
+    peaks = []
+    for shots in (100_000, 800_000):
+        tracemalloc.start()
+        try:
+            run_shots(circuit, shots, noise)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2**20
+
+
 def test_wide_component_marginals_exceed_the_memory_bound():
     _, counts, _ = _trajectory_counts("wide_component")
     assert counts[0] * (8 << 10) > 4 * 2**20
@@ -839,6 +856,100 @@ def test_row_search_matches_searchsorted(k):
     u[1] = 0.0
     expected = [np.searchsorted(cdfs[row], x, side="right") for row, x in zip(rows, u)]
     np.testing.assert_array_equal(simulator._search_rows(cdfs, rows, u), expected)
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+@pytest.mark.parametrize("kind", ["random", "zero_outcomes", "point_mass", "uniform"])
+def test_cell_search_matches_searchsorted(kind, k):
+    # Zero-probability outcomes repeat entries, rounding may leave an entry
+    # just above the final 1.0, and a uniform CDF puts entries on cell edges.
+    rng = np.random.default_rng(k)
+    size = 1 << k
+    if kind == "random":
+        probs = rng.random(size)
+    elif kind == "zero_outcomes":
+        probs = rng.integers(0, 3, size=size).astype(float)
+        probs[0] += 1.0
+    elif kind == "point_mass":
+        probs = np.zeros(size)
+        probs[rng.integers(size)] = 1.0
+    else:
+        probs = np.ones(size)
+    cdf = np.cumsum(probs / probs.sum())
+    if kind == "zero_outcomes" and k > 1:
+        cdf[-2] = np.nextafter(1.0, 2.0)
+    cdf[-1] = 1.0
+    edges = np.arange(simulator._CELLS) / simulator._CELLS
+    u = np.concatenate([edges, cdf, np.nextafter(cdf, 0.0), rng.random(10_000)])
+    u = u[u < 1.0]
+    found = simulator._cell_search(cdf, simulator._cell_table(cdf), u)
+    expected = np.searchsorted(cdf, u, side="right")
+    assert found.dtype == expected.dtype
+    assert found.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype, width", [(np.int8, 1), (np.int8, 13), (np.intp, 3), (np.uint64, 4)])
+def test_group_matches_unique_rows(dtype, width):
+    # Rows are padded to whole 8-byte words; the numbering of the unique rows
+    # is free, but the all-zero row must be index 0.
+    rng = np.random.default_rng(width)
+    rows = rng.integers(0, 3, size=(500, width)).astype(dtype)
+    rows[rng.random(500) < 0.3] = 0
+    unique, inverse = simulator._group(rows)
+    assert unique.dtype == rows.dtype and unique.flags.c_contiguous
+    assert not unique[0].any()
+    np.testing.assert_array_equal(unique[inverse], rows)
+    assert len(unique) == len(np.unique(np.vstack([np.zeros((1, width), dtype), rows]), axis=0))
+
+
+@pytest.mark.parametrize("case", ["interleaved", "readout_only", "werner_probe"])
+def test_cold_and_warm_noiseless_cache_give_the_same_counts(case):
+    build, shots, noise, digest = _PINNED_CASES[case]
+    simulator._noiseless.cache_clear()
+    assert _digest(run_shots(build(), shots, noise)) == digest
+    assert simulator._noiseless.cache_info().misses == 1
+    assert _digest(run_shots(build(), shots, noise)) == digest
+    assert simulator._noiseless.cache_info().misses == 1
+
+
+def test_equal_circuits_built_apart_share_one_noiseless_entry():
+    simulator._noiseless.cache_clear()
+    first = simulator._noiseless(packed_chsh_circuit())
+    assert simulator._noiseless(packed_chsh_circuit()) is first
+    info = simulator._noiseless.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_noiseless_arrays_are_read_only():
+    noiseless = simulator._noiseless(_interleaved_circuit())
+    arrays = (*noiseless.marginals.values(), noiseless.cdf, noiseless.table)
+    assert len(arrays) == 5
+    for array in arrays:
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        noiseless.cdf[0] = 0.5
+
+
+def test_signed_zero_angles_give_the_same_counts():
+    # 0.0 and -0.0 compare and hash equal, so the two circuits share one
+    # noiseless entry; each run cold must give what the shared entry gives.
+    def build(zero):
+        return Circuit(
+            3,
+            (Gate.h(0), Gate.ry(1, zero), Gate.cnot(0, 1), Gate.rz(1, zero), Gate.rx(2, zero)),
+            (0, 1, 2),
+        )
+
+    positive, negative = build(0.0), build(-0.0)
+    assert positive == negative and hash(positive) == hash(negative)
+    noise = NoiseModel(p1=0.05, p2=0.2, readout_flip=0.02, seed=13)
+    digests = []
+    for circuit in (positive, negative):
+        simulator._noiseless.cache_clear()
+        digests.append(_digest(run_shots(circuit, 3000, noise)))
+    digests.append(_digest(run_shots(positive, 3000, noise)))
+    assert simulator._noiseless.cache_info().currsize == 1
+    assert digests[0] == digests[1] == digests[2]
 
 
 def test_norm_check_covers_every_trajectory_in_a_batch(monkeypatch):
