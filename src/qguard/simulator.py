@@ -14,36 +14,31 @@ rows; a counter-based stream yields the same numbers in blocks as in one
 draw.  Each block is reduced at once.  A noisy shot, one where some event
 drew a non-identity Pauli, keeps its row of per-gate Pauli codes, its
 outcome draw and its readout flip mask.  Every other shot is sampled on the
-spot from the noiseless distribution, its flips applied, and added to a
+spot from the noiseless distribution, its flips applied, and added to one
 tally of outcomes.  So a run keeps nothing per noiseless shot, and memory
-does not grow with them.  A matrix of several blocks is drawn in contiguous stripes of rows, one per
-usable CPU, on a thread pool that lives only for that draw, so no thread
-outlives ``run_shots``.  A stripe starting at row r jumps its own
-Philox stream straight to the word r * width: the counter r * width // 4
-(each counter step yields four 64-bit words, one per uniform double), then
-r * width % 4 words skipped.  Each stripe keeps its own tally, and the
-noisy shots of the stripes are joined in row order, so the counts do not
-depend on the number of CPUs.  The mapping from (circuit, shots, noise) to
-counts is fixed no matter how the work is split.
+does not grow with them.  A matrix of several blocks is drawn in contiguous
+stripes of rows, one per usable CPU, on a thread pool that lives only for
+that draw, so no thread outlives ``run_shots``.  A stripe starting at row r
+jumps its own Philox stream straight to the word r * width: the counter
+r * width // 4 (each counter step yields four 64-bit words, one per uniform
+double), then r * width % 4 words skipped.  The stripes add into the one
+tally in turn, and their noisy shots are joined in row order, so the counts
+do not depend on the number of CPUs.  The mapping from (circuit, shots,
+noise) to counts is fixed no matter how the work is split.
 
-Evolution: the noiseless distribution depends on the circuit alone.  It is
-computed before the draw and kept, for the last few circuits run, in a
-cache keyed by the circuit's value: each component's Born marginal, their
-joint CDF, and a table of that CDF over equal cells of [0, 1).  A cell that
-no CDF entry lies strictly inside gives every draw in it the same outcome,
-so a noiseless shot reads its outcome from the table, and only a draw in
-one of the few other cells is binary-searched.  Both give exactly the
-outcome that a search of the whole CDF gives.  Shots sharing a noise
-trajectory (the per-gate Pauli codes) are evolved once and sampled from the
-same distribution: for the noisy shots, one vectorised binary search per
-batch of distributions, so grouping and sampling cost per noisy shot.  The
-unique trajectories are evolved together in batches, each held as one
-``(2, ..., 2, B)`` array whose size is capped by an amplitude byte budget:
-each qubit is one axis and the state is the last axis.  Every one-qubit
-matrix, a gate's or the Pauli injections after it (each state's own,
-broadcast over the batch axis), goes through one elementwise 2x2 kernel,
-and a CNOT is a flip in its control=1 slice.  No amplitude goes through
-BLAS, so a state rounds the same way in any batch and whatever BLAS
+Evolution: the noiseless distribution depends on the circuit alone.  Each
+run computes it once, before the draw: each component's Born marginal and
+their joint CDF, which every noiseless shot is searched in.  Shots sharing
+a noise trajectory (the per-gate Pauli codes) are evolved once and sampled
+from the same distribution: for the noisy shots, one vectorised binary
+search per batch of distributions, so grouping and sampling cost per noisy
+shot.  The unique trajectories are evolved together in batches, each held
+as one ``(2, ..., 2, B)`` array whose size is capped by an amplitude byte
+budget: each qubit is one axis and the state is the last axis.  Every
+one-qubit matrix, a gate's or the Pauli injections after it (each state's
+own, broadcast over the batch axis), goes through one elementwise 2x2
+kernel, and a CNOT is a flip in its control=1 slice.  No amplitude goes
+through BLAS, so a state rounds the same way in any batch and whatever BLAS
 kernel numpy picks for the CPU.  A run with a single trajectory evolves a
 batch of one.
 
@@ -55,11 +50,11 @@ once into unique joint trajectories.  These few rows are then split
 column-wise and grouped again per component, which gives each component's
 own trajectories and each joint trajectory's tuple of component trajectory
 indices.  A component evolves its trajectories, in batches, into each one's
-Born marginal over its measured qubits; the noiseless trajectory's is read
-from the cache.  When all of a component's
-marginals fit the byte budget they are held, and trajectories whose rows
-are byte-identical (a Pauli such as ZZ after a Bell pair's CNOT leaves the
-pair's marginal unchanged, bit for bit) are merged into one distribution.
+Born marginal over its measured qubits; the noiseless trajectory's is the
+one computed before the draw.  When all of a component's marginals fit the
+byte budget they are held, and trajectories whose rows are byte-identical
+(a Pauli such as ZZ after a Bell pair's CNOT leaves the pair's marginal
+unchanged, bit for bit) are merged into one distribution.
 A wider component keeps one distribution per trajectory and evolves, for
 each batch of joint rows, just the trajectories the batch needs, so memory
 stays bounded.  Mapped through these, the tuples are grouped once more into
@@ -74,9 +69,9 @@ marginals.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -172,10 +167,6 @@ SIMULATOR_MAX_QUBITS = 20
 _BATCH_BYTES = 256 * 1024
 # Bytes of the uniform matrix drawn at once.
 _DRAW_BYTES = 4 * 1024 * 1024
-# Circuits whose noiseless distribution is kept between runs, and the number
-# of cells, a power of two, in the lookup table of its CDF.
-_NOISELESS_CIRCUITS = 4
-_CELLS = 4096
 
 
 def _check_width(num_qubits: int):
@@ -304,32 +295,6 @@ def _search_rows(cdfs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarra
     return found
 
 
-def _cell_table(cdf: np.ndarray) -> np.ndarray:
-    """The lookup table of ``cdf`` over ``_CELLS`` equal cells of [0, 1).
-    Cell c, the draws in [c, c + 1) / _CELLS, holds the number of entries
-    <= c / _CELLS, which is the search result of every draw in it, or -1
-    when an entry lies strictly inside it."""
-    # Scaling by a power of two is exact.  An entry e is <= c / _CELLS
-    # exactly when ceil(e * _CELLS) <= c, and lies strictly inside cell c
-    # exactly when floor(e * _CELLS) <= c < ceil(e * _CELLS).
-    scaled = cdf * _CELLS
-    at_most, below_next = (
-        np.cumsum(np.bincount(cell.astype(np.intp), minlength=_CELLS)[:_CELLS])
-        for cell in (np.ceil(scaled), np.floor(scaled))
-    )
-    return np.where(below_next > at_most, -1, at_most)
-
-
-def _cell_search(cdf: np.ndarray, table: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``searchsorted(cdf, u, side="right")`` for draws ``u`` in [0, 1),
-    read from ``table``, the cell table of ``cdf``; only draws in a cell
-    with an entry inside are searched."""
-    found = table[(u * _CELLS).astype(np.intp)]
-    inside = np.flatnonzero(found < 0)
-    found[inside] = np.searchsorted(cdf, u[inside], side="right")
-    return found
-
-
 def _cpu_count() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -338,25 +303,25 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
+def _draw(circuit: Circuit, shots: int, noise: NoiseModel, cdf: np.ndarray):
     """The Pauli codes, outcome draws and readout flip masks of the noisy
-    shots, in shot order, and the tally of every other shot's outcome with
-    its readout flips applied.
+    shots, in shot order, and the tally of every other shot's outcome, drawn
+    from ``cdf``, the noiseless CDF, with its readout flips applied.
 
     The uniform matrix has columns, in order: per-gate event draws, per-gate
     Pauli choices, the outcome draw, per-bit readout draws.  Row i belongs
     to shot i.  It is drawn in blocks of rows and reduced block by block.
     A shot is noisy if some event fired and drew a non-identity Pauli; only
     noisy shots get a code row (int8, one column per gate), outcome draw
-    and flip mask.  Every other shot draws from the noiseless distribution,
-    searched through its cell table, and is tallied at once, so nothing is
-    kept per noiseless shot.
+    and flip mask.  Every other shot is searched in ``cdf`` and tallied at
+    once, so nothing is kept per noiseless shot.
 
     A draw of several blocks is split into contiguous stripes of rows, one
     per CPU, drawn and reduced on a pool of one thread per stripe, which is
     shut down before this returns.  Each stripe jumps its own Philox stream
-    to its first row, reuses one buffer and keeps one tally, and the
-    stripes' buffers together hold the bytes of one block.
+    to its first row and reuses one buffer, and the stripes' buffers
+    together hold the bytes of one block.  All stripes add into one tally,
+    in turn, so its memory does not grow with the number of CPUs.
     """
     num_gates = len(circuit.gates)
     k = circuit.num_measured
@@ -368,9 +333,10 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
     live = np.flatnonzero(event_p)
     choices = np.array([16 if g.kind is GateKind.CNOT else 4 for g in circuit.gates])
     bit_values = (1 << np.arange(k - 1, -1, -1)).astype(np.int64)
-    noiseless = _noiseless(circuit)
+    tally = np.zeros(1 << k, dtype=np.int64)
+    adding = threading.Lock()
 
-    def reduce(block: np.ndarray, tally: np.ndarray):
+    def reduce(block: np.ndarray):
         """Add the outcomes of the noiseless rows of ``block`` to ``tally``;
         return its noisy rows' codes, outcome draws and flip masks."""
         hit_rows = np.flatnonzero((block[:, live] < event_p[live]).any(axis=1))
@@ -385,9 +351,10 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
         flip_masks = (block[:, 2 * num_gates + 1 :] < noise.readout_flip) @ bit_values
         clean = np.ones(len(block), dtype=bool)
         clean[rows] = False
-        outcomes = _cell_search(noiseless.cdf, noiseless.table, outcome_u[clean])
+        outcomes = np.searchsorted(cdf, outcome_u[clean], side="right") ^ flip_masks[clean]
         # Unlike bincount(minlength=), this costs nothing per possible outcome.
-        np.add.at(tally, outcomes ^ flip_masks[clean], 1)
+        with adding:
+            np.add.at(tally, outcomes, 1)
         return hit_codes[noisy], outcome_u[rows], flip_masks[rows]
 
     block_rows = max(1, _DRAW_BYTES // (8 * width))
@@ -404,13 +371,12 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
         bit_generator = np.random.Philox(key=noise.seed, counter=first * width // 4)
         bit_generator.random_raw(first * width % 4)
         rng = np.random.Generator(bit_generator)
-        tally = np.zeros(1 << k, dtype=np.int64)
         out = []
         for start in range(first, last, stripe_rows):
             block = buffers[i, : min(stripe_rows, last - start)]
             rng.random(out=block)
-            out.append(reduce(block, tally))
-        return out, tally
+            out.append(reduce(block))
+        return out
 
     if stripes == 1:
         # One stripe, such as a draw of one block, runs inline.
@@ -422,9 +388,9 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
 
         with ThreadPoolExecutor(stripes, thread_name_prefix="qguard-draw") as pool:
             outs = list(pool.map(stripe, range(stripes)))
-    parts = [part for out, _ in outs for part in out]
+    parts = [part for out in outs for part in out]
     codes, outcome_u, flip_masks = (np.concatenate(column) for column in zip(*parts))
-    return codes, outcome_u, flip_masks, sum(tally for _, tally in outs)
+    return codes, outcome_u, flip_masks, tally
 
 
 def _group(rows: np.ndarray):
@@ -494,20 +460,11 @@ class _Noiseless(NamedTuple):
     # Where each of measured_qubits sits in the order of the marginals.
     axes: tuple[int, ...]
     cdf: np.ndarray
-    table: np.ndarray
 
 
-@functools.lru_cache(maxsize=_NOISELESS_CIRCUITS)
 def _noiseless(circuit: Circuit) -> _Noiseless:
-    """The noiseless distribution of ``circuit``, which depends on nothing
-    else: its component marginals, their joint CDF over the measured qubits
-    and that CDF's cell table.
-
-    Circuits compare and hash by value, so equal circuits built apart share
-    one entry, and the arrays are read-only.  For k measured qubits an
-    entry holds at most 16 * 2**k bytes of rows (the marginals and the CDF)
-    and 8 * _CELLS of table, so the cache holds at most
-    _NOISELESS_CIRCUITS * (16 MiB + 32 KiB) at SIMULATOR_MAX_QUBITS."""
+    """The noiseless distribution of ``circuit``: its component marginals
+    and their joint CDF over the measured qubits."""
     measured = set(circuit.measured_qubits)
     marginals = {}
     for qubits in _components(circuit):
@@ -516,11 +473,7 @@ def _noiseless(circuit: Circuit) -> _Noiseless:
             (marginals[qubits],) = _born_rows(circuit, qubits, trajectory)
     product = [q for qubits in marginals for q in qubits if q in measured]
     axes = tuple(map(product.index, circuit.measured_qubits))
-    cdf = _product_cdfs(list(marginals.values()), axes)[0]
-    noiseless = _Noiseless(marginals, axes, cdf, _cell_table(cdf))
-    for array in (*marginals.values(), noiseless.cdf, noiseless.table):
-        array.flags.writeable = False
-    return noiseless
+    return _Noiseless(marginals, axes, _product_cdfs(list(marginals.values()), axes)[0])
 
 
 def _split(circuit: Circuit, codes: np.ndarray):
@@ -530,7 +483,8 @@ def _split(circuit: Circuit, codes: np.ndarray):
     joint trajectory, its tuple of component trajectory indices; and per
     row of ``codes``, the index of its joint trajectory.  Index 0 is the
     noiseless trajectory at both levels."""
-    components = list(_noiseless(circuit).marginals)
+    measured = set(circuit.measured_qubits)
+    components = [qubits for qubits in _components(circuit) if not measured.isdisjoint(qubits)]
     gates = [_gates_on(circuit, qubits) for qubits in components]
     joint, inverse = _group(codes[:, [i for part in gates for i in part]])
     parts, columns, start = [], [], 0
@@ -542,27 +496,28 @@ def _split(circuit: Circuit, codes: np.ndarray):
     return parts, np.column_stack(columns), inverse
 
 
-def _marginal_rows(circuit: Circuit, qubits: tuple[int, ...], trajectories: np.ndarray):
+def _marginal_rows(
+    circuit: Circuit, qubits: tuple[int, ...], trajectories: np.ndarray, noiseless: np.ndarray
+):
     """The Born marginals of the component ``qubits`` over its measured
     qubits: a function from distribution indices to their rows, and per
-    trajectory the index of its distribution.
+    trajectory the index of its distribution.  ``noiseless`` is the
+    (1, 2**m) row of trajectory 0, which is never evolved here.
 
     The rows of all its trajectories are evolved once and held when they
     fit the batch budget.  Trajectories whose rows are byte-identical then
     share one distribution, and the noiseless trajectory's is index 0.
     Otherwise each trajectory is its own distribution, and each call evolves
     just the trajectories asked for, so memory stays bounded however many
-    trajectories a wide component has.  The noiseless trajectory's row is
-    never evolved here: it comes from the noiseless cache."""
+    trajectories a wide component has."""
     measured = sum(q in circuit.measured_qubits for q in qubits)
-    noiseless = _noiseless(circuit).marginals[qubits]
 
     def evolve(indices: np.ndarray) -> np.ndarray:
         needed, local = np.unique(indices, return_inverse=True)
         # Ascending, so trajectory 0 comes first when it is needed.
-        cached = int(needed[0] == 0)
-        evolved = _born_rows(circuit, qubits, trajectories[needed[cached:]])
-        return np.concatenate([noiseless[:cached], *evolved])[local]
+        known = int(needed[0] == 0)
+        evolved = _born_rows(circuit, qubits, trajectories[needed[known:]])
+        return np.concatenate([noiseless[:known], *evolved])[local]
 
     index = np.arange(len(trajectories))
     if len(trajectories) * (8 << measured) > _BATCH_BYTES:
@@ -571,9 +526,9 @@ def _marginal_rows(circuit: Circuit, qubits: tuple[int, ...], trajectories: np.n
     if len(held) > 1:
         # XOR with the noiseless row maps exactly the rows equal to it, byte
         # for byte, to the all-zero row that _group numbers 0.
-        noiseless = held[0].view(np.uint64)
-        distinct, index = _group(held.view(np.uint64) ^ noiseless)
-        held = (distinct ^ noiseless).view(np.float64)
+        base = held[0].view(np.uint64)
+        distinct, index = _group(held.view(np.uint64) ^ base)
+        held = (distinct ^ base).view(np.float64)
     return (lambda indices: held[indices]), index
 
 
@@ -627,18 +582,21 @@ def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCount
     """
     shots = check_shots(shots, CircuitError)
     _check_width(circuit.num_qubits)
-    codes, outcome_u, flip_masks, tallies = _draw(circuit, shots, noise)
+    noiseless = _noiseless(circuit)
+    codes, outcome_u, flip_masks, tallies = _draw(circuit, shots, noise, noiseless.cdf)
     k = circuit.num_measured
     parts, tuples, inverse = _split(circuit, codes)
-    marginal_rows, indices = zip(*(_marginal_rows(circuit, qubits, t) for qubits, t in parts))
+    marginal_rows, indices = zip(
+        *(_marginal_rows(circuit, qubits, t, noiseless.marginals[qubits]) for qubits, t in parts)
+    )
     # Joint trajectories whose component distributions all match share one
     # joint distribution; the noiseless one stays index 0.
     if len(tuples) > 1:
         tuples, which = _group(np.column_stack([i[c] for i, c in zip(indices, tuples.T)]))
         inverse = which[inverse]
-    axes = _noiseless(circuit).axes
     cdf_batches = (
-        _joint_cdfs(marginal_rows, tuples[part], axes) for part in _slices(len(tuples), 8 << k)
+        _joint_cdfs(marginal_rows, tuples[part], noiseless.axes)
+        for part in _slices(len(tuples), 8 << k)
     )
     np.add.at(tallies, _sample(cdf_batches, inverse, outcome_u) ^ flip_masks, 1)
     return BitstringCounts(

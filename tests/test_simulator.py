@@ -496,10 +496,19 @@ def test_special_counts_match_pinned_digest(case):
     assert _digest(run_shots(build(), shots, noise)) == digest
 
 
+def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
+    return simulator._draw(circuit, shots, noise, simulator._noiseless(circuit).cdf)
+
+
+def _marginal_rows(circuit: Circuit, qubits: tuple, trajectories: np.ndarray):
+    noiseless = simulator._noiseless(circuit).marginals[qubits]
+    return simulator._marginal_rows(circuit, qubits, trajectories, noiseless)
+
+
 def test_many_trajectories_case_spans_batches():
     build, shots, noise, _ = _PINNED_CASES["many_trajectories"]
     circuit = build()
-    trajectories, _ = simulator._group(simulator._draw(circuit, shots, noise)[0])
+    trajectories, _ = simulator._group(_draw(circuit, shots, noise)[0])
     per_batch = simulator._BATCH_BYTES // (16 << circuit.num_qubits)
     assert len(trajectories) > 2 * per_batch
 
@@ -508,7 +517,7 @@ def test_many_trajectories_case_spans_batches():
 def test_sampling_cases_span_batches(case):
     build, shots, noise, _ = _PINNED_CASES[case]
     circuit = build()
-    trajectories, _ = simulator._group(simulator._draw(circuit, shots, noise)[0])
+    trajectories, _ = simulator._group(_draw(circuit, shots, noise)[0])
     assert len(trajectories) > 2 * (simulator._BATCH_BYTES // (16 << circuit.num_qubits))
 
 
@@ -550,7 +559,7 @@ def test_draw_is_independent_of_stripe_count(monkeypatch, shots, noise, draw_row
     draws = {}
     for stripes in (1, 2, 3):
         monkeypatch.setattr(simulator, "_cpu_count", lambda: stripes)
-        draws[stripes] = simulator._draw(circuit, shots, noise)
+        draws[stripes] = _draw(circuit, shots, noise)
     assert len(pooled) == 2
     for stripes in (2, 3):
         for one, many in zip(draws[1], draws[stripes]):
@@ -616,7 +625,7 @@ def test_evolve_is_independent_of_batch(case):
     # state of a batch must come out bit for bit as it would alone.
     build, shots, noise, _ = _PINNED_CASES[case]
     circuit = build()
-    trajectories, _ = simulator._group(simulator._draw(circuit, shots, noise)[0])
+    trajectories, _ = simulator._group(_draw(circuit, shots, noise)[0])
     trajectories = trajectories[:9]
     qubits = tuple(range(circuit.num_qubits))
 
@@ -638,7 +647,7 @@ def _held_rows_digest() -> str:
     for case in ("werner_probe", "five_qubit_subset", "singletons"):
         circuit, _, (parts, _, _) = _split_case(case)
         for qubits, trajectories in parts:
-            rows_of, index = simulator._marginal_rows(circuit, qubits, trajectories)
+            rows_of, index = _marginal_rows(circuit, qubits, trajectories)
             digest.update(rows_of(index).tobytes())
     return digest.hexdigest()
 
@@ -687,7 +696,7 @@ def _split_case(case):
     """A pinned case's circuit, noisy code rows, and their split."""
     build, shots, noise, _ = _PINNED_CASES[case]
     circuit = build()
-    codes = simulator._draw(circuit, shots, noise)[0]
+    codes = _draw(circuit, shots, noise)[0]
     return circuit, codes, simulator._split(circuit, codes)
 
 
@@ -763,7 +772,7 @@ def test_werner_probe_builds_a_joint_row_per_distinct_distribution(monkeypatch):
 def test_held_marginals_are_distinct_and_exact(case):
     circuit, _, (parts, _, _) = _split_case(case)
     for qubits, trajectories in parts:
-        rows_of, index = simulator._marginal_rows(circuit, qubits, trajectories)
+        rows_of, index = _marginal_rows(circuit, qubits, trajectories)
         measured = tuple(i for i, q in enumerate(qubits) if q in circuit.measured_qubits)
         if len(trajectories) * (8 << len(measured)) > simulator._BATCH_BYTES:
             # Not held: every trajectory stays its own distribution.
@@ -823,6 +832,35 @@ def test_memory_does_not_grow_with_shots():
     assert abs(peaks[1] - peaks[0]) < 2**20
 
 
+def test_draw_memory_does_not_grow_with_cpus(monkeypatch):
+    # All stripes add into one tally of 2**18 outcomes (2 MiB); a tally per
+    # stripe would hold 14 MiB more on eight stripes than on one.  Eight
+    # stripes, more than this host may have CPUs, switching threads often,
+    # must lose no update to the shared tally.
+    circuit = Circuit(18, tuple(Gate.x(q) for q in range(18)), tuple(range(18)))
+    noise = NoiseModel(p1=0.0, p2=0.0, readout_flip=0.001, seed=3)
+    shots = 100_000
+    width = 2 * len(circuit.gates) + 1 + circuit.num_measured
+    assert shots > 8 * (simulator._DRAW_BYTES // (8 * width))
+    peaks, digests = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 8):
+            monkeypatch.setattr(simulator, "_cpu_count", lambda: cpus)
+            tracemalloc.start()
+            try:
+                digests.append(_digest(run_shots(circuit, shots, noise)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    finally:
+        sys.setswitchinterval(interval)
+    assert digests[0] == digests[1]
+    # One stripe's blocks, and so their temporaries, are eight times larger.
+    assert peaks[1] - peaks[0] < 2**20
+
+
 def test_wide_component_marginals_exceed_the_memory_bound():
     _, counts, _ = _trajectory_counts("wide_component")
     assert counts[0] * (8 << 10) > 4 * 2**20
@@ -858,36 +896,6 @@ def test_row_search_matches_searchsorted(k):
     np.testing.assert_array_equal(simulator._search_rows(cdfs, rows, u), expected)
 
 
-@pytest.mark.parametrize("k", range(1, 21))
-@pytest.mark.parametrize("kind", ["random", "zero_outcomes", "point_mass", "uniform"])
-def test_cell_search_matches_searchsorted(kind, k):
-    # Zero-probability outcomes repeat entries, rounding may leave an entry
-    # just above the final 1.0, and a uniform CDF puts entries on cell edges.
-    rng = np.random.default_rng(k)
-    size = 1 << k
-    if kind == "random":
-        probs = rng.random(size)
-    elif kind == "zero_outcomes":
-        probs = rng.integers(0, 3, size=size).astype(float)
-        probs[0] += 1.0
-    elif kind == "point_mass":
-        probs = np.zeros(size)
-        probs[rng.integers(size)] = 1.0
-    else:
-        probs = np.ones(size)
-    cdf = np.cumsum(probs / probs.sum())
-    if kind == "zero_outcomes" and k > 1:
-        cdf[-2] = np.nextafter(1.0, 2.0)
-    cdf[-1] = 1.0
-    edges = np.arange(simulator._CELLS) / simulator._CELLS
-    u = np.concatenate([edges, cdf, np.nextafter(cdf, 0.0), rng.random(10_000)])
-    u = u[u < 1.0]
-    found = simulator._cell_search(cdf, simulator._cell_table(cdf), u)
-    expected = np.searchsorted(cdf, u, side="right")
-    assert found.dtype == expected.dtype
-    assert found.tobytes() == expected.tobytes()
-
-
 @pytest.mark.parametrize("dtype, width", [(np.int8, 1), (np.int8, 13), (np.intp, 3), (np.uint64, 4)])
 def test_group_matches_unique_rows(dtype, width):
     # Rows are padded to whole 8-byte words; the numbering of the unique rows
@@ -900,56 +908,6 @@ def test_group_matches_unique_rows(dtype, width):
     assert not unique[0].any()
     np.testing.assert_array_equal(unique[inverse], rows)
     assert len(unique) == len(np.unique(np.vstack([np.zeros((1, width), dtype), rows]), axis=0))
-
-
-@pytest.mark.parametrize("case", ["interleaved", "readout_only", "werner_probe"])
-def test_cold_and_warm_noiseless_cache_give_the_same_counts(case):
-    build, shots, noise, digest = _PINNED_CASES[case]
-    simulator._noiseless.cache_clear()
-    assert _digest(run_shots(build(), shots, noise)) == digest
-    assert simulator._noiseless.cache_info().misses == 1
-    assert _digest(run_shots(build(), shots, noise)) == digest
-    assert simulator._noiseless.cache_info().misses == 1
-
-
-def test_equal_circuits_built_apart_share_one_noiseless_entry():
-    simulator._noiseless.cache_clear()
-    first = simulator._noiseless(packed_chsh_circuit())
-    assert simulator._noiseless(packed_chsh_circuit()) is first
-    info = simulator._noiseless.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-
-
-def test_noiseless_arrays_are_read_only():
-    noiseless = simulator._noiseless(_interleaved_circuit())
-    arrays = (*noiseless.marginals.values(), noiseless.cdf, noiseless.table)
-    assert len(arrays) == 5
-    for array in arrays:
-        assert not array.flags.writeable
-    with pytest.raises(ValueError):
-        noiseless.cdf[0] = 0.5
-
-
-def test_signed_zero_angles_give_the_same_counts():
-    # 0.0 and -0.0 compare and hash equal, so the two circuits share one
-    # noiseless entry; each run cold must give what the shared entry gives.
-    def build(zero):
-        return Circuit(
-            3,
-            (Gate.h(0), Gate.ry(1, zero), Gate.cnot(0, 1), Gate.rz(1, zero), Gate.rx(2, zero)),
-            (0, 1, 2),
-        )
-
-    positive, negative = build(0.0), build(-0.0)
-    assert positive == negative and hash(positive) == hash(negative)
-    noise = NoiseModel(p1=0.05, p2=0.2, readout_flip=0.02, seed=13)
-    digests = []
-    for circuit in (positive, negative):
-        simulator._noiseless.cache_clear()
-        digests.append(_digest(run_shots(circuit, 3000, noise)))
-    digests.append(_digest(run_shots(positive, 3000, noise)))
-    assert simulator._noiseless.cache_info().currsize == 1
-    assert digests[0] == digests[1] == digests[2]
 
 
 def test_norm_check_covers_every_trajectory_in_a_batch(monkeypatch):
