@@ -9,7 +9,8 @@ device properties without spending any shots.  Constraints compose with
 AND/OR/NOT and can be wrapped with a TTL cache (``FreshWithin``).
 
 Everything is immutable except FreshWithin's cache.  New constraint kinds
-plug in by implementing :class:`ResourceConstraint`.
+plug in by subclassing :class:`ResourceConstraint` and implementing its
+``_evaluate``; ``name()`` defaults to the class name.
 """
 
 from __future__ import annotations
@@ -104,13 +105,35 @@ class IntrospectionResult:
 
 
 class ResourceConstraint:
-    """Interface for runtime resource checks; an extension point."""
+    """Base of runtime resource checks; an extension point.
 
-    def evaluate(self, adapter: BackendAdapter, shots: int) -> IntrospectionResult:
-        raise NotImplementedError
+    A subclass implements ``_evaluate``.  ``evaluate`` builds the node's
+    result from it, named by ``name()`` and stamped by one read of the
+    clock, taken after the check.
+    """
+
+    def __init__(self, clock: Callable[[], datetime] = utc_now):
+        self._clock = clock
 
     def name(self) -> str:
+        return type(self).__name__
+
+    def evaluate(self, adapter: BackendAdapter, shots: int) -> IntrospectionResult:
+        passed, scores, evidence, children = self._evaluate(adapter, shots)
+        return IntrospectionResult(
+            self.name(), bool(passed), scores, self._clock(), evidence, children
+        )
+
+    def _evaluate(self, adapter: BackendAdapter, shots: int) -> tuple:
+        """The check itself: whether it passed, its scores, its evidence
+        (None if it ran nothing) and its evaluated children, in order."""
         raise NotImplementedError
+
+
+def _child(child: Any) -> ResourceConstraint:
+    if not isinstance(child, ResourceConstraint):
+        raise ConstraintError(f"a child must be a ResourceConstraint, got {child!r}")
+    return child
 
 
 class PackedCHSHTest(ResourceConstraint):
@@ -124,13 +147,16 @@ class PackedCHSHTest(ResourceConstraint):
     """
 
     def __init__(self, policy: _Threshold, clock: Callable[[], datetime] = utc_now):
+        if not isinstance(policy, (MinimumAcceptableValue, MaximumAcceptableValue)):
+            raise ConstraintError(
+                f"policy must be a MinimumAcceptableValue or MaximumAcceptableValue, got {policy!r}"
+            )
+        super().__init__(clock)
         self._policy = policy
-        self._clock = clock
 
-    def name(self) -> str:
-        return "PackedCHSHTest"
+    evaluate = ResourceConstraint.evaluate  # own __dict__ entry, for perfbench's tracer
 
-    def evaluate(self, adapter: BackendAdapter, shots: int) -> IntrospectionResult:
+    def _evaluate(self, adapter: BackendAdapter, shots: int):
         shots = check_shots(shots, ConstraintError)
         result = adapter.run(packed_chsh_circuit(), shots)
         correlators = tuple(
@@ -150,13 +176,7 @@ class PackedCHSHTest(ResourceConstraint):
             "se_S": score_standard_error(correlators, shots),
             "threshold": self._policy.threshold,
         }
-        return IntrospectionResult(
-            constraint_name=self.name(),
-            passed=self._policy.decide(score),
-            scores=scores,
-            evaluated_at=self._clock(),
-            evidence=result,
-        )
+        return self._policy.decide(score), scores, result, ()
 
 
 class _Criterion(NamedTuple):
@@ -222,12 +242,11 @@ class CalibrationConstraint(ResourceConstraint):
                 problems.append(f"{key}: expected a finite number, got {value!r}")
         if problems:
             raise ConstraintError("; ".join(problems))
-        self._clock = clock
+        super().__init__(clock)
 
-    def name(self) -> str:
-        return "CalibrationConstraint"
+    evaluate = ResourceConstraint.evaluate  # own __dict__ entry, for perfbench's tracer
 
-    def evaluate(self, adapter: BackendAdapter, shots: int) -> IntrospectionResult:
+    def _evaluate(self, adapter: BackendAdapter, shots: int):
         snapshot = adapter.calibration()
         now = self._clock()
         scores: dict[str, float] = {}
@@ -238,12 +257,7 @@ class CalibrationConstraint(ResourceConstraint):
             if worst is not None:
                 scores[criterion.score] = worst
                 passed = passed and criterion.passes(worst, limit)
-        return IntrospectionResult(
-            constraint_name=self.name(),
-            passed=bool(passed),
-            scores=scores,
-            evaluated_at=now,
-        )
+        return passed, scores, None, ()
 
 
 class _Composite(ResourceConstraint):
@@ -259,15 +273,12 @@ class _Composite(ResourceConstraint):
     def __init__(
         self, children: Iterable[ResourceConstraint], clock: Callable[[], datetime] = utc_now
     ):
-        self._children = tuple(children)
+        super().__init__(clock)
+        self._children = tuple(map(_child, children))
         if not self._children:
             raise ConstraintError(f"{self.name()} requires at least one child")
-        self._clock = clock
 
-    def name(self) -> str:
-        return type(self).__name__
-
-    def evaluate(self, adapter: BackendAdapter, shots: int) -> IntrospectionResult:
+    def _evaluate(self, adapter: BackendAdapter, shots: int):
         evaluated: list[IntrospectionResult] = []
         passed = not self._decisive
         for child in self._children:
@@ -276,52 +287,33 @@ class _Composite(ResourceConstraint):
             if outcome.passed == self._decisive:
                 passed = self._decisive
                 break
-        return IntrospectionResult(
-            constraint_name=self.name(),
-            passed=passed,
-            evaluated_at=self._clock(),
-            children=tuple(evaluated),
-        )
-
-
-# Each subclass holds ``evaluate`` in its own ``__dict__``, where per-class
-# instrumentation such as perfbench's span tracer looks it up.
+        return passed, {}, None, tuple(evaluated)
 
 
 class AndConstraint(_Composite):
     """Passes iff every child passes; stops at the first failure."""
 
     _decisive = False
-    evaluate = _Composite.evaluate
+    evaluate = ResourceConstraint.evaluate  # own __dict__ entry, for perfbench's tracer
 
 
 class OrConstraint(_Composite):
     """Passes iff any child passes; stops at the first success."""
 
     _decisive = True
-    evaluate = _Composite.evaluate
+    evaluate = ResourceConstraint.evaluate  # own __dict__ entry, for perfbench's tracer
 
 
 class NotConstraint(ResourceConstraint):
     """Inverts its child's outcome."""
 
-    def __init__(
-        self, child: ResourceConstraint, clock: Callable[[], datetime] = utc_now
-    ):
-        self._child = child
-        self._clock = clock
+    def __init__(self, child: ResourceConstraint, clock: Callable[[], datetime] = utc_now):
+        super().__init__(clock)
+        self._child = _child(child)
 
-    def name(self) -> str:
-        return "NotConstraint"
-
-    def evaluate(self, adapter: BackendAdapter, shots: int) -> IntrospectionResult:
+    def _evaluate(self, adapter: BackendAdapter, shots: int):
         outcome = self._child.evaluate(adapter, shots)
-        return IntrospectionResult(
-            constraint_name=self.name(),
-            passed=not outcome.passed,
-            evaluated_at=self._clock(),
-            children=(outcome,),
-        )
+        return not outcome.passed, {}, None, (outcome,)
 
 
 class FreshWithin(ResourceConstraint):
@@ -330,9 +322,11 @@ class FreshWithin(ResourceConstraint):
     Introspection and use of its result are separated in time; this wrapper
     bounds that gap.  The child result is reused while ``0 <= now -
     evaluated_at <= ttl``, for the same shot count on a backend with the same
-    ``cache_key()`` (``name()`` for adapters without one); otherwise the
-    child is re-evaluated.  A negative age means the clock stepped back, so
-    the result's age is unknown and it is stale.
+    ``cache_key()``; otherwise the child is re-evaluated.  Every
+    ``BackendAdapter`` has ``cache_key``, so the ``name()`` fallback serves
+    duck-typed adapters that only define ``run``, ``calibration`` and
+    ``name``, such as the test suites' fakes.  A negative age means the
+    clock stepped back, so the result's age is unknown and it is stale.
     The cached result is returned as-is, original ``evaluated_at`` included,
     so callers can see exactly how stale their information is.  Errors do
     not populate the cache.
@@ -352,9 +346,9 @@ class FreshWithin(ResourceConstraint):
             raise ConstraintError(f"ttl must be a timedelta, got {ttl!r}")
         if ttl <= timedelta(0):
             raise ConstraintError(f"ttl must be positive, got {ttl.total_seconds()} s")
-        self._child = child
+        super().__init__(clock)
+        self._child = _child(child)
         self._ttl = ttl
-        self._clock = clock
         self._lock = threading.Lock()
         self._cached: IntrospectionResult | None = None
         self._cached_for: tuple[Hashable, int] | None = None
