@@ -274,6 +274,12 @@ class _Composite(ResourceConstraint):
         self, children: Iterable[ResourceConstraint], clock: Callable[[], datetime] = utc_now
     ):
         super().__init__(clock)
+        try:
+            children = iter(children)
+        except TypeError:
+            raise ConstraintError(
+                f"{self.name()} takes an iterable of children, got {children!r}"
+            ) from None
         self._children = tuple(map(_child, children))
         if not self._children:
             raise ConstraintError(f"{self.name()} requires at least one child")

@@ -26,11 +26,12 @@ tally in turn, and their noisy shots are joined in row order, so the counts
 do not depend on the number of CPUs.  The mapping from (circuit, shots,
 noise) to counts is fixed no matter how the work is split.
 
-Evolution: the noiseless distribution depends on the circuit alone.  Each
-run computes it once, before the draw: each component's Born marginal and
-their joint CDF, which every noiseless shot is searched in.  Shots sharing
-a noise trajectory (the per-gate Pauli codes) are evolved once and sampled
-from the same distribution: for the noisy shots, one vectorised binary
+Evolution: the noiseless distribution depends on the circuit alone, so a
+circuit is compiled once: its components, each one's noiseless Born
+marginal, and their joint CDF, which every noiseless shot is searched in
+through a guide table of 2**k cells over [0, 1).  Shots sharing a noise
+trajectory (the per-gate Pauli codes) are evolved once and sampled from
+the same distribution: for the noisy shots, one vectorised binary
 search per batch of distributions, so grouping and sampling cost per noisy
 shot.  The unique trajectories are evolved together in batches, each held
 as one ``(2, ..., 2, B)`` array whose size is capped by an amplitude byte
@@ -42,6 +43,20 @@ through BLAS, so a state rounds the same way in any batch and whatever BLAS
 kernel numpy picks for the CPU.  A run with a single trajectory evolves a
 batch of one.
 
+Cache: a compiled circuit is kept for later runs, keyed by the ``Circuit``,
+a frozen dataclass compared by value.  Beside the component layout, the
+read-only noiseless CDF and its guide table, it holds one memo per
+component: the bytes of a trajectory's code row mapped to the bytes of its
+Born marginal row, starting with the noiseless trajectory's.  A run
+evolves only the trajectories its component's memo lacks, and adds them
+while the memo's rows take at most the batch budget; a component whose
+marginals are not held (see below) never uses its memo.  Since a state
+rounds the same way in any batch, a remembered row is the row evolution
+would give, and the counts do not depend on what the cache holds.  The
+cache keeps the four most recently used circuits, so it holds at most
+four CDFs and guide tables of 2**k entries each, and per component at
+most a batch budget of memo rows plus their keys.
+
 Components: qubits that no chain of CNOTs links never interact, so a
 circuit splits into connected components, and each is simulated as a small
 circuit of its own.  The noisy shots' code rows, cut to the gate columns of
@@ -51,7 +66,7 @@ column-wise and grouped again per component, which gives each component's
 own trajectories and each joint trajectory's tuple of component trajectory
 indices.  A component evolves its trajectories, in batches, into each one's
 Born marginal over its measured qubits; the noiseless trajectory's is the
-one computed before the draw.  When all of a component's marginals fit the
+one it was compiled with.  When all of a component's marginals fit the
 byte budget they are held, and trajectories whose rows are byte-identical
 (a Pauli such as ZZ after a Bell pair's CNOT leaves the pair's marginal
 unchanged, bit for bit) are merged into one distribution.
@@ -72,6 +87,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -96,12 +112,11 @@ _FIXED_1Q = {
 
 # Order fixed: index 0 is identity, so "no depolarizing event" and "event
 # drew the identity" coincide and trajectories can be grouped on the code.
-PAULIS = (
-    np.eye(2, dtype=np.complex128),
-    _FIXED_1Q[GateKind.X],
-    _FIXED_1Q[GateKind.Y],
-    _FIXED_1Q[GateKind.Z],
+# One (4, 2, 2) read-only stack, indexed by a batch's codes.
+PAULIS = np.stack(
+    [np.eye(2, dtype=np.complex128)] + [_FIXED_1Q[kind] for kind in (GateKind.X, GateKind.Y, GateKind.Z)]
 )
+PAULIS.flags.writeable = False
 
 
 def gate_unitary(gate: Gate) -> np.ndarray:
@@ -243,19 +258,18 @@ def _evolve(circuit: Circuit, trajectories: np.ndarray, qubits: tuple[int, ...])
     ``qubits[i]`` on axis i."""
     axis = {q: i for i, q in enumerate(qubits)}
     amps = _zero_states(len(trajectories), len(qubits))
-    paulis = np.stack(PAULIS)
     for i, codes in zip(_gates_on(circuit, axis), trajectories.T):
         gate = circuit.gates[i]
         axes = tuple(axis[t] for t in gate.targets)
         amps = _apply_gate(amps, gate, axes)
         # Each state gets the Pauli its code selects: an index into
-        # ``paulis`` for one qubit, or 4a+b for the pair (a on axes[0], b
+        # ``PAULIS`` for one qubit, or 4a+b for the pair (a on axes[0], b
         # on axes[1]).  Pauli entries are 0, +-1 and +-i, so the identity
         # leaves a state exact.
         digits = (codes,) if len(axes) == 1 else divmod(codes, 4)
         for target, digit in zip(axes, digits):
             if digit.any():
-                amps = _apply_1q(amps, paulis[digit].transpose(1, 2, 0), target)
+                amps = _apply_1q(amps, PAULIS[digit].transpose(1, 2, 0), target)
         _check_norms(amps)
     return amps
 
@@ -295,6 +309,51 @@ def _search_rows(cdfs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarra
     return found
 
 
+def _guide(cdf: np.ndarray) -> tuple[np.ndarray, int]:
+    """The guide table of ``cdf``, a CDF row whose last entry is 1.0, and
+    the bit length of its widest cell.  With c = len(cdf) cells [j/c,
+    (j+1)/c) of [0, 1), entry j of the table is the number of entries of
+    ``cdf`` that are <= j/c, and entry c is c - 1."""
+    cells = len(cdf)
+    guide = np.searchsorted(cdf, np.arange(cells + 1) / cells, side="right")
+    guide[-1] = cells - 1
+    return guide, int(np.diff(guide).max()).bit_length()
+
+
+def _guided_search(cdf: np.ndarray, guide: np.ndarray, steps: int, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, u, side="right")`` for draws in [0, 1), found
+    through ``guide``, the guide table of ``cdf``, with ``steps`` the bit
+    length of its widest cell.
+
+    A draw in cell j = floor(u * c) is at least j/c and below (j+1)/c, so
+    its answer lies in [guide[j], guide[j+1]]; one bisection per draw, at
+    once for all draws, closes that bracket.  Every entry of ``cdf`` before
+    the last is a cumulative sum, and the last is 1.0, above any draw: so
+    for each draw, the entries <= it are a prefix, and the bisection finds
+    its exact end even where rounding lifted an entry just above 1.0."""
+    # u * c is exact, as c is a power of two.
+    cell = (u * (len(guide) - 1)).astype(np.intp)
+    lo, hi = guide[cell], guide[cell + 1]
+    for _ in range(steps):
+        mid = (lo + hi) >> 1
+        below = cdf[mid] <= u
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    return lo
+
+
+def _flip_masks(draws: np.ndarray, p: float) -> np.ndarray:
+    """Per row of ``draws``, an (n, k) block of readout draws with k <= 32,
+    the mask with bit k-1-j set where draw j is below ``p``.  The bools are
+    packed eight to a byte, into masks of 1, 2 or 4 bytes, and never widened
+    to integers."""
+    n, k = draws.shape
+    size = 1 << max(0, (k - 1).bit_length() - 3)
+    bits = np.zeros((n, 8 * size), dtype=bool)
+    np.less(draws, p, out=bits[:, 8 * size - k :])
+    return np.packbits(bits).view(f">u{size}")
+
+
 def _cpu_count() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -303,18 +362,18 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _draw(circuit: Circuit, shots: int, noise: NoiseModel, cdf: np.ndarray):
+def _draw(circuit: Circuit, shots: int, noise: NoiseModel, compiled: _Compiled):
     """The Pauli codes, outcome draws and readout flip masks of the noisy
     shots, in shot order, and the tally of every other shot's outcome, drawn
-    from ``cdf``, the noiseless CDF, with its readout flips applied.
+    from the noiseless CDF of ``compiled`` with its readout flips applied.
 
     The uniform matrix has columns, in order: per-gate event draws, per-gate
     Pauli choices, the outcome draw, per-bit readout draws.  Row i belongs
     to shot i.  It is drawn in blocks of rows and reduced block by block.
     A shot is noisy if some event fired and drew a non-identity Pauli; only
     noisy shots get a code row (int8, one column per gate), outcome draw
-    and flip mask.  Every other shot is searched in ``cdf`` and tallied at
-    once, so nothing is kept per noiseless shot.
+    and flip mask.  Every other shot is searched in the noiseless CDF and
+    tallied at once, so nothing is kept per noiseless shot.
 
     A draw of several blocks is split into contiguous stripes of rows, one
     per CPU, drawn and reduced on a pool of one thread per stripe, which is
@@ -332,7 +391,6 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel, cdf: np.ndarray):
     # A uniform draw is never below 0, so gates with p = 0 never fire.
     live = np.flatnonzero(event_p)
     choices = np.array([16 if g.kind is GateKind.CNOT else 4 for g in circuit.gates])
-    bit_values = (1 << np.arange(k - 1, -1, -1)).astype(np.int64)
     tally = np.zeros(1 << k, dtype=np.int64)
     adding = threading.Lock()
 
@@ -348,10 +406,11 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel, cdf: np.ndarray):
         noisy = hit_codes.any(axis=1)
         rows = hit_rows[noisy]
         outcome_u = block[:, 2 * num_gates]
-        flip_masks = (block[:, 2 * num_gates + 1 :] < noise.readout_flip) @ bit_values
+        flip_masks = _flip_masks(block[:, 2 * num_gates + 1 :], noise.readout_flip)
         clean = np.ones(len(block), dtype=bool)
         clean[rows] = False
-        outcomes = np.searchsorted(cdf, outcome_u[clean], side="right") ^ flip_masks[clean]
+        found = _guided_search(compiled.cdf, compiled.guide, compiled.steps, outcome_u[clean])
+        outcomes = found ^ flip_masks[clean]
         # Unlike bincount(minlength=), this costs nothing per possible outcome.
         with adding:
             np.add.at(tally, outcomes, 1)
@@ -453,76 +512,136 @@ def _born_rows(circuit: Circuit, qubits: tuple[int, ...], trajectories: np.ndarr
         yield _born_probs(_evolve(circuit, trajectories[part], qubits), measured)
 
 
-class _Noiseless(NamedTuple):
-    # Per component with a measured qubit, in the order of _components: its
-    # qubits and its (1, 2**m) Born marginal row.
-    marginals: dict
+class _Component(NamedTuple):
+    """A connected component with a measured qubit, as run_shots sees it."""
+
+    qubits: tuple[int, ...]
+    # The indices of the circuit's gates that act on it.
+    gates: list[int]
+    # Trajectory code row (its bytes) -> its Born marginal row (its bytes),
+    # one row of 2**m float64 over the m measured qubits.  It always holds
+    # the all-zero trajectory, whose row is the noiseless marginal.
+    memo: dict
+
+    @property
+    def noiseless(self) -> np.ndarray:
+        """The (1, 2**m) read-only Born marginal of trajectory 0."""
+        return np.frombuffer(self.memo[bytes(len(self.gates))]).reshape(1, -1)
+
+
+class _Compiled(NamedTuple):
+    """What run_shots needs of a circuit that does not depend on the noise."""
+
+    # In the order of _components.
+    components: tuple[_Component, ...]
     # Where each of measured_qubits sits in the order of the marginals.
     axes: tuple[int, ...]
+    # The noiseless CDF over the measured outcomes, its guide table and the
+    # bit length of the widest guide cell; read-only.
     cdf: np.ndarray
+    guide: np.ndarray
+    steps: int
 
 
-def _noiseless(circuit: Circuit) -> _Noiseless:
-    """The noiseless distribution of ``circuit``: its component marginals
-    and their joint CDF over the measured qubits."""
+def _compile(circuit: Circuit) -> _Compiled:
+    """Evolve the noiseless trajectory of each component with a measured
+    qubit, and build the joint CDF of its marginals and the CDF's guide."""
     measured = set(circuit.measured_qubits)
-    marginals = {}
+    components = []
     for qubits in _components(circuit):
         if not measured.isdisjoint(qubits):
-            trajectory = np.zeros((1, len(_gates_on(circuit, qubits))), dtype=np.int8)
-            (marginals[qubits],) = _born_rows(circuit, qubits, trajectory)
-    product = [q for qubits in marginals for q in qubits if q in measured]
+            gates = _gates_on(circuit, qubits)
+            (row,) = _born_rows(circuit, qubits, np.zeros((1, len(gates)), dtype=np.int8))
+            components.append(_Component(qubits, gates, {bytes(len(gates)): row.tobytes()}))
+    product = [q for c in components for q in c.qubits if q in measured]
     axes = tuple(map(product.index, circuit.measured_qubits))
-    return _Noiseless(marginals, axes, _product_cdfs(list(marginals.values()), axes)[0])
+    cdf = _product_cdfs([c.noiseless for c in components], axes)[0]
+    guide, steps = _guide(cdf)
+    cdf.flags.writeable = guide.flags.writeable = False
+    return _Compiled(tuple(components), axes, cdf, guide, steps)
 
 
-def _split(circuit: Circuit, codes: np.ndarray):
-    """Group the rows of ``codes`` once over the gates of the components
-    with a measured qubit, then split the unique rows by component.
-    Returns, per such component, its qubits and unique trajectories; per
-    joint trajectory, its tuple of component trajectory indices; and per
-    row of ``codes``, the index of its joint trajectory.  Index 0 is the
-    noiseless trajectory at both levels."""
-    measured = set(circuit.measured_qubits)
-    components = [qubits for qubits in _components(circuit) if not measured.isdisjoint(qubits)]
-    gates = [_gates_on(circuit, qubits) for qubits in components]
-    joint, inverse = _group(codes[:, [i for part in gates for i in part]])
+# The compiled circuits, least recently used first, keyed by the Circuit, a
+# frozen dataclass compared by value.  It holds at most _CACHED_CIRCUITS of
+# them, each with one memo per component.  Guarded by _cache_lock.
+_CACHED_CIRCUITS = 4
+_cache: OrderedDict = OrderedDict()
+_cache_lock = threading.Lock()
+
+
+def _compiled(circuit: Circuit) -> _Compiled:
+    """``circuit`` compiled, from the cache or compiled now and cached."""
+    with _cache_lock:
+        compiled = _cache.get(circuit)
+        if compiled is not None:
+            _cache.move_to_end(circuit)
+            return compiled
+    compiled = _compile(circuit)
+    with _cache_lock:
+        _cache[circuit] = compiled
+        while len(_cache) > _CACHED_CIRCUITS:
+            _cache.popitem(last=False)
+    return compiled
+
+
+def _split(components: tuple[_Component, ...], codes: np.ndarray):
+    """Group the rows of ``codes`` once over the gates of ``components``,
+    then split the unique rows by component.  Returns, per component, its
+    unique trajectories; per joint trajectory, its tuple of component
+    trajectory indices; and per row of ``codes``, the index of its joint
+    trajectory.  Index 0 is the noiseless trajectory at both levels."""
+    joint, inverse = _group(codes[:, [i for c in components for i in c.gates]])
     parts, columns, start = [], [], 0
-    for qubits, part in zip(components, gates):
-        trajectories, index = _group(joint[:, start : start + len(part)])
-        parts.append((qubits, trajectories))
+    for component in components:
+        trajectories, index = _group(joint[:, start : start + len(component.gates)])
+        parts.append(trajectories)
         columns.append(index)
-        start += len(part)
+        start += len(component.gates)
     return parts, np.column_stack(columns), inverse
 
 
-def _marginal_rows(
-    circuit: Circuit, qubits: tuple[int, ...], trajectories: np.ndarray, noiseless: np.ndarray
-):
-    """The Born marginals of the component ``qubits`` over its measured
-    qubits: a function from distribution indices to their rows, and per
-    trajectory the index of its distribution.  ``noiseless`` is the
-    (1, 2**m) row of trajectory 0, which is never evolved here.
+def _marginal_rows(circuit: Circuit, component: _Component, trajectories: np.ndarray):
+    """The Born marginals of ``component`` over its measured qubits, for its
+    unique ``trajectories``: a function from distribution indices to their
+    rows, and per trajectory the index of its distribution.
 
-    The rows of all its trajectories are evolved once and held when they
-    fit the batch budget.  Trajectories whose rows are byte-identical then
+    When the rows of all its trajectories fit the batch budget they are
+    held: each is read from the component's memo, and only those missing
+    are evolved and then remembered while the memo's rows fit that budget.
+    A state rounds the same way in any batch, so a remembered row is the row
+    evolution would give.  Trajectories whose rows are byte-identical then
     share one distribution, and the noiseless trajectory's is index 0.
     Otherwise each trajectory is its own distribution, and each call evolves
     just the trajectories asked for, so memory stays bounded however many
-    trajectories a wide component has."""
-    measured = sum(q in circuit.measured_qubits for q in qubits)
-
-    def evolve(indices: np.ndarray) -> np.ndarray:
-        needed, local = np.unique(indices, return_inverse=True)
-        # Ascending, so trajectory 0 comes first when it is needed.
-        known = int(needed[0] == 0)
-        evolved = _born_rows(circuit, qubits, trajectories[needed[known:]])
-        return np.concatenate([noiseless[:known], *evolved])[local]
-
+    trajectories a wide component has; trajectory 0 is never evolved."""
+    qubits, memo = component.qubits, component.memo
+    row_bytes = 8 << sum(q in circuit.measured_qubits for q in qubits)
     index = np.arange(len(trajectories))
-    if len(trajectories) * (8 << measured) > _BATCH_BYTES:
+    if len(trajectories) * row_bytes > _BATCH_BYTES:
+
+        def evolve(indices: np.ndarray) -> np.ndarray:
+            needed, local = np.unique(indices, return_inverse=True)
+            # Ascending, so trajectory 0 comes first when it is needed.
+            known = int(needed[0] == 0)
+            evolved = _born_rows(circuit, qubits, trajectories[needed[known:]])
+            return np.concatenate([component.noiseless[:known], *evolved])[local]
+
         return evolve, index
-    held = evolve(index)
+    codes = np.ascontiguousarray(trajectories).tobytes()
+    width = trajectories.shape[1]
+    keys = [codes[i * width : (i + 1) * width] for i in range(len(trajectories))]
+    rows = [memo.get(key) for key in keys]
+    missing = [i for i, row in enumerate(rows) if row is None]
+    if missing:
+        evolved = np.concatenate(list(_born_rows(circuit, qubits, trajectories[missing])))
+        for i, row in zip(missing, evolved):
+            rows[i] = row.tobytes()
+        # One dict lookup or update is atomic; the lock keeps the room
+        # check and the update together.
+        with _cache_lock:
+            room = _BATCH_BYTES // row_bytes - len(memo)
+            memo.update((keys[i], rows[i]) for i in missing[: max(room, 0)])
+    held = np.frombuffer(b"".join(rows)).reshape(len(rows), -1)
     if len(held) > 1:
         # XOR with the noiseless row maps exactly the rows equal to it, byte
         # for byte, to the all-zero row that _group numbers 0.
@@ -582,12 +701,12 @@ def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCount
     """
     shots = check_shots(shots, CircuitError)
     _check_width(circuit.num_qubits)
-    noiseless = _noiseless(circuit)
-    codes, outcome_u, flip_masks, tallies = _draw(circuit, shots, noise, noiseless.cdf)
+    compiled = _compiled(circuit)
+    codes, outcome_u, flip_masks, tallies = _draw(circuit, shots, noise, compiled)
     k = circuit.num_measured
-    parts, tuples, inverse = _split(circuit, codes)
+    parts, tuples, inverse = _split(compiled.components, codes)
     marginal_rows, indices = zip(
-        *(_marginal_rows(circuit, qubits, t, noiseless.marginals[qubits]) for qubits, t in parts)
+        *(_marginal_rows(circuit, c, t) for c, t in zip(compiled.components, parts))
     )
     # Joint trajectories whose component distributions all match share one
     # joint distribution; the noiseless one stays index 0.
@@ -595,7 +714,7 @@ def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCount
         tuples, which = _group(np.column_stack([i[c] for i, c in zip(indices, tuples.T)]))
         inverse = which[inverse]
     cdf_batches = (
-        _joint_cdfs(marginal_rows, tuples[part], noiseless.axes)
+        _joint_cdfs(marginal_rows, tuples[part], compiled.axes)
         for part in _slices(len(tuples), 8 << k)
     )
     np.add.at(tallies, _sample(cdf_batches, inverse, outcome_u) ^ flip_masks, 1)

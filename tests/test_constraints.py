@@ -279,6 +279,9 @@ def test_constraint_misuse_raises_a_typed_error():
         # probe can spend its shots.
         lambda: AndConstraint([None]),
         lambda: OrConstraint([StubConstraint(True), "x"]),
+        # Children that are no iterable at all.
+        lambda: AndConstraint(None),
+        lambda: OrConstraint(5),
         lambda: NotConstraint("x"),
         lambda: FreshWithin(42, timedelta(seconds=1)),
         lambda: PackedCHSHTest(2.2),

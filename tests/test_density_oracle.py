@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -169,9 +170,12 @@ def test_oracle_is_independent_of_the_pauli_table(monkeypatch):
 
     assert worst_pull() <= 5.0
     identity, x, _, z = simulator.PAULIS
-    wrong = (identity, x, x, z)
+    wrong = np.stack((identity, x, x, z))
     monkeypatch.setattr(simulator, "PAULIS", wrong)
     monkeypatch.setattr(density_oracle, "PAULIS", wrong, raising=False)
+    # A fresh cache, so no row evolved with the right table is reused; the
+    # cache that held them comes back afterwards.
+    monkeypatch.setattr(simulator, "_cache", OrderedDict())
     assert density_matrix_oracle(circuit, noise) == expected
     assert worst_pull() > 5.0
 

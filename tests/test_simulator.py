@@ -21,6 +21,7 @@ from qguard import (
     CircuitError,
     Gate,
     GateKind,
+    MeasurementSettings,
     NoiseModel,
     NoiseModelError,
     NormConservationError,
@@ -32,6 +33,14 @@ from qguard import (
 from qguard import simulator
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+@pytest.fixture(autouse=True)
+def _cold_cache():
+    # No test may see the compiled circuits and memos another test left.
+    simulator._cache.clear()
+    yield
+    simulator._cache.clear()
 
 
 def test_noise_model_validation():
@@ -497,12 +506,12 @@ def test_special_counts_match_pinned_digest(case):
 
 
 def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
-    return simulator._draw(circuit, shots, noise, simulator._noiseless(circuit).cdf)
+    return simulator._draw(circuit, shots, noise, simulator._compile(circuit))
 
 
 def _marginal_rows(circuit: Circuit, qubits: tuple, trajectories: np.ndarray):
-    noiseless = simulator._noiseless(circuit).marginals[qubits]
-    return simulator._marginal_rows(circuit, qubits, trajectories, noiseless)
+    (component,) = [c for c in simulator._compile(circuit).components if c.qubits == qubits]
+    return simulator._marginal_rows(circuit, component, trajectories)
 
 
 def test_many_trajectories_case_spans_batches():
@@ -697,7 +706,9 @@ def _split_case(case):
     build, shots, noise, _ = _PINNED_CASES[case]
     circuit = build()
     codes = _draw(circuit, shots, noise)[0]
-    return circuit, codes, simulator._split(circuit, codes)
+    components = simulator._compile(circuit).components
+    parts, tuples, inverse = simulator._split(components, codes)
+    return circuit, codes, ([(c.qubits, t) for c, t in zip(components, parts)], tuples, inverse)
 
 
 def _trajectory_counts(case):
@@ -842,6 +853,8 @@ def test_draw_memory_does_not_grow_with_cpus(monkeypatch):
     shots = 100_000
     width = 2 * len(circuit.gates) + 1 + circuit.num_measured
     assert shots > 8 * (simulator._DRAW_BYTES // (8 * width))
+    # Compiled first, so that neither run pays for the noiseless tables.
+    simulator._compiled(circuit)
     peaks, digests = [], []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -896,6 +909,137 @@ def test_row_search_matches_searchsorted(k):
     np.testing.assert_array_equal(simulator._search_rows(cdfs, rows, u), expected)
 
 
+@given(
+    st.integers(0, 6).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.integers(0, 3), min_size=1 << k, max_size=1 << k).filter(any),
+            st.booleans(),
+            st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1 << k), st.floats(0, 1)), max_size=40),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_guided_search_matches_searchsorted(case):
+    # Weights of 0 give zero-probability outcomes and flat runs of the CDF;
+    # draws sit on cell edges, on CDF entries, just below either, or
+    # anywhere.  Rounding may lift an entry just above the final 1.0.
+    weights, lifted, picks = case
+    probs = np.array(weights, dtype=float)
+    cdf = simulator._cdfs((probs / probs.sum())[np.newaxis])[0]
+    if lifted and len(cdf) > 1:
+        cdf[-2] = np.nextafter(1.0, 2.0)
+    cells = len(cdf)
+    u = []
+    for kind, j, x in picks:
+        point = (j / cells, cdf[min(j, cells - 1)], x)[kind] % 1.0
+        u += [point, np.nextafter(point, 0.0)]
+    u = np.array(u + [0.0, np.nextafter(1.0, 0.0)])
+    guide, steps = simulator._guide(cdf)
+    expected = [np.searchsorted(cdf, x, side="right") for x in u]
+    np.testing.assert_array_equal(simulator._guided_search(cdf, guide, steps, u), expected)
+
+
+@pytest.mark.parametrize("k", [1, 8, 9, 16, 17, 20])
+def test_flip_masks_put_the_first_bit_highest(k):
+    draws = np.random.default_rng(k).random((300, k))
+    bits = draws < 0.4
+    expected = bits @ (1 << np.arange(k - 1, -1, -1))
+    np.testing.assert_array_equal(simulator._flip_masks(draws, 0.4), expected)
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_CASES))
+def test_warm_counts_match_cold_counts(case):
+    # The memo filled by another seed's run, and then by this run itself,
+    # must give the counts of a cold cache.
+    build, shots, noise, digest = _PINNED_CASES[case]
+    run_shots(build(), shots, noise.with_seed(noise.seed + 1))
+    assert len(simulator._cache) == 1
+    assert _digest(run_shots(build(), shots, noise)) == digest
+    assert _digest(run_shots(build(), shots, noise)) == digest
+
+
+def test_cached_arrays_are_read_only():
+    compiled = simulator._compiled(packed_chsh_circuit())
+    arrays = [compiled.cdf, compiled.guide, simulator.PAULIS]
+    arrays += [component.noiseless for component in compiled.components]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0.5
+    assert all(type(row) is bytes for c in compiled.components for row in c.memo.values())
+
+
+def test_cache_keeps_the_most_recently_used_circuits():
+    circuits = [packed_chsh_circuit(MeasurementSettings(a0=0.1 * i)) for i in range(6)]
+    for circuit in circuits:
+        run_shots(circuit, 10, NoiseModel())
+    # A circuit is found by value, and a hit makes it the most recent.
+    run_shots(packed_chsh_circuit(MeasurementSettings(a0=0.2)), 10, NoiseModel())
+    assert list(simulator._cache) == [circuits[i] for i in (3, 4, 5, 2)]
+    assert len(simulator._cache) == simulator._CACHED_CIRCUITS
+
+
+def test_memo_stays_within_its_budget():
+    # A Bell pair with twelve noisy gates: nearly every shot has its own
+    # trajectory, about 1000 per run, all held; twelve seeds offer more
+    # trajectories than the memo has room for.
+    gates = (Gate.h(0), Gate.cnot(0, 1)) + tuple(Gate.ry(q % 2, 0.3 * q) for q in range(10))
+    circuit = Circuit(2, gates, (0, 1))
+    capacity = simulator._BATCH_BYTES // (8 << 2)
+    for seed in range(12):
+        counts = run_shots(circuit, 1000, NoiseModel(p1=0.5, p2=0.5, seed=seed))
+        (component,) = simulator._compiled(circuit).components
+        assert len(component.memo) <= capacity
+    assert len(component.memo) == capacity
+    simulator._cache.clear()
+    assert dict(run_shots(circuit, 1000, NoiseModel(p1=0.5, p2=0.5, seed=11))) == dict(counts)
+
+
+def test_threads_share_the_cache_safely():
+    # Eight threads, switching often, run six circuits, more than the cache
+    # keeps, so compiles, evictions and memo updates interleave.  Every run
+    # must give the counts of a cold cache, and the bounds must hold.
+    circuits = [packed_chsh_circuit(MeasurementSettings(b0=0.2 * i)) for i in range(6)]
+    noise = NoiseModel(p1=0.01, p2=0.3, seed=9)
+    expected = []
+    for circuit in circuits:
+        simulator._cache.clear()
+        expected.append(dict(run_shots(circuit, 500, noise)))
+    simulator._cache.clear()
+    jobs = [i % len(circuits) for i in range(48)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(8) as pool:
+            results = list(pool.map(lambda i: dict(run_shots(circuits[i], 500, noise)), jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected[i] for i in jobs]
+    assert len(simulator._cache) == simulator._CACHED_CIRCUITS
+    capacity = simulator._BATCH_BYTES // (8 << 2)
+    assert all(len(c.memo) <= capacity for v in simulator._cache.values() for c in v.components)
+
+
+def test_draw_memory_does_not_grow_with_readout_bits(monkeypatch):
+    # Readout flips are packed from one byte per bit, never widened to 8:
+    # one stripe's 9532-row blocks of 18 readout bits would otherwise need
+    # 1.3 MiB for the widened bits alone, against 0.2 MiB for one-eighth
+    # blocks.
+    circuit = Circuit(18, tuple(Gate.x(q) for q in range(18)), tuple(range(18)))
+    noise = NoiseModel(p1=0.0, p2=0.0, readout_flip=0.001, seed=3)
+    compiled = simulator._compile(circuit)
+    peaks = []
+    for cpus in (1, 8):
+        monkeypatch.setattr(simulator, "_cpu_count", lambda: cpus)
+        tracemalloc.start()
+        try:
+            simulator._draw(circuit, 100_000, noise, compiled)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] - peaks[1] <= 2**19
+
+
 @pytest.mark.parametrize("dtype, width", [(np.int8, 1), (np.int8, 13), (np.intp, 3), (np.uint64, 4)])
 def test_group_matches_unique_rows(dtype, width):
     # Rows are padded to whole 8-byte words; the numbering of the unique rows
@@ -914,8 +1058,9 @@ def test_norm_check_covers_every_trajectory_in_a_batch(monkeypatch):
     # All trajectories of this run fit in one batch.  Only those with an X
     # injection see the leaky matrix; the first, which has no injection at
     # all, stays normalised.
-    leaky_x = 1.001 * simulator.PAULIS[1]
-    monkeypatch.setattr(simulator, "PAULIS", (simulator.PAULIS[0], leaky_x) + simulator.PAULIS[2:])
+    leaky = simulator.PAULIS.copy()
+    leaky[1] *= 1.001
+    monkeypatch.setattr(simulator, "PAULIS", leaky)
     with pytest.raises(NormConservationError):
         run_shots(phi_plus(), 2000, NoiseModel(p1=0.001, p2=0.3, seed=1))
 
