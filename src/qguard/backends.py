@@ -28,7 +28,7 @@ from .calibration import (
 from .circuits import BitstringCounts, Circuit
 from .errors import BackendError, RecordingExhausted, check_shots
 from .fields import decode, each, integer, join, located, obj, record, string
-from .simulator import NoiseModel, run_shots
+from .simulator import NoiseModel, check_noise, run_shots
 from .timestamps import format_timestamp, parse_timestamp, utc_now
 
 _MASK64 = (1 << 64) - 1
@@ -121,7 +121,7 @@ class SimulatorAdapter(BackendAdapter):
         synthetic_calibration: CalibrationSnapshot | None = None,
         clock: Callable[[], datetime] = utc_now,
     ):
-        self._noise = noise if noise is not None else NoiseModel()
+        self._noise = check_noise(noise) if noise is not None else NoiseModel()
         if synthetic_calibration is None:
             synthetic_calibration = synthetic_calibration_for(self._noise)
         self._calibration = synthetic_calibration

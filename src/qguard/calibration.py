@@ -128,6 +128,8 @@ def synthetic_calibration_for(
     CNOT errors ``p2``, so calibration-threshold constraints exercise the
     same numbers that drive the simulator.  T1/T2 are fixed mid-range values.
     """
+    if not is_index(num_qubits):
+        raise CalibrationError(f"num_qubits must be an integer, got {num_qubits!r}")
     if taken_at is None:
         taken_at = utc_now()
     qubits = tuple(

@@ -31,8 +31,14 @@ class BitstringCounts(Mapping):
     def __init__(self, counts: Mapping[str, int] | Iterable[tuple[str, int]]):
         items: dict[str, int] = {}
         num_bits: int | None = None
-        entries = counts.items() if isinstance(counts, Mapping) else counts
-        for key, value in entries:
+        entries = counts.items() if isinstance(counts, Mapping) else _tuple(counts, "counts")
+        for entry in entries:
+            try:
+                key, value = entry
+            except (TypeError, ValueError):
+                raise CircuitError(
+                    f"counts entry {entry!r} is not a (bitstring, count) pair"
+                ) from None
             if not isinstance(key, str) or not key or key.strip("01"):
                 raise CircuitError(f"invalid bitstring key {key!r}")
             if num_bits is None:
@@ -228,6 +234,13 @@ class Circuit:
         return len(self.measured_qubits)
 
 
+def check_circuit(circuit: Any) -> Circuit:
+    """``circuit``; raises :class:`CircuitError` unless it is a ``Circuit``."""
+    if not isinstance(circuit, Circuit):
+        raise CircuitError(f"expected a Circuit, got {circuit!r}")
+    return circuit
+
+
 @dataclass(frozen=True)
 class MeasurementSettings:
     """The four CHSH measurement angles, in radians.
@@ -241,6 +254,11 @@ class MeasurementSettings:
     a1: float = math.pi / 2
     b0: float = math.pi / 4
     b1: float = -math.pi / 4
+
+    def __post_init__(self):
+        for name in ("a0", "a1", "b0", "b1"):
+            if not is_real(value := getattr(self, name)):
+                raise CircuitError(f"{name} must be a number, got {value!r}")
 
 
 def phi_plus() -> Circuit:

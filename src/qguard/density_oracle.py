@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind
+from .circuits import Circuit, Gate, GateKind, check_circuit
 from .errors import OracleLimitError
-from .simulator import NoiseModel, _apply_1q, _apply_cnot, _zero_states, gate_unitary
+from .simulator import NoiseModel, _apply_1q, _apply_cnot, _zero_states, check_noise, gate_unitary
 
 ORACLE_MAX_QUBITS = 10
 
@@ -51,13 +51,16 @@ def density_matrix_oracle(circuit: Circuit, noise: NoiseModel) -> dict[str, floa
 
     Returns all 2^k bitstrings over the measured qubits, including those
     with probability zero.  The seed is irrelevant here; only the channel
-    parameters matter.
+    parameters matter.  Raises :class:`CircuitError` for a circuit that is
+    not a ``Circuit`` and :class:`NoiseModelError` for noise that is not a
+    ``NoiseModel``.
     """
-    if circuit.num_qubits > ORACLE_MAX_QUBITS:
+    if check_circuit(circuit).num_qubits > ORACLE_MAX_QUBITS:
         raise OracleLimitError(
             f"oracle supports at most {ORACLE_MAX_QUBITS} qubits, "
             f"got {circuit.num_qubits}"
         )
+    check_noise(noise)
     n = circuit.num_qubits
     rho = _zero_states(1, 2 * n)
     for gate in circuit.gates:

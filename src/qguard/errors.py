@@ -30,7 +30,8 @@ class NoiseModelError(QGuardError, ValueError):
     """Noise-model parameters are out of range or of the wrong type.
 
     ``problems`` maps each offending field (``p1``, ``p2``, ``readout_flip``,
-    ``seed``) to what is wrong with it.
+    ``seed``) to what is wrong with it, or ``noise`` to why a value given as
+    a noise model is not a ``NoiseModel``.
     """
 
     def __init__(self, problems: dict[str, str]):

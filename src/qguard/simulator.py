@@ -28,34 +28,36 @@ noise) to counts is fixed no matter how the work is split.
 
 Evolution: the noiseless distribution depends on the circuit alone, so a
 circuit is compiled once: its components, each one's noiseless Born
-marginal, and their joint CDF, which every noiseless shot is searched in
-through a guide table of 2**k cells over [0, 1).  Shots sharing a noise
-trajectory (the per-gate Pauli codes) are evolved once and sampled from
-the same distribution: for the noisy shots, one vectorised binary
-search per batch of distributions, so grouping and sampling cost per noisy
-shot.  The unique trajectories are evolved together in batches, each held
-as one ``(2, ..., 2, B)`` array whose size is capped by an amplitude byte
-budget: each qubit is one axis and the state is the last axis.  Every
-one-qubit matrix, a gate's or the Pauli injections after it (each state's
-own, broadcast over the batch axis), goes through one elementwise 2x2
-kernel, and a CNOT is a flip in its control=1 slice.  No amplitude goes
-through BLAS, so a state rounds the same way in any batch and whatever BLAS
-kernel numpy picks for the CPU.  A run with a single trajectory evolves a
-batch of one.
+marginal, and their joint CDF.  Shots sharing a noise trajectory (the
+per-gate Pauli codes) are evolved once and sampled from the same
+distribution.  Every outcome is found by one binary search in a window of
+a CDF, run at once for all the shots it serves: a noiseless shot's window
+comes from a guide table of 2**k cells over [0, 1), by the cell its draw
+falls in, a noisy shot's is the CDF row of its distribution.  So grouping
+and sampling cost per noisy shot.  The unique trajectories are evolved together in batches,
+each held as one ``(2, ..., 2, B)`` array whose size is capped by an
+amplitude byte budget: each qubit is one axis and the state is the last
+axis.  Every one-qubit matrix, a gate's or the Pauli injections after it
+(each state's own, broadcast over the batch axis), goes through one
+elementwise 2x2 kernel, and a CNOT is a flip in its control=1 slice.  No
+amplitude goes through BLAS, so a state rounds the same way in any batch
+and whatever BLAS kernel numpy picks for the CPU.  A run with a single
+trajectory evolves a batch of one.
 
-Cache: a compiled circuit is kept for later runs, keyed by the ``Circuit``,
-a frozen dataclass compared by value.  Beside the component layout, the
-read-only noiseless CDF and its guide table, it holds one memo per
-component: the bytes of a trajectory's code row mapped to the bytes of its
-Born marginal row, starting with the noiseless trajectory's.  A run
-evolves only the trajectories its component's memo lacks, and adds them
-while the memo's rows take at most the batch budget; a component whose
-marginals are not held (see below) never uses its memo.  Since a state
-rounds the same way in any batch, a remembered row is the row evolution
-would give, and the counts do not depend on what the cache holds.  The
-cache keeps the four most recently used circuits, so it holds at most
-four CDFs and guide tables of 2**k entries each, and per component at
-most a batch budget of memo rows plus their keys.
+Cache: ``_compile`` keeps the four most recently used circuits in a
+``functools.lru_cache``, keyed by the ``Circuit``, a frozen dataclass
+compared by value; ``run_shots`` checks its arguments' types first.  A
+compiled circuit holds the component layout, the read-only noiseless CDF
+and its guide table, and one memo per component: the bytes of a
+trajectory's code row mapped to the bytes of its Born marginal row,
+starting with the noiseless trajectory's.  A run evolves only the
+trajectories its component's memo lacks, and adds them while the memo's
+rows take at most the batch budget; a component whose marginals are not
+held (see below) never uses its memo.  Since a state rounds the same way in
+any batch, a remembered row is the row evolution would give, and the counts
+do not depend on what the cache holds.  So the cache holds at most four
+CDFs and guide tables of 2**k entries each, and per component at most a
+batch budget of memo rows plus their keys.
 
 Components: qubits that no chain of CNOTs links never interact, so a
 circuit splits into connected components, and each is simulated as a small
@@ -65,15 +67,15 @@ once into unique joint trajectories.  These few rows are then split
 column-wise and grouped again per component, which gives each component's
 own trajectories and each joint trajectory's tuple of component trajectory
 indices.  A component evolves its trajectories, in batches, into each one's
-Born marginal over its measured qubits; the noiseless trajectory's is the
-one it was compiled with.  When all of a component's marginals fit the
-byte budget they are held, and trajectories whose rows are byte-identical
-(a Pauli such as ZZ after a Bell pair's CNOT leaves the pair's marginal
-unchanged, bit for bit) are merged into one distribution.
+Born marginal over its measured qubits.  When all of a component's
+marginals fit the byte budget they are held, and trajectories whose rows
+are byte-identical (a Pauli such as ZZ after a Bell pair's CNOT leaves the
+pair's marginal unchanged, bit for bit) are merged into one distribution.
 A wider component keeps one distribution per trajectory and evolves, for
-each batch of joint rows, just the trajectories the batch needs, so memory
-stays bounded.  Mapped through these, the tuples are grouped once more into
-distinct joint distributions, each the outer product of its component
+each batch of joint rows, just the trajectories the batch needs, the
+noiseless one like any other, so memory stays bounded.  Mapped through
+these, the tuples are grouped once more into distinct joint distributions,
+each the outer product of its component
 marginals with axes put in ``measured_qubits`` order.  Their CDF rows are
 built in batches under the same budget and sampled as above.  Byte-equal
 marginals multiply and sum into byte-equal CDF rows, and each shot still
@@ -84,16 +86,16 @@ marginals.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
-from .circuits import BitstringCounts, Circuit, Gate, GateKind
+from .circuits import BitstringCounts, Circuit, Gate, GateKind, check_circuit
 from .errors import (
     CircuitError, NoiseModelError, NormConservationError, check_shots, is_index, is_real
 )
@@ -184,11 +186,11 @@ _BATCH_BYTES = 256 * 1024
 _DRAW_BYTES = 4 * 1024 * 1024
 
 
-def _check_width(num_qubits: int):
-    if num_qubits > SIMULATOR_MAX_QUBITS:
-        raise CircuitError(
-            f"simulator supports at most {SIMULATOR_MAX_QUBITS} qubits, got {num_qubits}"
-        )
+def check_noise(noise: Any) -> NoiseModel:
+    """``noise``; raises :class:`NoiseModelError` unless it is a ``NoiseModel``."""
+    if not isinstance(noise, NoiseModel):
+        raise NoiseModelError({"noise": f"expected a NoiseModel, got {noise!r}"})
+    return noise
 
 
 # Batched kernels: ``amps`` has shape (2, ..., 2, B); qubit q lives on axis
@@ -292,54 +294,34 @@ def _cdfs(probs: np.ndarray) -> np.ndarray:
     return cdfs
 
 
-def _search_rows(cdfs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """For each draw ``u[i]``, the number of entries of ``cdfs[rows[i]]`` that
-    are <= it: one binary search over all draws at once.  Equals
-    ``searchsorted(cdfs[rows[i]], u[i], side="right")``, since each row
-    rises up to its last entry, 1.0, and every draw is below 1."""
-    width = cdfs.shape[1]
-    flat = cdfs.reshape(-1)
-    base = rows * width - 1
-    found = np.zeros(len(u), dtype=np.intp)
-    step = width >> 1
-    while step:
-        probe = found + step
-        found = np.where(flat[base + probe] <= u, probe, found)
-        step >>= 1
-    return found
-
-
 def _guide(cdf: np.ndarray) -> tuple[np.ndarray, int]:
     """The guide table of ``cdf``, a CDF row whose last entry is 1.0, and
-    the bit length of its widest cell.  With c = len(cdf) cells [j/c,
-    (j+1)/c) of [0, 1), entry j of the table is the number of entries of
-    ``cdf`` that are <= j/c, and entry c is c - 1."""
+    its search steps.  With c = len(cdf) cells [j/c, (j+1)/c) of [0, 1), a
+    draw in cell j has ``searchsorted(cdf, u, side="right")`` between the
+    number of entries <= j/c and that of cell j+1 (c - 1 for the last
+    cell); the steps cover the widest such range.  Entry j starts cell j's
+    ``_search`` window, moved back where it would end past ``cdf``: the
+    entries that adds are <= j/c, so they leave the answer as it is."""
     cells = len(cdf)
-    guide = np.searchsorted(cdf, np.arange(cells + 1) / cells, side="right")
-    guide[-1] = cells - 1
-    return guide, int(np.diff(guide).max()).bit_length()
+    bounds = np.searchsorted(cdf, np.arange(cells + 1) / cells, side="right")
+    bounds[-1] = cells - 1
+    steps = int(np.diff(bounds).max()).bit_length()
+    return np.minimum(bounds[:-1], cells + 1 - (1 << steps)), steps
 
 
-def _guided_search(cdf: np.ndarray, guide: np.ndarray, steps: int, u: np.ndarray) -> np.ndarray:
-    """``searchsorted(cdf, u, side="right")`` for draws in [0, 1), found
-    through ``guide``, the guide table of ``cdf``, with ``steps`` the bit
-    length of its widest cell.
-
-    A draw in cell j = floor(u * c) is at least j/c and below (j+1)/c, so
-    its answer lies in [guide[j], guide[j+1]]; one bisection per draw, at
-    once for all draws, closes that bracket.  Every entry of ``cdf`` before
-    the last is a cumulative sum, and the last is 1.0, above any draw: so
-    for each draw, the entries <= it are a prefix, and the bisection finds
-    its exact end even where rounding lifted an entry just above 1.0."""
-    # u * c is exact, as c is a power of two.
-    cell = (u * (len(guide) - 1)).astype(np.intp)
-    lo, hi = guide[cell], guide[cell + 1]
-    for _ in range(steps):
-        mid = (lo + hi) >> 1
-        below = cdf[mid] <= u
-        lo = np.where(below, mid + 1, lo)
-        hi = np.where(below, hi, mid)
-    return lo
+def _search(cdf: np.ndarray, first: np.ndarray, steps: int, u: np.ndarray) -> np.ndarray:
+    """Per draw ``u[i]``, ``first[i]`` plus the number of entries <= u[i] in
+    the window ``cdf[first[i] : first[i] + 2**steps - 1]``: one binary
+    search per draw, at once for all draws.  A CDF row's entries before the
+    last are cumulative sums and the last is 1.0, above any draw, so the
+    entries <= a draw are a prefix of the row, even where rounding lifted
+    an entry just above 1.0.  So the result is ``searchsorted(row, u[i],
+    side="right")`` wherever that lies in the window or just past it."""
+    found = first - 1
+    for step in (1 << e for e in reversed(range(steps))):
+        probe = found + step
+        found = np.where(cdf[probe] <= u, probe, found)
+    return found + 1
 
 
 def _flip_masks(draws: np.ndarray, p: float) -> np.ndarray:
@@ -409,8 +391,10 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel, compiled: _Compiled):
         flip_masks = _flip_masks(block[:, 2 * num_gates + 1 :], noise.readout_flip)
         clean = np.ones(len(block), dtype=bool)
         clean[rows] = False
-        found = _guided_search(compiled.cdf, compiled.guide, compiled.steps, outcome_u[clean])
-        outcomes = found ^ flip_masks[clean]
+        u = outcome_u[clean]
+        # u * c is exact, as the guide's c cells are a power of two.
+        first = compiled.guide[(u * len(compiled.guide)).astype(np.intp)]
+        outcomes = _search(compiled.cdf, first, compiled.steps, u) ^ flip_masks[clean]
         # Unlike bincount(minlength=), this costs nothing per possible outcome.
         with adding:
             np.add.at(tally, outcomes, 1)
@@ -457,13 +441,11 @@ def _group(rows: np.ndarray):
     unique row.  Index 0 is always the all-zero row (for Pauli codes, the
     noiseless trajectory), and every all-zero row maps to it."""
     count, width = rows.shape
-    if not width:
-        # lexsort needs at least one key.
-        return np.zeros((1, 0), dtype=rows.dtype), np.zeros(count, dtype=np.intp)
-    # Each row, zero-padded to whole 8-byte words, is sorted as a key of
-    # uint64 words, the first most significant.  A leading all-zero row is
-    # the smallest key, so it takes index 0.
-    words = -(-width * rows.itemsize // 8)
+    # Each row, zero-padded to whole 8-byte words, and to one word if it has
+    # none, as lexsort needs a key, is sorted as a key of uint64 words, the
+    # first most significant.  A leading all-zero row is the smallest key,
+    # so it takes index 0.
+    words = max(1, -(-width * rows.itemsize // 8))
     padded = np.zeros((count + 1, words * 8 // rows.itemsize), dtype=rows.dtype)
     padded[1:, :width] = rows
     keys = padded.view(np.uint64)
@@ -523,11 +505,6 @@ class _Component(NamedTuple):
     # the all-zero trajectory, whose row is the noiseless marginal.
     memo: dict
 
-    @property
-    def noiseless(self) -> np.ndarray:
-        """The (1, 2**m) read-only Born marginal of trajectory 0."""
-        return np.frombuffer(self.memo[bytes(len(self.gates))]).reshape(1, -1)
-
 
 class _Compiled(NamedTuple):
     """What run_shots needs of a circuit that does not depend on the noise."""
@@ -537,51 +514,37 @@ class _Compiled(NamedTuple):
     # Where each of measured_qubits sits in the order of the marginals.
     axes: tuple[int, ...]
     # The noiseless CDF over the measured outcomes, its guide table and the
-    # bit length of the widest guide cell; read-only.
+    # table's number of search steps; read-only.
     cdf: np.ndarray
     guide: np.ndarray
     steps: int
 
 
+# The most circuits _compile keeps, each with one memo per component.
+_CACHED_CIRCUITS = 4
+# Keeps a memo's room check and its update together.
+_memo_lock = threading.Lock()
+
+
+@functools.lru_cache(maxsize=_CACHED_CIRCUITS)
 def _compile(circuit: Circuit) -> _Compiled:
     """Evolve the noiseless trajectory of each component with a measured
-    qubit, and build the joint CDF of its marginals and the CDF's guide."""
+    qubit, and build the joint CDF of its marginals and the CDF's guide.
+    Cached by the Circuit, a frozen dataclass compared by value."""
     measured = set(circuit.measured_qubits)
-    components = []
+    components, rows = [], []
     for qubits in _components(circuit):
         if not measured.isdisjoint(qubits):
             gates = _gates_on(circuit, qubits)
             (row,) = _born_rows(circuit, qubits, np.zeros((1, len(gates)), dtype=np.int8))
             components.append(_Component(qubits, gates, {bytes(len(gates)): row.tobytes()}))
+            rows.append(row)
     product = [q for c in components for q in c.qubits if q in measured]
     axes = tuple(map(product.index, circuit.measured_qubits))
-    cdf = _product_cdfs([c.noiseless for c in components], axes)[0]
+    cdf = _product_cdfs(rows, axes)[0]
     guide, steps = _guide(cdf)
     cdf.flags.writeable = guide.flags.writeable = False
     return _Compiled(tuple(components), axes, cdf, guide, steps)
-
-
-# The compiled circuits, least recently used first, keyed by the Circuit, a
-# frozen dataclass compared by value.  It holds at most _CACHED_CIRCUITS of
-# them, each with one memo per component.  Guarded by _cache_lock.
-_CACHED_CIRCUITS = 4
-_cache: OrderedDict = OrderedDict()
-_cache_lock = threading.Lock()
-
-
-def _compiled(circuit: Circuit) -> _Compiled:
-    """``circuit`` compiled, from the cache or compiled now and cached."""
-    with _cache_lock:
-        compiled = _cache.get(circuit)
-        if compiled is not None:
-            _cache.move_to_end(circuit)
-            return compiled
-    compiled = _compile(circuit)
-    with _cache_lock:
-        _cache[circuit] = compiled
-        while len(_cache) > _CACHED_CIRCUITS:
-            _cache.popitem(last=False)
-    return compiled
 
 
 def _split(components: tuple[_Component, ...], codes: np.ndarray):
@@ -613,7 +576,7 @@ def _marginal_rows(circuit: Circuit, component: _Component, trajectories: np.nda
     share one distribution, and the noiseless trajectory's is index 0.
     Otherwise each trajectory is its own distribution, and each call evolves
     just the trajectories asked for, so memory stays bounded however many
-    trajectories a wide component has; trajectory 0 is never evolved."""
+    trajectories a wide component has."""
     qubits, memo = component.qubits, component.memo
     row_bytes = 8 << sum(q in circuit.measured_qubits for q in qubits)
     index = np.arange(len(trajectories))
@@ -621,10 +584,7 @@ def _marginal_rows(circuit: Circuit, component: _Component, trajectories: np.nda
 
         def evolve(indices: np.ndarray) -> np.ndarray:
             needed, local = np.unique(indices, return_inverse=True)
-            # Ascending, so trajectory 0 comes first when it is needed.
-            known = int(needed[0] == 0)
-            evolved = _born_rows(circuit, qubits, trajectories[needed[known:]])
-            return np.concatenate([component.noiseless[:known], *evolved])[local]
+            return np.concatenate(list(_born_rows(circuit, qubits, trajectories[needed])))[local]
 
         return evolve, index
     codes = np.ascontiguousarray(trajectories).tobytes()
@@ -638,16 +598,15 @@ def _marginal_rows(circuit: Circuit, component: _Component, trajectories: np.nda
             rows[i] = row.tobytes()
         # One dict lookup or update is atomic; the lock keeps the room
         # check and the update together.
-        with _cache_lock:
+        with _memo_lock:
             room = _BATCH_BYTES // row_bytes - len(memo)
             memo.update((keys[i], rows[i]) for i in missing[: max(room, 0)])
     held = np.frombuffer(b"".join(rows)).reshape(len(rows), -1)
-    if len(held) > 1:
-        # XOR with the noiseless row maps exactly the rows equal to it, byte
-        # for byte, to the all-zero row that _group numbers 0.
-        base = held[0].view(np.uint64)
-        distinct, index = _group(held.view(np.uint64) ^ base)
-        held = (distinct ^ base).view(np.float64)
+    # XOR with the noiseless row maps exactly the rows equal to it, byte for
+    # byte, to the all-zero row that _group numbers 0.
+    base = held[0].view(np.uint64)
+    distinct, index = _group(held.view(np.uint64) ^ base)
+    held = (distinct ^ base).view(np.float64)
     return (lambda indices: held[indices]), index
 
 
@@ -669,10 +628,11 @@ def _product_cdfs(rows: list, axes: tuple[int, ...]) -> np.ndarray:
     return _cdfs(joint.transpose((0,) + tuple(a + 1 for a in axes)).reshape(len(joint), -1))
 
 
-def _sample(cdf_batches, inverse: np.ndarray, outcome_u: np.ndarray):
+def _sample(cdf_batches, inverse: np.ndarray, outcome_u: np.ndarray, k: int):
     """The outcome index of each noisy shot: shot i draws ``outcome_u[i]``
-    from distribution ``inverse[i]``.  ``cdf_batches`` yields the CDF rows
-    of consecutive distributions, the noiseless one first."""
+    from distribution ``inverse[i]``.  ``cdf_batches`` yields the CDF rows,
+    2**k entries each, of consecutive distributions, the noiseless one
+    first; a shot's search window is its row."""
     order = np.argsort(inverse, kind="stable")
     row_of_member = inverse[order]
     outcomes = np.empty(len(inverse), dtype=np.intp)
@@ -681,7 +641,8 @@ def _sample(cdf_batches, inverse: np.ndarray, outcome_u: np.ndarray):
         stop = first + len(cdfs)
         lo, hi = np.searchsorted(row_of_member, (first, stop))
         members = order[lo:hi]
-        outcomes[members] = _search_rows(cdfs, row_of_member[lo:hi] - first, outcome_u[members])
+        start = (row_of_member[lo:hi] - first) << k
+        outcomes[members] = _search(cdfs.reshape(-1), start, k, outcome_u[members]) - start
         first = stop
     return outcomes
 
@@ -695,13 +656,18 @@ def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCount
     exact), then flip each readout bit independently with probability
     ``readout_flip``.  Output depends only on (circuit, shots, noise).
 
-    Raises :class:`CircuitError` for circuits wider than
-    ``SIMULATOR_MAX_QUBITS`` and for a shot count that is not a positive
-    integer.
+    Raises :class:`CircuitError` for a circuit that is not a ``Circuit`` or
+    is wider than ``SIMULATOR_MAX_QUBITS``, and for a shot count that is not
+    a positive integer; raises :class:`NoiseModelError` for noise that is
+    not a ``NoiseModel``.
     """
     shots = check_shots(shots, CircuitError)
-    _check_width(circuit.num_qubits)
-    compiled = _compiled(circuit)
+    check_noise(noise)
+    if check_circuit(circuit).num_qubits > SIMULATOR_MAX_QUBITS:
+        raise CircuitError(
+            f"simulator supports at most {SIMULATOR_MAX_QUBITS} qubits, got {circuit.num_qubits}"
+        )
+    compiled = _compile(circuit)
     codes, outcome_u, flip_masks, tallies = _draw(circuit, shots, noise, compiled)
     k = circuit.num_measured
     parts, tuples, inverse = _split(compiled.components, codes)
@@ -710,14 +676,13 @@ def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCount
     )
     # Joint trajectories whose component distributions all match share one
     # joint distribution; the noiseless one stays index 0.
-    if len(tuples) > 1:
-        tuples, which = _group(np.column_stack([i[c] for i, c in zip(indices, tuples.T)]))
-        inverse = which[inverse]
+    tuples, which = _group(np.column_stack([i[c] for i, c in zip(indices, tuples.T)]))
+    inverse = which[inverse]
     cdf_batches = (
         _joint_cdfs(marginal_rows, tuples[part], compiled.axes)
         for part in _slices(len(tuples), 8 << k)
     )
-    np.add.at(tallies, _sample(cdf_batches, inverse, outcome_u) ^ flip_masks, 1)
+    np.add.at(tallies, _sample(cdf_batches, inverse, outcome_u, k) ^ flip_masks, 1)
     return BitstringCounts(
         {format(int(v), f"0{k}b"): int(tallies[v]) for v in np.flatnonzero(tallies)}
     )

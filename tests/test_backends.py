@@ -7,6 +7,7 @@ import pytest
 from qguard import (
     BackendError,
     BitstringCounts,
+    CircuitError,
     DocumentError,
     ExperimentResult,
     NoiseModel,
@@ -48,6 +49,12 @@ def test_result_counts_must_sum_to_shots():
             submitted_at=T0,
             completed_at=T0,
         )
+
+
+def test_result_rejects_counts_that_are_not_a_histogram():
+    # This used to escape as a bare TypeError.
+    with pytest.raises(CircuitError):
+        ExperimentResult(counts=5, shots=1, backend_name="x", submitted_at=T0, completed_at=T0)
 
 
 @pytest.mark.parametrize("shots", ["1", True, 1.5, 0])

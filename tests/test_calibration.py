@@ -237,6 +237,13 @@ def test_synthetic_calibration_mirrors_noise():
     assert (0, 1) in snapshot.coupling_map and (1, 0) in snapshot.coupling_map
 
 
+@pytest.mark.parametrize("num_qubits", ["a", 2.5])
+def test_synthetic_calibration_rejects_a_width_that_is_not_an_integer(num_qubits):
+    # Each used to escape as a bare TypeError from range().
+    with pytest.raises(CalibrationError, match="num_qubits"):
+        synthetic_calibration_for(NoiseModel(), num_qubits=num_qubits, taken_at=NOW)
+
+
 @pytest.mark.parametrize("times", [(10**400, 1.0), (1.0, 10**400)])
 def test_rejects_relaxation_times_too_large_for_a_float(times):
     # 10**400 used to escape as a bare OverflowError from 2.0 * t1.

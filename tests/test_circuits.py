@@ -119,8 +119,15 @@ def test_non_integer_indices_raise_a_typed_error(build):
         lambda: Gate("H", (0,)),
         lambda: Circuit(2, None, (0,)),
         lambda: Circuit(2, (), 0),
+        lambda: BitstringCounts(5),
+        lambda: BitstringCounts([5]),
+        lambda: packed_chsh_circuit(MeasurementSettings(a0="x")),
+        lambda: MeasurementSettings(b1=True),
     ],
-    ids=["int_targets", "string_kind", "none_gates", "int_measured"],
+    ids=[
+        "int_targets", "string_kind", "none_gates", "int_measured",
+        "int_counts", "int_counts_entry", "string_setting", "bool_setting",
+    ],
 )
 def test_malformed_gate_and_circuit_fields_raise_a_typed_error(build):
     with pytest.raises(CircuitError) as excinfo:

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -173,11 +172,14 @@ def test_oracle_is_independent_of_the_pauli_table(monkeypatch):
     wrong = np.stack((identity, x, x, z))
     monkeypatch.setattr(simulator, "PAULIS", wrong)
     monkeypatch.setattr(density_oracle, "PAULIS", wrong, raising=False)
-    # A fresh cache, so no row evolved with the right table is reused; the
-    # cache that held them comes back afterwards.
-    monkeypatch.setattr(simulator, "_cache", OrderedDict())
-    assert density_matrix_oracle(circuit, noise) == expected
-    assert worst_pull() > 5.0
+    # A cold cache, so no row evolved with the right table is reused, and
+    # none evolved with the wrong one outlives this test.
+    simulator._compile.cache_clear()
+    try:
+        assert density_matrix_oracle(circuit, noise) == expected
+        assert worst_pull() > 5.0
+    finally:
+        simulator._compile.cache_clear()
 
 
 # --- distributions pinned from the Kronecker-matrix oracle ------------------

@@ -26,6 +26,8 @@ from qguard import (
     NoiseModelError,
     NormConservationError,
     QGuardError,
+    SimulatorAdapter,
+    density_matrix_oracle,
     packed_chsh_circuit,
     phi_plus,
     run_shots,
@@ -38,9 +40,9 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 @pytest.fixture(autouse=True)
 def _cold_cache():
     # No test may see the compiled circuits and memos another test left.
-    simulator._cache.clear()
+    simulator._compile.cache_clear()
     yield
-    simulator._cache.clear()
+    simulator._compile.cache_clear()
 
 
 def test_noise_model_validation():
@@ -170,6 +172,30 @@ def test_run_shots_rejects_bad_shots_with_a_typed_error(shots):
         run_shots(phi_plus(), shots, NoiseModel.ideal())
     assert isinstance(excinfo.value, QGuardError)
     assert isinstance(excinfo.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: run_shots(None, 10, NoiseModel()), CircuitError),
+        (lambda: run_shots([], 10, NoiseModel()), CircuitError),
+        (lambda: run_shots(phi_plus(), 10, None), NoiseModelError),
+        (lambda: run_shots(phi_plus(), 10, {"p1": 0}), NoiseModelError),
+        (lambda: density_matrix_oracle(None, NoiseModel()), CircuitError),
+        (lambda: density_matrix_oracle(phi_plus(), None), NoiseModelError),
+        (lambda: SimulatorAdapter(noise="x"), NoiseModelError),
+    ],
+    ids=[
+        "none_circuit", "list_circuit", "none_noise", "dict_noise",
+        "oracle_circuit", "oracle_noise", "adapter_noise",
+    ],
+)
+def test_entry_points_reject_arguments_of_the_wrong_type(call, error):
+    # Each used to escape as a bare AttributeError.  The check comes before
+    # the compile cache, which an unhashable argument would break.
+    with pytest.raises(error):
+        call()
+    assert simulator._compile.cache_info().misses == 0
 
 
 def test_run_shots_accepts_a_numpy_integer():
@@ -854,7 +880,7 @@ def test_draw_memory_does_not_grow_with_cpus(monkeypatch):
     width = 2 * len(circuit.gates) + 1 + circuit.num_measured
     assert shots > 8 * (simulator._DRAW_BYTES // (8 * width))
     # Compiled first, so that neither run pays for the noiseless tables.
-    simulator._compiled(circuit)
+    simulator._compile(circuit)
     peaks, digests = [], []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -906,7 +932,10 @@ def test_row_search_matches_searchsorted(k):
     u[::2] = cdfs[rows[::2], rng.integers(0, (1 << k) - 1, size=200)] % 1.0
     u[1] = 0.0
     expected = [np.searchsorted(cdfs[row], x, side="right") for row, x in zip(rows, u)]
-    np.testing.assert_array_equal(simulator._search_rows(cdfs, rows, u), expected)
+    # Each draw's window is its row of the flattened CDFs.
+    start = rows << k
+    found = simulator._search(cdfs.reshape(-1), start, k, u)
+    np.testing.assert_array_equal(found - start, expected)
 
 
 @given(
@@ -935,8 +964,12 @@ def test_guided_search_matches_searchsorted(case):
         u += [point, np.nextafter(point, 0.0)]
     u = np.array(u + [0.0, np.nextafter(1.0, 0.0)])
     guide, steps = simulator._guide(cdf)
+    # Each draw's window starts at its guide cell's entry; u * cells is
+    # exact.  The window must lie inside the CDF.
+    assert guide.max() + (1 << steps) - 1 <= cells
     expected = [np.searchsorted(cdf, x, side="right") for x in u]
-    np.testing.assert_array_equal(simulator._guided_search(cdf, guide, steps, u), expected)
+    found = simulator._search(cdf, guide[(u * cells).astype(np.intp)], steps, u)
+    np.testing.assert_array_equal(found, expected)
 
 
 @pytest.mark.parametrize("k", [1, 8, 9, 16, 17, 20])
@@ -953,16 +986,14 @@ def test_warm_counts_match_cold_counts(case):
     # must give the counts of a cold cache.
     build, shots, noise, digest = _PINNED_CASES[case]
     run_shots(build(), shots, noise.with_seed(noise.seed + 1))
-    assert len(simulator._cache) == 1
+    assert simulator._compile.cache_info().currsize == 1
     assert _digest(run_shots(build(), shots, noise)) == digest
     assert _digest(run_shots(build(), shots, noise)) == digest
 
 
 def test_cached_arrays_are_read_only():
-    compiled = simulator._compiled(packed_chsh_circuit())
-    arrays = [compiled.cdf, compiled.guide, simulator.PAULIS]
-    arrays += [component.noiseless for component in compiled.components]
-    for array in arrays:
+    compiled = simulator._compile(packed_chsh_circuit())
+    for array in (compiled.cdf, compiled.guide, simulator.PAULIS):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 0.5
@@ -971,12 +1002,16 @@ def test_cached_arrays_are_read_only():
 
 def test_cache_keeps_the_most_recently_used_circuits():
     circuits = [packed_chsh_circuit(MeasurementSettings(a0=0.1 * i)) for i in range(6)]
-    for circuit in circuits:
-        run_shots(circuit, 10, NoiseModel())
-    # A circuit is found by value, and a hit makes it the most recent.
-    run_shots(packed_chsh_circuit(MeasurementSettings(a0=0.2)), 10, NoiseModel())
-    assert list(simulator._cache) == [circuits[i] for i in (3, 4, 5, 2)]
-    assert len(simulator._cache) == simulator._CACHED_CIRCUITS
+    compiled = [simulator._compile(circuit) for circuit in circuits]
+    # A circuit is found by value, and a hit makes it the most recent: the
+    # cache now holds circuits 3, 4, 5 and 2, least recently used first.
+    assert simulator._compile(packed_chsh_circuit(MeasurementSettings(a0=0.2))) is compiled[2]
+    simulator._compile(circuits[0])
+    # Circuit 0 evicted circuit 3 alone.
+    assert all(simulator._compile(circuits[i]) is compiled[i] for i in (2, 4, 5))
+    assert simulator._compile(circuits[3]) is not compiled[3]
+    info = simulator._compile.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (4, 8, simulator._CACHED_CIRCUITS)
 
 
 def test_memo_stays_within_its_budget():
@@ -988,24 +1023,34 @@ def test_memo_stays_within_its_budget():
     capacity = simulator._BATCH_BYTES // (8 << 2)
     for seed in range(12):
         counts = run_shots(circuit, 1000, NoiseModel(p1=0.5, p2=0.5, seed=seed))
-        (component,) = simulator._compiled(circuit).components
+        (component,) = simulator._compile(circuit).components
         assert len(component.memo) <= capacity
     assert len(component.memo) == capacity
-    simulator._cache.clear()
+    assert simulator._compile.cache_info().misses == 1
+    simulator._compile.cache_clear()
     assert dict(run_shots(circuit, 1000, NoiseModel(p1=0.5, p2=0.5, seed=11))) == dict(counts)
 
 
-def test_threads_share_the_cache_safely():
+def test_threads_share_the_cache_safely(monkeypatch):
     # Eight threads, switching often, run six circuits, more than the cache
     # keeps, so compiles, evictions and memo updates interleave.  Every run
-    # must give the counts of a cold cache, and the bounds must hold.
+    # must give the counts of a cold cache, and the bounds must hold for
+    # every compiled circuit a run used.
     circuits = [packed_chsh_circuit(MeasurementSettings(b0=0.2 * i)) for i in range(6)]
     noise = NoiseModel(p1=0.01, p2=0.3, seed=9)
     expected = []
     for circuit in circuits:
-        simulator._cache.clear()
+        simulator._compile.cache_clear()
         expected.append(dict(run_shots(circuit, 500, noise)))
-    simulator._cache.clear()
+    compile_, used = simulator._compile, []
+    compile_.cache_clear()
+
+    def recorded(circuit):
+        compiled = compile_(circuit)
+        used.append(compiled)
+        return compiled
+
+    monkeypatch.setattr(simulator, "_compile", recorded)
     jobs = [i % len(circuits) for i in range(48)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1015,9 +1060,10 @@ def test_threads_share_the_cache_safely():
     finally:
         sys.setswitchinterval(interval)
     assert results == [expected[i] for i in jobs]
-    assert len(simulator._cache) == simulator._CACHED_CIRCUITS
+    assert len(used) == len(jobs)
+    assert compile_.cache_info().currsize == simulator._CACHED_CIRCUITS
     capacity = simulator._BATCH_BYTES // (8 << 2)
-    assert all(len(c.memo) <= capacity for v in simulator._cache.values() for c in v.components)
+    assert all(len(c.memo) <= capacity for compiled in used for c in compiled.components)
 
 
 def test_draw_memory_does_not_grow_with_readout_bits(monkeypatch):
