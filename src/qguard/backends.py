@@ -26,7 +26,9 @@ from .calibration import (
     synthetic_calibration_for,
 )
 from .circuits import BitstringCounts, Circuit
-from .errors import BackendError, RecordingExhausted, check_shots
+from .errors import (
+    BackendError, CalibrationError, RecordingExhausted, check_records, check_shots
+)
 from .fields import decode, each, integer, join, located, obj, record, string
 from .simulator import NoiseModel, check_noise, run_shots
 from .timestamps import format_timestamp, parse_timestamp, utc_now
@@ -124,6 +126,11 @@ class SimulatorAdapter(BackendAdapter):
         self._noise = check_noise(noise) if noise is not None else NoiseModel()
         if synthetic_calibration is None:
             synthetic_calibration = synthetic_calibration_for(self._noise)
+        elif not isinstance(synthetic_calibration, CalibrationSnapshot):
+            raise CalibrationError(
+                "synthetic_calibration must be a CalibrationSnapshot, "
+                f"got {synthetic_calibration!r}"
+            )
         self._calibration = synthetic_calibration
         self._clock = clock
         self._run_index = 0
@@ -173,7 +180,12 @@ class Recording:
     results: tuple[ExperimentResult, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "results", tuple(self.results))
+        if not isinstance(self.calibration, CalibrationSnapshot):
+            raise BackendError(
+                f"calibration must be a CalibrationSnapshot, got {self.calibration!r}"
+            )
+        results = check_records(self.results, ExperimentResult, "results", BackendError)
+        object.__setattr__(self, "results", results)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -225,6 +237,8 @@ class ReplayAdapter(BackendAdapter):
     """
 
     def __init__(self, recording: Recording, strict: bool = False):
+        if not isinstance(recording, Recording):
+            raise BackendError(f"expected a Recording, got {recording!r}")
         self._recording = recording
         self._strict = strict
         self._cursor = 0

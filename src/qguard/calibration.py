@@ -12,9 +12,11 @@ from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Any, Mapping
 
-from .errors import CalibrationError, DocumentError, as_float, is_index, is_real
+from .errors import (
+    CalibrationError, DocumentError, as_float, check_records, is_index, is_real
+)
 from .fields import decode, each, integer, integers, number, record, string
-from .simulator import NoiseModel
+from .simulator import NoiseModel, check_noise
 from .timestamps import format_timestamp, parse_timestamp, utc_now
 
 
@@ -80,8 +82,9 @@ class CalibrationSnapshot:
     coupling_map: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-        object.__setattr__(self, "gates", tuple(self.gates))
+        for name, kind in (("qubits", QubitCalibration), ("gates", GateCalibration)):
+            records = check_records(getattr(self, name), kind, name, CalibrationError)
+            object.__setattr__(self, name, records)
         try:
             coupling = tuple(map(tuple, self.coupling_map))
         except TypeError:
@@ -128,6 +131,7 @@ def synthetic_calibration_for(
     CNOT errors ``p2``, so calibration-threshold constraints exercise the
     same numbers that drive the simulator.  T1/T2 are fixed mid-range values.
     """
+    check_noise(noise)
     if not is_index(num_qubits):
         raise CalibrationError(f"num_qubits must be an integer, got {num_qubits!r}")
     if taken_at is None:

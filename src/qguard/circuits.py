@@ -309,6 +309,9 @@ def chsh_pair_circuit(alice_angle: float, bob_angle: float) -> Circuit:
     correlator of the packed circuit equals that of this circuit at the
     pair's settings.
     """
+    for name, angle in (("alice_angle", alice_angle), ("bob_angle", bob_angle)):
+        if not is_real(angle):
+            raise CircuitError(f"{name} must be a number, got {angle!r}")
     return Circuit(
         num_qubits=2,
         gates=(

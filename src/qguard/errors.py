@@ -1,5 +1,6 @@
 """Exception types shared across the package, the scalar type predicates
-its constructors check with, and the one shot-count check."""
+its constructors check with, the one shot-count check and the one check of
+a sequence of records."""
 
 from __future__ import annotations
 
@@ -123,3 +124,15 @@ def check_shots(shots: Any, error: type[QGuardError]) -> int:
     if not is_index(shots) or shots < 1:
         raise error(f"shots must be a positive integer, got {shots!r}")
     return int(shots)
+
+
+def check_records(value: Any, kind: type, what: str, error: type[QGuardError]) -> tuple:
+    """``value`` as a tuple; raises ``error`` unless it is an iterable of
+    ``kind`` instances."""
+    try:
+        records = tuple(value)
+    except TypeError:
+        records = None
+    if records is None or not all(isinstance(r, kind) for r in records):
+        raise error(f"{what} must be {kind.__name__} records, got {value!r}")
+    return records

@@ -58,14 +58,16 @@ def run_conditionally(
     callback's business.  The callback receives the same adapter and the
     introspection result that ends up in the returned record.
 
-    A ``shots`` that is not a positive integer raises
-    :class:`ConstraintError` before anything runs.  If constraint
-    evaluation raises, neither callback runs and the error surfaces as
-    :class:`IntrospectionError`.  If the chosen callback raises, the error
-    surfaces as :class:`CallbackError` carrying the branch and
-    introspection result that were already decided.
+    A ``shots`` that is not a positive integer, or a ``constraint`` that is
+    not a :class:`ResourceConstraint`, raises :class:`ConstraintError`
+    before anything runs.  If constraint evaluation raises, neither callback
+    runs and the error surfaces as :class:`IntrospectionError`.  If the
+    chosen callback raises, the error surfaces as :class:`CallbackError`
+    carrying the branch and introspection result that were already decided.
     """
     shots = check_shots(shots, ConstraintError)
+    if not isinstance(constraint, ResourceConstraint):
+        raise ConstraintError(f"constraint must be a ResourceConstraint, got {constraint!r}")
     started_at = clock()
     try:
         introspection = constraint.evaluate(adapter, shots)

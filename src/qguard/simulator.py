@@ -9,22 +9,22 @@ depolarizing channel rho -> (1-p)*rho + p*(I/d (x) rest) on those qubits.
 Determinism: every random draw for a run comes from one counter-based
 (Philox) stream keyed by ``noise.seed``.  Shot ``i`` owns row ``i`` of a
 uniform matrix with one column per gate event, one per Pauli choice, one
-outcome draw and one per readout bit.  The matrix is streamed in blocks of
-rows; a counter-based stream yields the same numbers in blocks as in one
-draw.  Each block is reduced at once.  A noisy shot, one where some event
-drew a non-identity Pauli, keeps its row of per-gate Pauli codes, its
-outcome draw and its readout flip mask.  Every other shot is sampled on the
-spot from the noiseless distribution, its flips applied, and added to one
-tally of outcomes.  So a run keeps nothing per noiseless shot, and memory
-does not grow with them.  A matrix of several blocks is drawn in contiguous
-stripes of rows, one per usable CPU, on a thread pool that lives only for
-that draw, so no thread outlives ``run_shots``.  A stripe starting at row r
-jumps its own Philox stream straight to the word r * width: the counter
+outcome draw and one per readout bit.  The matrix is drawn in blocks of
+rows, and each block is sampled whole before its buffer is drawn again: a
+noisy shot, one where some event drew a non-identity Pauli, is sampled from
+its trajectory's distribution (see below), every other shot from the
+noiseless distribution, and all of the block's outcomes get their readout
+flips and go into one tally.  So a run keeps nothing per shot beyond its
+block, and memory does not grow with the shots, noisy or not.  A draw of
+several blocks runs on a thread pool of one worker per usable CPU that
+lives only for that draw, so no thread outlives ``run_shots``.  Worker j
+takes blocks j, j + workers, and so on.  A block starting at row r jumps
+its own Philox stream straight to the word r * width: the counter
 r * width // 4 (each counter step yields four 64-bit words, one per uniform
-double), then r * width % 4 words skipped.  The stripes add into the one
-tally in turn, and their noisy shots are joined in row order, so the counts
-do not depend on the number of CPUs.  The mapping from (circuit, shots,
-noise) to counts is fixed no matter how the work is split.
+double), then r * width % 4 words skipped.  A shot's outcome depends only on
+its own row, and the tally is a sum, so the counts do not depend on the
+block size or the number of CPUs.  The mapping from (circuit, shots, noise)
+to counts is fixed no matter how the work is split.
 
 Evolution: the noiseless distribution depends on the circuit alone, so a
 circuit is compiled once: its components, each one's noiseless Born
@@ -50,7 +50,7 @@ compared by value; ``run_shots`` checks its arguments' types first.  A
 compiled circuit holds the component layout, the read-only noiseless CDF
 and its guide table, and one memo per component: the bytes of a
 trajectory's code row mapped to the bytes of its Born marginal row,
-starting with the noiseless trajectory's.  A run evolves only the
+starting with the noiseless trajectory's.  A block evolves only the
 trajectories its component's memo lacks, and adds them while the memo's
 rows take at most the batch budget; a component whose marginals are not
 held (see below) never uses its memo.  Since a state rounds the same way in
@@ -61,9 +61,9 @@ batch budget of memo rows plus their keys.
 
 Components: qubits that no chain of CNOTs links never interact, so a
 circuit splits into connected components, and each is simulated as a small
-circuit of its own.  The noisy shots' code rows, cut to the gate columns of
-the components with a measured qubit (one without is skipped), are grouped
-once into unique joint trajectories.  These few rows are then split
+circuit of its own.  A block's noisy shots' code rows, cut to the gate
+columns of the components with a measured qubit (one without is skipped),
+are grouped once into unique joint trajectories.  These few rows are then split
 column-wise and grouped again per component, which gives each component's
 own trajectories and each joint trajectory's tuple of component trajectory
 indices.  A component evolves its trajectories, in batches, into each one's
@@ -344,25 +344,24 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _draw(circuit: Circuit, shots: int, noise: NoiseModel, compiled: _Compiled):
-    """The Pauli codes, outcome draws and readout flip masks of the noisy
-    shots, in shot order, and the tally of every other shot's outcome, drawn
-    from the noiseless CDF of ``compiled`` with its readout flips applied.
+def _draw(circuit: Circuit, shots: int, noise: NoiseModel, compiled: _Compiled) -> np.ndarray:
+    """The tally of ``shots`` outcomes, readout flips applied, by outcome.
 
     The uniform matrix has columns, in order: per-gate event draws, per-gate
     Pauli choices, the outcome draw, per-bit readout draws.  Row i belongs
-    to shot i.  It is drawn in blocks of rows and reduced block by block.
-    A shot is noisy if some event fired and drew a non-identity Pauli; only
-    noisy shots get a code row (int8, one column per gate), outcome draw
-    and flip mask.  Every other shot is searched in the noiseless CDF and
-    tallied at once, so nothing is kept per noiseless shot.
+    to shot i.  It is drawn in blocks of rows, each sampled as it is drawn:
+    a noisy shot, where some event fired and drew a non-identity Pauli, by
+    ``_noisy_outcomes`` from its code row (int8, one column per gate) and
+    outcome draw, every other shot in the noiseless CDF of ``compiled``.
+    Then all of the block's outcomes get their flips and go into the one
+    tally, so nothing is kept per shot beyond its block.
 
-    A draw of several blocks is split into contiguous stripes of rows, one
-    per CPU, drawn and reduced on a pool of one thread per stripe, which is
-    shut down before this returns.  Each stripe jumps its own Philox stream
-    to its first row and reuses one buffer, and the stripes' buffers
-    together hold the bytes of one block.  All stripes add into one tally,
-    in turn, so its memory does not grow with the number of CPUs.
+    A draw of several blocks runs on a pool of one thread per CPU, shut down
+    before this returns.  Worker j takes blocks j, j + workers, and so on,
+    jumps a Philox stream to each block's first row, and reuses one buffer.
+    Blocks shrink as workers are added, so the buffers together hold the
+    bytes of one block, and all workers add into the one tally, so memory
+    does not grow with the number of CPUs.
     """
     num_gates = len(circuit.gates)
     k = circuit.num_measured
@@ -376,9 +375,8 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel, compiled: _Compiled):
     tally = np.zeros(1 << k, dtype=np.int64)
     adding = threading.Lock()
 
-    def reduce(block: np.ndarray):
-        """Add the outcomes of the noiseless rows of ``block`` to ``tally``;
-        return its noisy rows' codes, outcome draws and flip masks."""
+    def sample(block: np.ndarray):
+        """Add the outcomes of the rows of ``block`` to ``tally``."""
         hit_rows = np.flatnonzero((block[:, live] < event_p[live]).any(axis=1))
         hit_codes = np.where(
             block[hit_rows, :num_gates] < event_p,
@@ -388,52 +386,45 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel, compiled: _Compiled):
         noisy = hit_codes.any(axis=1)
         rows = hit_rows[noisy]
         outcome_u = block[:, 2 * num_gates]
-        flip_masks = _flip_masks(block[:, 2 * num_gates + 1 :], noise.readout_flip)
         clean = np.ones(len(block), dtype=bool)
         clean[rows] = False
         u = outcome_u[clean]
+        outcomes = np.empty(len(block), dtype=np.intp)
         # u * c is exact, as the guide's c cells are a power of two.
         first = compiled.guide[(u * len(compiled.guide)).astype(np.intp)]
-        outcomes = _search(compiled.cdf, first, compiled.steps, u) ^ flip_masks[clean]
+        outcomes[clean] = _search(compiled.cdf, first, compiled.steps, u)
+        if len(rows):
+            outcomes[rows] = _noisy_outcomes(circuit, compiled, hit_codes[noisy], outcome_u[rows])
+        outcomes ^= _flip_masks(block[:, 2 * num_gates + 1 :], noise.readout_flip)
         # Unlike bincount(minlength=), this costs nothing per possible outcome.
         with adding:
             np.add.at(tally, outcomes, 1)
-        return hit_codes[noisy], outcome_u[rows], flip_masks[rows]
 
-    block_rows = max(1, _DRAW_BYTES // (8 * width))
-    stripes = min(_cpu_count(), -(-shots // block_rows))
-    bounds = [shots * i // stripes for i in range(stripes + 1)]
-    stripe_rows = min(max(1, _DRAW_BYTES // stripes // (8 * width)), -(-shots // stripes))
-    buffers = np.empty((stripes, stripe_rows, width))
+    workers = min(_cpu_count(), -(-shots // max(1, _DRAW_BYTES // (8 * width))))
+    block_rows = min(max(1, _DRAW_BYTES // workers // (8 * width)), shots)
+    starts = range(0, shots, block_rows)
+    buffers = np.empty((workers, block_rows, width))
 
-    def stripe(i: int):
-        first, last = bounds[i], bounds[i + 1]
-        # Philox yields four 64-bit words per counter step and random()
-        # takes one word per double: row ``first`` starts at word
-        # first * width of the stream.
-        bit_generator = np.random.Philox(key=noise.seed, counter=first * width // 4)
-        bit_generator.random_raw(first * width % 4)
-        rng = np.random.Generator(bit_generator)
-        out = []
-        for start in range(first, last, stripe_rows):
-            block = buffers[i, : min(stripe_rows, last - start)]
-            rng.random(out=block)
-            out.append(reduce(block))
-        return out
+    def work(j: int):
+        for start in starts[j::workers]:
+            # Philox yields four 64-bit words per counter step and random()
+            # takes one word per double: row ``start`` starts at word
+            # start * width of the stream.
+            bit_generator = np.random.Philox(key=noise.seed, counter=start * width // 4)
+            bit_generator.random_raw(start * width % 4)
+            sample(np.random.Generator(bit_generator).random(out=buffers[j, : shots - start]))
 
-    if stripes == 1:
-        # One stripe, such as a draw of one block, runs inline.
-        outs = [stripe(0)]
+    if workers == 1:
+        # One worker, such as a draw of one block, runs inline.
+        work(0)
     else:
         # Imported here: concurrent.futures loads logging, about 0.7 MB of
         # resident memory that a process drawing no large matrix never needs.
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(stripes, thread_name_prefix="qguard-draw") as pool:
-            outs = list(pool.map(stripe, range(stripes)))
-    parts = [part for out in outs for part in out]
-    codes, outcome_u, flip_masks = (np.concatenate(column) for column in zip(*parts))
-    return codes, outcome_u, flip_masks, tally
+        with ThreadPoolExecutor(workers, thread_name_prefix="qguard-draw") as pool:
+            list(pool.map(work, range(workers)))
+    return tally
 
 
 def _group(rows: np.ndarray):
@@ -644,7 +635,30 @@ def _sample(cdf_batches, inverse: np.ndarray, outcome_u: np.ndarray, k: int):
         start = (row_of_member[lo:hi] - first) << k
         outcomes[members] = _search(cdfs.reshape(-1), start, k, outcome_u[members]) - start
         first = stop
+        # Freed before the next batch is built: two are never held at once.
+        del cdfs
     return outcomes
+
+
+def _noisy_outcomes(
+    circuit: Circuit, compiled: _Compiled, codes: np.ndarray, outcome_u: np.ndarray
+) -> np.ndarray:
+    """The outcome index of each noisy shot, before its readout flips: the
+    shot with code row ``codes[i]`` draws ``outcome_u[i]`` from its joint
+    trajectory's distribution."""
+    k = circuit.num_measured
+    parts, tuples, inverse = _split(compiled.components, codes)
+    marginal_rows, indices = zip(
+        *(_marginal_rows(circuit, c, t) for c, t in zip(compiled.components, parts))
+    )
+    # Joint trajectories whose component distributions all match share one
+    # joint distribution; the noiseless one stays index 0.
+    tuples, which = _group(np.column_stack([i[c] for i, c in zip(indices, tuples.T)]))
+    cdf_batches = (
+        _joint_cdfs(marginal_rows, tuples[part], compiled.axes)
+        for part in _slices(len(tuples), 8 << k)
+    )
+    return _sample(cdf_batches, which[inverse], outcome_u, k)
 
 
 def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCounts:
@@ -667,22 +681,6 @@ def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCount
         raise CircuitError(
             f"simulator supports at most {SIMULATOR_MAX_QUBITS} qubits, got {circuit.num_qubits}"
         )
-    compiled = _compile(circuit)
-    codes, outcome_u, flip_masks, tallies = _draw(circuit, shots, noise, compiled)
+    tally = _draw(circuit, shots, noise, _compile(circuit))
     k = circuit.num_measured
-    parts, tuples, inverse = _split(compiled.components, codes)
-    marginal_rows, indices = zip(
-        *(_marginal_rows(circuit, c, t) for c, t in zip(compiled.components, parts))
-    )
-    # Joint trajectories whose component distributions all match share one
-    # joint distribution; the noiseless one stays index 0.
-    tuples, which = _group(np.column_stack([i[c] for i, c in zip(indices, tuples.T)]))
-    inverse = which[inverse]
-    cdf_batches = (
-        _joint_cdfs(marginal_rows, tuples[part], compiled.axes)
-        for part in _slices(len(tuples), 8 << k)
-    )
-    np.add.at(tallies, _sample(cdf_batches, inverse, outcome_u, k) ^ flip_masks, 1)
-    return BitstringCounts(
-        {format(int(v), f"0{k}b"): int(tallies[v]) for v in np.flatnonzero(tallies)}
-    )
+    return BitstringCounts({format(int(v), f"0{k}b"): int(tally[v]) for v in np.flatnonzero(tally)})

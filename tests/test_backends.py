@@ -200,6 +200,23 @@ def test_replay_returns_results_in_order_exactly_once():
         adapter.run(phi_plus(), 256)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Recording("x", ("y",)),
+        lambda: Recording(make_recording(0).calibration, ("y",)),
+        lambda: Recording(make_recording(0).calibration, 5),
+        lambda: ReplayAdapter("x"),
+    ],
+    ids=["string_calibration", "string_result", "int_results", "string_recording"],
+)
+def test_recording_and_replay_reject_values_of_the_wrong_type(build):
+    # A lenient replay of the second used to return "y" as evidence, and the
+    # third escaped as a bare TypeError.
+    with pytest.raises(BackendError):
+        build()
+
+
 def test_replay_ignores_submitted_circuit_but_logs_it():
     recording = make_recording(1)
     adapter = ReplayAdapter(recording)

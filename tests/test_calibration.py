@@ -178,6 +178,10 @@ def snapshot_with(**fields):
         lambda: snapshot_with(num_qubits="1"),
         lambda: snapshot_with(taken_at="2026-08-21T12:00:00Z"),
         lambda: snapshot_with(coupling_map=("x",)),
+        lambda: snapshot_with(qubits=5),
+        # Accepted, so that CalibrationConstraint later crashed on it.
+        lambda: snapshot_with(qubits=("x",)),
+        lambda: snapshot_with(gates=("x",)),
     ],
     ids=[
         "string_t1",
@@ -187,6 +191,9 @@ def snapshot_with(**fields):
         "string_num_qubits",
         "string_taken_at",
         "string_coupling_pair",
+        "int_qubits",
+        "string_qubit_record",
+        "string_gate_record",
     ],
 )
 def test_wrong_typed_record_raises_calibration_error(build):

@@ -123,10 +123,15 @@ def test_non_integer_indices_raise_a_typed_error(build):
         lambda: BitstringCounts([5]),
         lambda: packed_chsh_circuit(MeasurementSettings(a0="x")),
         lambda: MeasurementSettings(b1=True),
+        # The first used to escape as a bare TypeError from the negation,
+        # and the second built RY(-1.0).
+        lambda: chsh_pair_circuit("x", 0),
+        lambda: chsh_pair_circuit(True, 0),
     ],
     ids=[
         "int_targets", "string_kind", "none_gates", "int_measured",
         "int_counts", "int_counts_entry", "string_setting", "bool_setting",
+        "string_pair_angle", "bool_pair_angle",
     ],
 )
 def test_malformed_gate_and_circuit_fields_raise_a_typed_error(build):

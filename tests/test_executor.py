@@ -264,6 +264,23 @@ def test_non_integer_shots_raise_a_typed_error_before_any_evaluation(shots):
         )
 
 
+@pytest.mark.parametrize("constraint", ["x", None], ids=["string", "none"])
+def test_a_constraint_of_the_wrong_type_raises_a_typed_error_before_anything_runs(constraint):
+    # "x" used to escape as a bare AttributeError from the handler that
+    # reports a failed evaluation.
+    adapter = SpyAdapter(SimulatorAdapter(NoiseModel.ideal()))
+    called = []
+    with pytest.raises(ConstraintError):
+        run_conditionally(
+            adapter,
+            constraint,
+            on_pass=lambda a, i: called.append(a),
+            on_fail=lambda a, i: called.append(a),
+            shots=10,
+        )
+    assert adapter.runs == [] and called == []
+
+
 def test_timestamps_use_injected_clock():
     times = [T0, T0 + timedelta(seconds=5)]
     clock_calls = iter(times)

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from qguard import (
     SIMULATOR_MAX_QUBITS,
+    CalibrationError,
     Circuit,
     CircuitError,
     Gate,
@@ -31,6 +32,7 @@ from qguard import (
     packed_chsh_circuit,
     phi_plus,
     run_shots,
+    synthetic_calibration_for,
 )
 from qguard import simulator
 
@@ -184,15 +186,19 @@ def test_run_shots_rejects_bad_shots_with_a_typed_error(shots):
         (lambda: density_matrix_oracle(None, NoiseModel()), CircuitError),
         (lambda: density_matrix_oracle(phi_plus(), None), NoiseModelError),
         (lambda: SimulatorAdapter(noise="x"), NoiseModelError),
+        (lambda: SimulatorAdapter(synthetic_calibration="x"), CalibrationError),
+        (lambda: synthetic_calibration_for("x"), NoiseModelError),
     ],
     ids=[
         "none_circuit", "list_circuit", "none_noise", "dict_noise",
         "oracle_circuit", "oracle_noise", "adapter_noise",
+        "adapter_calibration", "synthetic_calibration_noise",
     ],
 )
 def test_entry_points_reject_arguments_of_the_wrong_type(call, error):
-    # Each used to escape as a bare AttributeError.  The check comes before
-    # the compile cache, which an unhashable argument would break.
+    # Each used to escape as a bare AttributeError, the adapter's calibration
+    # only once calibration() was called.  The check comes before the
+    # compile cache, which an unhashable argument would break.
     with pytest.raises(error):
         call()
     assert simulator._compile.cache_info().misses == 0
@@ -531,8 +537,14 @@ def test_special_counts_match_pinned_digest(case):
     assert _digest(run_shots(build(), shots, noise)) == digest
 
 
-def _draw(circuit: Circuit, shots: int, noise: NoiseModel):
-    return simulator._draw(circuit, shots, noise, simulator._compile(circuit))
+def _noisy_codes(circuit: Circuit, shots: int, noise: NoiseModel) -> np.ndarray:
+    """The code rows of a run's noisy shots, in shot order: what the draw
+    hands each block's noisy shots to be sampled with, on one worker."""
+    with pytest.MonkeyPatch.context() as patch:
+        seen = _spy(patch, "_noisy_outcomes", position=2)
+        patch.setattr(simulator, "_cpu_count", lambda: 1)
+        simulator._draw(circuit, shots, noise, simulator._compile(circuit))
+    return np.concatenate([np.zeros((0, len(circuit.gates)), dtype=np.int8), *seen])
 
 
 def _marginal_rows(circuit: Circuit, qubits: tuple, trajectories: np.ndarray):
@@ -543,7 +555,7 @@ def _marginal_rows(circuit: Circuit, qubits: tuple, trajectories: np.ndarray):
 def test_many_trajectories_case_spans_batches():
     build, shots, noise, _ = _PINNED_CASES["many_trajectories"]
     circuit = build()
-    trajectories, _ = simulator._group(_draw(circuit, shots, noise)[0])
+    trajectories, _ = simulator._group(_noisy_codes(circuit, shots, noise))
     per_batch = simulator._BATCH_BYTES // (16 << circuit.num_qubits)
     assert len(trajectories) > 2 * per_batch
 
@@ -552,7 +564,7 @@ def test_many_trajectories_case_spans_batches():
 def test_sampling_cases_span_batches(case):
     build, shots, noise, _ = _PINNED_CASES[case]
     circuit = build()
-    trajectories, _ = simulator._group(_draw(circuit, shots, noise)[0])
+    trajectories, _ = simulator._group(_noisy_codes(circuit, shots, noise))
     assert len(trajectories) > 2 * (simulator._BATCH_BYTES // (16 << circuit.num_qubits))
 
 
@@ -581,7 +593,7 @@ def test_counts_independent_of_batch_and_draw_block_sizes(monkeypatch, case):
     ],
     ids=["odd_block_rows", "default_budget_1m"],
 )
-def test_draw_is_independent_of_stripe_count(monkeypatch, shots, noise, draw_rows):
+def test_draw_is_independent_of_worker_count(monkeypatch, shots, noise, draw_rows):
     circuit = packed_chsh_circuit()
     width = 2 * len(circuit.gates) + 1 + circuit.num_measured
     if draw_rows is not None:
@@ -591,20 +603,23 @@ def test_draw_is_independent_of_stripe_count(monkeypatch, shots, noise, draw_row
     monkeypatch.setattr(
         concurrent.futures, "ThreadPoolExecutor", lambda *a, **k: pooled.append(1) or pool(*a, **k)
     )
-    draws = {}
-    for stripes in (1, 2, 3):
-        monkeypatch.setattr(simulator, "_cpu_count", lambda: stripes)
-        draws[stripes] = _draw(circuit, shots, noise)
+    noisy = _spy(monkeypatch, "_noisy_outcomes", position=2)
+    compiled = simulator._compile(circuit)
+    tallies = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simulator, "_cpu_count", lambda: workers)
+        tallies[workers] = simulator._draw(circuit, shots, noise, compiled)
     assert len(pooled) == 2
-    for stripes in (2, 3):
-        for one, many in zip(draws[1], draws[stripes]):
-            assert one.dtype == many.dtype
-            np.testing.assert_array_equal(one, many)
+    assert tallies[1].sum() == shots
+    for workers in (2, 3):
+        assert tallies[1].dtype == tallies[workers].dtype
+        np.testing.assert_array_equal(tallies[1], tallies[workers])
     if draw_rows is not None:
-        # Stripes split the rows evenly, so here every later stripe starts
-        # mid-way through one Philox counter's four words.
-        assert all(shots * i // 3 * width % 4 for i in (1, 2)) and shots // 2 * width % 4
-        assert len(draws[1][0]) > 100
+        # Blocks have draw_rows // workers rows, so here the second block of
+        # every worker count starts mid-way through one Philox counter's four
+        # words, and the draws sample noisy shots in hundreds of blocks.
+        assert all(draw_rows // workers * width % 4 for workers in (1, 2, 3))
+        assert len(noisy) > 300
 
 
 def test_one_cpu_draws_inline(monkeypatch):
@@ -660,7 +675,7 @@ def test_evolve_is_independent_of_batch(case):
     # state of a batch must come out bit for bit as it would alone.
     build, shots, noise, _ = _PINNED_CASES[case]
     circuit = build()
-    trajectories, _ = simulator._group(_draw(circuit, shots, noise)[0])
+    trajectories, _ = simulator._group(_noisy_codes(circuit, shots, noise))
     trajectories = trajectories[:9]
     qubits = tuple(range(circuit.num_qubits))
 
@@ -731,7 +746,7 @@ def _split_case(case):
     """A pinned case's circuit, noisy code rows, and their split."""
     build, shots, noise, _ = _PINNED_CASES[case]
     circuit = build()
-    codes = _draw(circuit, shots, noise)[0]
+    codes = _noisy_codes(circuit, shots, noise)
     components = simulator._compile(circuit).components
     parts, tuples, inverse = simulator._split(components, codes)
     return circuit, codes, ([(c.qubits, t) for c, t in zip(components, parts)], tuples, inverse)
@@ -852,11 +867,10 @@ def test_memory_stays_bounded(case):
     assert peak < 4 * 2**20
 
 
-def test_memory_does_not_grow_with_shots():
-    # A noiseless shot is tallied as it is drawn: no outcome draw, flip mask
-    # or outcome index is kept for it, so 8x the shots needs no more memory.
+def _traced_peaks(noise: NoiseModel) -> list[int]:
+    """The traced peak of a 100k-shot and of an 800k-shot packed probe, each
+    after a warm-up run has compiled the circuit."""
     circuit = packed_chsh_circuit()
-    noise = NoiseModel(p1=0.0, p2=0.0, readout_flip=0.02, seed=8)
     run_shots(circuit, 100_000, noise)
     peaks = []
     for shots in (100_000, 800_000):
@@ -866,13 +880,28 @@ def test_memory_does_not_grow_with_shots():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    return peaks
+
+
+def test_memory_does_not_grow_with_shots():
+    # A noiseless shot is tallied as it is drawn: no outcome draw, flip mask
+    # or outcome index is kept for it, so 8x the shots needs no more memory.
+    peaks = _traced_peaks(NoiseModel(p1=0.0, p2=0.0, readout_flip=0.02, seed=8))
     assert abs(peaks[1] - peaks[0]) < 2**20
 
 
+def test_memory_does_not_grow_with_noisy_shots():
+    # A block's noisy shots are sampled before the next block is drawn, so no
+    # code row, outcome draw or flip mask outlives its block.  Keeping them
+    # for the whole run held 54 MB more at 800k shots than at 100k.
+    peaks = _traced_peaks(NoiseModel(p1=0.001, p2=0.3, readout_flip=0.02, seed=8))
+    assert abs(peaks[1] - peaks[0]) < 2 * 2**20
+
+
 def test_draw_memory_does_not_grow_with_cpus(monkeypatch):
-    # All stripes add into one tally of 2**18 outcomes (2 MiB); a tally per
-    # stripe would hold 14 MiB more on eight stripes than on one.  Eight
-    # stripes, more than this host may have CPUs, switching threads often,
+    # All workers add into one tally of 2**18 outcomes (2 MiB); a tally per
+    # worker would hold 14 MiB more on eight workers than on one.  Eight
+    # workers, more than this host may have CPUs, switching threads often,
     # must lose no update to the shared tally.
     circuit = Circuit(18, tuple(Gate.x(q) for q in range(18)), tuple(range(18)))
     noise = NoiseModel(p1=0.0, p2=0.0, readout_flip=0.001, seed=3)
@@ -896,7 +925,7 @@ def test_draw_memory_does_not_grow_with_cpus(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert digests[0] == digests[1]
-    # One stripe's blocks, and so their temporaries, are eight times larger.
+    # One worker's blocks, and so their temporaries, are eight times larger.
     assert peaks[1] - peaks[0] < 2**20
 
 
@@ -1068,7 +1097,7 @@ def test_threads_share_the_cache_safely(monkeypatch):
 
 def test_draw_memory_does_not_grow_with_readout_bits(monkeypatch):
     # Readout flips are packed from one byte per bit, never widened to 8:
-    # one stripe's 9532-row blocks of 18 readout bits would otherwise need
+    # one worker's 9532-row blocks of 18 readout bits would otherwise need
     # 1.3 MiB for the widened bits alone, against 0.2 MiB for one-eighth
     # blocks.
     circuit = Circuit(18, tuple(Gate.x(q) for q in range(18)), tuple(range(18)))
