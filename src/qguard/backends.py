@@ -27,7 +27,8 @@ from .calibration import (
 )
 from .circuits import BitstringCounts, Circuit
 from .errors import (
-    BackendError, CalibrationError, RecordingExhausted, check_records, check_shots
+    BackendError, CalibrationError, RecordingExhausted, check_aware, check_shots, check_tuple,
+    check_type,
 )
 from .fields import decode, each, integer, join, located, obj, record, string
 from .simulator import NoiseModel, check_noise, run_shots
@@ -64,10 +65,13 @@ class ExperimentResult:
         if not isinstance(self.counts, BitstringCounts):
             object.__setattr__(self, "counts", BitstringCounts(self.counts))
         object.__setattr__(self, "shots", check_shots(self.shots, BackendError))
-        for name in ("submitted_at", "completed_at"):
-            moment = getattr(self, name)
-            if not isinstance(moment, datetime) or moment.tzinfo is None:
-                raise BackendError(f"{name} must be a timezone-aware datetime, got {moment!r}")
+        check_type(self.backend_name, str, "backend_name", BackendError)
+        check_aware(self.submitted_at, "submitted_at", BackendError)
+        check_aware(self.completed_at, "completed_at", BackendError)
+        # A record whose metadata is not all strings could not be replayed.
+        for key, value in check_type(self.metadata, Mapping, "metadata", BackendError).items():
+            check_type(key, str, "metadata key", BackendError)
+            check_type(value, str, f"metadata[{key!r}]", BackendError)
         if self.counts.total != self.shots:
             raise BackendError(
                 f"counts sum to {self.counts.total} but shots is {self.shots}"
@@ -126,13 +130,10 @@ class SimulatorAdapter(BackendAdapter):
         self._noise = check_noise(noise) if noise is not None else NoiseModel()
         if synthetic_calibration is None:
             synthetic_calibration = synthetic_calibration_for(self._noise)
-        elif not isinstance(synthetic_calibration, CalibrationSnapshot):
-            raise CalibrationError(
-                "synthetic_calibration must be a CalibrationSnapshot, "
-                f"got {synthetic_calibration!r}"
-            )
-        self._calibration = synthetic_calibration
-        self._clock = clock
+        self._calibration = check_type(
+            synthetic_calibration, CalibrationSnapshot, "synthetic_calibration", CalibrationError
+        )
+        self._clock = check_type(clock, Callable, "clock", BackendError)
         self._run_index = 0
 
     @property
@@ -180,11 +181,8 @@ class Recording:
     results: tuple[ExperimentResult, ...]
 
     def __post_init__(self):
-        if not isinstance(self.calibration, CalibrationSnapshot):
-            raise BackendError(
-                f"calibration must be a CalibrationSnapshot, got {self.calibration!r}"
-            )
-        results = check_records(self.results, ExperimentResult, "results", BackendError)
+        check_type(self.calibration, CalibrationSnapshot, "calibration", BackendError)
+        results = check_tuple(self.results, "results", BackendError, ExperimentResult)
         object.__setattr__(self, "results", results)
 
     def to_dict(self) -> dict[str, Any]:
@@ -237,10 +235,8 @@ class ReplayAdapter(BackendAdapter):
     """
 
     def __init__(self, recording: Recording, strict: bool = False):
-        if not isinstance(recording, Recording):
-            raise BackendError(f"expected a Recording, got {recording!r}")
-        self._recording = recording
-        self._strict = strict
+        self._recording = check_type(recording, Recording, "recording", BackendError)
+        self._strict = check_type(strict, bool, "strict", BackendError)
         self._cursor = 0
         self.submitted: list[tuple[Circuit, int]] = []
 

@@ -7,15 +7,15 @@ here is testable with synthetic clocks and files.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Any, Mapping
 
 from .errors import (
-    CalibrationError, DocumentError, as_float, check_records, is_index, is_real
+    CalibrationError, DocumentError, as_float, check_aware, check_integer, check_real, check_tuple,
+    check_type,
 )
-from .fields import decode, each, integer, integers, number, record, string
+from .fields import decode, each, integer, integers, items, number, record, string
 from .simulator import NoiseModel, check_noise
 from .timestamps import format_timestamp, parse_timestamp, utc_now
 
@@ -27,16 +27,12 @@ class QubitCalibration:
     readout_error: float
 
     def __post_init__(self):
-        if not (is_real(self.t1_us) and is_real(self.t2_us) and is_real(self.readout_error)):
-            raise CalibrationError(
-                f"qubit calibration fields must be numbers, got t1_us={self.t1_us!r}, "
-                f"t2_us={self.t2_us!r}, readout_error={self.readout_error!r}"
-            )
+        for name in ("t1_us", "t2_us", "readout_error"):
+            check_real(getattr(self, name), name, CalibrationError, finite=True)
         t1, t2 = as_float(self.t1_us), as_float(self.t2_us)
-        # Written so that NaN fails too.
-        if not (0.0 < t1 < math.inf and 0.0 < t2 < math.inf):
+        if not (t1 > 0.0 and t2 > 0.0):
             raise CalibrationError(
-                f"relaxation times must be positive and finite, got t1={self.t1_us}, t2={self.t2_us}"
+                f"relaxation times must be positive, got t1={self.t1_us}, t2={self.t2_us}"
             )
         # physical bound: T2 can reach at most twice T1
         if t2 > 2.0 * t1:
@@ -54,17 +50,12 @@ class GateCalibration:
     error: float
 
     def __post_init__(self):
-        try:
-            qubits = tuple(self.qubits)
-        except TypeError:
-            qubits = None
-        if qubits is None or not all(map(is_index, qubits)):
-            raise CalibrationError(
-                f"gate {self.name!r} qubits must be integers, got {self.qubits!r}"
-            )
-        if not is_real(self.error):
-            raise CalibrationError(f"gate {self.name!r} error must be a number, got {self.error!r}")
-        object.__setattr__(self, "qubits", tuple(map(int, qubits)))
+        check_type(self.name, str, "gate name", CalibrationError)
+        qubits = check_tuple(self.qubits, "gate qubits", CalibrationError)
+        object.__setattr__(
+            self, "qubits", tuple([check_integer(q, "gate qubit", CalibrationError) for q in qubits])
+        )
+        check_real(self.error, "gate error", CalibrationError)
         if not self.qubits:
             raise CalibrationError(f"gate {self.name!r} lists no qubits")
         if not 0.0 <= self.error <= 1.0:
@@ -83,23 +74,10 @@ class CalibrationSnapshot:
 
     def __post_init__(self):
         for name, kind in (("qubits", QubitCalibration), ("gates", GateCalibration)):
-            records = check_records(getattr(self, name), kind, name, CalibrationError)
+            records = check_tuple(getattr(self, name), name, CalibrationError, kind)
             object.__setattr__(self, name, records)
-        try:
-            coupling = tuple(map(tuple, self.coupling_map))
-        except TypeError:
-            coupling = None
-        if coupling is None or not all(len(p) == 2 and all(map(is_index, p)) for p in coupling):
-            raise CalibrationError(
-                f"coupling_map must be pairs of qubit indices, got {self.coupling_map!r}"
-            )
-        object.__setattr__(self, "coupling_map", tuple((int(a), int(b)) for a, b in coupling))
-        if not isinstance(self.taken_at, datetime):
-            raise CalibrationError(f"taken_at must be a datetime, got {self.taken_at!r}")
-        if self.taken_at.tzinfo is None:
-            raise CalibrationError("taken_at must be timezone-aware")
-        if not is_index(self.num_qubits):
-            raise CalibrationError(f"num_qubits must be an integer, got {self.num_qubits!r}")
+        check_aware(self.taken_at, "taken_at", CalibrationError)
+        check_integer(self.num_qubits, "num_qubits", CalibrationError)
         if self.num_qubits < 1:
             raise CalibrationError(f"num_qubits must be positive, got {self.num_qubits}")
         if len(self.qubits) != self.num_qubits:
@@ -112,11 +90,17 @@ class CalibrationSnapshot:
                     raise CalibrationError(
                         f"gate {gate.name!r} references qubit {q} outside 0..{self.num_qubits - 1}"
                     )
-        for a, b in self.coupling_map:
+        coupling = []
+        for pair in check_tuple(self.coupling_map, "coupling_map", CalibrationError):
+            pair = check_tuple(pair, "coupling pair", CalibrationError)
+            if len(pair) != 2:
+                raise CalibrationError(f"coupling pair must be two qubit indices, got {pair!r}")
+            a = check_integer(pair[0], "coupling qubit", CalibrationError)
+            b = check_integer(pair[1], "coupling qubit", CalibrationError)
             if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
-                raise CalibrationError(
-                    f"coupling pair ({a}, {b}) outside 0..{self.num_qubits - 1}"
-                )
+                raise CalibrationError(f"coupling pair ({a}, {b}) outside 0..{self.num_qubits - 1}")
+            coupling.append((a, b))
+        object.__setattr__(self, "coupling_map", tuple(coupling))
 
     def with_taken_at(self, moment: datetime) -> "CalibrationSnapshot":
         return replace(self, taken_at=moment)
@@ -132,8 +116,7 @@ def synthetic_calibration_for(
     same numbers that drive the simulator.  T1/T2 are fixed mid-range values.
     """
     check_noise(noise)
-    if not is_index(num_qubits):
-        raise CalibrationError(f"num_qubits must be an integer, got {num_qubits!r}")
+    check_integer(num_qubits, "num_qubits", CalibrationError)
     if taken_at is None:
         taken_at = utc_now()
     qubits = tuple(
@@ -177,7 +160,7 @@ def calibration_to_dict(snapshot: CalibrationSnapshot) -> dict[str, Any]:
 
 
 def _pair(value: Any, path: str) -> list[int]:
-    if not isinstance(value, list) or len(value) != 2:
+    if len(items(value, path)) != 2:
         raise DocumentError(path, f"expected a pair of qubit indices, got {value!r}")
     return integers(value, path)
 

@@ -11,7 +11,7 @@ import math
 from typing import Mapping
 
 from .circuits import BitstringCounts
-from .errors import CircuitError, ScoreError, as_float, check_shots, is_index, is_real
+from .errors import CircuitError, ScoreError, as_float, check_real, check_shots, is_index
 
 PACKED_BITS = 8
 
@@ -37,7 +37,7 @@ def compute_pair_correlator(counts: Mapping[str, int], pair_index: int) -> float
 def chsh_score(e00: float, e01: float, e10: float, e11: float) -> float:
     """S = E00 + E01 + E10 - E11.  Each correlator must lie in [-1, 1]."""
     for name, value in (("E00", e00), ("E01", e01), ("E10", e10), ("E11", e11)):
-        if not is_real(value) or not -1.0 <= as_float(value) <= 1.0:
+        if not -1.0 <= as_float(check_real(value, name, ScoreError)) <= 1.0:
             raise ScoreError(f"{name} out of range [-1, 1]: {value}")
     return e00 + e01 + e10 - e11
 

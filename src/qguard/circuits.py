@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Mapping
 
-from .errors import CircuitError, as_float, is_index, is_real
+from .errors import CircuitError, as_float, check_integer, check_real, check_tuple, check_type
 from .fields import choice, decode, each, integer, integers, located, number, record
 
 
@@ -31,7 +31,10 @@ class BitstringCounts(Mapping):
     def __init__(self, counts: Mapping[str, int] | Iterable[tuple[str, int]]):
         items: dict[str, int] = {}
         num_bits: int | None = None
-        entries = counts.items() if isinstance(counts, Mapping) else _tuple(counts, "counts")
+        if isinstance(counts, Mapping):
+            entries = counts.items()
+        else:
+            entries = check_tuple(counts, "counts", CircuitError)
         for entry in entries:
             try:
                 key, value = entry
@@ -94,22 +97,6 @@ ROTATION_KINDS = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ})
 TWO_QUBIT_KINDS = frozenset({GateKind.CNOT})
 
 
-def _integer(value: Any, what: str) -> int:
-    """``value`` as an int; a float or string would be truncated or crash
-    later, far from where it was given."""
-    if not is_index(value):
-        raise CircuitError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _tuple(value: Any, what: str) -> tuple:
-    """``value``, an iterable, as a tuple."""
-    try:
-        return tuple(value)
-    except TypeError:
-        raise CircuitError(f"{what} must be an iterable, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class Gate:
     """One gate application: a kind, its target qubits, and (for rotations) an angle.
@@ -123,10 +110,11 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, GateKind):
-            raise CircuitError(f"gate kind must be a GateKind, got {self.kind!r}")
-        targets = _tuple(self.targets, "targets")
-        object.__setattr__(self, "targets", tuple(_integer(t, "qubit index") for t in targets))
+        check_type(self.kind, GateKind, "gate kind", CircuitError)
+        targets = check_tuple(self.targets, "targets", CircuitError)
+        object.__setattr__(
+            self, "targets", tuple(check_integer(t, "qubit index", CircuitError) for t in targets)
+        )
         arity = 2 if self.kind in TWO_QUBIT_KINDS else 1
         if len(self.targets) != arity:
             raise CircuitError(
@@ -140,11 +128,8 @@ class Gate:
             if self.angle is None:
                 raise CircuitError(f"{self.kind.value} gate requires an angle")
             # A NaN angle would give a NaN unitary, and every shot outcome 0.
-            if not is_real(self.angle) or not math.isfinite(angle := as_float(self.angle)):
-                raise CircuitError(
-                    f"{self.kind.value} angle must be a finite number, got {self.angle!r}"
-                )
-            object.__setattr__(self, "angle", angle)
+            check_real(self.angle, f"{self.kind.value} angle", CircuitError, finite=True)
+            object.__setattr__(self, "angle", as_float(self.angle))
         elif self.angle is not None:
             raise CircuitError(f"{self.kind.value} gate takes no angle")
 
@@ -201,17 +186,15 @@ class Circuit:
     measured_qubits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "num_qubits", _integer(self.num_qubits, "num_qubits"))
-        object.__setattr__(self, "gates", _tuple(self.gates, "gates"))
-        measured = _tuple(self.measured_qubits, "measured_qubits")
-        object.__setattr__(
-            self, "measured_qubits", tuple(_integer(q, "qubit index") for q in measured)
-        )
+        num_qubits = check_integer(self.num_qubits, "num_qubits", CircuitError)
+        object.__setattr__(self, "num_qubits", num_qubits)
+        object.__setattr__(self, "gates", check_tuple(self.gates, "gates", CircuitError, Gate))
+        measured = check_tuple(self.measured_qubits, "measured_qubits", CircuitError)
+        measured = tuple(check_integer(q, "qubit index", CircuitError) for q in measured)
+        object.__setattr__(self, "measured_qubits", measured)
         if self.num_qubits < 1:
             raise CircuitError(f"num_qubits must be positive, got {self.num_qubits}")
         for i, gate in enumerate(self.gates):
-            if not isinstance(gate, Gate):
-                raise CircuitError(f"gates[{i}] is not a Gate")
             for t in gate.targets:
                 if t >= self.num_qubits:
                     raise CircuitError(
@@ -236,9 +219,7 @@ class Circuit:
 
 def check_circuit(circuit: Any) -> Circuit:
     """``circuit``; raises :class:`CircuitError` unless it is a ``Circuit``."""
-    if not isinstance(circuit, Circuit):
-        raise CircuitError(f"expected a Circuit, got {circuit!r}")
-    return circuit
+    return check_type(circuit, Circuit, "circuit", CircuitError)
 
 
 @dataclass(frozen=True)
@@ -257,8 +238,7 @@ class MeasurementSettings:
 
     def __post_init__(self):
         for name in ("a0", "a1", "b0", "b1"):
-            if not is_real(value := getattr(self, name)):
-                raise CircuitError(f"{name} must be a number, got {value!r}")
+            check_real(getattr(self, name), name, CircuitError)
 
 
 def phi_plus() -> Circuit:
@@ -309,9 +289,8 @@ def chsh_pair_circuit(alice_angle: float, bob_angle: float) -> Circuit:
     correlator of the packed circuit equals that of this circuit at the
     pair's settings.
     """
-    for name, angle in (("alice_angle", alice_angle), ("bob_angle", bob_angle)):
-        if not is_real(angle):
-            raise CircuitError(f"{name} must be a number, got {angle!r}")
+    check_real(alice_angle, "alice_angle", CircuitError)
+    check_real(bob_angle, "bob_angle", CircuitError)
     return Circuit(
         num_qubits=2,
         gates=(

@@ -31,7 +31,10 @@ from .chsh import (
     score_standard_error,
 )
 from .circuits import packed_chsh_circuit
-from .errors import ConstraintError, DocumentError, as_float, check_shots, is_index, is_real
+from .errors import (
+    ConstraintError, DocumentError, as_float, check_integer, check_real, check_shots, check_tuple,
+    check_type,
+)
 from .fields import choice, each, integer, items, join, located, number, record, required, string
 from .timestamps import format_timestamp, utc_now
 
@@ -43,8 +46,7 @@ class _Threshold:
     threshold: float
 
     def __post_init__(self):
-        if not is_real(self.threshold):
-            raise ConstraintError(f"threshold must be a number, got {self.threshold!r}")
+        check_real(self.threshold, "threshold", ConstraintError)
         # NaN compares false with every score; an infinite threshold still
         # decides every score one way, as written.
         if math.isnan(as_float(self.threshold)):
@@ -113,7 +115,7 @@ class ResourceConstraint:
     """
 
     def __init__(self, clock: Callable[[], datetime] = utc_now):
-        self._clock = clock
+        self._clock = check_type(clock, Callable, "clock", ConstraintError)
 
     def name(self) -> str:
         return type(self).__name__
@@ -130,12 +132,6 @@ class ResourceConstraint:
         raise NotImplementedError
 
 
-def _child(child: Any) -> ResourceConstraint:
-    if not isinstance(child, ResourceConstraint):
-        raise ConstraintError(f"a child must be a ResourceConstraint, got {child!r}")
-    return child
-
-
 class PackedCHSHTest(ResourceConstraint):
     """Entanglement-quality probe: one packed Bell-test run, scored against
     a policy threshold.
@@ -147,12 +143,10 @@ class PackedCHSHTest(ResourceConstraint):
     """
 
     def __init__(self, policy: _Threshold, clock: Callable[[], datetime] = utc_now):
-        if not isinstance(policy, (MinimumAcceptableValue, MaximumAcceptableValue)):
-            raise ConstraintError(
-                f"policy must be a MinimumAcceptableValue or MaximumAcceptableValue, got {policy!r}"
-            )
         super().__init__(clock)
-        self._policy = policy
+        self._policy = check_type(
+            policy, (MinimumAcceptableValue, MaximumAcceptableValue), "policy", ConstraintError
+        )
 
     evaluate = ResourceConstraint.evaluate  # own __dict__ entry, for perfbench's tracer
 
@@ -232,16 +226,11 @@ class CalibrationConstraint(ResourceConstraint):
         self._criteria = {key: criteria[key] for key in _CRITERIA if criteria.get(key) is not None}
         if not self._criteria:
             raise ConstraintError("at least one criterion must be set")
-        problems = []
         for key, value in self._criteria.items():
-            integral = _CRITERIA[key].integral
-            valid, wanted = (is_index, "an integer") if integral else (is_real, "a number")
-            if not valid(value):
-                problems.append(f"{key}: expected {wanted}, got {value!r}")
-            elif not integral and not math.isfinite(as_float(value)):
-                problems.append(f"{key}: expected a finite number, got {value!r}")
-        if problems:
-            raise ConstraintError("; ".join(problems))
+            if _CRITERIA[key].integral:
+                check_integer(value, key, ConstraintError)
+            else:
+                check_real(value, key, ConstraintError, finite=True)
         super().__init__(clock)
 
     evaluate = ResourceConstraint.evaluate  # own __dict__ entry, for perfbench's tracer
@@ -274,13 +263,7 @@ class _Composite(ResourceConstraint):
         self, children: Iterable[ResourceConstraint], clock: Callable[[], datetime] = utc_now
     ):
         super().__init__(clock)
-        try:
-            children = iter(children)
-        except TypeError:
-            raise ConstraintError(
-                f"{self.name()} takes an iterable of children, got {children!r}"
-            ) from None
-        self._children = tuple(map(_child, children))
+        self._children = check_tuple(children, "children", ConstraintError, ResourceConstraint)
         if not self._children:
             raise ConstraintError(f"{self.name()} requires at least one child")
 
@@ -315,7 +298,7 @@ class NotConstraint(ResourceConstraint):
 
     def __init__(self, child: ResourceConstraint, clock: Callable[[], datetime] = utc_now):
         super().__init__(clock)
-        self._child = _child(child)
+        self._child = check_type(child, ResourceConstraint, "child", ConstraintError)
 
     def _evaluate(self, adapter: BackendAdapter, shots: int):
         outcome = self._child.evaluate(adapter, shots)
@@ -348,12 +331,11 @@ class FreshWithin(ResourceConstraint):
         ttl: timedelta,
         clock: Callable[[], datetime] = utc_now,
     ):
-        if not isinstance(ttl, timedelta):
-            raise ConstraintError(f"ttl must be a timedelta, got {ttl!r}")
+        check_type(ttl, timedelta, "ttl", ConstraintError)
         if ttl <= timedelta(0):
             raise ConstraintError(f"ttl must be positive, got {ttl.total_seconds()} s")
         super().__init__(clock)
-        self._child = _child(child)
+        self._child = check_type(child, ResourceConstraint, "child", ConstraintError)
         self._ttl = ttl
         self._lock = threading.Lock()
         self._cached: IntrospectionResult | None = None

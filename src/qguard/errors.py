@@ -1,11 +1,16 @@
-"""Exception types shared across the package, the scalar type predicates
-its constructors check with, the one shot-count check and the one check of
-a sequence of records."""
+"""Exception types shared across the package, and the argument checks every
+constructor and entry point validates with.
+
+Each ``check_*`` returns the value it was given (a tuple or an int where
+it says so) or raises the caller's error type with a message that names the
+argument and shows the value: ``"ttl must be a timedelta, got 5"``.
+"""
 
 from __future__ import annotations
 
 import math
 import numbers
+from datetime import datetime
 from typing import Any
 
 
@@ -126,13 +131,50 @@ def check_shots(shots: Any, error: type[QGuardError]) -> int:
     return int(shots)
 
 
-def check_records(value: Any, kind: type, what: str, error: type[QGuardError]) -> tuple:
-    """``value`` as a tuple; raises ``error`` unless it is an iterable of
-    ``kind`` instances."""
+def _named(kind: type | tuple[type, ...]) -> str:
+    """``kind``'s name with its article, or its names joined by "or"."""
+    names = [k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,))]
+    return " or ".join(("an " if name[0] in "AEIOU" else "a ") + name for name in names)
+
+
+def check_type(value: Any, kind: type | tuple[type, ...], what: str, error: type[QGuardError]) -> Any:
+    """``value``; raises ``error`` unless it is an instance of ``kind``."""
+    if not isinstance(value, kind):
+        raise error(f"{what} must be {_named(kind)}, got {value!r}")
+    return value
+
+
+def check_real(value: Any, what: str, error: type[QGuardError], finite: bool = False) -> Any:
+    """``value``; raises ``error`` unless it is a real number, and a finite
+    one if ``finite``."""
+    if not is_real(value) or (finite and not math.isfinite(as_float(value))):
+        raise error(f"{what} must be a {'finite ' if finite else ''}number, got {value!r}")
+    return value
+
+
+def check_integer(value: Any, what: str, error: type[QGuardError]) -> int:
+    """``value`` as an int; raises ``error`` unless it is an integer."""
+    if not is_index(value):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_tuple(value: Any, what: str, error: type[QGuardError], kind: type | None = None) -> tuple:
+    """``value`` as a tuple; raises ``error`` unless it is an iterable, and,
+    if ``kind`` is given, unless each of its items is a ``kind`` instance."""
     try:
-        records = tuple(value)
+        items = tuple(value)
     except TypeError:
-        records = None
-    if records is None or not all(isinstance(r, kind) for r in records):
-        raise error(f"{what} must be {kind.__name__} records, got {value!r}")
-    return records
+        raise error(f"{what} must be an iterable, got {value!r}") from None
+    if kind is not None:
+        for i, item in enumerate(items):
+            if not isinstance(item, kind):
+                raise error(f"{what}[{i}] must be {_named(kind)}, got {item!r}")
+    return items
+
+
+def check_aware(moment: Any, what: str, error: type[QGuardError]) -> datetime:
+    """``moment``; raises ``error`` unless it is a timezone-aware datetime."""
+    if not isinstance(moment, datetime) or moment.tzinfo is None:
+        raise error(f"{what} must be a timezone-aware datetime, got {moment!r}")
+    return moment

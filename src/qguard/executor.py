@@ -16,7 +16,7 @@ from typing import Any, Callable
 
 from .backends import BackendAdapter
 from .constraints import IntrospectionResult, ResourceConstraint
-from .errors import CallbackError, ConstraintError, IntrospectionError, check_shots
+from .errors import CallbackError, ConstraintError, IntrospectionError, check_shots, check_type
 from .timestamps import utc_now
 
 Callback = Callable[[BackendAdapter, IntrospectionResult], Any]
@@ -58,16 +58,17 @@ def run_conditionally(
     callback's business.  The callback receives the same adapter and the
     introspection result that ends up in the returned record.
 
-    A ``shots`` that is not a positive integer, or a ``constraint`` that is
-    not a :class:`ResourceConstraint`, raises :class:`ConstraintError`
-    before anything runs.  If constraint evaluation raises, neither callback
-    runs and the error surfaces as :class:`IntrospectionError`.  If the
-    chosen callback raises, the error surfaces as :class:`CallbackError`
-    carrying the branch and introspection result that were already decided.
+    A ``shots`` that is not a positive integer, a ``constraint`` that is
+    not a :class:`ResourceConstraint`, or a ``clock`` that cannot be called
+    raises :class:`ConstraintError` before anything runs.  If constraint
+    evaluation raises, neither callback runs and the error surfaces as
+    :class:`IntrospectionError`.  If the chosen callback raises, the error
+    surfaces as :class:`CallbackError` carrying the branch and introspection
+    result that were already decided.
     """
     shots = check_shots(shots, ConstraintError)
-    if not isinstance(constraint, ResourceConstraint):
-        raise ConstraintError(f"constraint must be a ResourceConstraint, got {constraint!r}")
+    check_type(constraint, ResourceConstraint, "constraint", ConstraintError)
+    check_type(clock, Callable, "clock", ConstraintError)
     started_at = clock()
     try:
         introspection = constraint.evaluate(adapter, shots)

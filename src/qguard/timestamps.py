@@ -9,6 +9,7 @@ from __future__ import annotations
 from datetime import datetime, timezone
 
 from .errors import DocumentError
+from .fields import string
 
 
 def utc_now() -> datetime:
@@ -21,10 +22,9 @@ def parse_timestamp(value: object, path: str) -> datetime:
     Accepts a "Z" suffix as well as explicit offsets; naive timestamps are
     rejected because the freshness logic compares across sources.
     """
-    if not isinstance(value, str):
-        raise DocumentError(path, f"expected an RFC3339 timestamp string, got {value!r}")
+    text = string(value, path)
     try:
-        parsed = datetime.fromisoformat(value.replace("Z", "+00:00"))
+        parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError:
         raise DocumentError(path, f"not an RFC3339 timestamp: {value!r}") from None
     if parsed.tzinfo is None:

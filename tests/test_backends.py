@@ -201,19 +201,30 @@ def test_replay_returns_results_in_order_exactly_once():
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, what",
     [
-        lambda: Recording("x", ("y",)),
-        lambda: Recording(make_recording(0).calibration, ("y",)),
-        lambda: Recording(make_recording(0).calibration, 5),
-        lambda: ReplayAdapter("x"),
+        (lambda: Recording("x", ("y",)), "calibration"),
+        (lambda: Recording(make_recording(0).calibration, ("y",)), r"results\[0\]"),
+        (lambda: Recording(make_recording(0).calibration, 5), "results"),
+        (lambda: ReplayAdapter("x"), "recording"),
+        (lambda: ExperimentResult({"0": 1}, 1, 5, T0, T0), "backend_name"),
+        (lambda: ExperimentResult({"0": 1}, 1, "x", T0, T0, {1: "2"}), "metadata key"),
+        (lambda: ExperimentResult({"0": 1}, 1, "x", T0, T0, {"k": 2}), r"metadata\['k'\]"),
+        (lambda: ExperimentResult({"0": 1}, 1, "x", T0, T0, 5), "metadata"),
+        (lambda: ReplayAdapter(make_recording(0), strict="no"), "strict"),
     ],
-    ids=["string_calibration", "string_result", "int_results", "string_recording"],
+    ids=[
+        "string_calibration", "string_result", "int_results", "string_recording",
+        "int_backend_name", "int_metadata_key", "int_metadata_value", "int_metadata",
+        "string_strict",
+    ],
 )
-def test_recording_and_replay_reject_values_of_the_wrong_type(build):
+def test_recording_and_replay_reject_values_of_the_wrong_type(build, what):
     # A lenient replay of the second used to return "y" as evidence, and the
-    # third escaped as a bare TypeError.
-    with pytest.raises(BackendError):
+    # third escaped as a bare TypeError.  The three results were accepted, and
+    # recordings holding them could not be parsed back; the last turned
+    # strict mode on.
+    with pytest.raises(BackendError, match=f"^{what} must be "):
         build()
 
 

@@ -182,6 +182,8 @@ def snapshot_with(**fields):
         # Accepted, so that CalibrationConstraint later crashed on it.
         lambda: snapshot_with(qubits=("x",)),
         lambda: snapshot_with(gates=("x",)),
+        # Accepted, so that its calibration document could not be parsed back.
+        lambda: GateCalibration(5, (0,), 0.01),
     ],
     ids=[
         "string_t1",
@@ -194,6 +196,7 @@ def snapshot_with(**fields):
         "int_qubits",
         "string_qubit_record",
         "string_gate_record",
+        "int_gate_name",
     ],
 )
 def test_wrong_typed_record_raises_calibration_error(build):
@@ -204,9 +207,9 @@ def test_wrong_typed_record_raises_calibration_error(build):
 def test_gate_qubits_accept_any_iterable_of_integers():
     for qubits in (range(2), [0, 1], np.array([0, 1]), (q for q in (0, 1))):
         assert GateCalibration("cx", qubits, 0.01).qubits == (0, 1)
-    with pytest.raises(CalibrationError, match="must be integers"):
+    with pytest.raises(CalibrationError, match="^gate qubits must be an iterable, got 0$"):
         GateCalibration("u", 0, 0.1)
-    with pytest.raises(CalibrationError, match="must be integers"):
+    with pytest.raises(CalibrationError, match="^gate qubit must be an integer, got 0.0$"):
         GateCalibration("u", (0.0,), 0.1)
 
 

@@ -286,6 +286,11 @@ def test_constraint_misuse_raises_a_typed_error():
         lambda: FreshWithin(42, timedelta(seconds=1)),
         lambda: PackedCHSHTest(2.2),
         lambda: PackedCHSHTest(None),
+        # Clocks that cannot be called, which used to fail only when read.
+        lambda: CalibrationConstraint(min_qubits=1, clock="x"),
+        lambda: PackedCHSHTest(MinimumAcceptableValue(2.2), clock="x"),
+        lambda: AndConstraint([StubConstraint(True)], clock=None),
+        lambda: FreshWithin(StubConstraint(True), timedelta(seconds=1), clock=5),
     ]
     for build in bad:
         with pytest.raises(ConstraintError) as excinfo:
@@ -366,20 +371,20 @@ def test_calibration_constraint_rejects_ill_typed_criteria(kwargs):
         CalibrationConstraint(**kwargs)
     assert isinstance(excinfo.value, QGuardError)
     assert isinstance(excinfo.value, ValueError)
-    assert str(excinfo.value).startswith(f"{next(iter(kwargs))}: expected")
+    assert str(excinfo.value).startswith(f"{next(iter(kwargs))} must be ")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("key", ["min_t1_us", "max_readout_error"])
 def test_calibration_constraint_rejects_non_finite_criteria(key, value):
-    with pytest.raises(ConstraintError, match=f"^{key}: expected a finite number"):
+    with pytest.raises(ConstraintError, match=f"^{key} must be a finite number"):
         CalibrationConstraint(**{key: value})
 
 
 @pytest.mark.parametrize("key", ["min_t1_us", "max_readout_error"])
 def test_calibration_constraint_rejects_criteria_too_large_for_a_float(key):
     # math.isfinite(10**400) used to raise a bare OverflowError.
-    with pytest.raises(ConstraintError, match=f"^{key}: expected a finite number"):
+    with pytest.raises(ConstraintError, match=f"^{key} must be a finite number"):
         CalibrationConstraint(**{key: 10**400})
 
 

@@ -281,6 +281,21 @@ def test_a_constraint_of_the_wrong_type_raises_a_typed_error_before_anything_run
     assert adapter.runs == [] and called == []
 
 
+def test_a_clock_that_cannot_be_called_raises_a_typed_error_before_anything_runs():
+    # It used to escape as a bare TypeError from the first clock reading.
+    adapter = SpyAdapter(SimulatorAdapter(NoiseModel.ideal()))
+    with pytest.raises(ConstraintError, match="^clock must be a Callable, got 'x'$"):
+        run_conditionally(
+            adapter,
+            FixedConstraint(True),
+            on_pass=lambda a, i: None,
+            on_fail=lambda a, i: None,
+            shots=10,
+            clock="x",
+        )
+    assert adapter.runs == []
+
+
 def test_timestamps_use_injected_clock():
     times = [T0, T0 + timedelta(seconds=5)]
     clock_calls = iter(times)

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from qguard import (
     SIMULATOR_MAX_QUBITS,
+    BackendError,
     CalibrationError,
     Circuit,
     CircuitError,
@@ -188,11 +189,12 @@ def test_run_shots_rejects_bad_shots_with_a_typed_error(shots):
         (lambda: SimulatorAdapter(noise="x"), NoiseModelError),
         (lambda: SimulatorAdapter(synthetic_calibration="x"), CalibrationError),
         (lambda: synthetic_calibration_for("x"), NoiseModelError),
+        (lambda: SimulatorAdapter(clock="x"), BackendError),
     ],
     ids=[
         "none_circuit", "list_circuit", "none_noise", "dict_noise",
         "oracle_circuit", "oracle_noise", "adapter_noise",
-        "adapter_calibration", "synthetic_calibration_noise",
+        "adapter_calibration", "synthetic_calibration_noise", "adapter_clock",
     ],
 )
 def test_entry_points_reject_arguments_of_the_wrong_type(call, error):
@@ -1103,6 +1105,9 @@ def test_draw_memory_does_not_grow_with_readout_bits(monkeypatch):
     circuit = Circuit(18, tuple(Gate.x(q) for q in range(18)), tuple(range(18)))
     noise = NoiseModel(p1=0.0, p2=0.0, readout_flip=0.001, seed=3)
     compiled = simulator._compile(circuit)
+    # An untraced draw first, so that the first traced one does not pay the
+    # one-time allocations of the first draw in the process.
+    simulator._draw(circuit, 100_000, noise, compiled)
     peaks = []
     for cpus in (1, 8):
         monkeypatch.setattr(simulator, "_cpu_count", lambda: cpus)
