@@ -9,6 +9,7 @@ circuit is an ordered gate list followed by a single measurement of
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -254,6 +255,8 @@ def phi_plus() -> Circuit:
     )
 
 
+# Every probe asks for the circuit of the same few settings.
+@functools.lru_cache(maxsize=8)
 def packed_chsh_circuit(settings: MeasurementSettings = MeasurementSettings()) -> Circuit:
     """All four CHSH setting combinations packed into one 8-qubit circuit.
 
@@ -264,7 +267,8 @@ def packed_chsh_circuit(settings: MeasurementSettings = MeasurementSettings()) -
     correlators at once: bits (0,1) give E00, (2,3) E01, (4,5) E10, (6,7) E11.
 
     Zero-angle rotations are emitted rather than elided so the circuit shape
-    does not depend on the settings.
+    does not depend on the settings.  The circuit, immutable, is built once
+    per settings (compared by value) and shared by every later call.
     """
     pair_settings = (
         (settings.a0, settings.b0),

@@ -32,8 +32,8 @@ from .chsh import (
 )
 from .circuits import packed_chsh_circuit
 from .errors import (
-    ConstraintError, DocumentError, as_float, check_integer, check_real, check_shots, check_tuple,
-    check_type,
+    ConstraintError, DocumentError, as_float, check_aware, check_integer, check_real, check_shots,
+    check_tuple, check_type,
 )
 from .fields import choice, each, integer, items, join, located, number, record, required, string
 from .timestamps import format_timestamp, utc_now
@@ -75,7 +75,8 @@ class IntrospectionResult:
 
     ``scores`` holds the named numbers the decision was based on; composite
     constraints carry their evaluated children in order.  Subscripting reads
-    a score, so ``result["CHSH_score"]`` works directly.
+    a score, so ``result["CHSH_score"]`` works directly.  Every field is
+    checked when the result is built, so a report can always be written.
     """
 
     constraint_name: str
@@ -86,8 +87,18 @@ class IntrospectionResult:
     children: tuple["IntrospectionResult", ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "scores", dict(self.scores))
-        object.__setattr__(self, "children", tuple(self.children))
+        check_type(self.constraint_name, str, "constraint_name", ConstraintError)
+        check_type(self.passed, bool, "passed", ConstraintError)
+        scores = dict(check_type(self.scores, Mapping, "scores", ConstraintError))
+        for name, value in scores.items():
+            check_type(name, str, "score name", ConstraintError)
+            check_real(value, f"scores[{name!r}]", ConstraintError)
+        check_aware(self.evaluated_at, "evaluated_at", ConstraintError)
+        if self.evidence is not None:
+            check_type(self.evidence, ExperimentResult, "evidence", ConstraintError)
+        children = check_tuple(self.children, "children", ConstraintError, IntrospectionResult)
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "children", children)
 
     def __getitem__(self, key: str) -> float:
         return self.scores[key]

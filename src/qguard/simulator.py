@@ -8,23 +8,28 @@ depolarizing channel rho -> (1-p)*rho + p*(I/d (x) rest) on those qubits.
 
 Determinism: every random draw for a run comes from one counter-based
 (Philox) stream keyed by ``noise.seed``.  Shot ``i`` owns row ``i`` of a
-uniform matrix with one column per gate event, one per Pauli choice, one
-outcome draw and one per readout bit.  The matrix is drawn in blocks of
-rows, and each block is sampled whole before its buffer is drawn again: a
-noisy shot, one where some event drew a non-identity Pauli, is sampled from
-its trajectory's distribution (see below), every other shot from the
-noiseless distribution, and all of the block's outcomes get their readout
-flips and go into one tally.  So a run keeps nothing per shot beyond its
-block, and memory does not grow with the shots, noisy or not.  A draw of
-several blocks runs on a thread pool of one worker per usable CPU that
-lives only for that draw, so no thread outlives ``run_shots``.  Worker j
-takes blocks j, j + workers, and so on.  A block starting at row r jumps
-its own Philox stream straight to the word r * width: the counter
-r * width // 4 (each counter step yields four 64-bit words, one per uniform
-double), then r * width % 4 words skipped.  A shot's outcome depends only on
-its own row, and the tally is a sum, so the counts do not depend on the
-block size or the number of CPUs.  The mapping from (circuit, shots, noise)
-to counts is fixed no matter how the work is split.
+matrix of the stream's 64-bit words, with one column per gate event, one
+per Pauli choice, one outcome word and one per readout bit.  A word w
+stands for the uniform draw (w >> 11) * 2**-53 that ``Generator.random()``
+would make of it, and every decision is made on w with an exact integer
+rule that gives the same answer as that draw would (see ``_draw``): an
+event or a readout flip compares w with an integer threshold, a Pauli
+choice is w's top bits, and only the outcome word becomes a double.  The
+matrix is drawn in blocks of rows, and each block is sampled whole as it
+is drawn: a noisy shot, one where some event drew a non-identity Pauli, is
+sampled from its trajectory's distribution (see below), every other shot
+from the noiseless distribution, and all of the block's outcomes get their
+readout flips and go into one tally.  So a run keeps nothing per shot
+beyond its block, and memory does not grow with the shots, noisy or not.
+A draw of several blocks runs on a thread pool of one worker per usable
+CPU that lives only for that draw, so no thread outlives ``run_shots``.
+Worker j takes blocks j, j + workers, and so on.  A block starting at row
+r jumps its own Philox stream straight to the word r * width: the counter
+r * width // 4 (each counter step yields four 64-bit words), then
+r * width % 4 words skipped.  A shot's outcome depends only on its own
+row, and the tally is a sum, so the counts do not depend on the block size
+or the number of CPUs.  The mapping from (circuit, shots, noise) to counts
+is fixed no matter how the work is split.
 
 Evolution: the noiseless distribution depends on the circuit alone, so a
 circuit is compiled once: its components, each one's noiseless Born
@@ -182,8 +187,11 @@ SIMULATOR_MAX_QUBITS = 20
 # Amplitude bytes evolved at once: 64 trajectories of the 8-qubit packed
 # CHSH circuit.  Larger batches bought little speed and raised peak memory.
 _BATCH_BYTES = 256 * 1024
-# Bytes of the uniform matrix drawn at once.
+# Bytes of the word matrix drawn at once.
 _DRAW_BYTES = 4 * 1024 * 1024
+# Words taken from Philox per call: 128 KiB, which stays in a core's cache
+# until it is copied into its block.
+_CHUNK_WORDS = 1 << 14
 
 
 def check_noise(noise: Any) -> NoiseModel:
@@ -324,15 +332,45 @@ def _search(cdf: np.ndarray, first: np.ndarray, steps: int, u: np.ndarray) -> np
     return found + 1
 
 
-def _flip_masks(draws: np.ndarray, p: float) -> np.ndarray:
-    """Per row of ``draws``, an (n, k) block of readout draws with k <= 32,
-    the mask with bit k-1-j set where draw j is below ``p``.  The bools are
-    packed eight to a byte, into masks of 1, 2 or 4 bytes, and never widened
-    to integers."""
-    n, k = draws.shape
+def _threshold(p: float) -> int:
+    """ceil(p * 2**53): the uniform draw (w >> 11) * 2**-53 that
+    ``Generator.random()`` makes of a 64-bit word w is below ``p`` iff
+    w >> 11 is below this, as p * 2**53 is exact.  0 for p = 0, so no
+    word is below it, and 2**53 for p = 1, so every word is."""
+    return math.ceil(p * 2**53)
+
+
+def _last_word(p: float) -> int:
+    """The greatest 64-bit word whose uniform draw is below ``p``, so a
+    word's draw is below p iff the word is at most this:
+    (_threshold(p) << 11) - 1, from 2047 for the least p > 0 to 2**64 - 1
+    for p = 1, and -1 for p = 0."""
+    return (_threshold(p) << 11) - 1
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniform draws ``Generator.random()`` makes of 64-bit ``words``:
+    (w >> 11) * 2**-53, exact, as w >> 11 has 53 bits."""
+    return (words >> 11) * 2.0**-53
+
+
+def _choice_shift(gate: Gate) -> int:
+    """The shift that takes a word w to the Pauli its draw u picks after
+    ``gate``: int(u * 4) is w >> 62 for a one-qubit gate, and int(u * 16)
+    is w >> 60 for a CNOT, as u * 2**b is (w >> 11) * 2**(b - 53), exact."""
+    return 60 if gate.kind is GateKind.CNOT else 62
+
+
+def _flip_masks(words: np.ndarray, p: float) -> np.ndarray:
+    """Per row of ``words``, an (n, k) block of readout words with k <= 32,
+    the mask with bit k-1-j set where word j's draw is below ``p`` > 0, that
+    is where the word is at most ``_last_word(p)``.  The bools are packed
+    eight to a byte, into masks of 1, 2 or 4 bytes, and never widened to
+    integers."""
+    n, k = words.shape
     size = 1 << max(0, (k - 1).bit_length() - 3)
     bits = np.zeros((n, 8 * size), dtype=bool)
-    np.less(draws, p, out=bits[:, 8 * size - k :])
+    np.less_equal(words, np.uint64(_last_word(p)), out=bits[:, 8 * size - k :])
     return np.packbits(bits).view(f">u{size}")
 
 
@@ -344,13 +382,33 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _fill(words: np.ndarray, seed: int, first: int):
+    """Fill the 1-d ``words`` with the words of the Philox stream keyed by
+    ``seed``, from word ``first`` on.  Each counter step yields four 64-bit
+    words, so the stream jumps to the counter first // 4 and skips
+    first % 4 words.  ``random_raw`` cannot fill an array in place, so the
+    words come ``_CHUNK_WORDS`` at a time and are copied in."""
+    bit_generator = np.random.Philox(key=seed, counter=first // 4)
+    bit_generator.random_raw(first % 4)
+    for start in range(0, len(words), _CHUNK_WORDS):
+        chunk = words[start : start + _CHUNK_WORDS]
+        chunk[:] = bit_generator.random_raw(len(chunk))
+
+
 def _draw(circuit: Circuit, shots: int, noise: NoiseModel, compiled: _Compiled) -> np.ndarray:
     """The tally of ``shots`` outcomes, readout flips applied, by outcome.
 
-    The uniform matrix has columns, in order: per-gate event draws, per-gate
-    Pauli choices, the outcome draw, per-bit readout draws.  Row i belongs
-    to shot i.  It is drawn in blocks of rows, each sampled as it is drawn:
-    a noisy shot, where some event fired and drew a non-identity Pauli, by
+    The word matrix has columns, in order: per-gate event words, per-gate
+    Pauli-choice words, the outcome word, per-bit readout words.  Row i
+    belongs to shot i.  Each word w stands for the uniform draw
+    u = (w >> 11) * 2**-53, and each decision is made on w exactly as on u:
+    an event or readout flip with probability p fires iff w >> 11 is below
+    ``_threshold(p)``, which for p > 0 is iff w is at most ``_last_word(p)``
+    (no shift needed), the Pauli choice int(u * 4) or int(u * 16) is w's top
+    two or four bits (``_choice_shift``), and only the outcome word is
+    turned into u, which the CDFs are searched with.  The matrix is
+    drawn in blocks of rows, each sampled as it is drawn: a noisy shot,
+    where some event fired and drew a non-identity Pauli, by
     ``_noisy_outcomes`` from its code row (int8, one column per gate) and
     outcome draw, every other shot in the noiseless CDF of ``compiled``.
     Then all of the block's outcomes get their flips and go into the one
@@ -358,34 +416,36 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel, compiled: _Compiled) 
 
     A draw of several blocks runs on a pool of one thread per CPU, shut down
     before this returns.  Worker j takes blocks j, j + workers, and so on,
-    jumps a Philox stream to each block's first row, and reuses one buffer.
-    Blocks shrink as workers are added, so the buffers together hold the
-    bytes of one block, and all workers add into the one tally, so memory
-    does not grow with the number of CPUs.
+    fills one buffer with each from its first row's word in the stream, and
+    samples it there.  Blocks shrink as workers are added, so the buffers
+    together hold the words of one block, and all workers add into the one
+    tally, so memory does not grow with the number of CPUs.
     """
     num_gates = len(circuit.gates)
     k = circuit.num_measured
     width = 2 * num_gates + 1 + k
-    event_p = np.array(
-        [noise.p2 if g.kind is GateKind.CNOT else noise.p1 for g in circuit.gates]
-    )
-    # A uniform draw is never below 0, so gates with p = 0 never fire.
-    live = np.flatnonzero(event_p)
-    choices = np.array([16 if g.kind is GateKind.CNOT else 4 for g in circuit.gates])
+    event_p = [noise.p2 if g.kind is GateKind.CNOT else noise.p1 for g in circuit.gates]
+    threshold = np.array([_threshold(p) for p in event_p], dtype=np.uint64)
+    # A block's rows are found hit by the events of the gates with p > 0,
+    # each word compared as it is with its gate's last word; only the hit
+    # rows' words are shifted and compared with every gate's threshold.
+    live = np.flatnonzero(threshold)
+    last = np.array([_last_word(event_p[i]) for i in live], dtype=np.uint64)
+    shifts = np.array([_choice_shift(g) for g in circuit.gates], dtype=np.uint64)
     tally = np.zeros(1 << k, dtype=np.int64)
     adding = threading.Lock()
 
     def sample(block: np.ndarray):
         """Add the outcomes of the rows of ``block`` to ``tally``."""
-        hit_rows = np.flatnonzero((block[:, live] < event_p[live]).any(axis=1))
+        hit_rows = np.flatnonzero((block[:, live] <= last).any(axis=1))
         hit_codes = np.where(
-            block[hit_rows, :num_gates] < event_p,
-            (block[hit_rows, num_gates : 2 * num_gates] * choices).astype(np.int8),
+            block[hit_rows, :num_gates] >> 11 < threshold,
+            (block[hit_rows, num_gates : 2 * num_gates] >> shifts).astype(np.int8),
             0,
         )
         noisy = hit_codes.any(axis=1)
         rows = hit_rows[noisy]
-        outcome_u = block[:, 2 * num_gates]
+        outcome_u = _uniforms(block[:, 2 * num_gates])
         clean = np.ones(len(block), dtype=bool)
         clean[rows] = False
         u = outcome_u[clean]
@@ -395,7 +455,8 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel, compiled: _Compiled) 
         outcomes[clean] = _search(compiled.cdf, first, compiled.steps, u)
         if len(rows):
             outcomes[rows] = _noisy_outcomes(circuit, compiled, hit_codes[noisy], outcome_u[rows])
-        outcomes ^= _flip_masks(block[:, 2 * num_gates + 1 :], noise.readout_flip)
+        if noise.readout_flip:
+            outcomes ^= _flip_masks(block[:, 2 * num_gates + 1 :], noise.readout_flip)
         # Unlike bincount(minlength=), this costs nothing per possible outcome.
         with adding:
             np.add.at(tally, outcomes, 1)
@@ -403,16 +464,13 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel, compiled: _Compiled) 
     workers = min(_cpu_count(), -(-shots // max(1, _DRAW_BYTES // (8 * width))))
     block_rows = min(max(1, _DRAW_BYTES // workers // (8 * width)), shots)
     starts = range(0, shots, block_rows)
-    buffers = np.empty((workers, block_rows, width))
+    buffers = np.empty((workers, block_rows, width), dtype=np.uint64)
 
     def work(j: int):
         for start in starts[j::workers]:
-            # Philox yields four 64-bit words per counter step and random()
-            # takes one word per double: row ``start`` starts at word
-            # start * width of the stream.
-            bit_generator = np.random.Philox(key=noise.seed, counter=start * width // 4)
-            bit_generator.random_raw(start * width % 4)
-            sample(np.random.Generator(bit_generator).random(out=buffers[j, : shots - start]))
+            block = buffers[j, : shots - start]
+            _fill(block.reshape(-1), noise.seed, start * width)
+            sample(block)
 
     if workers == 1:
         # One worker, such as a draw of one block, runs inline.
@@ -682,5 +740,6 @@ def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCount
             f"simulator supports at most {SIMULATOR_MAX_QUBITS} qubits, got {circuit.num_qubits}"
         )
     tally = _draw(circuit, shots, noise, _compile(circuit))
-    k = circuit.num_measured
-    return BitstringCounts({format(int(v), f"0{k}b"): int(tally[v]) for v in np.flatnonzero(tally)})
+    seen = np.flatnonzero(tally)
+    key = f"{{:0{circuit.num_measured}b}}".format
+    return BitstringCounts(dict(zip(map(key, seen.tolist()), tally[seen].tolist())))

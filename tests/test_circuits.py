@@ -173,6 +173,16 @@ def test_packed_chsh_one_rotation_per_qubit():
     assert sorted(rotated) == list(range(8))
 
 
+def test_packed_chsh_circuit_is_built_once_per_settings():
+    settings = MeasurementSettings(a0=0.1)
+    built = packed_chsh_circuit(settings)
+    assert packed_chsh_circuit(MeasurementSettings(a0=0.1)) is built
+    assert packed_chsh_circuit() is packed_chsh_circuit()
+    other = packed_chsh_circuit(MeasurementSettings(a0=0.2))
+    assert other is not built and other != built
+    assert other.gates[8] == Gate.ry(0, -0.2)
+
+
 def test_packed_chsh_no_cross_pair_entanglement():
     c = packed_chsh_circuit()
     for g in c.gates:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import threading
 from datetime import datetime, timedelta, timezone
 
@@ -168,6 +169,35 @@ def test_introspection_result_to_dict():
     assert json.dumps(doc)  # JSON-serializable throughout
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("constraint_name", 5, "constraint_name must be a str, got 5"),
+        ("passed", 1, "passed must be a bool, got 1"),
+        ("scores", 5, "scores must be a Mapping, got 5"),
+        ("scores", {1: 2.0}, "score name must be a str, got 1"),
+        ("scores", {"s": "2"}, "scores['s'] must be a number, got '2'"),
+        ("evaluated_at", "now", "evaluated_at must be a timezone-aware datetime, got 'now'"),
+        ("evaluated_at", datetime(2026, 8, 21), "evaluated_at must be a timezone-aware datetime"),
+        ("evidence", {}, "evidence must be an ExperimentResult, got {}"),
+        ("children", 5, "children must be an iterable, got 5"),
+        ("children", ["x"], "children[0] must be an IntrospectionResult, got 'x'"),
+    ],
+)
+def test_introspection_result_checks_its_fields_when_built(field, value, message):
+    # Each used to be accepted, and then failed in to_dict with a bare
+    # error, or never, leaving a result no report could hold.
+    fields = {"constraint_name": "c", "passed": True, "scores": {}, "evaluated_at": T0}
+    with pytest.raises(ConstraintError, match=f"^{re.escape(message)}"):
+        IntrospectionResult(**{**fields, field: value})
+
+
+def test_a_clock_that_returns_a_naive_datetime_fails_the_evaluation():
+    check = PackedCHSHTest(MinimumAcceptableValue(0.0), clock=lambda: datetime(2026, 8, 21))
+    with pytest.raises(ConstraintError, match="^evaluated_at must be a timezone-aware"):
+        check.evaluate(CountingAdapter(), 10)
+
+
 # --- ResourceConstraint ----------------------------------------------------
 
 
@@ -249,6 +279,20 @@ def test_packed_chsh_runs_one_job():
     check = PackedCHSHTest(MinimumAcceptableValue(0.0))
     check.evaluate(adapter, 100)
     assert adapter.run_calls == 1
+
+
+def test_packed_chsh_submits_one_circuit_object_every_time():
+    submitted = []
+
+    class Spy(CountingAdapter):
+        def run(self, circuit, shots):
+            submitted.append(circuit)
+            return super().run(circuit, shots)
+
+    check, adapter = PackedCHSHTest(MinimumAcceptableValue(0.0)), Spy()
+    check.evaluate(adapter, 100)
+    check.evaluate(adapter, 100)
+    assert submitted[0] is submitted[1] is packed_chsh_circuit()
 
 
 def test_packed_chsh_rejects_bad_shots():

@@ -1005,10 +1005,132 @@ def test_guided_search_matches_searchsorted(case):
 
 @pytest.mark.parametrize("k", [1, 8, 9, 16, 17, 20])
 def test_flip_masks_put_the_first_bit_highest(k):
-    draws = np.random.default_rng(k).random((300, k))
-    bits = draws < 0.4
+    words = np.random.Philox(key=k).random_raw((300, k))
+    bits = np.random.Generator(np.random.Philox(key=k)).random((300, k)) < 0.4
     expected = bits @ (1 << np.arange(k - 1, -1, -1))
-    np.testing.assert_array_equal(simulator._flip_masks(draws, 0.4), expected)
+    np.testing.assert_array_equal(simulator._flip_masks(words, 0.4), expected)
+
+
+# --- exact integer rules on raw words -----------------------------------------
+#
+# Each Philox word w stands for the draw u = (w >> 11) * 2**-53 that
+# Generator.random() makes of it; every rule on w must decide as u would.
+
+
+def _draw_of(word: int) -> float:
+    return (word >> 11) * 2.0**-53
+
+
+def _fires(word: int, p: float) -> bool:
+    """The event and readout rule on the word, in each form _draw applies
+    it: the shifted word against the threshold, and for p > 0 the word
+    against the last word, alone and through _flip_masks."""
+    words = np.array([word], dtype=np.uint64)
+    threshold = np.array([simulator._threshold(p)], dtype=np.uint64)
+    fires = bool((words >> 11 < threshold)[0])
+    assert fires == ((word >> 11) < simulator._threshold(p))
+    assert fires == (word <= simulator._last_word(p))
+    if p > 0:
+        last = np.array([simulator._last_word(p)], dtype=np.uint64)
+        assert fires == bool((words <= last)[0])
+        assert fires == bool(simulator._flip_masks(words.reshape(1, 1), p)[0])
+    return fires
+
+
+_RULE_PROBABILITIES = [0.0, 2.0**-53, 0.001, 0.01, 0.02, 0.3, 0.5, 1 - 2.0**-53, 1.0]
+
+
+def _boundary_words(p: float) -> list[int]:
+    """The last word that fires at ``p``, the first that does not, and the
+    stream's extremes."""
+    threshold = math.ceil(p * 2**53)
+    edges = [(threshold << 11) - 1, threshold << 11, 0, 2**64 - 1]
+    return [w for w in edges if 0 <= w < 2**64]
+
+
+@pytest.mark.parametrize("p", _RULE_PROBABILITIES)
+def test_event_rule_matches_the_uniform_draw_at_its_boundary(p):
+    for word in _boundary_words(p):
+        assert _fires(word, p) == (_draw_of(word) < p), hex(word)
+
+
+def test_event_rule_boundary_table():
+    # (p, word, fires): the first and last word either side of the threshold.
+    table = [
+        (0.0, 0, False),
+        (2.0**-53, 2047, True),
+        (2.0**-53, 2048, False),
+        (0.5, 2**63 - 1, True),
+        (0.5, 2**63, False),
+        (1 - 2.0**-53, 2**64 - 2049, True),
+        (1 - 2.0**-53, 2**64 - 2048, False),
+        (1.0, 2**64 - 1, True),
+    ]
+    for p, word, fires in table:
+        assert _fires(word, p) is fires, (p, hex(word))
+        assert (_draw_of(word) < p) is fires, (p, hex(word))
+
+
+@given(st.integers(0, 2**64 - 1), st.floats(0.0, 1.0))
+@settings(max_examples=500, deadline=None)
+def test_event_rule_matches_the_uniform_draw(word, p):
+    assert _fires(word, p) == (_draw_of(word) < p)
+
+
+@given(st.floats(0.0, 1.0), st.integers(-4096, 4096))
+@settings(max_examples=500, deadline=None)
+def test_event_rule_matches_the_uniform_draw_near_its_threshold(p, offset):
+    word = (math.ceil(p * 2**53) << 11) + offset
+    if 0 <= word < 2**64:
+        assert _fires(word, p) == (_draw_of(word) < p)
+
+
+@pytest.mark.parametrize("gate, options", [(Gate.ry(0, 0.5), 4), (Gate.cnot(0, 1), 16)])
+def test_pauli_choice_rule_matches_the_uniform_draw(gate, options):
+    shift = simulator._choice_shift(gate)
+    # The first and last word of every choice, and of its neighbours.
+    edges = [(c << shift) + d for c in range(options) for d in (0, 2047, 2048, (1 << shift) - 1)]
+    words = edges + [int(w) for w in np.random.Philox(key=options).random_raw(10_000)]
+    as_array = np.array(words, dtype=np.uint64) >> np.uint64(shift)
+    for word, choice in zip(words, as_array.tolist()):
+        assert (word >> shift) == choice == int(_draw_of(word) * options), hex(word)
+
+
+@given(st.integers(0, 2**64 - 1))
+@settings(max_examples=500, deadline=None)
+def test_pauli_choice_rule_matches_the_uniform_draw_for_any_word(word):
+    for gate, options in ((Gate.h(0), 4), (Gate.cnot(0, 1), 16)):
+        assert word >> simulator._choice_shift(gate) == int(_draw_of(word) * options)
+
+
+@pytest.mark.parametrize("first", [0, 1, 2, 3, 4 * 997 + 1, 4 * 997 + 2, 4 * 997 + 3])
+@pytest.mark.parametrize("chunk", [7, 1 << 14])
+def test_words_from_mid_counter_convert_to_the_generators_doubles(monkeypatch, first, chunk):
+    # A block whose first word falls mid-way through a counter's four words
+    # sees exactly the doubles one Generator drawing the whole stream would,
+    # whether its words come in one chunk or in many.
+    monkeypatch.setattr(simulator, "_CHUNK_WORDS", chunk)
+    words = np.empty(257, dtype=np.uint64)
+    simulator._fill(words, 11, first)
+    expected = np.random.Generator(np.random.Philox(key=11)).random(first + 257)[first:]
+    assert simulator._uniforms(words).tobytes() == expected.tobytes()
+
+
+def test_philox_raw_words_are_pinned():
+    # Every count depends on these words; a numpy whose Philox stream moved
+    # fails here by name, not only in the pinned digests.
+    words = np.random.Philox(key=2024, counter=5).random_raw(6)
+    assert [hex(int(w)) for w in words] == [
+        "0xd9c26297735ab9f",
+        "0x173cbfa77b06aa5d",
+        "0xe5263b3936d11bf9",
+        "0x2eea5de934ffddb7",
+        "0xab3524a4ca8dfaa7",
+        "0x32730f9e7743eb06",
+    ]
+    block = np.empty(3, dtype=np.uint64)
+    simulator._fill(block, 2024, 4 * 5 + 2)
+    assert block.tolist() == [int(w) for w in words[2:5]]
 
 
 @pytest.mark.parametrize("case", sorted(_PINNED_CASES))
