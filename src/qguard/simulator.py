@@ -16,9 +16,9 @@ rule that gives the same answer as that draw would (see ``_draw``): an
 event or a readout flip compares w with an integer threshold, a Pauli
 choice is w's top bits, and only the outcome word becomes a double.  The
 matrix is drawn in blocks of rows, and each block is sampled whole as it
-is drawn: a noisy shot, one where some event drew a non-identity Pauli, is
-sampled from its trajectory's distribution (see below), every other shot
-from the noiseless distribution, and all of the block's outcomes get their
+is drawn: a noisy shot, one where some gate's event fired, is sampled from
+its trajectory's distribution (see below), every other shot from the
+noiseless distribution, and all of the block's outcomes get their
 readout flips and go into one tally.  So a run keeps nothing per shot
 beyond its block, and memory does not grow with the shots, noisy or not.
 A draw of several blocks runs on a thread pool of one worker per usable
@@ -33,60 +33,58 @@ is fixed no matter how the work is split.
 
 Evolution: the noiseless distribution depends on the circuit alone, so a
 circuit is compiled once: its components, each one's noiseless Born
-marginal, and their joint CDF.  Shots sharing a noise trajectory (the
-per-gate Pauli codes) are evolved once and sampled from the same
-distribution.  Every outcome is found by one binary search in a window of
-a CDF, run at once for all the shots it serves: a noiseless shot's window
-comes from a guide table of 2**k cells over [0, 1), by the cell its draw
-falls in, a noisy shot's is the CDF row of its distribution.  So grouping
-and sampling cost per noisy shot.  The unique trajectories are evolved together in batches,
-each held as one ``(2, ..., 2, B)`` array whose size is capped by an
-amplitude byte budget: each qubit is one axis and the state is the last
-axis.  Every one-qubit matrix, a gate's or the Pauli injections after it
-(each state's own, broadcast over the batch axis), goes through one
-elementwise 2x2 kernel, and a CNOT is a flip in its control=1 slice.  No
-amplitude goes through BLAS, so a state rounds the same way in any batch
-and whatever BLAS kernel numpy picks for the CPU.  A run with a single
-trajectory evolves a batch of one.
+marginal, and their joint CDF.  A component's noise trajectory (the
+per-gate Pauli codes) is evolved once, and shots whose components' rows
+all match are sampled from one distribution.  Every outcome is found by
+one binary search in a window of a CDF, run at once for all the shots it
+serves: a noiseless shot's window comes from a guide table of 2**k cells
+over [0, 1), by the cell its draw falls in, a noisy shot's is the CDF row
+of its distribution.  So grouping and sampling cost per noisy shot.
+Unique trajectories are evolved together in batches, each held as one
+``(2, ..., 2, B)`` array whose size is capped by an amplitude byte
+budget: each qubit is one axis and the state is the last axis.  Every
+one-qubit matrix, a gate's or the Pauli injections after it (each state's
+own, broadcast over the batch axis), goes through one elementwise 2x2
+kernel, and a CNOT is a flip in its control=1 slice.  No amplitude goes
+through BLAS, so a state rounds the same way in any batch and whatever
+BLAS kernel numpy picks for the CPU.  A run with a single trajectory
+evolves a batch of one.
 
 Cache: ``_compile`` keeps the four most recently used circuits in a
 ``functools.lru_cache``, keyed by the ``Circuit``, a frozen dataclass
 compared by value; ``run_shots`` checks its arguments' types first.  A
 compiled circuit holds the component layout, the read-only noiseless CDF
-and its guide table, and one memo per component: the bytes of a
-trajectory's code row mapped to the bytes of its Born marginal row,
-starting with the noiseless trajectory's.  A block evolves only the
-trajectories its component's memo lacks, and adds them while the memo's
-rows take at most the batch budget; a component whose marginals are not
-held (see below) never uses its memo.  Since a state rounds the same way in
-any batch, a remembered row is the row evolution would give, and the counts
-do not depend on what the cache holds.  So the cache holds at most four
-CDFs and guide tables of 2**k entries each, and per component at most a
-batch budget of memo rows plus their keys.
+and its guide table, and a table per component whose rows fit the batch
+budget (see below).  A block evolves only the trajectories its components'
+tables lack, under one lock.  Since a state rounds the same way in any
+batch, a held row is the row evolution would give, and the counts do not
+depend on what the cache holds.  So the cache holds at most four CDFs and
+guide tables of 2**k entries each, and per component at most a batch
+budget of rows.
 
 Components: qubits that no chain of CNOTs links never interact, so a
 circuit splits into connected components, and each is simulated as a small
-circuit of its own.  A block's noisy shots' code rows, cut to the gate
-columns of the components with a measured qubit (one without is skipped),
-are grouped once into unique joint trajectories.  These few rows are then split
-column-wise and grouped again per component, which gives each component's
-own trajectories and each joint trajectory's tuple of component trajectory
-indices.  A component evolves its trajectories, in batches, into each one's
-Born marginal over its measured qubits.  When all of a component's
-marginals fit the byte budget they are held, and trajectories whose rows
-are byte-identical (a Pauli such as ZZ after a Bell pair's CNOT leaves the
-pair's marginal unchanged, bit for bit) are merged into one distribution.
-A wider component keeps one distribution per trajectory and evolves, for
-each batch of joint rows, just the trajectories the batch needs, the
-noiseless one like any other, so memory stays bounded.  Mapped through
-these, the tuples are grouped once more into distinct joint distributions,
-each the outer product of its component
+circuit of its own; one without a measured qubit is skipped.  A
+component's trajectory, its gates' Pauli codes, packs into a key of 2 bits
+per one-qubit gate and 4 per CNOT, and the component gets a table when
+2**bits of its Born marginal rows, over its m measured qubits, fit the
+batch budget: 2**bits * 8 * 2**m bytes.  The packed probe's Bell pairs
+have 10-bit keys and 32 KiB tables.  The table maps each key to the id of
+its trajectory's row, evolved the first time the key is met, and holds
+only byte-distinct rows: a Pauli such as ZZ after a Bell pair's CNOT leaves
+the pair's marginal unchanged, bit for bit, so such trajectories share a
+row.  A wider component has no table: a block groups its code columns
+into unique trajectories, and evolves, for each batch of joint rows, just
+the trajectories the batch needs, the noiseless one like any other, so
+memory stays bounded.  Per noisy shot, the tuple of its components' row
+ids (table ids or trajectory indices) is grouped once into the block's
+distinct joint distributions, each the outer product of its component
 marginals with axes put in ``measured_qubits`` order.  Their CDF rows are
 built in batches under the same budget and sampled as above.  Byte-equal
 marginals multiply and sum into byte-equal CDF rows, and each shot still
-searches its own outcome draw, so merging leaves every count unchanged.  A
-circuit of one component takes the same path: its joint rows are its
-marginals.
+searches its own outcome draw, so the ids and the grouping leave every
+count unchanged.  A circuit of one component takes the same path: its
+joint rows are its marginals.
 """
 
 from __future__ import annotations
@@ -222,8 +220,13 @@ def _apply_1q(amps: np.ndarray, m: np.ndarray, qubit: int) -> np.ndarray:
     view = amps.reshape(1 << qubit, 2, -1, amps.shape[-1])
     zero, one = view[:, 0], view[:, 1]
     out = np.empty_like(view)
-    out[:, 0] = m[0, 0] * zero + m[0, 1] * one
-    out[:, 1] = m[1, 0] * zero + m[1, 1] * one
+    # Each half is the sum of its two products, added in either order, as
+    # IEEE addition commutes; the products go straight into the halves.
+    np.multiply(m[0, 0], zero, out=out[:, 0])
+    np.multiply(m[1, 1], one, out=out[:, 1])
+    other = np.multiply(m[0, 1], one)
+    out[:, 0] += other
+    out[:, 1] += np.multiply(m[1, 0], zero, out=other)
     return out.reshape(amps.shape)
 
 
@@ -408,9 +411,11 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel, compiled: _Compiled) 
     two or four bits (``_choice_shift``), and only the outcome word is
     turned into u, which the CDFs are searched with.  The matrix is
     drawn in blocks of rows, each sampled as it is drawn: a noisy shot,
-    where some event fired and drew a non-identity Pauli, by
-    ``_noisy_outcomes`` from its code row (int8, one column per gate) and
-    outcome draw, every other shot in the noiseless CDF of ``compiled``.
+    where some gate's event fired, by ``_noisy_outcomes`` from its code row
+    (int8, one column per gate) and outcome draw, every other shot in the
+    noiseless CDF of ``compiled``.  A noisy shot whose events all drew the
+    identity gets every component's noiseless row, and so the outcome the
+    noiseless CDF would give.
     Then all of the block's outcomes get their flips and go into the one
     tally, so nothing is kept per shot beyond its block.
 
@@ -437,14 +442,12 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel, compiled: _Compiled) 
 
     def sample(block: np.ndarray):
         """Add the outcomes of the rows of ``block`` to ``tally``."""
-        hit_rows = np.flatnonzero((block[:, live] <= last).any(axis=1))
-        hit_codes = np.where(
-            block[hit_rows, :num_gates] >> 11 < threshold,
-            (block[hit_rows, num_gates : 2 * num_gates] >> shifts).astype(np.int8),
+        rows = np.flatnonzero((block[:, live] <= last).any(axis=1))
+        codes = np.where(
+            block[rows, :num_gates] >> 11 < threshold,
+            (block[rows, num_gates : 2 * num_gates] >> shifts).astype(np.int8),
             0,
         )
-        noisy = hit_codes.any(axis=1)
-        rows = hit_rows[noisy]
         outcome_u = _uniforms(block[:, 2 * num_gates])
         clean = np.ones(len(block), dtype=bool)
         clean[rows] = False
@@ -454,7 +457,7 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel, compiled: _Compiled) 
         first = compiled.guide[(u * len(compiled.guide)).astype(np.intp)]
         outcomes[clean] = _search(compiled.cdf, first, compiled.steps, u)
         if len(rows):
-            outcomes[rows] = _noisy_outcomes(circuit, compiled, hit_codes[noisy], outcome_u[rows])
+            outcomes[rows] = _noisy_outcomes(circuit, compiled, codes, outcome_u[rows])
         if noise.readout_flip:
             outcomes ^= _flip_masks(block[:, 2 * num_gates + 1 :], noise.readout_flip)
         # Unlike bincount(minlength=), this costs nothing per possible outcome.
@@ -491,14 +494,14 @@ def _group(rows: np.ndarray):
     noiseless trajectory), and every all-zero row maps to it."""
     count, width = rows.shape
     # Each row, zero-padded to whole 8-byte words, and to one word if it has
-    # none, as lexsort needs a key, is sorted as a key of uint64 words, the
-    # first most significant.  A leading all-zero row is the smallest key,
-    # so it takes index 0.
+    # none, is sorted as a key of uint64 words, the first most significant:
+    # by lexsort, or by a plain argsort where one word holds it.  A leading
+    # all-zero row is the smallest key, so it takes index 0.
     words = max(1, -(-width * rows.itemsize // 8))
     padded = np.zeros((count + 1, words * 8 // rows.itemsize), dtype=rows.dtype)
     padded[1:, :width] = rows
     keys = padded.view(np.uint64)
-    order = np.lexsort(keys.T[::-1])
+    order = np.argsort(keys[:, 0]) if words == 1 else np.lexsort(keys.T[::-1])
     ranked = keys[order]
     first = np.ones(count + 1, dtype=bool)
     first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
@@ -543,16 +546,68 @@ def _born_rows(circuit: Circuit, qubits: tuple[int, ...], trajectories: np.ndarr
         yield _born_probs(_evolve(circuit, trajectories[part], qubits), measured)
 
 
+class _Table:
+    """The Born marginal rows of a component's trajectories, found by key.
+    A trajectory's key packs its Pauli codes in gate order, the first gate
+    lowest, 2 bits after a one-qubit gate and 4 after a CNOT, so key 0 is
+    the noiseless trajectory.  Filled as keys are first met, under
+    ``_memo_lock``: a new row byte-identical to a held one (a Pauli such as
+    ZZ after a Bell pair's CNOT leaves the pair's marginal unchanged, bit
+    for bit) takes that row's id, so the held rows are byte-distinct."""
+
+    def __init__(self, widths: list[int], noiseless: np.ndarray):
+        # Per gate, where its code sits in a key and the mask that takes it out.
+        self.shifts = np.cumsum([0] + widths, dtype=np.intp)[:-1]
+        self.masks = (1 << np.array(widths, dtype=np.intp)) - 1
+        # Key -> the index of its row in ``rows``, or -1 until it is evolved.
+        self.ids = np.full(1 << sum(widths), -1, dtype=np.intp)
+        self.ids[0] = 0
+        # The byte-distinct rows, the noiseless one first: read-only, and
+        # replaced, never written, when rows are added.
+        self.rows = noiseless
+        self.seen = {noiseless.tobytes(): 0}
+
+    def keys(self, codes: np.ndarray) -> np.ndarray:
+        """The key of each row of ``codes``, the component's code rows."""
+        return (codes.astype(np.intp) << self.shifts).sum(axis=1)
+
+    def lookup(self, circuit: Circuit, qubits: tuple[int, ...], codes: np.ndarray):
+        """The held rows and, per row of ``codes`` (the component's code
+        rows), the index of its trajectory's row.  Trajectories met for the
+        first time are evolved together and added."""
+        keys = self.keys(codes)
+        with _memo_lock:
+            ids = self.ids[keys]
+            missing = ids < 0
+            if missing.any():
+                new = np.zeros(len(self.ids), dtype=bool)
+                new[keys[missing]] = True
+                new = np.flatnonzero(new)
+                trajectories = (new[:, np.newaxis] >> self.shifts & self.masks).astype(np.int8)
+                evolved = np.concatenate(list(_born_rows(circuit, qubits, trajectories)))
+                added = []
+                for key, row in zip(new, evolved):
+                    blob = row.tobytes()
+                    if blob not in self.seen:
+                        self.seen[blob] = len(self.seen)
+                        added.append(row)
+                    self.ids[key] = self.seen[blob]
+                if added:
+                    rows = np.concatenate([self.rows, added])
+                    rows.flags.writeable = False
+                    self.rows = rows
+                ids = self.ids[keys]
+            return self.rows, ids
+
+
 class _Component(NamedTuple):
     """A connected component with a measured qubit, as run_shots sees it."""
 
     qubits: tuple[int, ...]
     # The indices of the circuit's gates that act on it.
     gates: list[int]
-    # Trajectory code row (its bytes) -> its Born marginal row (its bytes),
-    # one row of 2**m float64 over the m measured qubits.  It always holds
-    # the all-zero trajectory, whose row is the noiseless marginal.
-    memo: dict
+    # Its table, or None where the table's rows would not fit the batch budget.
+    table: _Table | None
 
 
 class _Compiled(NamedTuple):
@@ -569,24 +624,29 @@ class _Compiled(NamedTuple):
     steps: int
 
 
-# The most circuits _compile keeps, each with one memo per component.
+# The most circuits _compile keeps, each with its components' tables.
 _CACHED_CIRCUITS = 4
-# Keeps a memo's room check and its update together.
+# Keeps each table's lookups and fills together.
 _memo_lock = threading.Lock()
 
 
 @functools.lru_cache(maxsize=_CACHED_CIRCUITS)
 def _compile(circuit: Circuit) -> _Compiled:
     """Evolve the noiseless trajectory of each component with a measured
-    qubit, and build the joint CDF of its marginals and the CDF's guide.
-    Cached by the Circuit, a frozen dataclass compared by value."""
+    qubit, give the component a table if 2**bits of its marginal rows fit
+    the batch budget, and build the joint CDF of the noiseless marginals and
+    the CDF's guide.  Cached by the Circuit, a frozen dataclass compared by
+    value."""
     measured = set(circuit.measured_qubits)
     components, rows = [], []
     for qubits in _components(circuit):
         if not measured.isdisjoint(qubits):
             gates = _gates_on(circuit, qubits)
             (row,) = _born_rows(circuit, qubits, np.zeros((1, len(gates)), dtype=np.int8))
-            components.append(_Component(qubits, gates, {bytes(len(gates)): row.tobytes()}))
+            row.flags.writeable = False
+            widths = [4 if circuit.gates[i].kind is GateKind.CNOT else 2 for i in gates]
+            table = _Table(widths, row) if row.nbytes << sum(widths) <= _BATCH_BYTES else None
+            components.append(_Component(qubits, gates, table))
             rows.append(row)
     product = [q for c in components for q in c.qubits if q in measured]
     axes = tuple(map(product.index, circuit.measured_qubits))
@@ -596,70 +656,23 @@ def _compile(circuit: Circuit) -> _Compiled:
     return _Compiled(tuple(components), axes, cdf, guide, steps)
 
 
-def _split(components: tuple[_Component, ...], codes: np.ndarray):
-    """Group the rows of ``codes`` once over the gates of ``components``,
-    then split the unique rows by component.  Returns, per component, its
-    unique trajectories; per joint trajectory, its tuple of component
-    trajectory indices; and per row of ``codes``, the index of its joint
-    trajectory.  Index 0 is the noiseless trajectory at both levels."""
-    joint, inverse = _group(codes[:, [i for c in components for i in c.gates]])
-    parts, columns, start = [], [], 0
-    for component in components:
-        trajectories, index = _group(joint[:, start : start + len(component.gates)])
-        parts.append(trajectories)
-        columns.append(index)
-        start += len(component.gates)
-    return parts, np.column_stack(columns), inverse
+def _grouped_rows(circuit: Circuit, component: _Component, codes: np.ndarray):
+    """For a component without a table: a function from trajectory indices
+    to their Born marginal rows, and per row of ``codes`` (the component's
+    code rows) the index of its trajectory.  Each call evolves just the
+    trajectories asked for, so memory stays bounded however many a wide
+    component has."""
+    trajectories, index = _group(codes)
+
+    def evolve(indices: np.ndarray) -> np.ndarray:
+        needed, local = np.unique(indices, return_inverse=True)
+        rows = _born_rows(circuit, component.qubits, trajectories[needed])
+        return np.concatenate(list(rows))[local]
+
+    return evolve, index
 
 
-def _marginal_rows(circuit: Circuit, component: _Component, trajectories: np.ndarray):
-    """The Born marginals of ``component`` over its measured qubits, for its
-    unique ``trajectories``: a function from distribution indices to their
-    rows, and per trajectory the index of its distribution.
-
-    When the rows of all its trajectories fit the batch budget they are
-    held: each is read from the component's memo, and only those missing
-    are evolved and then remembered while the memo's rows fit that budget.
-    A state rounds the same way in any batch, so a remembered row is the row
-    evolution would give.  Trajectories whose rows are byte-identical then
-    share one distribution, and the noiseless trajectory's is index 0.
-    Otherwise each trajectory is its own distribution, and each call evolves
-    just the trajectories asked for, so memory stays bounded however many
-    trajectories a wide component has."""
-    qubits, memo = component.qubits, component.memo
-    row_bytes = 8 << sum(q in circuit.measured_qubits for q in qubits)
-    index = np.arange(len(trajectories))
-    if len(trajectories) * row_bytes > _BATCH_BYTES:
-
-        def evolve(indices: np.ndarray) -> np.ndarray:
-            needed, local = np.unique(indices, return_inverse=True)
-            return np.concatenate(list(_born_rows(circuit, qubits, trajectories[needed])))[local]
-
-        return evolve, index
-    codes = np.ascontiguousarray(trajectories).tobytes()
-    width = trajectories.shape[1]
-    keys = [codes[i * width : (i + 1) * width] for i in range(len(trajectories))]
-    rows = [memo.get(key) for key in keys]
-    missing = [i for i, row in enumerate(rows) if row is None]
-    if missing:
-        evolved = np.concatenate(list(_born_rows(circuit, qubits, trajectories[missing])))
-        for i, row in zip(missing, evolved):
-            rows[i] = row.tobytes()
-        # One dict lookup or update is atomic; the lock keeps the room
-        # check and the update together.
-        with _memo_lock:
-            room = _BATCH_BYTES // row_bytes - len(memo)
-            memo.update((keys[i], rows[i]) for i in missing[: max(room, 0)])
-    held = np.frombuffer(b"".join(rows)).reshape(len(rows), -1)
-    # XOR with the noiseless row maps exactly the rows equal to it, byte for
-    # byte, to the all-zero row that _group numbers 0.
-    base = held[0].view(np.uint64)
-    distinct, index = _group(held.view(np.uint64) ^ base)
-    held = (distinct ^ base).view(np.float64)
-    return (lambda indices: held[indices]), index
-
-
-def _joint_cdfs(marginal_rows: tuple, tuples: np.ndarray, axes: tuple[int, ...]):
+def _joint_cdfs(marginal_rows: list, tuples: np.ndarray, axes: tuple[int, ...]):
     """The CDF rows of the given tuples of component distribution indices,
     each the outer product of its component marginals."""
     return _product_cdfs([rows_of(c) for rows_of, c in zip(marginal_rows, tuples.T)], axes)
@@ -682,7 +695,8 @@ def _sample(cdf_batches, inverse: np.ndarray, outcome_u: np.ndarray, k: int):
     from distribution ``inverse[i]``.  ``cdf_batches`` yields the CDF rows,
     2**k entries each, of consecutive distributions, the noiseless one
     first; a shot's search window is its row."""
-    order = np.argsort(inverse, kind="stable")
+    # Indices of 16 bits or fewer are sorted by radix.
+    order = np.argsort(inverse.astype(np.min_scalar_type(inverse.max())), kind="stable")
     row_of_member = inverse[order]
     outcomes = np.empty(len(inverse), dtype=np.intp)
     first = 0
@@ -705,18 +719,26 @@ def _noisy_outcomes(
     shot with code row ``codes[i]`` draws ``outcome_u[i]`` from its joint
     trajectory's distribution."""
     k = circuit.num_measured
-    parts, tuples, inverse = _split(compiled.components, codes)
-    marginal_rows, indices = zip(
-        *(_marginal_rows(circuit, c, t) for c, t in zip(compiled.components, parts))
-    )
-    # Joint trajectories whose component distributions all match share one
-    # joint distribution; the noiseless one stays index 0.
-    tuples, which = _group(np.column_stack([i[c] for i, c in zip(indices, tuples.T)]))
+    marginal_rows, columns = [], []
+    for component in compiled.components:
+        own = codes[:, component.gates]
+        if component.table is None:
+            rows_of, index = _grouped_rows(circuit, component, own)
+        else:
+            rows, index = component.table.lookup(circuit, component.qubits, own)
+            rows_of = rows.__getitem__
+        marginal_rows.append(rows_of)
+        columns.append(index)
+    # Shots whose component distributions all match share one joint
+    # distribution; the noiseless one is index 0.  Narrow columns fill fewer
+    # of the 8-byte words _group sorts by.
+    columns = np.column_stack(columns)
+    tuples, which = _group(columns.astype(np.min_scalar_type(columns.max())))
     cdf_batches = (
         _joint_cdfs(marginal_rows, tuples[part], compiled.axes)
         for part in _slices(len(tuples), 8 << k)
     )
-    return _sample(cdf_batches, which[inverse], outcome_u, k)
+    return _sample(cdf_batches, which, outcome_u, k)
 
 
 def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCounts:

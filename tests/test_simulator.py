@@ -42,7 +42,7 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 @pytest.fixture(autouse=True)
 def _cold_cache():
-    # No test may see the compiled circuits and memos another test left.
+    # No test may see the compiled circuits and tables another test left.
     simulator._compile.cache_clear()
     yield
     simulator._compile.cache_clear()
@@ -549,9 +549,15 @@ def _noisy_codes(circuit: Circuit, shots: int, noise: NoiseModel) -> np.ndarray:
     return np.concatenate([np.zeros((0, len(circuit.gates)), dtype=np.int8), *seen])
 
 
-def _marginal_rows(circuit: Circuit, qubits: tuple, trajectories: np.ndarray):
-    (component,) = [c for c in simulator._compile(circuit).components if c.qubits == qubits]
-    return simulator._marginal_rows(circuit, component, trajectories)
+def _widths(circuit: Circuit, component) -> list[int]:
+    """Per gate of ``component``, the bits its Pauli code takes in a key."""
+    return [4 if circuit.gates[i].kind is GateKind.CNOT else 2 for i in component.gates]
+
+
+def _table_bytes(circuit: Circuit, component) -> int:
+    """The bytes of every Born marginal row ``component``'s table could hold."""
+    measured = sum(q in circuit.measured_qubits for q in component.qubits)
+    return (8 << measured) << sum(_widths(circuit, component))
 
 
 def test_many_trajectories_case_spans_batches():
@@ -694,13 +700,14 @@ def test_evolve_is_independent_of_batch(case):
 
 def _held_rows_digest() -> str:
     """sha256 over every trajectory's Born marginal row, per component, of
-    three pinned cases."""
+    three pinned cases, and over the rows their runs left in the tables."""
     digest = hashlib.sha256()
     for case in ("werner_probe", "five_qubit_subset", "singletons"):
-        circuit, _, (parts, _, _) = _split_case(case)
-        for qubits, trajectories in parts:
-            rows_of, index = _marginal_rows(circuit, qubits, trajectories)
-            digest.update(rows_of(index).tobytes())
+        circuit, _, trajectories = _component_trajectories(case)
+        for component, unique in trajectories:
+            digest.update(_evolved_rows(circuit, component, unique).tobytes())
+            if component.table is not None:
+                digest.update(component.table.rows.tobytes())
     return digest.hexdigest()
 
 
@@ -744,56 +751,91 @@ def test_components():
     assert simulator._components(_five_qubit_subset_circuit()) == [(0, 1, 2, 3, 4)]
 
 
-def _split_case(case):
-    """A pinned case's circuit, noisy code rows, and their split."""
+def _component_trajectories(case):
+    """A pinned case's circuit, its run's noisy code rows, and per component
+    with a measured qubit, the component and its unique trajectories."""
     build, shots, noise, _ = _PINNED_CASES[case]
     circuit = build()
     codes = _noisy_codes(circuit, shots, noise)
     components = simulator._compile(circuit).components
-    parts, tuples, inverse = simulator._split(components, codes)
-    return circuit, codes, ([(c.qubits, t) for c, t in zip(components, parts)], tuples, inverse)
+    return circuit, codes, [(c, simulator._group(codes[:, c.gates])[0]) for c in components]
 
 
-def _trajectory_counts(case):
-    circuit, _, (parts, tuples, _) = _split_case(case)
-    return circuit, [len(trajectories) for _, trajectories in parts], tuples
+def _evolved_rows(circuit: Circuit, component, trajectories: np.ndarray) -> np.ndarray:
+    """The Born marginal rows of ``trajectories`` of ``component``, evolved
+    in batches of the batch budget (a row does not depend on its batch)."""
+    return np.concatenate(list(simulator._born_rows(circuit, component.qubits, trajectories)))
 
 
-def test_split_skips_a_component_without_measured_qubits():
-    _, _, (parts, _, _) = _split_case("unmeasured_component")
-    assert [qubits for qubits, _ in parts] == [(0, 1), (4,)]
+def test_compile_skips_a_component_without_measured_qubits():
+    components = simulator._compile(_unmeasured_component_circuit()).components
+    assert [c.qubits for c in components] == [(0, 1), (4,)]
 
 
-def test_split_gives_a_gateless_component_its_noiseless_trajectory():
-    _, _, (parts, tuples, _) = _split_case("idle_qubit")
-    assert [qubits for qubits, _ in parts] == [(0, 2), (1,)]
-    assert parts[1][1].shape == (1, 0)
-    assert not tuples[:, 1].any()
+def test_a_gateless_component_has_one_key_its_noiseless_row():
+    build, shots, noise, digest = _PINNED_CASES["idle_qubit"]
+    circuit = build()
+    assert _digest(run_shots(circuit, shots, noise)) == digest
+    pair, idle = simulator._compile(circuit).components
+    assert (pair.qubits, idle.qubits) == ((0, 2), (1,))
+    assert idle.gates == []
+    assert idle.table.ids.tolist() == [0]
+    assert idle.table.rows.tolist() == [[1.0, 0.0]]
 
 
 @pytest.mark.parametrize("case", ["interleaved", "unmeasured_component", "idle_qubit", "singletons"])
-def test_split_recovers_every_shots_component_codes(case):
-    circuit, codes, (parts, tuples, inverse) = _split_case(case)
+def test_table_keys_recover_every_shots_component_codes(case):
+    # A key packs the codes of its component's gates in bit fields that do not
+    # overlap, so distinct trajectories get distinct keys.
+    circuit, codes, trajectories = _component_trajectories(case)
+    tables = [c for c, _ in trajectories if c.table is not None]
+    assert tables
+    for component in tables:
+        table, own = component.table, codes[:, component.gates]
+        keys = table.keys(own)
+        assert keys.min() >= 0 and keys.max() < len(table.ids)
+        np.testing.assert_array_equal(keys[:, np.newaxis] >> table.shifts & table.masks, own)
+        assert len(np.unique(keys)) == len(np.unique(own, axis=0))
+        assert table.keys(np.zeros((1, len(component.gates)), dtype=np.int8)).tolist() == [0]
+
+
+def _without_tables(monkeypatch, circuit: Circuit):
+    """Set the batch budget just below the smallest table of ``circuit``, so
+    that no component gets one, with batches as large as that allows."""
+    compiled = simulator._compile(circuit)
+    smallest = min(_table_bytes(circuit, c) for c in compiled.components)
+    simulator._compile.cache_clear()
+    monkeypatch.setattr(simulator, "_BATCH_BYTES", smallest - 1)
+
+
+def test_keys_case_spans_joint_row_batches(monkeypatch):
+    # With tables, the probe's Bell pairs share a few rows among all their
+    # trajectories, so its tuples fit one batch; without, they span several.
+    build, shots, noise, digest = _PINNED_CASES["packed_keys_span_batches"]
+    circuit = build()
+    _without_tables(monkeypatch, circuit)
+    seen = _spy(monkeypatch, "_joint_cdfs", position=1)
+    assert _digest(run_shots(circuit, shots, noise)) == digest
+    assert len(seen) > 2
+    assert len(seen[0]) == simulator._BATCH_BYTES // (8 << circuit.num_measured)
+
+
+def test_tuple_key_does_not_overflow(monkeypatch):
+    # 16 components: no mixed-radix int64 key over their trajectories could
+    # count the joint trajectories.  The tuples of their row ids are grouped
+    # by their bytes, with no such key, into distinct tuples, the noiseless
+    # one first.
+    build, shots, noise, digest = _PINNED_CASES["singletons"]
+    circuit, _, trajectories = _component_trajectories("singletons")
+    assert math.prod(len(unique) for _, unique in trajectories) > 2**63
+    simulator._compile.cache_clear()
+    seen = _spy(monkeypatch, "_joint_cdfs", position=1)
+    assert _digest(run_shots(circuit, shots, noise)) == digest
+    tuples = np.concatenate(seen)
+    assert len(seen) > 1
+    assert tuples.shape[1] == 16
     assert not tuples[0].any()
-    for (qubits, trajectories), column in zip(parts, tuples.T):
-        np.testing.assert_array_equal(
-            trajectories[column[inverse]], codes[:, simulator._gates_on(circuit, qubits)]
-        )
-
-
-def test_keys_case_spans_joint_row_batches():
-    circuit, _, tuples = _trajectory_counts("packed_keys_span_batches")
-    assert len(tuples) > 2 * (simulator._BATCH_BYTES // (8 << circuit.num_measured))
-
-
-def test_tuple_key_does_not_overflow():
-    # A mixed-radix int64 key over all components could not count these
-    # tuples; splitting the joint trajectories keeps every tuple distinct.
-    _, counts, tuples = _trajectory_counts("singletons")
-    assert len(counts) == 16
-    assert math.prod(counts) > 2**63
     assert len(np.unique(tuples, axis=0)) == len(tuples)
-    assert not tuples[0].any()
 
 
 def _spy(monkeypatch, name, position=0):
@@ -815,42 +857,73 @@ def test_werner_probe_builds_a_joint_row_per_distinct_distribution(monkeypatch):
     # marginal unchanged bit for bit, so most joint trajectories share their
     # distribution with others.
     build, shots, noise, digest = _PINNED_CASES["werner_probe"]
-    _, _, tuples = _trajectory_counts("werner_probe")
+    circuit, codes, _ = _component_trajectories("werner_probe")
+    joint, _ = simulator._group(codes)
+    simulator._compile.cache_clear()
     built = _spy(monkeypatch, "_cdfs")
-    assert _digest(run_shots(build(), shots, noise)) == digest
-    assert len(tuples) > 1500
-    assert 10 * sum(map(len, built)) < len(tuples)
+    assert _digest(run_shots(circuit, shots, noise)) == digest
+    assert len(joint) > 1500
+    assert 10 * sum(map(len, built)) < len(joint)
+
+
+def _check_table(circuit: Circuit, component):
+    """Every key filled in ``component``'s table maps to a row equal, byte
+    for byte, to its trajectory's row evolved afresh; the rows are
+    byte-distinct, and key 0 maps to the noiseless row, the first."""
+    table = component.table
+    filled = np.flatnonzero(table.ids >= 0)
+    assert filled[0] == 0 and table.ids[0] == 0
+    trajectories = (filled[:, np.newaxis] >> table.shifts & table.masks).astype(np.int8)
+    evolved = _evolved_rows(circuit, component, trajectories)
+    assert table.rows[table.ids[filled]].tobytes() == evolved.tobytes()
+    rows = table.rows
+    assert len(np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))))) == len(rows)
+    assert sorted(set(table.ids[filled].tolist())) == list(range(len(rows)))
+    assert rows.nbytes <= _table_bytes(circuit, component) <= simulator._BATCH_BYTES
+    assert len(table.seen) == len(rows)
 
 
 @pytest.mark.parametrize("case", sorted(_PINNED_CASES))
 def test_held_marginals_are_distinct_and_exact(case):
-    circuit, _, (parts, _, _) = _split_case(case)
-    for qubits, trajectories in parts:
-        rows_of, index = _marginal_rows(circuit, qubits, trajectories)
-        measured = tuple(i for i, q in enumerate(qubits) if q in circuit.measured_qubits)
-        if len(trajectories) * (8 << len(measured)) > simulator._BATCH_BYTES:
-            # Not held: every trajectory stays its own distribution.
-            np.testing.assert_array_equal(index, np.arange(len(trajectories)))
-            continue
-        assert index[0] == 0
-        distinct = rows_of(np.arange(index.max() + 1))
-        blobs = distinct.view(np.dtype((np.void, distinct.itemsize * distinct.shape[1])))
-        assert len(np.unique(blobs)) == len(distinct)
-        each = simulator._born_probs(simulator._evolve(circuit, trajectories, qubits), measured)
-        assert distinct[index].tobytes() == each.tobytes()
+    # Every component whose table fits the budget holds its marginals there.
+    build, shots, noise, digest = _PINNED_CASES[case]
+    circuit = build()
+    assert _digest(run_shots(circuit, shots, noise)) == digest
+    for component in simulator._compile(circuit).components:
+        if component.table is None:
+            assert _table_bytes(circuit, component) > simulator._BATCH_BYTES
+        else:
+            _check_table(circuit, component)
 
 
-def test_singletons_regroup_keeps_the_noiseless_distribution_first(monkeypatch):
-    # The joint trajectories of this case could not be keyed by one int64;
-    # grouping their distributions must not need such a key either.
-    build, shots, noise, digest = _PINNED_CASES["singletons"]
-    seen = _spy(monkeypatch, "_joint_cdfs", position=1)
-    assert _digest(run_shots(build(), shots, noise)) == digest
-    distributions = np.concatenate(seen)
-    assert len(seen) > 1
-    assert distributions.shape[1] == 16
-    assert not distributions[0].any()
-    assert len(np.unique(distributions, axis=0)) == len(distributions)
+@pytest.mark.parametrize("case", ["five_qubit_subset", "wide_component"])
+def test_no_component_gets_a_table_larger_than_the_budget(case):
+    # five_qubit_subset's 11 gates pack into 34-bit keys: a table would take
+    # 2**34 ids (128 GiB), and the wide chain's 38-bit keys 16 times that.
+    build, shots, noise, digest = _PINNED_CASES[case]
+    circuit = build()
+    tracemalloc.start()
+    try:
+        compiled = simulator._compile(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    wide = [c for c in compiled.components if _table_bytes(circuit, c) > simulator._BATCH_BYTES]
+    assert wide
+    assert all(c.table is None for c in wide)
+    assert peak < 2**20
+    assert _digest(run_shots(circuit, shots, noise)) == digest
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_CASES))
+def test_counts_without_tables(monkeypatch, case):
+    # A budget just below the smallest table sends every component down the
+    # grouped path, with batches as large as that budget allows.
+    build, shots, noise, digest = _PINNED_CASES[case]
+    circuit = build()
+    _without_tables(monkeypatch, circuit)
+    assert _digest(run_shots(circuit, shots, noise)) == digest
+    assert all(c.table is None for c in simulator._compile(circuit).components)
 
 
 @pytest.mark.parametrize("case", ["singletons", "wide_component"])
@@ -867,6 +940,31 @@ def test_memory_stays_bounded(case):
         tracemalloc.stop()
     assert _digest(counts) == digest
     assert peak < 4 * 2**20
+
+
+def test_noisy_runs_do_not_import_numpy_ma():
+    # np.unique without return_inverse imports numpy.ma on its first call:
+    # about 1 MiB of traced memory, enough to fail test_memory_stays_bounded
+    # when that test runs first in its process.
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(simulator.__file__)))
+    script = (
+        "import sys, test_simulator as t\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        "for case in ('werner_probe', 'wide_component', 'singletons'):\n"
+        "    build, shots, noise, _ = t._PINNED_CASES[case]\n"
+        "    t.run_shots(build(), shots, noise)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([tests_dir, src_dir])),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"
 
 
 def _traced_peaks(noise: NoiseModel) -> list[int]:
@@ -932,8 +1030,8 @@ def test_draw_memory_does_not_grow_with_cpus(monkeypatch):
 
 
 def test_wide_component_marginals_exceed_the_memory_bound():
-    _, counts, _ = _trajectory_counts("wide_component")
-    assert counts[0] * (8 << 10) > 4 * 2**20
+    _, _, trajectories = _component_trajectories("wide_component")
+    assert len(trajectories[0][1]) * (8 << 10) > 4 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -1135,7 +1233,7 @@ def test_philox_raw_words_are_pinned():
 
 @pytest.mark.parametrize("case", sorted(_PINNED_CASES))
 def test_warm_counts_match_cold_counts(case):
-    # The memo filled by another seed's run, and then by this run itself,
+    # The tables filled by another seed's run, and then by this run itself,
     # must give the counts of a cold cache.
     build, shots, noise, digest = _PINNED_CASES[case]
     run_shots(build(), shots, noise.with_seed(noise.seed + 1))
@@ -1146,11 +1244,14 @@ def test_warm_counts_match_cold_counts(case):
 
 def test_cached_arrays_are_read_only():
     compiled = simulator._compile(packed_chsh_circuit())
-    for array in (compiled.cdf, compiled.guide, simulator.PAULIS):
+    # A fill replaces a table's rows with a larger array, read-only too.
+    run_shots(packed_chsh_circuit(), 1000, NoiseModel(p2=0.3))
+    rows = [c.table.rows for c in compiled.components]
+    assert all(len(r) > 1 for r in rows)
+    for array in (compiled.cdf, compiled.guide, simulator.PAULIS, *rows):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 0.5
-    assert all(type(row) is bytes for c in compiled.components for row in c.memo.values())
 
 
 def test_cache_keeps_the_most_recently_used_circuits():
@@ -1168,27 +1269,30 @@ def test_cache_keeps_the_most_recently_used_circuits():
 
 
 def test_memo_stays_within_its_budget():
-    # A Bell pair with twelve noisy gates: nearly every shot has its own
-    # trajectory, about 1000 per run, all held; twelve seeds offer more
-    # trajectories than the memo has room for.
-    gates = (Gate.h(0), Gate.cnot(0, 1)) + tuple(Gate.ry(q % 2, 0.3 * q) for q in range(10))
+    # A Bell pair and three rotations: 12-bit keys, whose 4096 rows of four
+    # outcomes take 128 KiB.  Twelve seeds at p = 0.5 meet most keys; one more
+    # rotation would need 512 KiB and get no table.
+    gates = (Gate.h(0), Gate.cnot(0, 1)) + tuple(Gate.ry(q % 2, 0.3 * q + 0.1) for q in range(3))
     circuit = Circuit(2, gates, (0, 1))
-    capacity = simulator._BATCH_BYTES // (8 << 2)
     for seed in range(12):
         counts = run_shots(circuit, 1000, NoiseModel(p1=0.5, p2=0.5, seed=seed))
-        (component,) = simulator._compile(circuit).components
-        assert len(component.memo) <= capacity
-    assert len(component.memo) == capacity
+    (component,) = simulator._compile(circuit).components
+    assert len(component.table.ids) == 1 << 12
+    assert (component.table.ids >= 0).sum() > 1500
+    _check_table(circuit, component)
     assert simulator._compile.cache_info().misses == 1
     simulator._compile.cache_clear()
     assert dict(run_shots(circuit, 1000, NoiseModel(p1=0.5, p2=0.5, seed=11))) == dict(counts)
+    wider = Circuit(2, gates + (Gate.rx(0, 0.4),), (0, 1))
+    run_shots(wider, 100, NoiseModel(p1=0.5, p2=0.5))
+    assert simulator._compile(wider).components[0].table is None
 
 
 def test_threads_share_the_cache_safely(monkeypatch):
     # Eight threads, switching often, run six circuits, more than the cache
-    # keeps, so compiles, evictions and memo updates interleave.  Every run
-    # must give the counts of a cold cache, and the bounds must hold for
-    # every compiled circuit a run used.
+    # keeps, so compiles, evictions and table fills interleave.  Every run
+    # must give the counts of a cold cache, and every table a run used must
+    # hold exact, byte-distinct rows.
     circuits = [packed_chsh_circuit(MeasurementSettings(b0=0.2 * i)) for i in range(6)]
     noise = NoiseModel(p1=0.01, p2=0.3, seed=9)
     expected = []
@@ -1200,7 +1304,7 @@ def test_threads_share_the_cache_safely(monkeypatch):
 
     def recorded(circuit):
         compiled = compile_(circuit)
-        used.append(compiled)
+        used.append((circuit, compiled))
         return compiled
 
     monkeypatch.setattr(simulator, "_compile", recorded)
@@ -1215,8 +1319,9 @@ def test_threads_share_the_cache_safely(monkeypatch):
     assert results == [expected[i] for i in jobs]
     assert len(used) == len(jobs)
     assert compile_.cache_info().currsize == simulator._CACHED_CIRCUITS
-    capacity = simulator._BATCH_BYTES // (8 << 2)
-    assert all(len(c.memo) <= capacity for compiled in used for c in compiled.components)
+    for circuit, compiled in {id(c): (circuit, c) for circuit, c in used}.values():
+        for component in compiled.components:
+            _check_table(circuit, component)
 
 
 def test_draw_memory_does_not_grow_with_readout_bits(monkeypatch):
