@@ -820,17 +820,21 @@ def test_keys_case_spans_joint_row_batches(monkeypatch):
     assert len(seen[0]) == simulator._BATCH_BYTES // (8 << circuit.num_measured)
 
 
-def test_tuple_key_does_not_overflow(monkeypatch):
+def test_tuple_key_does_not_overflow():
     # 16 components: no mixed-radix int64 key over their trajectories could
-    # count the joint trajectories.  The tuples of their row ids are grouped
-    # by their bytes, with no such key, into distinct tuples, the noiseless
-    # one first.
-    build, shots, noise, digest = _PINNED_CASES["singletons"]
-    circuit, _, trajectories = _component_trajectories("singletons")
+    # count the joint trajectories.
+    _, _, trajectories = _component_trajectories("singletons")
+    assert len(trajectories) == 16
     assert math.prod(len(unique) for _, unique in trajectories) > 2**63
+
+
+def test_singletons_regroup_keeps_the_noiseless_distribution_first(monkeypatch):
+    # The tuples of the components' row ids are grouped by their bytes, with
+    # no int64 key, into distinct tuples, the noiseless one first.
+    build, shots, noise, digest = _PINNED_CASES["singletons"]
     simulator._compile.cache_clear()
     seen = _spy(monkeypatch, "_joint_cdfs", position=1)
-    assert _digest(run_shots(circuit, shots, noise)) == digest
+    assert _digest(run_shots(build(), shots, noise)) == digest
     tuples = np.concatenate(seen)
     assert len(seen) > 1
     assert tuples.shape[1] == 16
