@@ -4,8 +4,9 @@ interchangeable execution providers.
 Three adapters live here.  ``SimulatorAdapter`` wraps the built-in
 simulator.  ``ReplayAdapter`` replays a recorded session from a file, which
 stands in for remote providers so queue-delay and stale-calibration
-behavior can be tested offline.  ``RecordingAdapter`` wraps any adapter and
-captures its outputs into a recording for later replay.
+behavior can be tested offline.  ``RecordingAdapter`` wraps any
+``BackendAdapter`` and captures its outputs into a recording for later
+replay.
 
 Adapters are not thread-safe; use one adapter from one logical thread at a
 time.
@@ -25,7 +26,7 @@ from .calibration import (
     calibration_to_dict,
     synthetic_calibration_for,
 )
-from .circuits import BitstringCounts, Circuit
+from .circuits import BitstringCounts, Circuit, check_circuit
 from .errors import (
     BackendError, CalibrationError, RecordingExhausted, check_aware, check_shots, check_tuple,
     check_type,
@@ -231,7 +232,10 @@ class ReplayAdapter(BackendAdapter):
     recordings cannot be re-derived from circuits.  With ``strict=True``
     each replayed result must be shaped like an answer to the submitted
     request: bitstring width equal to the circuit's measured-qubit count and
-    recorded shots equal to the requested shots.
+    recorded shots equal to the requested shots.  In either mode a circuit
+    that is not a ``Circuit`` raises :class:`CircuitError`, and shots that
+    are not a positive integer :class:`BackendError`, before a recorded
+    result is used.
     """
 
     def __init__(self, recording: Recording, strict: bool = False):
@@ -245,6 +249,8 @@ class ReplayAdapter(BackendAdapter):
         return cls(parse_recording(Path(path).read_text()), strict=strict)
 
     def run(self, circuit: Circuit, shots: int) -> ExperimentResult:
+        check_circuit(circuit)
+        shots = check_shots(shots, BackendError)
         self.submitted.append((circuit, shots))
         if self._cursor >= len(self._recording.results):
             raise RecordingExhausted(
@@ -286,7 +292,7 @@ class RecordingAdapter(BackendAdapter):
     """
 
     def __init__(self, inner: BackendAdapter):
-        self._inner = inner
+        self._inner = check_type(inner, BackendAdapter, "inner", BackendError)
         self._results: list[ExperimentResult] = []
         self._served: CalibrationSnapshot | None = None
 

@@ -173,6 +173,18 @@ def load_workflow(
     return Workflow(adapter, resolved_backend, **built), []
 
 
+def _read_config(path: Path) -> Any:
+    """The document in the workflow file at ``path``; raises
+    :class:`DocumentError`, located at the file, when it cannot be read as
+    text or holds no JSON document."""
+    try:
+        return decode(path.read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DocumentError(str(path), f"cannot read: {exc}") from None
+    except DocumentError as exc:
+        raise DocumentError(str(path), exc.message) from None
+
+
 def validate_workflow(doc: Any, base_dir: Path) -> list[DocumentError]:
     """The diagnostics of :func:`load_workflow`; an empty list means the
     workflow is runnable."""
@@ -188,12 +200,9 @@ def run_workflow(
     config_path = Path(config_path)
     base_dir = config_path.parent
     try:
-        doc = decode(config_path.read_text())
-    except OSError as exc:
-        print(f"error: cannot read {config_path}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        doc = _read_config(config_path)
     except DocumentError as exc:
-        print(f"error: {config_path}: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
     workflow, diagnostics = load_workflow(doc, base_dir, seed_override)
@@ -257,12 +266,9 @@ def run_workflow(
 def _cmd_validate(config_path: str) -> int:
     path = Path(config_path)
     try:
-        doc = decode(path.read_text())
-    except OSError as exc:
-        print(f"{path}: cannot read: {exc}")
-        return EXIT_CONFIG_ERROR
+        doc = _read_config(path)
     except DocumentError as exc:
-        print(f"{path}: {exc}")
+        print(exc)
         return EXIT_CONFIG_ERROR
     diagnostics = validate_workflow(doc, path.parent)
     for diagnostic in diagnostics:

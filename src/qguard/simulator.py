@@ -53,30 +53,32 @@ evolves a batch of one.
 Cache: ``_compile`` keeps the four most recently used circuits in a
 ``functools.lru_cache``, keyed by the ``Circuit``, a frozen dataclass
 compared by value; ``run_shots`` checks its arguments' types first.  A
-compiled circuit holds the component layout, the read-only noiseless CDF
-and its guide table, and a table per component whose rows fit the batch
-budget (see below).  A block evolves only the trajectories its components'
-tables lack, under one lock.  Since a state rounds the same way in any
-batch, a held row is the row evolution would give, and the counts do not
-depend on what the cache holds.  So the cache holds at most four CDFs and
-guide tables of 2**k entries each, and per component at most a batch
-budget of rows.
+compiled circuit holds the component layout, the noiseless CDF and its
+guide table, and a table per component whose trajectories fit one batch
+(see below).  All are built when the circuit is compiled and read-only
+after, so threads share them with no lock.  Since a state rounds the same
+way in any batch, a held row is the row evolution would give, and the
+counts do not depend on what the cache holds.  So the cache holds at most
+four CDFs and guide tables of 2**k entries each, and per component less
+than a batch budget of rows and ids.
 
 Components: qubits that no chain of CNOTs links never interact, so a
 circuit splits into connected components, and each is simulated as a small
 circuit of its own; one without a measured qubit is skipped.  A
 component's trajectory, its gates' Pauli codes, packs into a key of 2 bits
 per one-qubit gate and 4 per CNOT, and the component gets a table when
-2**bits of its Born marginal rows, over its m measured qubits, fit the
-batch budget: 2**bits * 8 * 2**m bytes.  The packed probe's Bell pairs
-have 10-bit keys and 32 KiB tables.  The table maps each key to the id of
-its trajectory's row, evolved the first time the key is met, and holds
-only byte-distinct rows: a Pauli such as ZZ after a Bell pair's CNOT leaves
-the pair's marginal unchanged, bit for bit, so such trajectories share a
-row.  A wider component has no table: a block groups its code columns
-into unique trajectories, and evolves, for each batch of joint rows, just
-the trajectories the batch needs, the noiseless one like any other, so
-memory stays bounded.  Per noisy shot, the tuple of its components' row
+all 2**bits of its trajectories fit one batch: 2**bits states of
+16 * 2**n bytes, on its n qubits.  The packed probe's Bell pairs have
+10-bit keys and 64 KiB batches.  ``_compile`` evolves every key's
+trajectory in that one batch, and the table maps each key to the id of its
+trajectory's Born marginal row and holds only byte-distinct rows: a Pauli
+such as ZZ after a Bell pair's CNOT leaves the pair's marginal unchanged,
+bit for bit, so such trajectories share a row.  A block looks its shots'
+rows up by key and evolves nothing for such a component.  A wider
+component has no table: a block groups its code columns into unique
+trajectories, and evolves, for each batch of joint rows, just the
+trajectories the batch needs, the noiseless one like any other, so memory
+stays bounded.  Per noisy shot, the tuple of its components' row
 ids (table ids or trajectory indices) is grouped once into the block's
 distinct joint distributions, each the outer product of its component
 marginals with axes put in ``measured_qubits`` order.  Their CDF rows are
@@ -546,58 +548,41 @@ def _born_rows(circuit: Circuit, qubits: tuple[int, ...], trajectories: np.ndarr
         yield _born_probs(_evolve(circuit, trajectories[part], qubits), measured)
 
 
-class _Table:
-    """The Born marginal rows of a component's trajectories, found by key.
-    A trajectory's key packs its Pauli codes in gate order, the first gate
-    lowest, 2 bits after a one-qubit gate and 4 after a CNOT, so key 0 is
-    the noiseless trajectory.  Filled as keys are first met, under
-    ``_memo_lock``: a new row byte-identical to a held one (a Pauli such as
-    ZZ after a Bell pair's CNOT leaves the pair's marginal unchanged, bit
-    for bit) takes that row's id, so the held rows are byte-distinct."""
+class _Table(NamedTuple):
+    """The Born marginal rows of every trajectory of a component, found by
+    key; built by ``_table`` and read-only.  A trajectory's key packs its
+    Pauli codes in gate order, the first gate lowest, 2 bits after a
+    one-qubit gate and 4 after a CNOT, so key 0 is the noiseless
+    trajectory."""
 
-    def __init__(self, widths: list[int], noiseless: np.ndarray):
-        # Per gate, where its code sits in a key and the mask that takes it out.
-        self.shifts = np.cumsum([0] + widths, dtype=np.intp)[:-1]
-        self.masks = (1 << np.array(widths, dtype=np.intp)) - 1
-        # Key -> the index of its row in ``rows``, or -1 until it is evolved.
-        self.ids = np.full(1 << sum(widths), -1, dtype=np.intp)
-        self.ids[0] = 0
-        # The byte-distinct rows, the noiseless one first: read-only, and
-        # replaced, never written, when rows are added.
-        self.rows = noiseless
-        self.seen = {noiseless.tobytes(): 0}
+    # Per gate, where its code sits in a key.
+    shifts: np.ndarray
+    # Per key, the index of its trajectory's row in ``rows``; key 0 has 0.
+    ids: np.ndarray
+    # The byte-distinct rows, the noiseless one first.
+    rows: np.ndarray
 
     def keys(self, codes: np.ndarray) -> np.ndarray:
         """The key of each row of ``codes``, the component's code rows."""
         return (codes.astype(np.intp) << self.shifts).sum(axis=1)
 
-    def lookup(self, circuit: Circuit, qubits: tuple[int, ...], codes: np.ndarray):
-        """The held rows and, per row of ``codes`` (the component's code
-        rows), the index of its trajectory's row.  Trajectories met for the
-        first time are evolved together and added."""
-        keys = self.keys(codes)
-        with _memo_lock:
-            ids = self.ids[keys]
-            missing = ids < 0
-            if missing.any():
-                new = np.zeros(len(self.ids), dtype=bool)
-                new[keys[missing]] = True
-                new = np.flatnonzero(new)
-                trajectories = (new[:, np.newaxis] >> self.shifts & self.masks).astype(np.int8)
-                evolved = np.concatenate(list(_born_rows(circuit, qubits, trajectories)))
-                added = []
-                for key, row in zip(new, evolved):
-                    blob = row.tobytes()
-                    if blob not in self.seen:
-                        self.seen[blob] = len(self.seen)
-                        added.append(row)
-                    self.ids[key] = self.seen[blob]
-                if added:
-                    rows = np.concatenate([self.rows, added])
-                    rows.flags.writeable = False
-                    self.rows = rows
-                ids = self.ids[keys]
-            return self.rows, ids
+
+def _table(circuit: Circuit, qubits: tuple[int, ...], widths: list[int]) -> _Table:
+    """The table of the component ``qubits``, whose gates' codes take
+    ``widths`` bits in a key: every key's trajectory evolved in one batch,
+    and a row byte-identical to an earlier key's (a Pauli such as ZZ after
+    a Bell pair's CNOT leaves the pair's marginal unchanged, bit for bit)
+    given that key's id, so key 0 has id 0 and the rows are byte-distinct."""
+    shifts = np.cumsum([0] + widths, dtype=np.intp)[:-1]
+    keys = np.arange(1 << sum(widths))[:, np.newaxis]
+    masks = (1 << np.array(widths, dtype=np.intp)) - 1
+    (evolved,) = _born_rows(circuit, qubits, (keys >> shifts & masks).astype(np.int8))
+    # Each distinct row's bytes, in the order of their ids.
+    seen: dict[bytes, int] = {}
+    ids = np.array([seen.setdefault(row.tobytes(), len(seen)) for row in evolved], dtype=np.intp)
+    rows = np.frombuffer(b"".join(seen), dtype=evolved.dtype).reshape(len(seen), -1)
+    ids.flags.writeable = shifts.flags.writeable = False
+    return _Table(shifts, ids, rows)
 
 
 class _Component(NamedTuple):
@@ -606,7 +591,7 @@ class _Component(NamedTuple):
     qubits: tuple[int, ...]
     # The indices of the circuit's gates that act on it.
     gates: list[int]
-    # Its table, or None where the table's rows would not fit the batch budget.
+    # Its table, or None where its trajectories would not fit one batch.
     table: _Table | None
 
 
@@ -626,26 +611,26 @@ class _Compiled(NamedTuple):
 
 # The most circuits _compile keeps, each with its components' tables.
 _CACHED_CIRCUITS = 4
-# Keeps each table's lookups and fills together.
-_memo_lock = threading.Lock()
 
 
 @functools.lru_cache(maxsize=_CACHED_CIRCUITS)
 def _compile(circuit: Circuit) -> _Compiled:
-    """Evolve the noiseless trajectory of each component with a measured
-    qubit, give the component a table if 2**bits of its marginal rows fit
-    the batch budget, and build the joint CDF of the noiseless marginals and
-    the CDF's guide.  Cached by the Circuit, a frozen dataclass compared by
-    value."""
+    """Give each component with a measured qubit a table if its 2**bits
+    trajectories fit one batch, else evolve just its noiseless trajectory,
+    and build the joint CDF of the noiseless marginals and the CDF's guide.
+    Cached by the Circuit, a frozen dataclass compared by value."""
     measured = set(circuit.measured_qubits)
     components, rows = [], []
     for qubits in _components(circuit):
         if not measured.isdisjoint(qubits):
             gates = _gates_on(circuit, qubits)
-            (row,) = _born_rows(circuit, qubits, np.zeros((1, len(gates)), dtype=np.int8))
-            row.flags.writeable = False
             widths = [4 if circuit.gates[i].kind is GateKind.CNOT else 2 for i in gates]
-            table = _Table(widths, row) if row.nbytes << sum(widths) <= _BATCH_BYTES else None
+            if (16 << len(qubits)) << sum(widths) <= _BATCH_BYTES:
+                table = _table(circuit, qubits, widths)
+                row = table.rows[:1]
+            else:
+                table = None
+                (row,) = _born_rows(circuit, qubits, np.zeros((1, len(gates)), dtype=np.int8))
             components.append(_Component(qubits, gates, table))
             rows.append(row)
     product = [q for c in components for q in c.qubits if q in measured]
@@ -722,11 +707,11 @@ def _noisy_outcomes(
     marginal_rows, columns = [], []
     for component in compiled.components:
         own = codes[:, component.gates]
-        if component.table is None:
+        table = component.table
+        if table is None:
             rows_of, index = _grouped_rows(circuit, component, own)
         else:
-            rows, index = component.table.lookup(circuit, component.qubits, own)
-            rows_of = rows.__getitem__
+            rows_of, index = table.rows.__getitem__, table.ids[table.keys(own)]
         marginal_rows.append(rows_of)
         columns.append(index)
     # Shots whose component distributions all match share one joint

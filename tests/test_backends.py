@@ -212,18 +212,20 @@ def test_replay_returns_results_in_order_exactly_once():
         (lambda: ExperimentResult({"0": 1}, 1, "x", T0, T0, {"k": 2}), r"metadata\['k'\]"),
         (lambda: ExperimentResult({"0": 1}, 1, "x", T0, T0, 5), "metadata"),
         (lambda: ReplayAdapter(make_recording(0), strict="no"), "strict"),
+        (lambda: RecordingAdapter(None), "inner"),
     ],
     ids=[
         "string_calibration", "string_result", "int_results", "string_recording",
         "int_backend_name", "int_metadata_key", "int_metadata_value", "int_metadata",
-        "string_strict",
+        "string_strict", "none_inner",
     ],
 )
 def test_recording_and_replay_reject_values_of_the_wrong_type(build, what):
     # A lenient replay of the second used to return "y" as evidence, and the
     # third escaped as a bare TypeError.  The three results were accepted, and
-    # recordings holding them could not be parsed back; the last turned
-    # strict mode on.
+    # recordings holding them could not be parsed back; the "no" turned
+    # strict mode on.  A recorder of None was built, and its first run raised
+    # AttributeError.
     with pytest.raises(BackendError, match=f"^{what} must be "):
         build()
 
@@ -273,6 +275,29 @@ def test_strict_replay_checks_shots():
     adapter = ReplayAdapter(recording, strict=True)
     with pytest.raises(BackendError, match="shots"):
         adapter.run(phi_plus(), 512)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+@pytest.mark.parametrize(
+    "circuit, shots, error",
+    [
+        (None, 256, CircuitError),
+        (phi_plus(), 0, BackendError),
+        (phi_plus(), "256", BackendError),
+        (phi_plus(), True, BackendError),
+    ],
+    ids=["no_circuit", "zero_shots", "string_shots", "bool_shots"],
+)
+def test_replay_rejects_a_misused_run_before_using_a_result(strict, circuit, shots, error):
+    # A lenient replay returned its result for run(None, 0).  A strict one
+    # raised AttributeError for run(None, 256), and for shots="256" said
+    # "recorded shots 256 != requested shots 256".
+    adapter = ReplayAdapter(make_recording(1), strict=strict)
+    with pytest.raises(error, match=" must be "):
+        adapter.run(circuit, shots)
+    assert adapter.submitted == []
+    assert adapter.run(phi_plus(), np.int64(256)).shots == 256
+    assert adapter.submitted == [(phi_plus(), 256)]
 
 
 def test_lenient_replay_allows_mismatches():

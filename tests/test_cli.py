@@ -236,6 +236,31 @@ def test_run_rejects_a_config_that_is_not_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (lambda path: path.mkdir(), "cannot read: "),
+        (lambda path: path.write_text("{not json"), "invalid JSON: "),
+        (lambda path: path.write_bytes(b"\xff{"), "cannot read: "),
+    ],
+    ids=["directory", "invalid_json", "not_utf8"],
+)
+def test_an_unreadable_config_is_one_line_naming_the_file(tmp_path, capsys, command, write, message):
+    # Both commands read the file through one reader.  run said "error:
+    # cannot read P: E" where validate said "P: cannot read: E", and a file
+    # that was not UTF-8 escaped both as a UnicodeDecodeError traceback.
+    path = tmp_path / "workflow.json"
+    write(path)
+    assert main([command, str(path)]) == EXIT_CONFIG_ERROR
+    out, err = capsys.readouterr()
+    shown, silent = (err, out) if command == "run" else (out, err)
+    prefix = "error: " if command == "run" else ""
+    assert silent == ""
+    assert shown.startswith(f"{prefix}{path}: {message}")
+    assert len(shown.splitlines()) == 1
+
+
 def test_run_reports_a_report_it_cannot_write(tmp_path, capsys):
     config = write_workflow(tmp_path, report_path="no_such_directory/report.json")
     assert main(["run", str(config)]) == EXIT_RUNTIME_ERROR

@@ -555,9 +555,9 @@ def _widths(circuit: Circuit, component) -> list[int]:
 
 
 def _table_bytes(circuit: Circuit, component) -> int:
-    """The bytes of every Born marginal row ``component``'s table could hold."""
-    measured = sum(q in circuit.measured_qubits for q in component.qubits)
-    return (8 << measured) << sum(_widths(circuit, component))
+    """The amplitude bytes of all of ``component``'s trajectories, the batch
+    its table is built from."""
+    return (16 << len(component.qubits)) << sum(_widths(circuit, component))
 
 
 def test_many_trajectories_case_spans_batches():
@@ -700,7 +700,7 @@ def test_evolve_is_independent_of_batch(case):
 
 def _held_rows_digest() -> str:
     """sha256 over every trajectory's Born marginal row, per component, of
-    three pinned cases, and over the rows their runs left in the tables."""
+    three pinned cases, and over the rows of their tables."""
     digest = hashlib.sha256()
     for case in ("werner_probe", "five_qubit_subset", "singletons"):
         circuit, _, trajectories = _component_trajectories(case)
@@ -794,7 +794,7 @@ def test_table_keys_recover_every_shots_component_codes(case):
         table, own = component.table, codes[:, component.gates]
         keys = table.keys(own)
         assert keys.min() >= 0 and keys.max() < len(table.ids)
-        np.testing.assert_array_equal(keys[:, np.newaxis] >> table.shifts & table.masks, own)
+        np.testing.assert_array_equal(keys[:, np.newaxis] >> table.shifts & _masks(circuit, component), own)
         assert len(np.unique(keys)) == len(np.unique(own, axis=0))
         assert table.keys(np.zeros((1, len(component.gates)), dtype=np.int8)).tolist() == [0]
 
@@ -870,29 +870,37 @@ def test_werner_probe_builds_a_joint_row_per_distinct_distribution(monkeypatch):
     assert 10 * sum(map(len, built)) < len(joint)
 
 
+def _masks(circuit: Circuit, component) -> np.ndarray:
+    """Per gate of ``component``, the mask that takes its code out of a key
+    shifted down to it."""
+    return (1 << np.array(_widths(circuit, component), dtype=np.intp)) - 1
+
+
 def _check_table(circuit: Circuit, component):
-    """Every key filled in ``component``'s table maps to a row equal, byte
-    for byte, to its trajectory's row evolved afresh; the rows are
-    byte-distinct, and key 0 maps to the noiseless row, the first."""
+    """``component``'s table has every key, each mapped to a row equal, byte
+    for byte, to its trajectory's row evolved afresh, in the reverse order;
+    the rows are byte-distinct and all used, and key 0 maps to the
+    noiseless row, the first."""
     table = component.table
-    filled = np.flatnonzero(table.ids >= 0)
-    assert filled[0] == 0 and table.ids[0] == 0
-    trajectories = (filled[:, np.newaxis] >> table.shifts & table.masks).astype(np.int8)
-    evolved = _evolved_rows(circuit, component, trajectories)
-    assert table.rows[table.ids[filled]].tobytes() == evolved.tobytes()
+    keys = np.arange(len(table.ids))
+    assert len(keys) == 1 << sum(_widths(circuit, component))
+    assert table.ids[0] == 0
+    trajectories = (keys[:, np.newaxis] >> table.shifts & _masks(circuit, component)).astype(np.int8)
+    np.testing.assert_array_equal(table.keys(trajectories), keys)
+    evolved = _evolved_rows(circuit, component, trajectories[::-1])[::-1]
+    assert table.rows[table.ids].tobytes() == evolved.tobytes()
     rows = table.rows
     assert len(np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))))) == len(rows)
-    assert sorted(set(table.ids[filled].tolist())) == list(range(len(rows)))
-    assert rows.nbytes <= _table_bytes(circuit, component) <= simulator._BATCH_BYTES
-    assert len(table.seen) == len(rows)
+    assert sorted(set(table.ids.tolist())) == list(range(len(rows)))
+    assert _table_bytes(circuit, component) <= simulator._BATCH_BYTES
 
 
 @pytest.mark.parametrize("case", sorted(_PINNED_CASES))
 def test_held_marginals_are_distinct_and_exact(case):
-    # Every component whose table fits the budget holds its marginals there.
-    build, shots, noise, digest = _PINNED_CASES[case]
+    # Every component whose trajectories fit one batch has a table of all of
+    # them as soon as the circuit is compiled.
+    build, _, _, _ = _PINNED_CASES[case]
     circuit = build()
-    assert _digest(run_shots(circuit, shots, noise)) == digest
     for component in simulator._compile(circuit).components:
         if component.table is None:
             assert _table_bytes(circuit, component) > simulator._BATCH_BYTES
@@ -903,7 +911,8 @@ def test_held_marginals_are_distinct_and_exact(case):
 @pytest.mark.parametrize("case", ["five_qubit_subset", "wide_component"])
 def test_no_component_gets_a_table_larger_than_the_budget(case):
     # five_qubit_subset's 11 gates pack into 34-bit keys: a table would take
-    # 2**34 ids (128 GiB), and the wide chain's 38-bit keys 16 times that.
+    # 2**34 ids (128 GiB) and its batch 2**34 five-qubit states (8 TiB), and
+    # the wide chain's 38-bit keys 16 times that.
     build, shots, noise, digest = _PINNED_CASES[case]
     circuit = build()
     tracemalloc.start()
@@ -917,6 +926,25 @@ def test_no_component_gets_a_table_larger_than_the_budget(case):
     assert all(c.table is None for c in wide)
     assert peak < 2**20
     assert _digest(run_shots(circuit, shots, noise)) == digest
+
+
+@pytest.mark.parametrize("case", ["werner_probe", "interleaved", "wide_component", "singletons"])
+def test_runs_evolve_nothing_for_a_component_with_a_table(monkeypatch, case):
+    # Compiling evolves each component once: every trajectory of one with a
+    # table in one batch, the noiseless one alone of one without.  A run
+    # straight after evolves only components without a table.
+    build, shots, noise, digest = _PINNED_CASES[case]
+    circuit = build()
+    calls, evolve = [], simulator._evolve
+    monkeypatch.setattr(
+        simulator, "_evolve", lambda c, t, qubits: calls.append((len(t), qubits)) or evolve(c, t, qubits)
+    )
+    components = simulator._compile(circuit).components
+    assert calls == [(len(c.table.ids) if c.table else 1, c.qubits) for c in components]
+    calls.clear()
+    assert _digest(run_shots(circuit, shots, noise)) == digest
+    tabled = {c.qubits for c in components if c.table is not None}
+    assert tabled and not tabled & {qubits for _, qubits in calls}
 
 
 @pytest.mark.parametrize("case", sorted(_PINNED_CASES))
@@ -1237,8 +1265,8 @@ def test_philox_raw_words_are_pinned():
 
 @pytest.mark.parametrize("case", sorted(_PINNED_CASES))
 def test_warm_counts_match_cold_counts(case):
-    # The tables filled by another seed's run, and then by this run itself,
-    # must give the counts of a cold cache.
+    # The circuit compiled for another seed's run, and then used by this
+    # run itself, must give the counts of a cold cache.
     build, shots, noise, digest = _PINNED_CASES[case]
     run_shots(build(), shots, noise.with_seed(noise.seed + 1))
     assert simulator._compile.cache_info().currsize == 1
@@ -1247,12 +1275,12 @@ def test_warm_counts_match_cold_counts(case):
 
 
 def test_cached_arrays_are_read_only():
+    # Every table is whole once the circuit is compiled, before any run.
     compiled = simulator._compile(packed_chsh_circuit())
-    # A fill replaces a table's rows with a larger array, read-only too.
-    run_shots(packed_chsh_circuit(), 1000, NoiseModel(p2=0.3))
-    rows = [c.table.rows for c in compiled.components]
-    assert all(len(r) > 1 for r in rows)
-    for array in (compiled.cdf, compiled.guide, simulator.PAULIS, *rows):
+    tables = [c.table for c in compiled.components]
+    assert all(len(t.rows) > 1 for t in tables)
+    held = [array for t in tables for array in (t.ids, t.rows, t.shifts)]
+    for array in (compiled.cdf, compiled.guide, simulator.PAULIS, *held):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 0.5
@@ -1272,31 +1300,28 @@ def test_cache_keeps_the_most_recently_used_circuits():
     assert (info.hits, info.misses, info.currsize) == (4, 8, simulator._CACHED_CIRCUITS)
 
 
-def test_memo_stays_within_its_budget():
-    # A Bell pair and three rotations: 12-bit keys, whose 4096 rows of four
-    # outcomes take 128 KiB.  Twelve seeds at p = 0.5 meet most keys; one more
-    # rotation would need 512 KiB and get no table.
+def test_memo_stays_within_its_budget(monkeypatch):
+    # A Bell pair and three rotations: 12-bit keys, whose 4096 two-qubit
+    # states take 256 KiB, exactly one batch.  One more rotation would need
+    # 1 MiB and gets no table.
     gates = (Gate.h(0), Gate.cnot(0, 1)) + tuple(Gate.ry(q % 2, 0.3 * q + 0.1) for q in range(3))
     circuit = Circuit(2, gates, (0, 1))
-    for seed in range(12):
-        counts = run_shots(circuit, 1000, NoiseModel(p1=0.5, p2=0.5, seed=seed))
+    noise = NoiseModel(p1=0.5, p2=0.5, seed=11)
     (component,) = simulator._compile(circuit).components
-    assert len(component.table.ids) == 1 << 12
-    assert (component.table.ids >= 0).sum() > 1500
+    assert _table_bytes(circuit, component) == simulator._BATCH_BYTES
     _check_table(circuit, component)
-    assert simulator._compile.cache_info().misses == 1
-    simulator._compile.cache_clear()
-    assert dict(run_shots(circuit, 1000, NoiseModel(p1=0.5, p2=0.5, seed=11))) == dict(counts)
+    counts = dict(run_shots(circuit, 1000, noise))
     wider = Circuit(2, gates + (Gate.rx(0, 0.4),), (0, 1))
-    run_shots(wider, 100, NoiseModel(p1=0.5, p2=0.5))
     assert simulator._compile(wider).components[0].table is None
+    _without_tables(monkeypatch, circuit)
+    assert dict(run_shots(circuit, 1000, noise)) == counts
 
 
 def test_threads_share_the_cache_safely(monkeypatch):
     # Eight threads, switching often, run six circuits, more than the cache
-    # keeps, so compiles, evictions and table fills interleave.  Every run
-    # must give the counts of a cold cache, and every table a run used must
-    # hold exact, byte-distinct rows.
+    # keeps, so compiles and evictions interleave.  Every run must give the
+    # counts of a cold cache, and every table a run used must hold exact,
+    # byte-distinct rows.
     circuits = [packed_chsh_circuit(MeasurementSettings(b0=0.2 * i)) for i in range(6)]
     noise = NoiseModel(p1=0.01, p2=0.3, seed=9)
     expected = []
