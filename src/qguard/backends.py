@@ -246,7 +246,14 @@ class ReplayAdapter(BackendAdapter):
 
     @classmethod
     def from_file(cls, path: str | Path, strict: bool = False) -> "ReplayAdapter":
-        return cls(parse_recording(Path(path).read_text()), strict=strict)
+        """The replay of the recording in the file at ``path``; raises
+        :class:`BackendError`, naming the path, when it cannot be read as
+        text."""
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise BackendError(f"cannot read recording {path}: {exc}") from exc
+        return cls(parse_recording(text), strict=strict)
 
     def run(self, circuit: Circuit, shots: int) -> ExperimentResult:
         check_circuit(circuit)

@@ -21,7 +21,7 @@ from typing import Any, Callable, Mapping
 
 from . import __version__
 from .backends import BackendAdapter, ExperimentResult, ReplayAdapter, SimulatorAdapter
-from .calibration import parse_calibration, synthetic_calibration_for
+from .calibration import parse_calibration
 from .circuits import Circuit, circuit_from_dict, circuit_to_dict
 from .constraints import ResourceConstraint, constraint_from_dict
 from .errors import DocumentError, NoiseModelError, QGuardError
@@ -99,7 +99,7 @@ def _load_backend(
         "seed": noise.seed,
     }
     if "calibration_file" not in fields:
-        return SimulatorAdapter(noise, synthetic_calibration_for(noise)), resolved
+        return SimulatorAdapter(noise), resolved
     calibration = _referenced(
         base_dir,
         fields["calibration_file"],

@@ -13,14 +13,15 @@ per Pauli choice, one outcome word and one per readout bit.  A word w
 stands for the uniform draw (w >> 11) * 2**-53 that ``Generator.random()``
 would make of it, and every decision is made on w with an exact integer
 rule that gives the same answer as that draw would (see ``_draw``): an
-event or a readout flip compares w with an integer threshold, a Pauli
-choice is w's top bits, and only the outcome word becomes a double.  The
-matrix is drawn in blocks of rows, and each block is sampled whole as it
-is drawn: a noisy shot, one where some gate's event fired, is sampled from
-its trajectory's distribution (see below), every other shot from the
-noiseless distribution, and all of the block's outcomes get their
-readout flips and go into one tally.  So a run keeps nothing per shot
-beyond its block, and memory does not grow with the shots, noisy or not.
+event or a readout flip is one comparison of w with the last word whose
+draw is below p, made once per word, a Pauli choice is w's top bits, and
+only the outcome word becomes a double.  The matrix is drawn in blocks of
+rows, and each block is sampled whole as it is drawn: a noisy shot, one
+where some gate's event fired, is sampled from its trajectory's
+distribution (see below), every other shot from the noiseless
+distribution, and all of the block's outcomes get their readout flips and
+go into one tally.  So a run keeps nothing per shot beyond its block, and
+memory does not grow with the shots, noisy or not.
 A draw of several blocks runs on a thread pool of one worker per usable
 CPU that lives only for that draw, so no thread outlives ``run_shots``.
 Worker j takes blocks j, j + workers, and so on.  A block starting at row
@@ -66,27 +67,28 @@ Components: qubits that no chain of CNOTs links never interact, so a
 circuit splits into connected components, and each is simulated as a small
 circuit of its own; one without a measured qubit is skipped.  A
 component's trajectory, its gates' Pauli codes, packs into a key of 2 bits
-per one-qubit gate and 4 per CNOT, and the component gets a table when
-all 2**bits of its trajectories fit one batch: 2**bits states of
-16 * 2**n bytes, on its n qubits.  The packed probe's Bell pairs have
-10-bit keys and 64 KiB batches.  ``_compile`` evolves every key's
-trajectory in that one batch, and the table maps each key to the id of its
-trajectory's Born marginal row and holds only byte-distinct rows: a Pauli
-such as ZZ after a Bell pair's CNOT leaves the pair's marginal unchanged,
-bit for bit, so such trajectories share a row.  A block looks its shots'
-rows up by key and evolves nothing for such a component.  A wider
-component has no table: a block groups its code columns into unique
-trajectories, and evolves, for each batch of joint rows, just the
-trajectories the batch needs, the noiseless one like any other, so memory
-stays bounded.  Per noisy shot, the tuple of its components' row
-ids (table ids or trajectory indices) is grouped once into the block's
-distinct joint distributions, each the outer product of its component
-marginals with axes put in ``measured_qubits`` order.  Their CDF rows are
-built in batches under the same budget and sampled as above.  Byte-equal
-marginals multiply and sum into byte-equal CDF rows, and each shot still
-searches its own outcome draw, so the ids and the grouping leave every
-count unchanged.  A circuit of one component takes the same path: its
-joint rows are its marginals.
+per one-qubit gate and 4 per CNOT, and the component gets a table when all
+2**bits of its trajectories fit one batch: 2**bits states of 16 * 2**n
+bytes, on its n qubits.  The packed probe's Bell pairs have 10-bit keys
+and 64 KiB batches.  ``_compile`` evolves every key's trajectory in that
+one batch, and the table maps each key to the id of its trajectory's Born
+marginal row and holds only byte-distinct rows: a Pauli such as ZZ after a
+Bell pair's CNOT leaves the pair's marginal unchanged, bit for bit, so
+such trajectories share a row.  A block looks its shots' rows up by key
+and evolves nothing for such a component.  A wider component has no table:
+a block groups its code columns into unique trajectories, and evolves, for
+each batch of joint rows, just the trajectories the batch needs, the
+noiseless one like any other, so memory stays bounded.  Per noisy shot,
+the tuple of its components' row ids (table ids or trajectory indices) is
+grouped once into the block's distinct joint distributions, each the outer
+product of its component marginals with axes put in ``measured_qubits``
+order.  That one sort also orders the shots by distribution, so their CDF
+rows are built in batches under the same budget, and each batch's shots, a
+run of that order, search their rows before the next batch is built.
+Byte-equal marginals multiply and sum into byte-equal CDF rows, and each
+shot still searches its own outcome draw, so the ids and the grouping
+leave every count unchanged.  A circuit of one component takes the same
+path: its joint rows are its marginals.
 """
 
 from __future__ import annotations
@@ -406,14 +408,16 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel, compiled: _Compiled) 
     The word matrix has columns, in order: per-gate event words, per-gate
     Pauli-choice words, the outcome word, per-bit readout words.  Row i
     belongs to shot i.  Each word w stands for the uniform draw
-    u = (w >> 11) * 2**-53, and each decision is made on w exactly as on u:
-    an event or readout flip with probability p fires iff w >> 11 is below
-    ``_threshold(p)``, which for p > 0 is iff w is at most ``_last_word(p)``
-    (no shift needed), the Pauli choice int(u * 4) or int(u * 16) is w's top
-    two or four bits (``_choice_shift``), and only the outcome word is
-    turned into u, which the CDFs are searched with.  The matrix is
-    drawn in blocks of rows, each sampled as it is drawn: a noisy shot,
-    where some gate's event fired, by ``_noisy_outcomes`` from its code row
+    u = (w >> 11) * 2**-53, and each decision is made on w exactly as on u,
+    by one rule each: an event or readout flip with probability p > 0 fires
+    iff w is at most ``_last_word(p)`` (so iff u < p, with no shift), the
+    Pauli choice int(u * 4) or int(u * 16) is w's top two or four bits
+    (``_choice_shift``), and only the outcome word is turned into u, which
+    the CDFs are searched with.  The matrix is drawn in blocks of rows, each
+    sampled as it is drawn.  A block's event words of the gates with p > 0
+    are compared once, and that one bool matrix both finds the noisy shots,
+    where some gate's event fired, and picks which of their Pauli choices
+    apply.  A noisy shot is sampled by ``_noisy_outcomes`` from its code row
     (int8, one column per gate) and outcome draw, every other shot in the
     noiseless CDF of ``compiled``.  A noisy shot whose events all drew the
     identity gets every component's noiseless row, and so the outcome the
@@ -432,11 +436,9 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel, compiled: _Compiled) 
     k = circuit.num_measured
     width = 2 * num_gates + 1 + k
     event_p = [noise.p2 if g.kind is GateKind.CNOT else noise.p1 for g in circuit.gates]
-    threshold = np.array([_threshold(p) for p in event_p], dtype=np.uint64)
-    # A block's rows are found hit by the events of the gates with p > 0,
-    # each word compared as it is with its gate's last word; only the hit
-    # rows' words are shifted and compared with every gate's threshold.
-    live = np.flatnonzero(threshold)
+    # Only the gates with p > 0 can fire: each event word is compared, as it
+    # is, with its gate's last word, once.
+    live = np.flatnonzero(event_p)
     last = np.array([_last_word(event_p[i]) for i in live], dtype=np.uint64)
     shifts = np.array([_choice_shift(g) for g in circuit.gates], dtype=np.uint64)
     tally = np.zeros(1 << k, dtype=np.int64)
@@ -444,15 +446,16 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel, compiled: _Compiled) 
 
     def sample(block: np.ndarray):
         """Add the outcomes of the rows of ``block`` to ``tally``."""
-        rows = np.flatnonzero((block[:, live] <= last).any(axis=1))
-        codes = np.where(
-            block[rows, :num_gates] >> 11 < threshold,
-            (block[rows, num_gates : 2 * num_gates] >> shifts).astype(np.int8),
-            0,
-        )
+        fired = block[:, live] <= last
+        clean = ~fired.any(axis=1)
+        rows = np.flatnonzero(~clean)
+        # A hit row's code, one column per gate, is its Pauli choice where
+        # its event fired and 0 elsewhere.
+        codes = np.zeros((len(rows), num_gates), dtype=np.int8)
+        codes[:, live] = fired[rows]
+        del fired  # freed before the hit rows' choice words are gathered
+        codes *= (block[rows, num_gates : 2 * num_gates] >> shifts).astype(np.int8)
         outcome_u = _uniforms(block[:, 2 * num_gates])
-        clean = np.ones(len(block), dtype=bool)
-        clean[rows] = False
         u = outcome_u[clean]
         outcomes = np.empty(len(block), dtype=np.intp)
         # u * c is exact, as the guide's c cells are a power of two.
@@ -491,9 +494,10 @@ def _draw(circuit: Circuit, shots: int, noise: NoiseModel, compiled: _Compiled) 
 
 
 def _group(rows: np.ndarray):
-    """The unique rows, compared as bytes, and per row the index of its
-    unique row.  Index 0 is always the all-zero row (for Pauli codes, the
-    noiseless trajectory), and every all-zero row maps to it."""
+    """The unique rows, compared as bytes, per row the index of its unique
+    row, and the order that sorts the rows by that index.  Index 0 is always
+    the all-zero row (for Pauli codes, the noiseless trajectory), and every
+    all-zero row maps to it."""
     count, width = rows.shape
     # Each row, zero-padded to whole 8-byte words, and to one word if it has
     # none, is sorted as a key of uint64 words, the first most significant:
@@ -509,7 +513,8 @@ def _group(rows: np.ndarray):
     first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     inverse = np.empty(count + 1, dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    return padded[order[first], :width], inverse[1:]
+    # The padding row, index 0 of ``padded``, is dropped from the order.
+    return padded[order[first], :width], inverse[1:], order[order > 0] - 1
 
 
 def _slices(count: int, item_bytes: int):
@@ -647,7 +652,7 @@ def _grouped_rows(circuit: Circuit, component: _Component, codes: np.ndarray):
     code rows) the index of its trajectory.  Each call evolves just the
     trajectories asked for, so memory stays bounded however many a wide
     component has."""
-    trajectories, index = _group(codes)
+    trajectories, index, _ = _group(codes)
 
     def evolve(indices: np.ndarray) -> np.ndarray:
         needed, local = np.unique(indices, return_inverse=True)
@@ -655,12 +660,6 @@ def _grouped_rows(circuit: Circuit, component: _Component, codes: np.ndarray):
         return np.concatenate(list(rows))[local]
 
     return evolve, index
-
-
-def _joint_cdfs(marginal_rows: list, tuples: np.ndarray, axes: tuple[int, ...]):
-    """The CDF rows of the given tuples of component distribution indices,
-    each the outer product of its component marginals."""
-    return _product_cdfs([rows_of(c) for rows_of, c in zip(marginal_rows, tuples.T)], axes)
 
 
 def _product_cdfs(rows: list, axes: tuple[int, ...]) -> np.ndarray:
@@ -675,34 +674,14 @@ def _product_cdfs(rows: list, axes: tuple[int, ...]) -> np.ndarray:
     return _cdfs(joint.transpose((0,) + tuple(a + 1 for a in axes)).reshape(len(joint), -1))
 
 
-def _sample(cdf_batches, inverse: np.ndarray, outcome_u: np.ndarray, k: int):
-    """The outcome index of each noisy shot: shot i draws ``outcome_u[i]``
-    from distribution ``inverse[i]``.  ``cdf_batches`` yields the CDF rows,
-    2**k entries each, of consecutive distributions, the noiseless one
-    first; a shot's search window is its row."""
-    # Indices of 16 bits or fewer are sorted by radix.
-    order = np.argsort(inverse.astype(np.min_scalar_type(inverse.max())), kind="stable")
-    row_of_member = inverse[order]
-    outcomes = np.empty(len(inverse), dtype=np.intp)
-    first = 0
-    for cdfs in cdf_batches:
-        stop = first + len(cdfs)
-        lo, hi = np.searchsorted(row_of_member, (first, stop))
-        members = order[lo:hi]
-        start = (row_of_member[lo:hi] - first) << k
-        outcomes[members] = _search(cdfs.reshape(-1), start, k, outcome_u[members]) - start
-        first = stop
-        # Freed before the next batch is built: two are never held at once.
-        del cdfs
-    return outcomes
-
-
 def _noisy_outcomes(
     circuit: Circuit, compiled: _Compiled, codes: np.ndarray, outcome_u: np.ndarray
 ) -> np.ndarray:
     """The outcome index of each noisy shot, before its readout flips: the
     shot with code row ``codes[i]`` draws ``outcome_u[i]`` from its joint
-    trajectory's distribution."""
+    trajectory's distribution.  The joint CDF rows are built a batch at a
+    time, and each batch's shots search their rows before the next batch is
+    built; a shot's search window is its row."""
     k = circuit.num_measured
     marginal_rows, columns = [], []
     for component in compiled.components:
@@ -718,12 +697,20 @@ def _noisy_outcomes(
     # distribution; the noiseless one is index 0.  Narrow columns fill fewer
     # of the 8-byte words _group sorts by.
     columns = np.column_stack(columns)
-    tuples, which = _group(columns.astype(np.min_scalar_type(columns.max())))
-    cdf_batches = (
-        _joint_cdfs(marginal_rows, tuples[part], compiled.axes)
-        for part in _slices(len(tuples), 8 << k)
-    )
-    return _sample(cdf_batches, which, outcome_u, k)
+    tuples, which, order = _group(columns.astype(np.min_scalar_type(columns.max())))
+    ranked = which[order]
+    outcomes = np.empty(len(which), dtype=np.intp)
+    for part in _slices(len(tuples), 8 << k):
+        cdfs = _product_cdfs(
+            [rows_of(c) for rows_of, c in zip(marginal_rows, tuples[part].T)], compiled.axes
+        )
+        lo, hi = np.searchsorted(ranked, (part.start, part.start + len(cdfs)))
+        members = order[lo:hi]
+        start = (ranked[lo:hi] - part.start) << k
+        outcomes[members] = _search(cdfs.reshape(-1), start, k, outcome_u[members]) - start
+        # Freed before the next batch is built: two are never held at once.
+        del cdfs
+    return outcomes
 
 
 def run_shots(circuit: Circuit, shots: int, noise: NoiseModel) -> BitstringCounts:

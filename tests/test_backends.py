@@ -1,4 +1,5 @@
 import json
+import re
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -313,6 +314,22 @@ def test_replay_from_file(tmp_path):
     path.write_text(json.dumps(recording.to_dict()))
     adapter = ReplayAdapter.from_file(path)
     assert dict(adapter.run(phi_plus(), 256).counts) == dict(recording.results[0].counts)
+
+
+@pytest.mark.parametrize(
+    "write",
+    [lambda path: None, lambda path: path.mkdir(), lambda path: path.write_bytes(b"\xff{")],
+    ids=["missing", "directory", "not_utf8"],
+)
+def test_an_unreadable_recording_file_raises_a_backend_error_naming_it(tmp_path, write):
+    # A directory and a file that was not UTF-8 escaped as a bare
+    # IsADirectoryError and UnicodeDecodeError, a missing file as a bare
+    # FileNotFoundError.
+    path = tmp_path / "session.json"
+    write(path)
+    with pytest.raises(BackendError, match=f"cannot read recording {re.escape(str(path))}: ") as info:
+        ReplayAdapter.from_file(path)
+    assert isinstance(info.value.__cause__, (OSError, UnicodeDecodeError))
 
 
 def test_recording_with_unphysical_calibration_rejected_at_load():

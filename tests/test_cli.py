@@ -261,6 +261,21 @@ def test_an_unreadable_config_is_one_line_naming_the_file(tmp_path, capsys, comm
     assert len(shown.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "write",
+    [lambda path: path.mkdir(), lambda path: path.write_bytes(b"\xff{")],
+    ids=["directory", "not_utf8"],
+)
+def test_an_unreadable_recording_file_is_one_line_naming_the_field(tmp_path, capsys, write):
+    write(tmp_path / "session.json")
+    config = write_workflow(tmp_path, backend={"type": "replay", "recording_file": "session.json"})
+    assert main(["validate", str(config)]) == EXIT_CONFIG_ERROR
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith("backend.recording_file: ")
+    assert len(out.splitlines()) == 1
+
+
 def test_run_reports_a_report_it_cannot_write(tmp_path, capsys):
     config = write_workflow(tmp_path, report_path="no_such_directory/report.json")
     assert main(["run", str(config)]) == EXIT_RUNTIME_ERROR

@@ -539,6 +539,28 @@ def test_special_counts_match_pinned_digest(case):
     assert _digest(run_shots(build(), shots, noise)) == digest
 
 
+# (circuit, p2, seed) -> digest; 3000 shots, p1=0, readout_flip=0.02: only
+# the CNOTs' events can fire.
+_PINNED_CNOT_ONLY = {
+    ("packed_chsh", 0.01, 41): "594b811efd1298e89fa672237bc1731f928975fb0024445857b2317f630a6185",
+    ("packed_chsh", 0.3, 42): "5a00216d9cdce53bc41461e54136feb7a76c99ada993df0b41194fcd03e537a5",
+    ("phi_plus", 0.01, 41): "4915677f12667f1f73d5c301deea5bc46aa4aedfdc37c439463d9acee0fb2dae",
+    ("phi_plus", 0.3, 42): "1342b4a0edbc04b41295e8382ba18b2ef844c7e226739dd6dc53333977e7a029",
+}
+
+
+@pytest.mark.parametrize("name, p2, seed", sorted(_PINNED_CNOT_ONLY))
+def test_cnot_only_counts_match_pinned_digest(name, p2, seed):
+    circuit = _CIRCUITS[name]()
+    noise = NoiseModel(p1=0.0, p2=p2, readout_flip=0.02, seed=seed)
+    assert _digest(run_shots(circuit, 3000, noise)) == _PINNED_CNOT_ONLY[(name, p2, seed)]
+    # Every noisy shot's codes sit in CNOT columns, and some are not the identity.
+    codes = _noisy_codes(circuit, 3000, noise)
+    cnots = [g.kind is GateKind.CNOT for g in circuit.gates]
+    assert len(codes) and codes[:, cnots].any()
+    assert not codes[:, np.logical_not(cnots)].any()
+
+
 def _noisy_codes(circuit: Circuit, shots: int, noise: NoiseModel) -> np.ndarray:
     """The code rows of a run's noisy shots, in shot order: what the draw
     hands each block's noisy shots to be sampled with, on one worker."""
@@ -563,7 +585,7 @@ def _table_bytes(circuit: Circuit, component) -> int:
 def test_many_trajectories_case_spans_batches():
     build, shots, noise, _ = _PINNED_CASES["many_trajectories"]
     circuit = build()
-    trajectories, _ = simulator._group(_noisy_codes(circuit, shots, noise))
+    trajectories = simulator._group(_noisy_codes(circuit, shots, noise))[0]
     per_batch = simulator._BATCH_BYTES // (16 << circuit.num_qubits)
     assert len(trajectories) > 2 * per_batch
 
@@ -572,7 +594,7 @@ def test_many_trajectories_case_spans_batches():
 def test_sampling_cases_span_batches(case):
     build, shots, noise, _ = _PINNED_CASES[case]
     circuit = build()
-    trajectories, _ = simulator._group(_noisy_codes(circuit, shots, noise))
+    trajectories = simulator._group(_noisy_codes(circuit, shots, noise))[0]
     assert len(trajectories) > 2 * (simulator._BATCH_BYTES // (16 << circuit.num_qubits))
 
 
@@ -683,7 +705,7 @@ def test_evolve_is_independent_of_batch(case):
     # state of a batch must come out bit for bit as it would alone.
     build, shots, noise, _ = _PINNED_CASES[case]
     circuit = build()
-    trajectories, _ = simulator._group(_noisy_codes(circuit, shots, noise))
+    trajectories = simulator._group(_noisy_codes(circuit, shots, noise))[0]
     trajectories = trajectories[:9]
     qubits = tuple(range(circuit.num_qubits))
 
@@ -814,10 +836,12 @@ def test_keys_case_spans_joint_row_batches(monkeypatch):
     build, shots, noise, digest = _PINNED_CASES["packed_keys_span_batches"]
     circuit = build()
     _without_tables(monkeypatch, circuit)
-    seen = _spy(monkeypatch, "_joint_cdfs", position=1)
+    simulator._compile(circuit)
+    # Each call builds one batch of joint rows from its components' rows.
+    seen = _spy(monkeypatch, "_product_cdfs")
     assert _digest(run_shots(circuit, shots, noise)) == digest
     assert len(seen) > 2
-    assert len(seen[0]) == simulator._BATCH_BYTES // (8 << circuit.num_measured)
+    assert len(seen[0][0]) == simulator._BATCH_BYTES // (8 << circuit.num_measured)
 
 
 def test_tuple_key_does_not_overflow():
@@ -833,24 +857,28 @@ def test_singletons_regroup_keeps_the_noiseless_distribution_first(monkeypatch):
     # no int64 key, into distinct tuples, the noiseless one first.
     build, shots, noise, digest = _PINNED_CASES["singletons"]
     simulator._compile.cache_clear()
-    seen = _spy(monkeypatch, "_joint_cdfs", position=1)
+    simulator._compile(build())
+    grouped = _spy(monkeypatch, "_group", result=True)
+    batches = _spy(monkeypatch, "_product_cdfs")
     assert _digest(run_shots(build(), shots, noise)) == digest
-    tuples = np.concatenate(seen)
-    assert len(seen) > 1
+    [(tuples, _, _)] = grouped
+    assert len(batches) > 1
+    assert sum(len(rows[0]) for rows in batches) == len(tuples)
     assert tuples.shape[1] == 16
     assert not tuples[0].any()
     assert len(np.unique(tuples, axis=0)) == len(tuples)
 
 
-def _spy(monkeypatch, name, position=0):
-    """Patch simulator function ``name`` to record its argument at
-    ``position`` on every call."""
+def _spy(monkeypatch, name, position=0, result=False):
+    """Patch simulator function ``name`` to record, on every call, its
+    argument at ``position``, or with ``result`` what it returns."""
     seen = []
     real = getattr(simulator, name)
 
     def spy(*args):
-        seen.append(args[position])
-        return real(*args)
+        returned = real(*args)
+        seen.append(returned if result else args[position])
+        return returned
 
     monkeypatch.setattr(simulator, name, spy)
     return seen
@@ -862,7 +890,7 @@ def test_werner_probe_builds_a_joint_row_per_distinct_distribution(monkeypatch):
     # distribution with others.
     build, shots, noise, digest = _PINNED_CASES["werner_probe"]
     circuit, codes, _ = _component_trajectories("werner_probe")
-    joint, _ = simulator._group(codes)
+    joint = simulator._group(codes)[0]
     simulator._compile.cache_clear()
     built = _spy(monkeypatch, "_cdfs")
     assert _digest(run_shots(circuit, shots, noise)) == digest
@@ -1379,15 +1407,18 @@ def test_draw_memory_does_not_grow_with_readout_bits(monkeypatch):
 @pytest.mark.parametrize("dtype, width", [(np.int8, 1), (np.int8, 13), (np.intp, 3), (np.uint64, 4)])
 def test_group_matches_unique_rows(dtype, width):
     # Rows are padded to whole 8-byte words; the numbering of the unique rows
-    # is free, but the all-zero row must be index 0.
+    # is free, but the all-zero row must be index 0.  The order lists every
+    # row once, sorted by the index of its unique row.
     rng = np.random.default_rng(width)
     rows = rng.integers(0, 3, size=(500, width)).astype(dtype)
     rows[rng.random(500) < 0.3] = 0
-    unique, inverse = simulator._group(rows)
+    unique, inverse, order = simulator._group(rows)
     assert unique.dtype == rows.dtype and unique.flags.c_contiguous
     assert not unique[0].any()
     np.testing.assert_array_equal(unique[inverse], rows)
     assert len(unique) == len(np.unique(np.vstack([np.zeros((1, width), dtype), rows]), axis=0))
+    np.testing.assert_array_equal(np.sort(order), np.arange(len(rows)))
+    assert (np.diff(inverse[order]) >= 0).all()
 
 
 def test_norm_check_covers_every_trajectory_in_a_batch(monkeypatch):
