@@ -31,7 +31,7 @@ from .errors import (
     BackendError, CalibrationError, RecordingExhausted, check_aware, check_shots, check_tuple,
     check_type,
 )
-from .fields import decode, each, integer, join, located, obj, record, string
+from .fields import decode, each, integer, join, located, obj, record, string, unreadable
 from .simulator import NoiseModel, check_noise, run_shots
 from .timestamps import format_timestamp, parse_timestamp, utc_now
 
@@ -92,7 +92,8 @@ class ExperimentResult:
 
 
 class BackendAdapter(ABC):
-    """The polymorphic execution boundary all runtime code talks to."""
+    """The polymorphic execution boundary all runtime code talks to; the
+    constraints and the executor accept no adapter that does not subclass it."""
 
     @abstractmethod
     def run(self, circuit: Circuit, shots: int) -> ExperimentResult:
@@ -136,10 +137,6 @@ class SimulatorAdapter(BackendAdapter):
         )
         self._clock = check_type(clock, Callable, "clock", BackendError)
         self._run_index = 0
-
-    @property
-    def noise(self) -> NoiseModel:
-        return self._noise
 
     def run(self, circuit: Circuit, shots: int) -> ExperimentResult:
         submitted = self._clock()
@@ -219,9 +216,9 @@ def recording_from_dict(doc: Mapping[str, Any]) -> Recording:
     return Recording(**record(doc, "", readers))
 
 
-def parse_recording(document: str | Mapping[str, Any]) -> Recording:
-    """Parse a recording document (JSON text or decoded mapping)."""
-    return recording_from_dict(decode(document) if isinstance(document, str) else document)
+def parse_recording(text: str) -> Recording:
+    """A recording from its JSON text; :func:`recording_from_dict` reads a decoded one."""
+    return recording_from_dict(decode(text))
 
 
 class ReplayAdapter(BackendAdapter):
@@ -252,7 +249,7 @@ class ReplayAdapter(BackendAdapter):
         try:
             text = Path(path).read_text()
         except (OSError, UnicodeDecodeError) as exc:
-            raise BackendError(f"cannot read recording {path}: {exc}") from exc
+            raise BackendError(f"cannot read recording {path}: {unreadable(exc)}") from exc
         return cls(parse_recording(text), strict=strict)
 
     def run(self, circuit: Circuit, shots: int) -> ExperimentResult:

@@ -180,10 +180,10 @@ def calibration_from_dict(doc: Mapping[str, Any], path: str = "") -> Calibration
     return CalibrationSnapshot(**record(doc, path, _SNAPSHOT_FIELDS))
 
 
-def parse_calibration(document: str | Mapping[str, Any]) -> CalibrationSnapshot:
-    """Parse a calibration document (JSON text or an already-decoded mapping).
+def parse_calibration(text: str) -> CalibrationSnapshot:
+    """A snapshot from its JSON text; :func:`calibration_from_dict` reads a decoded one.
 
     Schema violations raise :class:`DocumentError` naming the field;
     physical-bound violations raise :class:`CalibrationError`.
     """
-    return calibration_from_dict(decode(document) if isinstance(document, str) else document)
+    return calibration_from_dict(decode(text))

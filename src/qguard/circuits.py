@@ -14,14 +14,14 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from .errors import CircuitError, as_float, check_integer, check_real, check_tuple, check_type
 from .fields import choice, decode, each, integer, integers, located, number, record
 
 
 class BitstringCounts(Mapping):
-    """An outcome histogram: bitstring -> non-negative count.
+    """An outcome histogram, built from a mapping: bitstring -> non-negative count.
 
     Keys all share one length (the number of measured qubits).  Instances
     are immutable and compare equal to any mapping with the same entries.
@@ -29,20 +29,10 @@ class BitstringCounts(Mapping):
 
     __slots__ = ("_counts", "num_bits")
 
-    def __init__(self, counts: Mapping[str, int] | Iterable[tuple[str, int]]):
+    def __init__(self, counts: Mapping[str, int]):
         items: dict[str, int] = {}
         num_bits: int | None = None
-        if isinstance(counts, Mapping):
-            entries = counts.items()
-        else:
-            entries = check_tuple(counts, "counts", CircuitError)
-        for entry in entries:
-            try:
-                key, value = entry
-            except (TypeError, ValueError):
-                raise CircuitError(
-                    f"counts entry {entry!r} is not a (bitstring, count) pair"
-                ) from None
+        for key, value in check_type(counts, Mapping, "counts", CircuitError).items():
             if not isinstance(key, str) or not key or key.strip("01"):
                 raise CircuitError(f"invalid bitstring key {key!r}")
             if num_bits is None:
@@ -53,8 +43,6 @@ class BitstringCounts(Mapping):
                 )
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise CircuitError(f"count for {key!r} must be a non-negative integer")
-            if key in items:
-                raise CircuitError(f"duplicate bitstring key {key!r}")
             items[key] = value
         if num_bits is None:
             raise CircuitError("counts must be non-empty")

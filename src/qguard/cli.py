@@ -26,7 +26,9 @@ from .circuits import Circuit, circuit_from_dict, circuit_to_dict
 from .constraints import ResourceConstraint, constraint_from_dict
 from .errors import DocumentError, NoiseModelError, QGuardError
 from .executor import Branch, run_conditionally
-from .fields import boolean, choice, decode, integer, no_unknown, number, record, required, string
+from .fields import (
+    boolean, choice, decode, integer, no_unknown, number, record, required, string, unreadable,
+)
 from .simulator import NoiseModel
 from .timestamps import format_timestamp
 
@@ -60,13 +62,15 @@ class Workflow:
 
 
 def _referenced(base_dir: Path, name: str, path: str, load: Callable[[Path], Any]) -> Any:
-    """``load`` applied to the file named by the workflow field at ``path``."""
+    """``load`` applied to the file named by the workflow field at ``path``; a
+    read error is reported as one whether ``load`` raised or chained it."""
     file = base_dir / name
     try:
         return load(file)
-    except OSError as exc:
-        raise DocumentError(path, f"cannot read {file}: {exc}") from None
-    except (QGuardError, ValueError) as exc:
+    except (QGuardError, OSError, ValueError) as exc:
+        read = exc if isinstance(exc, (OSError, UnicodeDecodeError)) else exc.__cause__
+        if isinstance(read, (OSError, UnicodeDecodeError)):
+            raise DocumentError(path, f"cannot read {file}: {unreadable(read)}") from None
         raise DocumentError(path, f"{file}: {exc}") from None
 
 
@@ -180,7 +184,7 @@ def _read_config(path: Path) -> Any:
     try:
         return decode(path.read_text())
     except (OSError, UnicodeDecodeError) as exc:
-        raise DocumentError(str(path), f"cannot read: {exc}") from None
+        raise DocumentError(str(path), f"cannot read: {unreadable(exc)}") from None
     except DocumentError as exc:
         raise DocumentError(str(path), exc.message) from None
 

@@ -1,7 +1,7 @@
 """Resource constraints: runtime checks a backend must pass before the main
 computation is dispatched.
 
-A constraint evaluates against a backend adapter and produces an
+A constraint evaluates against a ``BackendAdapter`` and produces an
 ``IntrospectionResult`` with a pass/fail flag and named scores.  The probe
 here is ``PackedCHSHTest``, which runs one packed Bell-test circuit and
 scores entanglement quality; ``CalibrationConstraint`` checks published
@@ -120,9 +120,10 @@ class IntrospectionResult:
 class ResourceConstraint:
     """Base of runtime resource checks; an extension point.
 
-    A subclass implements ``_evaluate``.  ``evaluate`` builds the node's
-    result from it, named by ``name()`` and stamped by one read of the
-    clock, taken after the check.
+    A subclass implements ``_evaluate``.  ``evaluate`` raises
+    :class:`ConstraintError` for an adapter that is not a ``BackendAdapter``,
+    and builds the node's result from ``_evaluate``, named by ``name()`` and
+    stamped by one read of the clock, taken after the check.
     """
 
     def __init__(self, clock: Callable[[], datetime] = utc_now):
@@ -132,6 +133,7 @@ class ResourceConstraint:
         return type(self).__name__
 
     def evaluate(self, adapter: BackendAdapter, shots: int) -> IntrospectionResult:
+        check_type(adapter, BackendAdapter, "adapter", ConstraintError)
         passed, scores, evidence, children = self._evaluate(adapter, shots)
         return IntrospectionResult(
             self.name(), bool(passed), scores, self._clock(), evidence, children
@@ -149,8 +151,8 @@ class PackedCHSHTest(ResourceConstraint):
 
     All four correlators come from a single circuit execution (one job, one
     queue wait, identical device conditions across the four settings).  The
-    policy decides on the point estimate of S; per-correlator standard
-    errors are reported in the scores but do not affect the decision.
+    policy decides on the point estimate of S; the standard errors, from
+    the shots the evidence holds, are reported but do not affect it.
     """
 
     def __init__(self, policy: _Threshold, clock: Callable[[], datetime] = utc_now):
@@ -162,8 +164,7 @@ class PackedCHSHTest(ResourceConstraint):
     evaluate = ResourceConstraint.evaluate  # own __dict__ entry, for perfbench's tracer
 
     def _evaluate(self, adapter: BackendAdapter, shots: int):
-        shots = check_shots(shots, ConstraintError)
-        result = adapter.run(packed_chsh_circuit(), shots)
+        result = adapter.run(packed_chsh_circuit(), check_shots(shots, ConstraintError))
         correlators = tuple(
             compute_pair_correlator(result.counts, pair) for pair in range(4)
         )
@@ -174,11 +175,11 @@ class PackedCHSHTest(ResourceConstraint):
             "E01": correlators[1],
             "E10": correlators[2],
             "E11": correlators[3],
-            "se_E00": correlator_standard_error(correlators[0], shots),
-            "se_E01": correlator_standard_error(correlators[1], shots),
-            "se_E10": correlator_standard_error(correlators[2], shots),
-            "se_E11": correlator_standard_error(correlators[3], shots),
-            "se_S": score_standard_error(correlators, shots),
+            "se_E00": correlator_standard_error(correlators[0], result.shots),
+            "se_E01": correlator_standard_error(correlators[1], result.shots),
+            "se_E10": correlator_standard_error(correlators[2], result.shots),
+            "se_E11": correlator_standard_error(correlators[3], result.shots),
+            "se_S": score_standard_error(correlators, result.shots),
             "threshold": self._policy.threshold,
         }
         return self._policy.decide(score), scores, result, ()
@@ -322,14 +323,11 @@ class FreshWithin(ResourceConstraint):
     Introspection and use of its result are separated in time; this wrapper
     bounds that gap.  The child result is reused while ``0 <= now -
     evaluated_at <= ttl``, for the same shot count on a backend with the same
-    ``cache_key()``; otherwise the child is re-evaluated.  Every
-    ``BackendAdapter`` has ``cache_key``, so the ``name()`` fallback serves
-    duck-typed adapters that only define ``run``, ``calibration`` and
-    ``name``, such as the test suites' fakes.  A negative age means the
-    clock stepped back, so the result's age is unknown and it is stale.
-    The cached result is returned as-is, original ``evaluated_at`` included,
-    so callers can see exactly how stale their information is.  Errors do
-    not populate the cache.
+    ``cache_key()``; otherwise the child is re-evaluated.  A negative age
+    means the clock stepped back, so the result's age is unknown and it is
+    stale.  The cached result is returned as-is, original ``evaluated_at``
+    included, so callers can see exactly how stale their information is.
+    Errors do not populate the cache.
 
     Safe under concurrent ``evaluate`` calls: the lock admits at most one
     child evaluation at a time, and concurrent callers observe the cached
@@ -356,7 +354,8 @@ class FreshWithin(ResourceConstraint):
         return f"FreshWithin({self._child.name()})"
 
     def evaluate(self, adapter: BackendAdapter, shots: int) -> IntrospectionResult:
-        request = (getattr(adapter, "cache_key", adapter.name)(), shots)
+        check_type(adapter, BackendAdapter, "adapter", ConstraintError)
+        request = (adapter.cache_key(), shots)
         with self._lock:
             if self._cached is not None and self._cached_for == request:
                 age = self._clock() - self._cached.evaluated_at

@@ -46,8 +46,9 @@ class NoiseModelError(QGuardError, ValueError):
 
 
 class ConstraintError(QGuardError, ValueError):
-    """A constraint was built with missing or ill-typed parameters, or
-    evaluated with a shot count that is not a positive integer."""
+    """A constraint was built with missing or ill-typed parameters, or was
+    evaluated against a non-adapter or a shot count that is not a positive
+    integer."""
 
 
 class ScoreError(QGuardError, ValueError):

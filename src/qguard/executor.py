@@ -58,14 +58,16 @@ def run_conditionally(
     callback's business.  The callback receives the same adapter and the
     introspection result that ends up in the returned record.
 
-    A ``shots`` that is not a positive integer, a ``constraint`` that is
-    not a :class:`ResourceConstraint`, or a ``clock`` that cannot be called
-    raises :class:`ConstraintError` before anything runs.  If constraint
-    evaluation raises, neither callback runs and the error surfaces as
+    An ``adapter`` that is not a :class:`BackendAdapter`, a ``constraint``
+    that is not a :class:`ResourceConstraint`, ``shots`` that are not a
+    positive integer, or a ``clock`` that cannot be called raises
+    :class:`ConstraintError` before anything runs.  If constraint evaluation
+    raises, neither callback runs and the error surfaces as
     :class:`IntrospectionError`.  If the chosen callback raises, the error
     surfaces as :class:`CallbackError` carrying the branch and introspection
     result that were already decided.
     """
+    check_type(adapter, BackendAdapter, "adapter", ConstraintError)
     shots = check_shots(shots, ConstraintError)
     check_type(constraint, ResourceConstraint, "constraint", ConstraintError)
     check_type(clock, Callable, "clock", ConstraintError)

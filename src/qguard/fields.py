@@ -31,11 +31,18 @@ def join(path: str, key: str) -> str:
 
 
 def decode(text: str) -> Any:
-    """The document a JSON text encodes."""
+    """The document a JSON text encodes; anything but a string is not text."""
+    if not isinstance(text, str):
+        raise DocumentError("", f"expected JSON text, got {type(text).__name__}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError("", f"invalid JSON: {exc}") from None
+
+
+def unreadable(exc: OSError | UnicodeDecodeError) -> str:
+    """Why a file could not be read, without the path an OSError's ``str`` repeats."""
+    return (exc.strerror or str(exc)) if isinstance(exc, OSError) else str(exc)
 
 
 def obj(value: Any, path: str) -> Mapping[str, Any]:

@@ -29,6 +29,7 @@ import pytest
 
 from qguard import (
     AndConstraint,
+    BackendAdapter,
     BitstringCounts,
     Branch,
     Circuit,
@@ -270,7 +271,7 @@ class ScriptedConstraint(ResourceConstraint):
 _ONE_QUBIT = Circuit(num_qubits=1, gates=(Gate.h(0),), measured_qubits=(0,))
 
 
-class TalliedAdapter:
+class TalliedAdapter(BackendAdapter):
     def __init__(self, inner):
         self._inner = inner
         self.run_calls = 0
@@ -358,7 +359,7 @@ class FixedOutcome(ResourceConstraint):
         return IntrospectionResult("fixed", self._passed, {}, self._clock())
 
 
-class IdleAdapter:
+class IdleAdapter(BackendAdapter):
     def __init__(self):
         self.run_calls = 0
 

@@ -20,6 +20,7 @@ from qguard import (
     derive_seed,
     parse_recording,
     phi_plus,
+    recording_from_dict,
 )
 
 T0 = datetime(2026, 8, 21, 10, 0, 0, tzinfo=timezone.utc)
@@ -330,6 +331,8 @@ def test_an_unreadable_recording_file_raises_a_backend_error_naming_it(tmp_path,
     with pytest.raises(BackendError, match=f"cannot read recording {re.escape(str(path))}: ") as info:
         ReplayAdapter.from_file(path)
     assert isinstance(info.value.__cause__, (OSError, UnicodeDecodeError))
+    # An OSError's own message repeated the path.
+    assert str(info.value).count(str(path)) == 1
 
 
 def test_recording_with_unphysical_calibration_rejected_at_load():
@@ -343,15 +346,15 @@ def test_recording_with_unphysical_calibration_rejected_at_load():
 
 def test_recording_schema_violations():
     with pytest.raises(DocumentError, match="calibration"):
-        parse_recording({"results": []})
+        recording_from_dict({"results": []})
     doc = make_recording(1).to_dict()
     doc["results"][0]["shots"] = 0
     with pytest.raises(DocumentError, match="shots"):
-        parse_recording(doc)
+        recording_from_dict(doc)
     doc = make_recording(1).to_dict()
     doc["results"][0]["counts"]["00"] = 10**6
     with pytest.raises(DocumentError, match=r"results\[0\]"):
-        parse_recording(doc)
+        recording_from_dict(doc)
 
 
 @pytest.mark.parametrize(
@@ -369,7 +372,7 @@ def test_recording_rejects_unknown_fields(where, key, path):
         target = target[step]
     target[key] = {}
     with pytest.raises(DocumentError, match=key) as caught:
-        parse_recording(doc)
+        recording_from_dict(doc)
     assert caught.value.path == path
 
 

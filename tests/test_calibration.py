@@ -12,6 +12,7 @@ from qguard import (
     GateCalibration,
     NoiseModel,
     QubitCalibration,
+    calibration_from_dict,
     calibration_to_dict,
     parse_calibration,
     synthetic_calibration_for,
@@ -48,70 +49,70 @@ def test_parse_sample():
 
 def test_round_trip():
     snapshot = parse_calibration(json.dumps(sample_doc()))
-    assert parse_calibration(calibration_to_dict(snapshot)) == snapshot
+    assert calibration_from_dict(calibration_to_dict(snapshot)) == snapshot
 
 
 def test_rejects_t2_above_physical_bound():
     doc = sample_doc()
     doc["qubits"][0]["t2_us"] = 250.0
     with pytest.raises(CalibrationError, match="2\\*t1"):
-        parse_calibration(doc)
+        calibration_from_dict(doc)
 
 
 def test_rejects_out_of_range_readout_error():
     doc = sample_doc()
     doc["qubits"][1]["readout_error"] = 1.5
     with pytest.raises(CalibrationError, match="readout_error"):
-        parse_calibration(doc)
+        calibration_from_dict(doc)
 
 
 def test_rejects_missing_coupling_map():
     doc = sample_doc()
     del doc["coupling_map"]
     with pytest.raises(DocumentError, match="coupling_map"):
-        parse_calibration(doc)
+        calibration_from_dict(doc)
 
 
 def test_rejects_bad_timestamp():
     doc = sample_doc()
     doc["taken_at"] = "yesterday"
     with pytest.raises(DocumentError, match="taken_at"):
-        parse_calibration(doc)
+        calibration_from_dict(doc)
 
 
 def test_rejects_naive_timestamp():
     doc = sample_doc()
     doc["taken_at"] = "2026-08-21T12:00:00"
     with pytest.raises(DocumentError, match="offset"):
-        parse_calibration(doc)
+        calibration_from_dict(doc)
 
 
 def test_rejects_qubit_record_count_mismatch():
     doc = sample_doc()
     doc["num_qubits"] = 3
     with pytest.raises(CalibrationError, match="num_qubits"):
-        parse_calibration(doc)
+        calibration_from_dict(doc)
 
 
 def test_rejects_gate_on_unknown_qubit():
     doc = sample_doc()
     doc["gates"][0]["qubits"] = [5]
     with pytest.raises(CalibrationError, match="outside"):
-        parse_calibration(doc)
+        calibration_from_dict(doc)
 
 
 def test_rejects_coupling_outside_device():
     doc = sample_doc()
     doc["coupling_map"].append([0, 9])
     with pytest.raises(CalibrationError, match="coupling"):
-        parse_calibration(doc)
+        calibration_from_dict(doc)
 
 
 def test_error_paths_name_the_field():
     doc = sample_doc()
     doc["qubits"][1]["t1_us"] = "fast"
     with pytest.raises(DocumentError, match=r"qubits\[1\].t1_us"):
-        parse_calibration(doc)
+        calibration_from_dict(doc)
 
 
 def test_rejects_nonpositive_times():
@@ -145,7 +146,7 @@ def test_rejects_unknown_fields(where, path):
         target = target[key]
     target["t3_us"] = 90.0
     with pytest.raises(DocumentError, match="t3_us") as caught:
-        parse_calibration(doc)
+        calibration_from_dict(doc)
     assert caught.value.path == path
 
 
@@ -214,7 +215,7 @@ def test_gate_qubits_accept_any_iterable_of_integers():
 
 
 def test_with_taken_at():
-    snapshot = parse_calibration(sample_doc())
+    snapshot = calibration_from_dict(sample_doc())
     later = datetime(2027, 1, 1, tzinfo=timezone.utc)
     moved = snapshot.with_taken_at(later)
     assert moved.taken_at == later
@@ -268,5 +269,5 @@ def test_rejects_a_timestamp_outside_the_utc_calendar(stamp):
     doc = sample_doc()
     doc["taken_at"] = stamp
     with pytest.raises(DocumentError) as caught:
-        parse_calibration(doc)
+        calibration_from_dict(doc)
     assert caught.value.path == "taken_at"

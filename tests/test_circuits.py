@@ -121,6 +121,7 @@ def test_non_integer_indices_raise_a_typed_error(build):
         lambda: Circuit(2, (), 0),
         lambda: BitstringCounts(5),
         lambda: BitstringCounts([5]),
+        lambda: BitstringCounts([("00", 1)]),
         lambda: packed_chsh_circuit(MeasurementSettings(a0="x")),
         lambda: MeasurementSettings(b1=True),
         # The first used to escape as a bare TypeError from the negation,
@@ -130,7 +131,7 @@ def test_non_integer_indices_raise_a_typed_error(build):
     ],
     ids=[
         "int_targets", "string_kind", "none_gates", "int_measured",
-        "int_counts", "int_counts_entry", "string_setting", "bool_setting",
+        "int_counts", "int_counts_entry", "pair_list_counts", "string_setting", "bool_setting",
         "string_pair_angle", "bool_pair_angle",
     ],
 )

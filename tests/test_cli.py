@@ -1,7 +1,6 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -240,11 +239,12 @@ def test_run_rejects_a_config_that_is_not_json(tmp_path, capsys):
 @pytest.mark.parametrize(
     "write, message",
     [
+        (lambda path: None, "cannot read: "),
         (lambda path: path.mkdir(), "cannot read: "),
         (lambda path: path.write_text("{not json"), "invalid JSON: "),
         (lambda path: path.write_bytes(b"\xff{"), "cannot read: "),
     ],
-    ids=["directory", "invalid_json", "not_utf8"],
+    ids=["missing", "directory", "invalid_json", "not_utf8"],
 )
 def test_an_unreadable_config_is_one_line_naming_the_file(tmp_path, capsys, command, write, message):
     # Both commands read the file through one reader.  run said "error:
@@ -259,21 +259,48 @@ def test_an_unreadable_config_is_one_line_naming_the_file(tmp_path, capsys, comm
     assert silent == ""
     assert shown.startswith(f"{prefix}{path}: {message}")
     assert len(shown.splitlines()) == 1
+    # An OSError's own message repeated the path.
+    assert shown.count(str(path)) == 1
 
 
-@pytest.mark.parametrize(
+UNREADABLE = pytest.mark.parametrize(
     "write",
-    [lambda path: path.mkdir(), lambda path: path.write_bytes(b"\xff{")],
-    ids=["directory", "not_utf8"],
+    [lambda path: None, lambda path: path.mkdir(), lambda path: path.write_bytes(b"\xff{")],
+    ids=["missing", "directory", "not_utf8"],
 )
+
+
+@UNREADABLE
 def test_an_unreadable_recording_file_is_one_line_naming_the_field(tmp_path, capsys, write):
+    # A missing recording showed its path twice, and an OSError's message a
+    # third time.
     write(tmp_path / "session.json")
     config = write_workflow(tmp_path, backend={"type": "replay", "recording_file": "session.json"})
     assert main(["validate", str(config)]) == EXIT_CONFIG_ERROR
     out, err = capsys.readouterr()
     assert err == ""
-    assert out.startswith("backend.recording_file: ")
+    assert out.startswith("backend.recording_file: cannot read ")
     assert len(out.splitlines()) == 1
+    assert out.count("session.json") == 1
+
+
+@UNREADABLE
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        ("backend.calibration_file", {"backend": {"type": "simulator", "calibration_file": "doc.json"}}),
+        ("main_circuit", {"main_circuit": "doc.json"}),
+    ],
+    ids=["calibration_file", "main_circuit"],
+)
+def test_an_unreadable_referenced_file_is_one_line_naming_the_field(tmp_path, capsys, field, overrides, write):
+    write(tmp_path / "doc.json")
+    assert main(["validate", str(write_workflow(tmp_path, **overrides))]) == EXIT_CONFIG_ERROR
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith(f"{field}: cannot read ")
+    assert len(out.splitlines()) == 1
+    assert out.count("doc.json") == 1
 
 
 def test_run_reports_a_report_it_cannot_write(tmp_path, capsys):

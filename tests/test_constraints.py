@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from qguard import (
     AndConstraint,
+    BackendAdapter,
     BitstringCounts,
     CalibrationConstraint,
     CalibrationSnapshot,
@@ -32,7 +33,9 @@ from qguard import (
     ResourceConstraint,
     SimulatorAdapter,
     constraint_from_dict,
+    correlator_standard_error,
     packed_chsh_circuit,
+    score_standard_error,
     synthetic_calibration_for,
 )
 
@@ -51,7 +54,7 @@ class ManualClock:
         return self.now
 
 
-class CountingAdapter:
+class CountingAdapter(BackendAdapter):
     """Fake backend that tallies run calls and returns canned counts."""
 
     def __init__(self, calibration=None):
@@ -313,6 +316,21 @@ def test_packed_chsh_accepts_a_numpy_integer_shot_count():
     assert result.evidence.shots == 10
 
 
+def test_packed_chsh_standard_errors_use_the_evidence_shot_count():
+    # A lenient replay serves a 100-shot recording at any requested shot
+    # count; the standard errors were computed from the 10 000 requested,
+    # ten times too confident.
+    recorder = RecordingAdapter(SimulatorAdapter(NoiseModel(p1=0.0, p2=0.1, readout_flip=0.0, seed=3)))
+    recorder.run(packed_chsh_circuit(), 100)
+    check = PackedCHSHTest(MinimumAcceptableValue(0.0))
+    result = check.evaluate(ReplayAdapter(recorder.recording()), 10_000)
+    correlators = tuple(result[f"E{pair}"] for pair in ("00", "01", "10", "11"))
+    assert result.evidence.shots == 100
+    assert result["se_S"] == score_standard_error(correlators, 100) > 0.0
+    for pair, correlator in zip(("00", "01", "10", "11"), correlators):
+        assert result[f"se_E{pair}"] == correlator_standard_error(correlator, 100)
+
+
 def test_constraint_misuse_raises_a_typed_error():
     bad = [
         lambda: PackedCHSHTest(MinimumAcceptableValue(2.2)).evaluate(CountingAdapter(), 0),
@@ -335,6 +353,13 @@ def test_constraint_misuse_raises_a_typed_error():
         lambda: PackedCHSHTest(MinimumAcceptableValue(2.2), clock="x"),
         lambda: AndConstraint([StubConstraint(True)], clock=None),
         lambda: FreshWithin(StubConstraint(True), timedelta(seconds=1), clock=5),
+        # Adapters that are not BackendAdapters, which escaped as a bare
+        # AttributeError or went unread under a stub.
+        lambda: PackedCHSHTest(MinimumAcceptableValue(2.2)).evaluate(object(), 100),
+        lambda: CalibrationConstraint(min_qubits=1).evaluate(object(), 100),
+        lambda: AndConstraint([StubConstraint(True)]).evaluate(object(), 100),
+        lambda: NotConstraint(StubConstraint(True)).evaluate(object(), 100),
+        lambda: FreshWithin(StubConstraint(True), timedelta(seconds=1)).evaluate(object(), 100),
     ]
     for build in bad:
         with pytest.raises(ConstraintError) as excinfo:

@@ -3,10 +3,12 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from qguard import (
+    BackendAdapter,
     Branch,
     CallbackError,
     ConditionalResult,
     ConstraintError,
+    FreshWithin,
     IntrospectionError,
     IntrospectionResult,
     MinimumAcceptableValue,
@@ -41,7 +43,7 @@ class ExplodingConstraint(ResourceConstraint):
         raise ConnectionError("backend unreachable")
 
 
-class SpyAdapter:
+class SpyAdapter(BackendAdapter):
     """Wraps a real adapter, logging every run call."""
 
     def __init__(self, inner):
@@ -153,6 +155,19 @@ def test_introspection_error_skips_both_callbacks():
     assert excinfo.value.constraint_name == "exploding"
     assert isinstance(excinfo.value.__cause__, ConnectionError)
     assert excinfo.value.failed_at >= excinfo.value.started_at
+
+
+def test_a_failing_fresh_within_tree_is_named_by_its_wrapper():
+    with pytest.raises(IntrospectionError) as excinfo:
+        run_conditionally(
+            SimulatorAdapter(NoiseModel.ideal()),
+            FreshWithin(ExplodingConstraint(), timedelta(seconds=60)),
+            on_pass=lambda a, i: None,
+            on_fail=lambda a, i: None,
+            shots=1,
+        )
+    assert excinfo.value.constraint_name == "FreshWithin(exploding)"
+    assert isinstance(excinfo.value.__cause__, ConnectionError)
 
 
 def test_callback_error_carries_branch_and_introspection():
@@ -294,6 +309,23 @@ def test_a_clock_that_cannot_be_called_raises_a_typed_error_before_anything_runs
             clock="x",
         )
     assert adapter.runs == []
+
+
+def test_an_adapter_that_is_not_a_backend_adapter_raises_a_typed_error_before_anything_runs():
+    # A constraint that ignores its adapter used to pass, and the callback
+    # then ran against the object.
+    def clock():
+        raise AssertionError("the clock was read")
+
+    with pytest.raises(ConstraintError, match="^adapter must be a BackendAdapter, got <object"):
+        run_conditionally(
+            object(),
+            FixedConstraint(True),
+            on_pass=lambda a, i: pytest.fail("on_pass ran"),
+            on_fail=lambda a, i: pytest.fail("on_fail ran"),
+            shots=10,
+            clock=clock,
+        )
 
 
 def test_timestamps_use_injected_clock():

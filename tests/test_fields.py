@@ -10,10 +10,13 @@ import pytest
 from qguard import (
     DocumentError,
     QGuardError,
+    calibration_from_dict,
     circuit_from_dict,
     constraint_from_dict,
     parse_calibration,
+    parse_circuit,
     parse_recording,
+    recording_from_dict,
 )
 from qguard.cli import load_workflow
 from qguard.fields import choice, each, integer, number, record, string
@@ -191,8 +194,8 @@ def escapes(parse, doc):
 @pytest.mark.parametrize(
     "parse, doc",
     [
-        (parse_calibration, CALIBRATION),
-        (parse_recording, RECORDING),
+        (calibration_from_dict, CALIBRATION),
+        (recording_from_dict, RECORDING),
         (circuit_from_dict, CIRCUIT),
         (constraint_from_dict, CONSTRAINT),
     ],
@@ -201,6 +204,17 @@ def escapes(parse, doc):
 def test_parsers_raise_only_typed_errors(parse, doc):
     parse(copy.deepcopy(doc))  # the unchanged document is valid
     assert escapes(parse, doc) == []
+
+
+@pytest.mark.parametrize("document", [{}, None, 5], ids=["mapping", "none", "int"])
+@pytest.mark.parametrize(
+    "parse", [parse_calibration, parse_recording, parse_circuit], ids=["calibration", "recording", "circuit"]
+)
+def test_parsers_reject_a_document_that_is_not_text(parse, document):
+    # parse_circuit raised a bare TypeError for each; the other two parsed a
+    # mapping as if decoded, so there were two entry points for one document.
+    with pytest.raises(DocumentError, match="^expected JSON text, got "):
+        parse(document)
 
 
 @pytest.mark.parametrize(
