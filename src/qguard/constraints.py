@@ -8,6 +8,8 @@ scores entanglement quality; ``CalibrationConstraint`` checks published
 device properties without spending any shots.  Constraints compose with
 AND/OR/NOT and can be wrapped with a TTL cache (``FreshWithin``).
 
+A tree holds no clock: ``evaluate`` is given the decision's clock, which
+stamps every node, ages FreshWithin's cache and judges a calibration's age.
 Everything is immutable except FreshWithin's cache.  New constraint kinds
 plug in by subclassing :class:`ResourceConstraint` and implementing its
 ``_evaluate``; ``name()`` defaults to the class name.
@@ -32,8 +34,8 @@ from .chsh import (
 )
 from .circuits import packed_chsh_circuit
 from .errors import (
-    ConstraintError, DocumentError, as_float, check_aware, check_integer, check_real, check_shots,
-    check_tuple, check_type,
+    BackendError, ConstraintError, DocumentError, as_float, check_aware, check_integer, check_real,
+    check_shots, check_tuple, check_type,
 )
 from .fields import choice, each, integer, items, join, located, number, record, required, string
 from .timestamps import format_timestamp, utc_now
@@ -120,26 +122,25 @@ class IntrospectionResult:
 class ResourceConstraint:
     """Base of runtime resource checks; an extension point.
 
-    A subclass implements ``_evaluate``.  ``evaluate`` raises
-    :class:`ConstraintError` for an adapter that is not a ``BackendAdapter``,
-    and builds the node's result from ``_evaluate``, named by ``name()`` and
-    stamped by one read of the clock, taken after the check.
+    A subclass implements ``_evaluate``, and passes the clock it is given
+    to any child it evaluates.  ``evaluate`` raises :class:`ConstraintError`
+    for an adapter that is not a ``BackendAdapter`` or a clock that cannot
+    be called, and builds the node's result from ``_evaluate``, named by
+    ``name()`` and stamped by one read of the clock, taken after the check.
     """
-
-    def __init__(self, clock: Callable[[], datetime] = utc_now):
-        self._clock = check_type(clock, Callable, "clock", ConstraintError)
 
     def name(self) -> str:
         return type(self).__name__
 
-    def evaluate(self, adapter: BackendAdapter, shots: int) -> IntrospectionResult:
+    def evaluate(
+        self, adapter: BackendAdapter, shots: int, clock: Callable[[], datetime] = utc_now
+    ) -> IntrospectionResult:
         check_type(adapter, BackendAdapter, "adapter", ConstraintError)
-        passed, scores, evidence, children = self._evaluate(adapter, shots)
-        return IntrospectionResult(
-            self.name(), bool(passed), scores, self._clock(), evidence, children
-        )
+        check_type(clock, Callable, "clock", ConstraintError)
+        passed, scores, evidence, children = self._evaluate(adapter, shots, clock)
+        return IntrospectionResult(self.name(), bool(passed), scores, clock(), evidence, children)
 
-    def _evaluate(self, adapter: BackendAdapter, shots: int) -> tuple:
+    def _evaluate(self, adapter: BackendAdapter, shots: int, clock: Callable[[], datetime]) -> tuple:
         """The check itself: whether it passed, its scores, its evidence
         (None if it ran nothing) and its evaluated children, in order."""
         raise NotImplementedError
@@ -155,16 +156,18 @@ class PackedCHSHTest(ResourceConstraint):
     the shots the evidence holds, are reported but do not affect it.
     """
 
-    def __init__(self, policy: _Threshold, clock: Callable[[], datetime] = utc_now):
-        super().__init__(clock)
+    def __init__(self, policy: _Threshold):
         self._policy = check_type(
             policy, (MinimumAcceptableValue, MaximumAcceptableValue), "policy", ConstraintError
         )
 
     evaluate = ResourceConstraint.evaluate  # own __dict__ entry, for perfbench's tracer
 
-    def _evaluate(self, adapter: BackendAdapter, shots: int):
-        result = adapter.run(packed_chsh_circuit(), check_shots(shots, ConstraintError))
+    def _evaluate(self, adapter: BackendAdapter, shots: int, clock: Callable[[], datetime]):
+        result = check_type(
+            adapter.run(packed_chsh_circuit(), check_shots(shots, ConstraintError)),
+            ExperimentResult, "run() result", BackendError,
+        )
         correlators = tuple(
             compute_pair_correlator(result.counts, pair) for pair in range(4)
         )
@@ -225,13 +228,13 @@ class CalibrationConstraint(ResourceConstraint):
     Aggregation is worst-case: minimum over qubits for T1/T2, maximum for
     error rates, because one bad qubit in the selected set breaks a
     computation.  ``max_age_s`` bounds the snapshot's age, ``taken_at`` to
-    the constraint's clock; a snapshot stamped in the future fails it.  No
+    the decision's clock; a snapshot stamped in the future fails it.  No
     circuit is run and ``shots`` is ignored.  A criterion over data the
     snapshot does not carry (e.g. max_gate_error with an empty gate list)
     passes vacuously and reports no score for it.
     """
 
-    def __init__(self, *, clock: Callable[[], datetime] = utc_now, **criteria: float | None):
+    def __init__(self, **criteria: float | None):
         unknown = sorted(set(criteria) - set(_CRITERIA))
         if unknown:
             raise ConstraintError(f"unknown criteria: {unknown}")
@@ -243,13 +246,14 @@ class CalibrationConstraint(ResourceConstraint):
                 check_integer(value, key, ConstraintError)
             else:
                 check_real(value, key, ConstraintError, finite=True)
-        super().__init__(clock)
 
     evaluate = ResourceConstraint.evaluate  # own __dict__ entry, for perfbench's tracer
 
-    def _evaluate(self, adapter: BackendAdapter, shots: int):
-        snapshot = adapter.calibration()
-        now = self._clock()
+    def _evaluate(self, adapter: BackendAdapter, shots: int, clock: Callable[[], datetime]):
+        snapshot = check_type(
+            adapter.calibration(), CalibrationSnapshot, "calibration() result", BackendError
+        )
+        now = clock()
         scores: dict[str, float] = {}
         passed = True
         for key, limit in self._criteria.items():
@@ -271,19 +275,16 @@ class _Composite(ResourceConstraint):
 
     _decisive: bool
 
-    def __init__(
-        self, children: Iterable[ResourceConstraint], clock: Callable[[], datetime] = utc_now
-    ):
-        super().__init__(clock)
+    def __init__(self, children: Iterable[ResourceConstraint]):
         self._children = check_tuple(children, "children", ConstraintError, ResourceConstraint)
         if not self._children:
             raise ConstraintError(f"{self.name()} requires at least one child")
 
-    def _evaluate(self, adapter: BackendAdapter, shots: int):
+    def _evaluate(self, adapter: BackendAdapter, shots: int, clock: Callable[[], datetime]):
         evaluated: list[IntrospectionResult] = []
         passed = not self._decisive
         for child in self._children:
-            outcome = child.evaluate(adapter, shots)
+            outcome = child.evaluate(adapter, shots, clock)
             evaluated.append(outcome)
             if outcome.passed == self._decisive:
                 passed = self._decisive
@@ -308,12 +309,11 @@ class OrConstraint(_Composite):
 class NotConstraint(ResourceConstraint):
     """Inverts its child's outcome."""
 
-    def __init__(self, child: ResourceConstraint, clock: Callable[[], datetime] = utc_now):
-        super().__init__(clock)
+    def __init__(self, child: ResourceConstraint):
         self._child = check_type(child, ResourceConstraint, "child", ConstraintError)
 
-    def _evaluate(self, adapter: BackendAdapter, shots: int):
-        outcome = self._child.evaluate(adapter, shots)
+    def _evaluate(self, adapter: BackendAdapter, shots: int, clock: Callable[[], datetime]):
+        outcome = self._child.evaluate(adapter, shots, clock)
         return not outcome.passed, {}, None, (outcome,)
 
 
@@ -322,7 +322,8 @@ class FreshWithin(ResourceConstraint):
 
     Introspection and use of its result are separated in time; this wrapper
     bounds that gap.  The child result is reused while ``0 <= now -
-    evaluated_at <= ttl``, for the same shot count on a backend with the same
+    evaluated_at <= ttl``, ``now`` being read from the clock ``evaluate`` is
+    given, for the same shot count on a backend with the same
     ``cache_key()``; otherwise the child is re-evaluated.  A negative age
     means the clock stepped back, so the result's age is unknown and it is
     stale.  The cached result is returned as-is, original ``evaluated_at``
@@ -334,16 +335,10 @@ class FreshWithin(ResourceConstraint):
     value once it lands.
     """
 
-    def __init__(
-        self,
-        child: ResourceConstraint,
-        ttl: timedelta,
-        clock: Callable[[], datetime] = utc_now,
-    ):
+    def __init__(self, child: ResourceConstraint, ttl: timedelta):
         check_type(ttl, timedelta, "ttl", ConstraintError)
         if ttl <= timedelta(0):
             raise ConstraintError(f"ttl must be positive, got {ttl.total_seconds()} s")
-        super().__init__(clock)
         self._child = check_type(child, ResourceConstraint, "child", ConstraintError)
         self._ttl = ttl
         self._lock = threading.Lock()
@@ -353,15 +348,18 @@ class FreshWithin(ResourceConstraint):
     def name(self) -> str:
         return f"FreshWithin({self._child.name()})"
 
-    def evaluate(self, adapter: BackendAdapter, shots: int) -> IntrospectionResult:
+    def evaluate(
+        self, adapter: BackendAdapter, shots: int, clock: Callable[[], datetime] = utc_now
+    ) -> IntrospectionResult:
         check_type(adapter, BackendAdapter, "adapter", ConstraintError)
+        check_type(clock, Callable, "clock", ConstraintError)
         request = (adapter.cache_key(), shots)
         with self._lock:
             if self._cached is not None and self._cached_for == request:
-                age = self._clock() - self._cached.evaluated_at
+                age = clock() - self._cached.evaluated_at
                 if timedelta(0) <= age <= self._ttl:
                     return self._cached
-            outcome = self._child.evaluate(adapter, shots)
+            outcome = self._child.evaluate(adapter, shots, clock)
             self._cached, self._cached_for = outcome, request
             return outcome
 
@@ -388,18 +386,13 @@ def _criteria(value: Any, path: str) -> dict[str, float]:
     return record(value, path, _CRITERION_FIELDS, optional=_CRITERION_FIELDS)
 
 
-def constraint_from_dict(
-    doc: Mapping[str, Any],
-    path: str = "constraint",
-    clock: Callable[[], datetime] = utc_now,
-) -> ResourceConstraint:
+def constraint_from_dict(doc: Mapping[str, Any], path: str = "constraint") -> ResourceConstraint:
     """Build a constraint tree from its document form.
 
     Malformed documents raise :class:`DocumentError` naming the offending
-    field.  ``clock`` is threaded through to every node so whole trees can
-    run against synthetic time.
+    field.  The tree holds no clock: each evaluation is given one.
     """
-    children = each(lambda child, child_path: constraint_from_dict(child, child_path, clock))
+    children = each(constraint_from_dict)
 
     def only_child(value: Any, children_path: str) -> ResourceConstraint:
         if len(items(value, children_path)) != 1:
@@ -417,14 +410,14 @@ def constraint_from_dict(
     fields = record(doc, path, {"type": string, **required(doc, "type", path, choice(readers))})
     kind = fields["type"]
     if kind == "packed_chsh":
-        return PackedCHSHTest(fields["policy"], clock=clock)
+        return PackedCHSHTest(fields["policy"])
     if kind == "calibration":
         with located(join(path, "criteria")):
-            return CalibrationConstraint(clock=clock, **fields["criteria"])
+            return CalibrationConstraint(**fields["criteria"])
     if kind in ("and", "or"):
         with located(join(path, "children")):
-            return (AndConstraint if kind == "and" else OrConstraint)(fields["children"], clock)
+            return (AndConstraint if kind == "and" else OrConstraint)(fields["children"])
     if kind == "not":
-        return NotConstraint(fields["children"], clock=clock)
+        return NotConstraint(fields["children"])
     with located(join(path, "ttl_seconds")):
-        return FreshWithin(fields["children"], timedelta(seconds=fields["ttl_seconds"]), clock)
+        return FreshWithin(fields["children"], timedelta(seconds=fields["ttl_seconds"]))

@@ -3,8 +3,9 @@ one of two callbacks with the evidence in hand.
 
 The flow is synchronous and minimal on purpose: the constraint is evaluated,
 the branch is decided, and the chosen callback runs immediately, keeping the
-window between introspection and use as small as the backend allows.  Both
-phase timestamps are recorded so that window is measurable.
+window between introspection and use as small as the backend allows.  One
+clock times the whole decision: it stamps both phases and every node of the
+constraint tree, so that window is measurable on one time base.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Any, Callable
 
 from .backends import BackendAdapter
 from .constraints import IntrospectionResult, ResourceConstraint
-from .errors import CallbackError, ConstraintError, IntrospectionError, check_shots, check_type
+from .errors import CallbackError, ConstraintError, IntrospectionError, check_aware, check_shots, check_type
 from .timestamps import utc_now
 
 Callback = Callable[[BackendAdapter, IntrospectionResult], Any]
@@ -56,12 +57,14 @@ def run_conditionally(
     ``shots`` feeds the constraint's evidence circuits; whatever the main
     computation does with the adapter (including its own shot count) is the
     callback's business.  The callback receives the same adapter and the
-    introspection result that ends up in the returned record.
+    introspection result that ends up in the returned record.  ``clock`` is
+    the decision's clock: the constraint tree is evaluated against it.
 
     An ``adapter`` that is not a :class:`BackendAdapter`, a ``constraint``
     that is not a :class:`ResourceConstraint`, ``shots`` that are not a
     positive integer, or a ``clock`` that cannot be called raises
-    :class:`ConstraintError` before anything runs.  If constraint evaluation
+    :class:`ConstraintError` before anything runs, as does a first clock
+    reading that is not a timezone-aware datetime.  If constraint evaluation
     raises, neither callback runs and the error surfaces as
     :class:`IntrospectionError`.  If the chosen callback raises, the error
     surfaces as :class:`CallbackError` carrying the branch and introspection
@@ -71,9 +74,9 @@ def run_conditionally(
     shots = check_shots(shots, ConstraintError)
     check_type(constraint, ResourceConstraint, "constraint", ConstraintError)
     check_type(clock, Callable, "clock", ConstraintError)
-    started_at = clock()
+    started_at = check_aware(clock(), "clock reading", ConstraintError)
     try:
-        introspection = constraint.evaluate(adapter, shots)
+        introspection = constraint.evaluate(adapter, shots, clock)
     except Exception as exc:
         raise IntrospectionError(
             f"constraint evaluation failed: {exc}",

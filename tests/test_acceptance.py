@@ -260,7 +260,7 @@ class ScriptedConstraint(ResourceConstraint):
     def name(self):
         return "scripted"
 
-    def evaluate(self, adapter, shots):
+    def evaluate(self, adapter, shots, clock=None):
         for _ in range(self._probe_runs):
             adapter.run(_ONE_QUBIT, shots)
         if self._action == "error":
@@ -346,17 +346,16 @@ def test_executor_callback_contract():
 
 
 class FixedOutcome(ResourceConstraint):
-    def __init__(self, passed, clock=None):
+    def __init__(self, passed):
         self._passed = passed
-        self._clock = clock or (lambda: T0)
         self.evaluations = 0
 
     def name(self):
         return "fixed"
 
-    def evaluate(self, adapter, shots):
+    def evaluate(self, adapter, shots, clock):
         self.evaluations += 1
-        return IntrospectionResult("fixed", self._passed, {}, self._clock())
+        return IntrospectionResult("fixed", self._passed, {}, clock())
 
 
 class IdleAdapter(BackendAdapter):
@@ -409,14 +408,14 @@ def test_composite_and_freshness_logic():
 
     now = [T0]
     clock = lambda: now[0]
-    child = FixedOutcome(True, clock=clock)
-    fresh = FreshWithin(child, ttl=timedelta(seconds=60), clock=clock)
-    first = fresh.evaluate(IdleAdapter(), 1)
+    child = FixedOutcome(True)
+    fresh = FreshWithin(child, ttl=timedelta(seconds=60))
+    first = fresh.evaluate(IdleAdapter(), 1, clock)
     now[0] = T0 + timedelta(seconds=30)
-    assert fresh.evaluate(IdleAdapter(), 1) is first  # cache hit inside ttl
+    assert fresh.evaluate(IdleAdapter(), 1, clock) is first  # cache hit inside ttl
     assert child.evaluations == 1
     now[0] = T0 + timedelta(seconds=90)
-    second = fresh.evaluate(IdleAdapter(), 1)  # expired: re-evaluate
+    second = fresh.evaluate(IdleAdapter(), 1, clock)  # expired: re-evaluate
     assert child.evaluations == 2
     assert second.evaluated_at == T0 + timedelta(seconds=90)
 

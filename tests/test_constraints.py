@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from qguard import (
     AndConstraint,
     BackendAdapter,
+    BackendError,
     BitstringCounts,
     CalibrationConstraint,
     CalibrationSnapshot,
@@ -35,6 +36,7 @@ from qguard import (
     constraint_from_dict,
     correlator_standard_error,
     packed_chsh_circuit,
+    run_conditionally,
     score_standard_error,
     synthetic_calibration_for,
 )
@@ -92,7 +94,7 @@ class StubConstraint(ResourceConstraint):
     def name(self):
         return self._label
 
-    def evaluate(self, adapter, shots):
+    def evaluate(self, adapter, shots, clock=None):
         self.evaluations += 1
         from qguard import phi_plus
 
@@ -196,9 +198,9 @@ def test_introspection_result_checks_its_fields_when_built(field, value, message
 
 
 def test_a_clock_that_returns_a_naive_datetime_fails_the_evaluation():
-    check = PackedCHSHTest(MinimumAcceptableValue(0.0), clock=lambda: datetime(2026, 8, 21))
+    check = PackedCHSHTest(MinimumAcceptableValue(0.0))
     with pytest.raises(ConstraintError, match="^evaluated_at must be a timezone-aware"):
-        check.evaluate(CountingAdapter(), 10)
+        check.evaluate(CountingAdapter(), 10, lambda: datetime(2026, 8, 21))
 
 
 # --- ResourceConstraint ----------------------------------------------------
@@ -229,17 +231,17 @@ def test_a_subclass_that_implements_only_evaluate_gets_its_result_built():
     checked_at = []
 
     class Minimal(ResourceConstraint):
-        def _evaluate(self, adapter, shots):
-            checked_at.append(self._clock())
+        def _evaluate(self, adapter, shots, clock):
+            checked_at.append(clock())
             return False, scores, evidence, (child,)
 
-    result = Minimal(clock).evaluate(CountingAdapter(), 1)
+    result = Minimal().evaluate(CountingAdapter(), 1, clock)
     assert result.constraint_name == "Minimal"
     assert result.passed is False
     assert result.scores == scores
     assert result.evidence is evidence
     assert result.children == (child,)
-    # One read of the node's own clock, taken after the check returned.
+    # One read of the clock it was given, taken after the check returned.
     assert clock.reads == 2
     assert result.evaluated_at == T0 + timedelta(seconds=2) > checked_at[0]
 
@@ -348,11 +350,13 @@ def test_constraint_misuse_raises_a_typed_error():
         lambda: FreshWithin(42, timedelta(seconds=1)),
         lambda: PackedCHSHTest(2.2),
         lambda: PackedCHSHTest(None),
-        # Clocks that cannot be called, which used to fail only when read.
-        lambda: CalibrationConstraint(min_qubits=1, clock="x"),
-        lambda: PackedCHSHTest(MinimumAcceptableValue(2.2), clock="x"),
-        lambda: AndConstraint([StubConstraint(True)], clock=None),
-        lambda: FreshWithin(StubConstraint(True), timedelta(seconds=1), clock=5),
+        # Clocks that cannot be called, which would fail only when read.
+        lambda: CalibrationConstraint(min_qubits=1).evaluate(CountingAdapter(), 1, clock="x"),
+        lambda: PackedCHSHTest(MinimumAcceptableValue(2.2)).evaluate(CountingAdapter(), 1, clock="x"),
+        lambda: AndConstraint([StubConstraint(True)]).evaluate(CountingAdapter(), 1, clock=None),
+        lambda: FreshWithin(StubConstraint(True), timedelta(seconds=1)).evaluate(
+            CountingAdapter(), 1, clock=5
+        ),
         # Adapters that are not BackendAdapters, which escaped as a bare
         # AttributeError or went unread under a stub.
         lambda: PackedCHSHTest(MinimumAcceptableValue(2.2)).evaluate(object(), 100),
@@ -365,6 +369,28 @@ def test_constraint_misuse_raises_a_typed_error():
         with pytest.raises(ConstraintError) as excinfo:
             build()
         assert isinstance(excinfo.value, QGuardError)
+
+
+class WrongReturnAdapter(CountingAdapter):
+    def run(self, circuit, shots):
+        return {"0" * circuit.num_measured: shots}
+
+    def calibration(self):
+        return None
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (PackedCHSHTest(MinimumAcceptableValue(2.2)), "run() result must be an ExperimentResult, got {"),
+        (CalibrationConstraint(min_qubits=1), "calibration() result must be a CalibrationSnapshot, got None"),
+    ],
+    ids=["run", "calibration"],
+)
+def test_an_adapter_method_that_returns_the_wrong_type_raises_a_backend_error_naming_it(check, message):
+    # Each used to escape as a bare AttributeError from reading the result.
+    with pytest.raises(BackendError, match=f"^{re.escape(message)}"):
+        check.evaluate(WrongReturnAdapter(), 10)
 
 
 # --- CalibrationConstraint -------------------------------------------------
@@ -484,19 +510,19 @@ def test_calibration_constraint_max_age():
     clock = ManualClock()
     six_years = 6 * 365 * 24 * 3600
     old = synthetic_calibration_for(NoiseModel.ideal(), 2, taken_at=T0 - timedelta(seconds=six_years))
-    constraint = CalibrationConstraint(max_age_s=3600, clock=clock)
-    result = constraint.evaluate(CountingAdapter(old), 1)
+    constraint = CalibrationConstraint(max_age_s=3600)
+    result = constraint.evaluate(CountingAdapter(old), 1, clock)
     assert not result.passed
     assert result.scores == {"calibration_age_s": six_years}
     assert result.evaluated_at == T0
     hour_old = old.with_taken_at(T0 - timedelta(seconds=3600))  # the boundary passes
-    assert constraint.evaluate(CountingAdapter(hour_old), 1).passed
+    assert constraint.evaluate(CountingAdapter(hour_old), 1, clock).passed
 
 
 def test_calibration_constraint_is_stamped_after_its_check():
     clock = TickingClock()
     adapter = SnapshotAdapter(two_qubit_snapshot())  # taken at T0
-    result = CalibrationConstraint(max_age_s=100.0, clock=clock).evaluate(adapter, 1)
+    result = CalibrationConstraint(max_age_s=100.0).evaluate(adapter, 1, clock)
     # The age is judged at the first read; the result is stamped by the second.
     assert result.scores == {"calibration_age_s": 1.0}
     assert result.evaluated_at == T0 + timedelta(seconds=2)
@@ -505,7 +531,7 @@ def test_calibration_constraint_is_stamped_after_its_check():
 def test_calibration_constraint_rejects_a_snapshot_from_the_future():
     # A negative age is unknown, so the snapshot is stale, as in FreshWithin.
     future = synthetic_calibration_for(NoiseModel.ideal(), 2, taken_at=T0 + timedelta(seconds=1))
-    result = CalibrationConstraint(max_age_s=3600, clock=ManualClock()).evaluate(CountingAdapter(future), 1)
+    result = CalibrationConstraint(max_age_s=3600).evaluate(CountingAdapter(future), 1, ManualClock())
     assert not result.passed
     assert result.scores["calibration_age_s"] == -1.0
 
@@ -514,10 +540,10 @@ def test_constraint_from_dict_reads_max_age():
     doc = {"type": "calibration", "criteria": {"min_qubits": 2, "max_age_s": 60}}
     clock = ManualClock()
     snapshot = synthetic_calibration_for(NoiseModel.ideal(), 2, taken_at=T0)
-    constraint = constraint_from_dict(doc, clock=clock)
-    assert constraint.evaluate(CountingAdapter(snapshot), 1).passed
+    constraint = constraint_from_dict(doc)
+    assert constraint.evaluate(CountingAdapter(snapshot), 1, clock).passed
     clock.advance(61)
-    assert not constraint.evaluate(CountingAdapter(snapshot), 1).passed
+    assert not constraint.evaluate(CountingAdapter(snapshot), 1, clock).passed
     doc["criteria"]["max_age_s"] = "1h"
     with pytest.raises(DocumentError) as caught:
         constraint_from_dict(doc)
@@ -581,7 +607,7 @@ def test_child_errors_propagate():
         def name(self):
             return "boom"
 
-        def evaluate(self, adapter, shots):
+        def evaluate(self, adapter, shots, clock=None):
             raise RuntimeError("broken probe")
 
     with pytest.raises(RuntimeError, match="broken probe"):
@@ -592,29 +618,25 @@ def test_child_errors_propagate():
 
 
 class ClockedStub(StubConstraint):
-    """Stub whose results carry the synthetic clock's time."""
+    """Stub whose results carry the time of the clock it is evaluated against."""
 
-    def __init__(self, clock, passed=True):
-        super().__init__(passed)
-        self._clock = clock
-
-    def evaluate(self, adapter, shots):
+    def evaluate(self, adapter, shots, clock):
         self.evaluations += 1
         return IntrospectionResult(
             constraint_name="clocked",
             passed=self._passed,
             scores={},
-            evaluated_at=self._clock(),
+            evaluated_at=clock(),
         )
 
 
 def test_fresh_within_caches_inside_ttl():
     clock = ManualClock()
-    child = ClockedStub(clock)
-    fresh = FreshWithin(child, ttl=timedelta(seconds=60), clock=clock)
-    first = fresh.evaluate(CountingAdapter(), 1)
+    child = ClockedStub(True)
+    fresh = FreshWithin(child, ttl=timedelta(seconds=60))
+    first = fresh.evaluate(CountingAdapter(), 1, clock)
     clock.advance(1)
-    second = fresh.evaluate(CountingAdapter(), 1)
+    second = fresh.evaluate(CountingAdapter(), 1, clock)
     assert child.evaluations == 1
     assert second is first
     assert second.evaluated_at == first.evaluated_at
@@ -622,25 +644,25 @@ def test_fresh_within_caches_inside_ttl():
 
 def test_fresh_within_reevaluates_past_ttl():
     clock = ManualClock()
-    child = ClockedStub(clock)
-    fresh = FreshWithin(child, ttl=timedelta(seconds=60), clock=clock)
-    first = fresh.evaluate(CountingAdapter(), 1)
+    child = ClockedStub(True)
+    fresh = FreshWithin(child, ttl=timedelta(seconds=60))
+    first = fresh.evaluate(CountingAdapter(), 1, clock)
     clock.advance(120)
-    second = fresh.evaluate(CountingAdapter(), 1)
+    second = fresh.evaluate(CountingAdapter(), 1, clock)
     assert child.evaluations == 2
     assert second.evaluated_at > first.evaluated_at
 
 
 def test_fresh_within_boundary_is_inclusive():
     clock = ManualClock()
-    child = ClockedStub(clock)
-    fresh = FreshWithin(child, ttl=timedelta(seconds=60), clock=clock)
-    fresh.evaluate(CountingAdapter(), 1)
+    child = ClockedStub(True)
+    fresh = FreshWithin(child, ttl=timedelta(seconds=60))
+    fresh.evaluate(CountingAdapter(), 1, clock)
     clock.advance(60)  # exactly ttl old: still fresh
-    fresh.evaluate(CountingAdapter(), 1)
+    fresh.evaluate(CountingAdapter(), 1, clock)
     assert child.evaluations == 1
     clock.advance(1)  # now past ttl
-    fresh.evaluate(CountingAdapter(), 1)
+    fresh.evaluate(CountingAdapter(), 1, clock)
     assert child.evaluations == 2
 
 
@@ -667,17 +689,17 @@ def test_fresh_within_does_not_cache_errors():
         def name(self):
             return "flaky"
 
-        def evaluate(self, adapter, shots):
+        def evaluate(self, adapter, shots, clock):
             self.calls += 1
             if self.calls == 1:
                 raise RuntimeError("probe offline")
             return IntrospectionResult("flaky", True, {}, clock())
 
     child = FlakyOnce()
-    fresh = FreshWithin(child, ttl=timedelta(seconds=60), clock=clock)
+    fresh = FreshWithin(child, ttl=timedelta(seconds=60))
     with pytest.raises(RuntimeError):
-        fresh.evaluate(CountingAdapter(), 1)
-    result = fresh.evaluate(CountingAdapter(), 1)
+        fresh.evaluate(CountingAdapter(), 1, clock)
+    result = fresh.evaluate(CountingAdapter(), 1, clock)
     assert result.passed
     assert child.calls == 2
 
@@ -693,17 +715,17 @@ def test_fresh_within_evaluates_child_once_under_contention():
         def name(self):
             return "slow"
 
-        def evaluate(self, adapter, shots):
+        def evaluate(self, adapter, shots, clock):
             self.calls += 1
             return IntrospectionResult("slow", True, {}, clock())
 
     child = SlowChild()
-    fresh = FreshWithin(child, ttl=timedelta(seconds=60), clock=clock)
+    fresh = FreshWithin(child, ttl=timedelta(seconds=60))
     results = []
 
     def worker():
         barrier.wait()
-        results.append(fresh.evaluate(CountingAdapter(), 1))
+        results.append(fresh.evaluate(CountingAdapter(), 1, clock))
 
     threads = [threading.Thread(target=worker) for _ in range(4)]
     for t in threads:
@@ -716,12 +738,12 @@ def test_fresh_within_evaluates_child_once_under_contention():
 
 def test_fresh_within_treats_a_clock_stepped_back_as_stale():
     clock = ManualClock()
-    child = ClockedStub(clock)
-    fresh = FreshWithin(child, ttl=timedelta(seconds=60), clock=clock)
+    child = ClockedStub(True)
+    fresh = FreshWithin(child, ttl=timedelta(seconds=60))
     adapter = CountingAdapter()
-    fresh.evaluate(adapter, 1)
+    fresh.evaluate(adapter, 1, clock)
     clock.advance(-365 * 24 * 3600)  # the cached result now lies a year ahead
-    fresh.evaluate(adapter, 1)
+    fresh.evaluate(adapter, 1, clock)
     assert child.evaluations == 2
 
 
@@ -739,13 +761,13 @@ def test_fresh_within_reevaluates_for_other_backend():
             return "other"
 
     clock = ManualClock()
-    child = ClockedStub(clock)
-    fresh = FreshWithin(child, ttl=timedelta(seconds=60), clock=clock)
-    first = fresh.evaluate(CountingAdapter(), 1)
-    second = fresh.evaluate(OtherAdapter(), 1)
+    child = ClockedStub(True)
+    fresh = FreshWithin(child, ttl=timedelta(seconds=60))
+    first = fresh.evaluate(CountingAdapter(), 1, clock)
+    second = fresh.evaluate(OtherAdapter(), 1, clock)
     assert child.evaluations == 2
     assert second is not first
-    assert fresh.evaluate(OtherAdapter(), 1) is second
+    assert fresh.evaluate(OtherAdapter(), 1, clock) is second
 
 
 def test_fresh_within_reevaluates_for_other_simulator_noise():
@@ -935,3 +957,51 @@ def test_constraint_from_dict_not_requires_single_child():
     }
     with pytest.raises(DocumentError, match="exactly 1"):
         constraint_from_dict(doc)
+
+
+def test_every_node_of_a_document_tree_is_stamped_by_the_decision_clock():
+    # Each node used to read its own wall clock, so the nodes were stamped
+    # outside the decision, and the calibration age was judged against the
+    # wall clock rather than the decision's.
+    doc = {
+        "type": "and",
+        "children": [
+            {"type": "calibration", "criteria": {"min_qubits": 8, "max_age_s": 60}},
+            {"type": "not", "children": [{"type": "packed_chsh", "policy": {"kind": "max", "threshold": 2.0}}]},
+            {
+                "type": "or",
+                "children": [
+                    {"type": "packed_chsh", "policy": {"kind": "max", "threshold": 2.0}},
+                    {
+                        "type": "fresh_within",
+                        "ttl_seconds": 60,
+                        "children": [{"type": "packed_chsh", "policy": {"kind": "min", "threshold": 2.2}}],
+                    },
+                ],
+            },
+        ],
+    }
+    clock = ManualClock()
+    outcome = run_conditionally(
+        SimulatorAdapter(NoiseModel.ideal(seed=3), clock=clock),
+        constraint_from_dict(doc),
+        on_pass=lambda adapter, introspection: clock.advance(1),
+        on_fail=lambda adapter, introspection: None,
+        shots=1000,
+        clock=clock,
+    )
+
+    def nodes(result):
+        yield result
+        for child in result.children:
+            yield from nodes(child)
+
+    evaluated = list(nodes(outcome.introspection))
+    assert outcome.introspection.passed
+    assert [node.constraint_name for node in evaluated] == [
+        "AndConstraint", "CalibrationConstraint", "NotConstraint", "PackedCHSHTest",
+        "OrConstraint", "PackedCHSHTest", "PackedCHSHTest",
+    ]
+    assert outcome.finished_at == T0 + timedelta(seconds=1)
+    for node in evaluated:
+        assert outcome.started_at <= node.evaluated_at <= outcome.finished_at

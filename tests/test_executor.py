@@ -31,7 +31,7 @@ class FixedConstraint(ResourceConstraint):
     def name(self):
         return "fixed"
 
-    def evaluate(self, adapter, shots):
+    def evaluate(self, adapter, shots, clock=None):
         return IntrospectionResult("fixed", self._passed, {"s": 1.0}, T0)
 
 
@@ -39,7 +39,7 @@ class ExplodingConstraint(ResourceConstraint):
     def name(self):
         return "exploding"
 
-    def evaluate(self, adapter, shots):
+    def evaluate(self, adapter, shots, clock=None):
         raise ConnectionError("backend unreachable")
 
 
@@ -311,6 +311,21 @@ def test_a_clock_that_cannot_be_called_raises_a_typed_error_before_anything_runs
     assert adapter.runs == []
 
 
+def test_a_clock_that_reads_a_naive_datetime_raises_a_typed_error_before_the_tree_runs():
+    # It used to return a record whose started_at and finished_at were naive.
+    adapter = SpyAdapter(SimulatorAdapter(NoiseModel.ideal()))
+    with pytest.raises(ConstraintError, match="^clock reading must be a timezone-aware datetime"):
+        run_conditionally(
+            adapter,
+            PackedCHSHTest(MinimumAcceptableValue(2.2)),
+            on_pass=lambda a, i: pytest.fail("on_pass ran"),
+            on_fail=lambda a, i: pytest.fail("on_fail ran"),
+            shots=10,
+            clock=lambda: datetime(2020, 1, 1),
+        )
+    assert adapter.runs == []
+
+
 def test_an_adapter_that_is_not_a_backend_adapter_raises_a_typed_error_before_anything_runs():
     # A constraint that ignores its adapter used to pass, and the callback
     # then ran against the object.
@@ -341,3 +356,31 @@ def test_timestamps_use_injected_clock():
     )
     assert outcome.started_at == times[0]
     assert outcome.finished_at == times[1]
+
+
+def test_the_decision_clock_stamps_the_tree_and_ages_its_cache():
+    # A tree built with defaults used to read the wall clock: its result was
+    # stamped outside [started_at, finished_at], and a 60 s FreshWithin
+    # served evidence ten minutes old on the decision's clock.
+    now = [datetime(2020, 1, 1, tzinfo=timezone.utc)]
+
+    def clock():
+        now[0] += timedelta(seconds=1)
+        return now[0]
+
+    fresh = FreshWithin(PackedCHSHTest(MinimumAcceptableValue(2.2)), timedelta(seconds=60))
+    adapter = SimulatorAdapter(NoiseModel.ideal(seed=5))
+
+    def decide():
+        return run_conditionally(
+            adapter, fresh, on_pass=lambda a, i: None, on_fail=lambda a, i: None, shots=1000, clock=clock
+        )
+
+    first = decide()
+    assert first.started_at < first.introspection.evaluated_at < first.finished_at
+    hit = decide()  # a few seconds old on the decision's clock: a cache hit
+    assert hit.introspection is first.introspection
+    now[0] += timedelta(minutes=10)
+    second = decide()
+    assert second.introspection is not first.introspection
+    assert second.started_at < second.introspection.evaluated_at < second.finished_at

@@ -9,8 +9,9 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def test_readme_python_blocks_run():
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
-    assert len(blocks) >= 2
+    assert len(blocks) >= 3
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     assert namespace["outcome"].introspection.scores["CHSH_score"] > 2.2
+    assert namespace["check"].passed
