@@ -119,8 +119,10 @@ class SimulatorAdapter(BackendAdapter):
 
     Run ``i`` of a session uses the sub-seed ``derive_seed(noise.seed, i)``,
     so repeated runs are statistically independent while a whole session
-    replays bit-identically from the base seed.  The calibration snapshot is
-    synthetic; by default its error fields mirror the noise model.
+    replays bit-identically from the base seed.  A calibration snapshot
+    passed in is served as given, its own ``taken_at`` included.  Without
+    one, the snapshot is synthetic: its error fields mirror the noise model
+    and it is stamped with the adapter's clock on each call.
     """
 
     def __init__(
@@ -130,7 +132,8 @@ class SimulatorAdapter(BackendAdapter):
         clock: Callable[[], datetime] = utc_now,
     ):
         self._noise = check_noise(noise) if noise is not None else NoiseModel()
-        if synthetic_calibration is None:
+        self._stamp_each_call = synthetic_calibration is None
+        if self._stamp_each_call:
             synthetic_calibration = synthetic_calibration_for(self._noise)
         self._calibration = check_type(
             synthetic_calibration, CalibrationSnapshot, "synthetic_calibration", CalibrationError
@@ -154,7 +157,9 @@ class SimulatorAdapter(BackendAdapter):
         )
 
     def calibration(self) -> CalibrationSnapshot:
-        return self._calibration.with_taken_at(self._clock())
+        if self._stamp_each_call:
+            return self._calibration.with_taken_at(self._clock())
+        return self._calibration
 
     def name(self) -> str:
         return "simulator"
@@ -162,7 +167,8 @@ class SimulatorAdapter(BackendAdapter):
     def cache_key(self) -> Hashable:
         # Every simulator has one name; its noise and the snapshot that
         # constraints judge tell them apart.  The seed only picks the random
-        # draws, and calibration() restamps taken_at, so both are left out.
+        # draws, and the same properties taken at another moment describe the
+        # same device, so the seed and taken_at are left out.
         snapshot = self._calibration
         judged = (snapshot.num_qubits, snapshot.qubits, snapshot.gates, snapshot.coupling_map)
         return (self.name(), self._noise.with_seed(0), judged)

@@ -7,7 +7,9 @@ counts) / total, an exact rational that always lands in [-1, 1].
 
 from __future__ import annotations
 
+import functools
 import math
+from itertools import product, repeat
 from typing import Mapping
 
 from .circuits import BitstringCounts
@@ -26,12 +28,21 @@ def compute_pair_correlator(counts: Mapping[str, int], pair_index: int) -> float
         counts = BitstringCounts(counts)
     if counts.num_bits != PACKED_BITS:
         raise CircuitError(f"expected {PACKED_BITS}-bit strings, got {next(iter(counts))!r}")
-    left = 2 * pair_index
     total = counts.total
-    same = sum(count for bits, count in counts.items() if bits[left] == bits[left + 1])
+    # The counts' own dict, read in one C-level pass over the pair's 128 keys.
+    same = sum(map(counts._counts.get, _agreeing_keys(pair_index), repeat(0)))
     if total == 0:
         raise ScoreError("counts total is zero")
     return (2 * same - total) / total
+
+
+@functools.cache
+def _agreeing_keys(pair_index: int) -> tuple[str, ...]:
+    """The 8-bit strings whose bits (2i, 2i+1) agree."""
+    left = 2 * pair_index
+    return tuple(
+        "".join(bits) for bits in product("01", repeat=PACKED_BITS) if bits[left] == bits[left + 1]
+    )
 
 
 def chsh_score(e00: float, e01: float, e10: float, e11: float) -> float:

@@ -13,6 +13,7 @@ passed, 3 constraint failed, 1 configuration error, 2 runtime/backend error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -280,7 +281,10 @@ def _cmd_validate(config_path: str) -> int:
     return EXIT_CONFIG_ERROR if diagnostics else EXIT_PASSED
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    :func:`main` call in the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qguard",
         description="Run or validate conditional quantum workflow files.",
@@ -299,8 +303,11 @@ def main(argv: list[str] | None = None) -> int:
         "validate", help="check a workflow file without executing it"
     )
     validate_parser.add_argument("config", help="workflow configuration file (JSON)")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "run":
         if args.seed is not None and not 0 <= args.seed < 2**64:
             print("error: --seed must be an unsigned 64-bit integer", file=sys.stderr)

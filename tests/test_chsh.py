@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qguard import (
+    BitstringCounts,
     CircuitError,
     QGuardError,
     ScoreError,
@@ -178,3 +179,26 @@ def test_score_rejects_a_correlator_that_is_not_a_number(value):
     # "a" used to escape as a bare TypeError from -1.0 <= "a".
     with pytest.raises(ScoreError, match="E00"):
         chsh_score(value, 0, 0, 0)
+
+
+def per_key_correlator(counts, pair_index):
+    """The rule the correlator is defined by, one key at a time."""
+    left = 2 * pair_index
+    total = sum(counts.values())
+    same = sum(count for bits, count in counts.items() if bits[left] == bits[left + 1])
+    return (2 * same - total) / total
+
+
+@given(
+    st.dictionaries(
+        st.integers(0, 255).map(lambda value: format(value, "08b")),
+        st.integers(0, 2**70),
+        min_size=1,
+        max_size=256,
+    ).filter(lambda counts: any(counts.values()))
+)
+def test_correlator_equals_the_per_key_rule_bit_for_bit(counts):
+    for pair in range(4):
+        expected = per_key_correlator(counts, pair)
+        assert compute_pair_correlator(counts, pair) == expected
+        assert compute_pair_correlator(BitstringCounts(counts), pair) == expected

@@ -1,6 +1,8 @@
+import argparse
 import json
 import subprocess
 import sys
+from datetime import datetime, timezone
 
 import pytest
 
@@ -323,6 +325,20 @@ def test_run_judges_the_snapshot_of_a_calibration_file(tmp_path):
     assert report["introspection"]["scores"] == {"worst_t1_us": 40.0}
 
 
+def test_run_judges_the_age_of_a_calibration_file_by_its_own_taken_at(tmp_path):
+    # The simulator used to restamp the file's snapshot with its own clock,
+    # so a snapshot from 2020 was judged 0 s old and passed max_age_s.
+    taken_at = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    snapshot = synthetic_calibration_for(NoiseModel.ideal(), taken_at=taken_at)
+    (tmp_path / "cal.json").write_text(json.dumps(calibration_to_dict(snapshot)))
+    backend = {"type": "simulator", "calibration_file": "cal.json"}
+    constraint = {"type": "calibration", "criteria": {"min_qubits": 8, "max_age_s": 3600}}
+    config = write_workflow(tmp_path, backend=backend, constraint=constraint)
+    assert main(["run", str(config)]) == EXIT_FAILED
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["introspection"]["scores"]["calibration_age_s"] > 6 * 365 * 86400
+
+
 def test_run_invalid_workflow_writes_no_report(tmp_path, capsys):
     config = write_workflow(tmp_path, constraint_shots=0)
     assert main(["run", str(config)]) == EXIT_CONFIG_ERROR
@@ -504,6 +520,48 @@ def test_requires_a_subcommand():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+def test_calls_in_one_process_share_one_parser(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "qguard":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    config = write_workflow(tmp_path)
+    for argv in (["validate", str(config)], ["run", str(config)], ["run", str(config)]):
+        assert main(argv) == EXIT_PASSED
+    assert len(built) <= 1
+
+
+def test_options_of_one_call_do_not_reach_the_next(tmp_path):
+    config = write_workflow(tmp_path)
+    assert main(["run", str(config), "--report", "first.json", "--seed", "5"]) == EXIT_PASSED
+    assert main(["run", str(config)]) == EXIT_PASSED
+    first = json.loads((tmp_path / "first.json").read_text())
+    second = json.loads((tmp_path / "report.json").read_text())
+    assert first["config"]["backend"]["seed"] == 5
+    assert second["config"]["backend"]["seed"] == 9
+    assert second["config"]["report_path"] == "report.json"
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [(["--version"], 0), (["run"], 2), (["bogus"], 2)],
+    ids=["version", "no_config", "unknown_command"],
+)
+def test_an_exiting_call_leaves_the_next_calls_working(tmp_path, capsys, argv, status):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == status
+    config = write_workflow(tmp_path)
+    assert main(["run", str(config)]) == EXIT_PASSED
+    assert main(["validate", str(config)]) == EXIT_PASSED
+    assert (tmp_path / "report.json").exists()
 
 
 def test_module_invocation(tmp_path):

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and the modules
+that count, score and describe circuits import no numpy.
 
 No linter is a dependency, so this reads each module's syntax tree with the
 standard library's ``ast``.  A name counts as used if the module refers to
@@ -49,3 +50,21 @@ def test_module_uses_every_name_it_imports(module):
 )
 def test_unused_imports_finds_exactly_the_unused_names(source, unused):
     assert unused_imports(source) == unused
+
+
+def absolute_imports(source: str) -> list[str]:
+    modules = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+    return modules
+
+
+@pytest.mark.parametrize("name", ["chsh.py", "circuits.py"])
+def test_module_imports_no_numpy(name):
+    # Counts, scores and circuits stay plain Python, so a run that simulates
+    # nothing can avoid importing numpy.
+    modules = absolute_imports((PACKAGE / name).read_text())
+    assert [module for module in modules if module.split(".")[0] == "numpy"] == []
