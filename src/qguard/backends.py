@@ -15,10 +15,11 @@ time.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Callable, Hashable, Mapping
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Any, Callable, Hashable, Mapping
+from typing import Any
 
 from .calibration import (
     CalibrationSnapshot,
@@ -167,11 +168,13 @@ class SimulatorAdapter(BackendAdapter):
     def cache_key(self) -> Hashable:
         # Every simulator has one name; its noise and the snapshot that
         # constraints judge tell them apart.  The seed only picks the random
-        # draws, and the same properties taken at another moment describe the
-        # same device, so the seed and taken_at are left out.
+        # draws, so it is left out.  A supplied snapshot is judged by its own
+        # taken_at too, so all of it is in the key; the synthetic one is
+        # restamped on every read, so its taken_at is left out.
         snapshot = self._calibration
-        judged = (snapshot.num_qubits, snapshot.qubits, snapshot.gates, snapshot.coupling_map)
-        return (self.name(), self._noise.with_seed(0), judged)
+        if self._stamp_each_call:
+            snapshot = (snapshot.num_qubits, snapshot.qubits, snapshot.gates, snapshot.coupling_map)
+        return (self.name(), self._noise.with_seed(0), snapshot)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,9 +7,10 @@ here is testable with synthetic clocks and files.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from datetime import datetime
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import (
     CalibrationError, DocumentError, as_float, check_aware, check_integer, check_real, check_tuple,

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from itertools import product, repeat
-from typing import Mapping
 
 from .circuits import BitstringCounts
 from .errors import CircuitError, ScoreError, as_float, check_real, check_shots, is_index

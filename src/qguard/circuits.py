@@ -12,12 +12,47 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import CircuitError, as_float, check_integer, check_real, check_tuple, check_type
 from .fields import choice, decode, each, integer, integers, located, number, record
+
+
+def _plain_num_bits(items: dict[str, int]) -> int | None:
+    """The length shared by the keys of ``items`` when they are plain
+    ``str`` strings of "0" and "1" of one length and its counts plain
+    non-negative ``int`` values, checked in a few C-level passes; otherwise
+    ``None``.  The empty key gives 0, which is no bitstring length either."""
+    keys, values = items.keys(), items.values()
+    if set(map(type, keys)) != {str} or set(map(type, values)) != {int}:
+        return None
+    lengths = set(map(len, keys))
+    bits = "".join(keys)
+    if len(lengths) != 1 or bits.count("0") + bits.count("1") != len(bits) or min(values) < 0:
+        return None
+    return lengths.pop()
+
+
+def _checked_num_bits(items: dict[str, int]) -> int:
+    """The length shared by the keys of ``items``; raises
+    :class:`CircuitError` naming the first entry that is not a bitstring key
+    with a non-negative integer count."""
+    num_bits: int | None = None
+    for key, value in items.items():
+        if not isinstance(key, str) or not key or key.strip("01"):
+            raise CircuitError(f"invalid bitstring key {key!r}")
+        if num_bits is None:
+            num_bits = len(key)
+        elif len(key) != num_bits:
+            raise CircuitError(f"mixed bitstring lengths: {key!r} vs expected length {num_bits}")
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise CircuitError(f"count for {key!r} must be a non-negative integer")
+    if num_bits is None:
+        raise CircuitError("counts must be non-empty")
+    return num_bits
 
 
 class BitstringCounts(Mapping):
@@ -30,24 +65,11 @@ class BitstringCounts(Mapping):
     __slots__ = ("_counts", "num_bits")
 
     def __init__(self, counts: Mapping[str, int]):
-        items: dict[str, int] = {}
-        num_bits: int | None = None
-        for key, value in check_type(counts, Mapping, "counts", CircuitError).items():
-            if not isinstance(key, str) or not key or key.strip("01"):
-                raise CircuitError(f"invalid bitstring key {key!r}")
-            if num_bits is None:
-                num_bits = len(key)
-            elif len(key) != num_bits:
-                raise CircuitError(
-                    f"mixed bitstring lengths: {key!r} vs expected length {num_bits}"
-                )
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise CircuitError(f"count for {key!r} must be a non-negative integer")
-            items[key] = value
-        if num_bits is None:
-            raise CircuitError("counts must be non-empty")
+        items = dict(check_type(counts, Mapping, "counts", CircuitError))
+        # Only a mapping that fails the quick check is walked entry by entry,
+        # which names its first bad entry or accepts str and int subclasses.
+        self.num_bits = _plain_num_bits(items) or _checked_num_bits(items)
         self._counts = items
-        self.num_bits = num_bits
 
     @property
     def total(self) -> int:

@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 import operator
 import threading
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple
+from typing import Any, NamedTuple
 
 from .backends import BackendAdapter, ExperimentResult
 from .calibration import CalibrationSnapshot

@@ -10,10 +10,11 @@ constraint tree, so that window is measurable on one time base.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from typing import Any, Callable
+from typing import Any
 
 from .backends import BackendAdapter
 from .constraints import IntrospectionResult, ResourceConstraint

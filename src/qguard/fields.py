@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Collection, Iterator, Mapping
 from contextlib import contextmanager
-from typing import Any, Callable, Collection, Iterator, Mapping
+from typing import Any
 
 from .errors import DocumentError, QGuardError, as_float, is_real
 

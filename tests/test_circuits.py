@@ -3,6 +3,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,6 +24,7 @@ from qguard import (
     phi_plus,
     serialize_circuit,
 )
+from qguard.circuits import _checked_num_bits
 
 
 def test_gate_constructors():
@@ -225,20 +227,53 @@ def test_counts_rejects_mixed_lengths():
         BitstringCounts({"0": 1, "00": 1})
 
 
+def counts_error(counts):
+    with pytest.raises(CircuitError) as excinfo:
+        BitstringCounts(counts)
+    return str(excinfo.value)
+
+
 def test_counts_rejects_bad_keys():
-    with pytest.raises(CircuitError):
-        BitstringCounts({"0x": 1})
-    with pytest.raises(CircuitError):
-        BitstringCounts({"": 1})
+    assert counts_error({"0x": 1}) == "invalid bitstring key '0x'"
+    assert counts_error({"": 1}) == "invalid bitstring key ''"
+    assert counts_error({0: 1}) == "invalid bitstring key 0"
+    assert counts_error({"01": 1, "1 ": 1}) == "invalid bitstring key '1 '"
 
 
 def test_counts_rejects_bad_values():
-    with pytest.raises(CircuitError):
-        BitstringCounts({"0": -1})
-    with pytest.raises(CircuitError):
-        BitstringCounts({"0": 1.5})
-    with pytest.raises(CircuitError):
-        BitstringCounts({"0": True})
+    for bad in (-1, 1.5, True, np.int64(1)):
+        assert counts_error({"0": bad}) == "count for '0' must be a non-negative integer"
+    # Entries are checked in order, so the bad count is named before the bad length.
+    assert counts_error({"00": 1, "11": -1, "0": 2}) == "count for '11' must be a non-negative integer"
+
+
+def test_counts_accepts_str_and_int_subclasses():
+    class Bits(str):
+        pass
+
+    class Count(int):
+        pass
+
+    counts = BitstringCounts({Bits("01"): Count(3), "10": 1})
+    assert counts == {"01": 3, "10": 1}
+    assert counts.num_bits == 2
+    assert counts.total == 4
+
+
+@given(
+    st.dictionaries(
+        st.text("01x", max_size=3) | st.integers(0, 1),
+        st.integers(-1, 3) | st.booleans() | st.floats(0, 3),
+        max_size=4,
+    )
+)
+def test_counts_accept_exactly_what_the_entry_by_entry_walk_accepts(counts):
+    try:
+        expected = _checked_num_bits(counts)
+    except CircuitError as exc:
+        assert counts_error(counts) == str(exc)
+    else:
+        assert BitstringCounts(counts).num_bits == expected
 
 
 def test_counts_rejects_empty():

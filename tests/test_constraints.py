@@ -818,9 +818,37 @@ def test_fresh_within_reevaluates_for_other_simulator_calibration():
     result = fresh.evaluate(SimulatorAdapter(noise, weak), 1)
     assert not result.passed
     assert result["worst_t1_us"] == 40.0
-    # The same snapshot stamped at another moment is the same backend.
+    # A supplied snapshot is judged by its own taken_at too, so the same
+    # properties taken at another moment are another backend: evaluated afresh.
     restamped = SimulatorAdapter(noise, weak.with_taken_at(T0))
-    assert fresh.evaluate(restamped, 1) is result
+    again = fresh.evaluate(restamped, 1)
+    assert again is not result
+    assert not again.passed
+    assert again["worst_t1_us"] == 40.0
+
+
+def test_fresh_within_reevaluates_for_a_simulator_calibration_taken_at_another_time():
+    # Simulators whose supplied snapshots differed only in taken_at used to
+    # share a cache key, so the 2020 snapshot was served the pass cached for
+    # the fresh one, although it fails max_age_s when evaluated directly.
+    clock = ManualClock()
+    noise = NoiseModel.ideal()
+    fresh_snapshot = synthetic_calibration_for(noise).with_taken_at(T0)
+    stale_snapshot = fresh_snapshot.with_taken_at(datetime(2020, 1, 1, tzinfo=timezone.utc))
+    check = CalibrationConstraint(max_age_s=3600)
+    stale = SimulatorAdapter(noise, stale_snapshot)
+    assert not check.evaluate(stale, 1, clock).passed
+    fresh = FreshWithin(check, ttl=timedelta(seconds=60))
+    first = fresh.evaluate(SimulatorAdapter(noise, fresh_snapshot), 1, clock)
+    assert first.passed
+    second = fresh.evaluate(stale, 1, clock)
+    assert second is not first
+    assert not second.passed
+    # The synthetic snapshot, restamped on every read, stays one backend.
+    synthetic = fresh.evaluate(SimulatorAdapter(noise, clock=clock), 1, clock)
+    assert synthetic.passed
+    clock.advance(1)
+    assert fresh.evaluate(SimulatorAdapter(noise, clock=clock), 1, clock) is synthetic
 
 
 # --- document form ---------------------------------------------------------

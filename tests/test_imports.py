@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and the modules
-that count, score and describe circuits import no numpy.
+"""Every module of the package uses each name it imports, takes its
+abstract base classes from ``collections.abc``, and the modules that count,
+score and describe circuits import no numpy.
 
 No linter is a dependency, so this reads each module's syntax tree with the
 standard library's ``ast``.  A name counts as used if the module refers to
@@ -7,6 +8,7 @@ it anywhere or lists it in ``__all__``, which is how ``__init__`` re-exports.
 """
 
 import ast
+import collections.abc
 from pathlib import Path
 
 import pytest
@@ -68,3 +70,25 @@ def test_module_imports_no_numpy(name):
     # nothing can avoid importing numpy.
     modules = absolute_imports((PACKAGE / name).read_text())
     assert [module for module in modules if module.split(".")[0] == "numpy"] == []
+
+
+def abcs_from_typing(source: str) -> list[str]:
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "typing"
+        for alias in node.names
+        if alias.name in collections.abc.__all__
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_module_takes_abstract_base_classes_from_collections_abc(module):
+    # typing's aliases of these classes are deprecated, and isinstance against
+    # one costs about three times as much as against the class itself.
+    assert abcs_from_typing(module.read_text()) == []
+
+
+def test_abcs_from_typing_finds_exactly_the_abstract_base_classes():
+    source = "from typing import Any, Callable, Mapping, NamedTuple\nfrom collections.abc import Hashable\n"
+    assert abcs_from_typing(source) == ["Callable", "Mapping"]
