@@ -14,9 +14,12 @@ time.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Hashable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime
 from pathlib import Path
 from typing import Any
@@ -27,7 +30,7 @@ from .calibration import (
     calibration_to_dict,
     synthetic_calibration_for,
 )
-from .circuits import BitstringCounts, Circuit, check_circuit
+from .circuits import BitstringCounts, Circuit, check_circuit, circuit_to_dict
 from .errors import (
     BackendError, CalibrationError, RecordingExhausted, check_aware, check_shots, check_tuple,
     check_type,
@@ -230,28 +233,40 @@ def parse_recording(text: str) -> Recording:
     return recording_from_dict(decode(text))
 
 
+@functools.lru_cache(maxsize=16)
+def _circuit_sha256(circuit: Circuit) -> str:
+    """The sha256 of the circuit's compact document, which a recorded result
+    carries as its ``circuit_sha256`` metadata.  Cached by circuit value, so
+    equal circuits must share one digest: an angle of -0.0, equal to 0.0, is
+    hashed as 0.0."""
+    doc = circuit_to_dict(circuit)
+    for gate in doc["gates"]:
+        if "angle" in gate:
+            gate["angle"] += 0.0
+    return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+
+
 class ReplayAdapter(BackendAdapter):
     """Replays a recorded session: each run() returns the next recorded
     result, in order, exactly once.
 
-    The submitted circuit is logged, not interpreted, because provider
-    recordings cannot be re-derived from circuits.  With ``strict=True``
-    each replayed result must be shaped like an answer to the submitted
-    request: bitstring width equal to the circuit's measured-qubit count and
-    recorded shots equal to the requested shots.  In either mode a circuit
-    that is not a ``Circuit`` raises :class:`CircuitError`, and shots that
-    are not a positive integer :class:`BackendError`, before a recorded
-    result is used.
+    Provider results cannot be re-derived from circuits, so each one is
+    checked against the request instead: a result whose bitstrings are not
+    as wide as the submitted circuit's measured qubits, whose shots are not
+    the requested shots, or whose ``circuit_sha256`` (which
+    :class:`RecordingAdapter` stores, and older recordings lack) is not the
+    submitted circuit's raises :class:`BackendError`.  A circuit that
+    is not a ``Circuit`` raises :class:`CircuitError`, and shots that are
+    not a positive integer :class:`BackendError`, before a recorded result
+    is used.
     """
 
-    def __init__(self, recording: Recording, strict: bool = False):
+    def __init__(self, recording: Recording):
         self._recording = check_type(recording, Recording, "recording", BackendError)
-        self._strict = check_type(strict, bool, "strict", BackendError)
         self._cursor = 0
-        self.submitted: list[tuple[Circuit, int]] = []
 
     @classmethod
-    def from_file(cls, path: str | Path, strict: bool = False) -> "ReplayAdapter":
+    def from_file(cls, path: str | Path) -> "ReplayAdapter":
         """The replay of the recording in the file at ``path``; raises
         :class:`BackendError`, naming the path, when it cannot be read as
         text."""
@@ -259,12 +274,11 @@ class ReplayAdapter(BackendAdapter):
             text = Path(path).read_text()
         except (OSError, UnicodeDecodeError) as exc:
             raise BackendError(f"cannot read recording {path}: {unreadable(exc)}") from exc
-        return cls(parse_recording(text), strict=strict)
+        return cls(parse_recording(text))
 
     def run(self, circuit: Circuit, shots: int) -> ExperimentResult:
         check_circuit(circuit)
         shots = check_shots(shots, BackendError)
-        self.submitted.append((circuit, shots))
         if self._cursor >= len(self._recording.results):
             raise RecordingExhausted(
                 f"recording holds {len(self._recording.results)} result(s); "
@@ -272,16 +286,19 @@ class ReplayAdapter(BackendAdapter):
             )
         result = self._recording.results[self._cursor]
         self._cursor += 1
-        if self._strict:
-            if result.counts.num_bits != circuit.num_measured:
-                raise BackendError(
-                    f"recorded bitstrings have {result.counts.num_bits} bit(s) but the "
-                    f"submitted circuit measures {circuit.num_measured}"
-                )
-            if result.shots != shots:
-                raise BackendError(
-                    f"recorded shots {result.shots} != requested shots {shots}"
-                )
+        if result.counts.num_bits != circuit.num_measured:
+            raise BackendError(
+                f"recorded bitstrings have {result.counts.num_bits} bit(s) but the "
+                f"submitted circuit measures {circuit.num_measured}"
+            )
+        if result.shots != shots:
+            raise BackendError(f"recorded shots {result.shots} != requested shots {shots}")
+        recorded = result.metadata.get("circuit_sha256")
+        if recorded is not None and recorded != _circuit_sha256(circuit):
+            raise BackendError(
+                f"recorded circuit_sha256 {recorded} is not the submitted circuit's "
+                f"{_circuit_sha256(circuit)}"
+            )
         return result
 
     def calibration(self) -> CalibrationSnapshot:
@@ -301,7 +318,9 @@ class RecordingAdapter(BackendAdapter):
     ``recording()`` packages everything seen so far, suitable for feeding a
     :class:`ReplayAdapter`: every result, and the first calibration snapshot
     served, which is what a constraint judged.  Only if none was served does
-    it ask the inner adapter for one.
+    it ask the inner adapter for one.  Each result is recorded, and returned,
+    with the submitted circuit's sha256 in its ``circuit_sha256`` metadata,
+    so a replay can tell that it answers the same circuit.
     """
 
     def __init__(self, inner: BackendAdapter):
@@ -310,7 +329,10 @@ class RecordingAdapter(BackendAdapter):
         self._served: CalibrationSnapshot | None = None
 
     def run(self, circuit: Circuit, shots: int) -> ExperimentResult:
+        circuit_sha256 = _circuit_sha256(check_circuit(circuit))
         result = self._inner.run(circuit, shots)
+        check_type(result, ExperimentResult, "run() result", BackendError)
+        result = replace(result, metadata={**result.metadata, "circuit_sha256": circuit_sha256})
         self._results.append(result)
         return result
 

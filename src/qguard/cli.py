@@ -29,7 +29,7 @@ from .constraints import ResourceConstraint, constraint_from_dict
 from .errors import DocumentError, NoiseModelError, QGuardError
 from .executor import Branch, run_conditionally
 from .fields import (
-    boolean, choice, decode, integer, no_unknown, number, record, required, string, unreadable,
+    choice, decode, integer, no_unknown, number, record, required, string, unreadable,
 )
 from .simulator import NoiseModel
 from .timestamps import format_timestamp
@@ -39,6 +39,14 @@ EXIT_CONFIG_ERROR = 1
 EXIT_RUNTIME_ERROR = 2
 EXIT_FAILED = 3
 
+
+def _strict(value: Any, path: str) -> bool:
+    # Read only so that workflow files that set it still load.
+    if value is not True:
+        raise DocumentError(path, f"expected true, got {value!r}: every replay checks its results")
+    return value
+
+
 _NOISE_FIELDS = dict.fromkeys(("p1", "p2", "readout_flip"), number)
 _BACKEND_FIELDS = {
     "simulator": {
@@ -47,7 +55,7 @@ _BACKEND_FIELDS = {
         "seed": integer,
         "calibration_file": string,
     },
-    "replay": {"type": string, "recording_file": string, "strict": boolean},
+    "replay": {"type": string, "recording_file": string, "strict": _strict},
 }
 
 
@@ -84,14 +92,10 @@ def _load_backend(
         backend, "backend", readers, optional=("noise", "seed", "calibration_file", "strict")
     )
     if fields["type"] == "replay":
-        resolved = {"strict": False, **fields}
         adapter = _referenced(
-            base_dir,
-            fields["recording_file"],
-            "backend.recording_file",
-            lambda file: ReplayAdapter.from_file(file, strict=resolved["strict"]),
+            base_dir, fields["recording_file"], "backend.recording_file", ReplayAdapter.from_file
         )
-        return adapter, resolved
+        return adapter, fields
 
     noise = NoiseModel(
         **{**dict.fromkeys(_NOISE_FIELDS, 0.0), **fields.get("noise", {})},

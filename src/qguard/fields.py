@@ -123,12 +123,6 @@ def string(value: Any, path: str) -> str:
     return value
 
 
-def boolean(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise DocumentError(path, f"expected a boolean, got {value!r}")
-    return value
-
-
 def no_unknown(doc: Mapping[str, Any], allowed: Mapping[str, Any], path: str):
     if not doc.keys() <= allowed.keys():
         raise DocumentError(path, f"unknown field(s): {sorted(doc.keys() - allowed.keys())}")

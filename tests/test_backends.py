@@ -5,12 +5,15 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+import qguard.backends
 from qguard import (
     BackendError,
     BitstringCounts,
+    Circuit,
     CircuitError,
     DocumentError,
     ExperimentResult,
+    Gate,
     NoiseModel,
     Recording,
     RecordingAdapter,
@@ -18,6 +21,7 @@ from qguard import (
     ReplayAdapter,
     SimulatorAdapter,
     derive_seed,
+    packed_chsh_circuit,
     parse_recording,
     phi_plus,
     recording_from_dict,
@@ -213,31 +217,21 @@ def test_replay_returns_results_in_order_exactly_once():
         (lambda: ExperimentResult({"0": 1}, 1, "x", T0, T0, {1: "2"}), "metadata key"),
         (lambda: ExperimentResult({"0": 1}, 1, "x", T0, T0, {"k": 2}), r"metadata\['k'\]"),
         (lambda: ExperimentResult({"0": 1}, 1, "x", T0, T0, 5), "metadata"),
-        (lambda: ReplayAdapter(make_recording(0), strict="no"), "strict"),
         (lambda: RecordingAdapter(None), "inner"),
     ],
     ids=[
         "string_calibration", "string_result", "int_results", "string_recording",
         "int_backend_name", "int_metadata_key", "int_metadata_value", "int_metadata",
-        "string_strict", "none_inner",
+        "none_inner",
     ],
 )
 def test_recording_and_replay_reject_values_of_the_wrong_type(build, what):
     # A lenient replay of the second used to return "y" as evidence, and the
     # third escaped as a bare TypeError.  The three results were accepted, and
-    # recordings holding them could not be parsed back; the "no" turned
-    # strict mode on.  A recorder of None was built, and its first run raised
-    # AttributeError.
+    # recordings holding them could not be parsed back.  A recorder of None
+    # was built, and its first run raised AttributeError.
     with pytest.raises(BackendError, match=f"^{what} must be "):
         build()
-
-
-def test_replay_ignores_submitted_circuit_but_logs_it():
-    recording = make_recording(1)
-    adapter = ReplayAdapter(recording)
-    other = phi_plus()
-    adapter.run(other, 999)
-    assert adapter.submitted == [(other, 999)]
 
 
 def test_replay_verbatim_even_for_odd_counts():
@@ -264,9 +258,7 @@ def test_replay_calibration_is_the_recorded_snapshot():
 
 def test_strict_replay_checks_bit_width():
     recording = make_recording(1)  # 2-bit results
-    adapter = ReplayAdapter(recording, strict=True)
-    from qguard import Circuit, Gate
-
+    adapter = ReplayAdapter(recording)
     wide = Circuit(3, (Gate.h(0),), (0, 1, 2))
     with pytest.raises(BackendError, match="bit"):
         adapter.run(wide, 256)
@@ -274,12 +266,11 @@ def test_strict_replay_checks_bit_width():
 
 def test_strict_replay_checks_shots():
     recording = make_recording(1)
-    adapter = ReplayAdapter(recording, strict=True)
+    adapter = ReplayAdapter(recording)
     with pytest.raises(BackendError, match="shots"):
         adapter.run(phi_plus(), 512)
 
 
-@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
 @pytest.mark.parametrize(
     "circuit, shots, error",
     [
@@ -290,23 +281,92 @@ def test_strict_replay_checks_shots():
     ],
     ids=["no_circuit", "zero_shots", "string_shots", "bool_shots"],
 )
-def test_replay_rejects_a_misused_run_before_using_a_result(strict, circuit, shots, error):
+def test_replay_rejects_a_misused_run_before_using_a_result(circuit, shots, error):
     # A lenient replay returned its result for run(None, 0).  A strict one
     # raised AttributeError for run(None, 256), and for shots="256" said
     # "recorded shots 256 != requested shots 256".
-    adapter = ReplayAdapter(make_recording(1), strict=strict)
+    recording = make_recording(1)
+    adapter = ReplayAdapter(recording)
     with pytest.raises(error, match=" must be "):
         adapter.run(circuit, shots)
-    assert adapter.submitted == []
-    assert adapter.run(phi_plus(), np.int64(256)).shots == 256
-    assert adapter.submitted == [(phi_plus(), 256)]
+    # The misuse did not advance the cursor: the next valid run gets results[0].
+    assert adapter.run(phi_plus(), np.int64(256)) is recording.results[0]
+    with pytest.raises(RecordingExhausted):
+        adapter.run(phi_plus(), 256)
 
 
-def test_lenient_replay_allows_mismatches():
+def test_replay_has_one_mode_and_it_checks_each_result():
+    # A replay built without strict=True returned this 256-shot result for a
+    # 512-shot request.
     recording = make_recording(1)
-    adapter = ReplayAdapter(recording, strict=False)
-    result = adapter.run(phi_plus(), 512)
-    assert result.shots == 256
+    with pytest.raises(TypeError):
+        ReplayAdapter(recording, strict=False)
+    adapter = ReplayAdapter(recording)
+    with pytest.raises(BackendError, match="recorded shots 256 != requested shots 512"):
+        adapter.run(phi_plus(), 512)
+
+
+def test_recording_binds_each_result_to_its_circuit():
+    inner = SimulatorAdapter(NoiseModel.ideal(seed=11))
+    recorder = RecordingAdapter(inner)
+    live = recorder.run(phi_plus(), 64)
+    # The live decision and its replay carry the very same result.
+    assert recorder.recording().results[0] is live
+    assert live.metadata.keys() == {"run_index", "derived_seed", "circuit_sha256"}
+    assert re.fullmatch("[0-9a-f]{64}", live.metadata["circuit_sha256"])
+    assert ReplayAdapter(recorder.recording()).run(phi_plus(), 64) is live
+
+
+class AnswersNone(SimulatorAdapter):
+    def run(self, circuit, shots):
+        return None
+
+
+@pytest.mark.parametrize(
+    "circuit, error, message",
+    [(None, CircuitError, "circuit must be"), (phi_plus(), BackendError, r"run\(\) result must be")],
+    ids=["no_circuit", "no_result"],
+)
+def test_recording_raises_typed_errors_for_what_it_cannot_record(circuit, error, message):
+    recorder = RecordingAdapter(AnswersNone())
+    with pytest.raises(error, match=f"^{message}"):
+        recorder.run(circuit, 16)
+    assert recorder.recording().results == ()
+
+
+def test_replay_rejects_a_result_recorded_for_another_circuit():
+    # A strict replay returned the 100-shot probe, 57 outcomes, for an
+    # 8-qubit circuit with no gates.
+    recorder = RecordingAdapter(SimulatorAdapter(NoiseModel(p2=0.1, seed=3)))
+    recorder.run(packed_chsh_circuit(), 100)
+    adapter = ReplayAdapter(parse_recording(json.dumps(recorder.recording().to_dict())))
+    with pytest.raises(BackendError, match="circuit_sha256"):
+        adapter.run(Circuit(8, (), tuple(range(8))), 100)
+
+
+def test_a_recording_without_circuit_fingerprints_still_replays():
+    doc = make_recording(1).to_dict()
+    doc["results"][0]["metadata"].pop("circuit_sha256", None)
+    adapter = ReplayAdapter(recording_from_dict(doc))
+    assert adapter.run(Circuit(2, (), (0, 1)), 256).counts.to_dict() == doc["results"][0]["counts"]
+
+
+@pytest.mark.parametrize("recorded, submitted", [(-0.0, 0.0), (0.0, -0.0)], ids=["minus", "plus"])
+def test_a_circuit_equal_to_the_recorded_one_replays(recorded, submitted):
+    # 0.0 == -0.0, so these circuits are equal, and fingerprints are cached
+    # by circuit value: either both digests fold the sign or the cache hands
+    # a process the digest of whichever circuit it met first.
+    def rotated(angle):
+        return Circuit(2, (Gate.ry(0, angle), Gate.cnot(0, 1)), (0, 1))
+
+    recorder = RecordingAdapter(SimulatorAdapter(NoiseModel.ideal()))
+    recorder.run(rotated(recorded), 16)
+    recorder.run(rotated(recorded), 16)
+    qguard.backends._circuit_sha256.cache_clear()  # as a new process would start
+    adapter = ReplayAdapter(recorder.recording())
+    assert adapter.run(rotated(submitted), 16).shots == 16
+    with pytest.raises(BackendError, match="circuit_sha256"):
+        adapter.run(rotated(1e-12), 16)
 
 
 def test_replay_from_file(tmp_path):

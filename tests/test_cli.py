@@ -498,6 +498,43 @@ def test_run_replay_strict_shot_mismatch(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_run_replay_without_strict_rejects_a_recording_of_other_shots(tmp_path, capsys):
+    # With no strict field the replay took the pass branch, and its report
+    # held the 100-shot probe and 50-shot main result as answers to requests
+    # for 10 000 and 4096 shots.
+    record_session(tmp_path, [(packed_chsh_circuit(), 100), (phi_plus(), 50)])
+    config = write_workflow(
+        tmp_path,
+        backend={"type": "replay", "recording_file": "session.json"},
+        constraint_shots=10_000,
+        main_shots=4096,
+    )
+    assert main(["run", str(config)]) == EXIT_RUNTIME_ERROR
+    assert "recorded shots 100 != requested shots 10000" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_validate_rejects_strict_false(tmp_path, capsys):
+    # "strict": false made a replay return results without checking them.
+    record_session(tmp_path, [(packed_chsh_circuit(), 4000), (phi_plus(), 1000)])
+    config = write_workflow(
+        tmp_path,
+        backend={"type": "replay", "recording_file": "session.json", "strict": False},
+    )
+    assert main(["validate", str(config)]) == EXIT_CONFIG_ERROR
+    out = capsys.readouterr().out
+    assert "backend.strict: expected true, got False: every replay checks its results" in out
+
+
+def test_a_replay_report_records_the_backend_as_given(tmp_path):
+    # Without a strict field the report read "strict": false, a mode that
+    # no longer exists.
+    record_session(tmp_path, [(packed_chsh_circuit(), 4000), (phi_plus(), 1000)])
+    backend = {"type": "replay", "recording_file": "session.json"}
+    assert main(["run", str(write_workflow(tmp_path, backend=backend))]) == EXIT_PASSED
+    assert json.loads((tmp_path / "report.json").read_text())["config"]["backend"] == backend
+
+
 def test_seed_flag_warns_on_replay(tmp_path, capsys):
     record_session(tmp_path, [(packed_chsh_circuit(), 4000), (phi_plus(), 1000)])
     config = write_workflow(

@@ -319,13 +319,19 @@ def test_packed_chsh_accepts_a_numpy_integer_shot_count():
 
 
 def test_packed_chsh_standard_errors_use_the_evidence_shot_count():
-    # A lenient replay serves a 100-shot recording at any requested shot
-    # count; the standard errors were computed from the 10 000 requested,
-    # ten times too confident.
-    recorder = RecordingAdapter(SimulatorAdapter(NoiseModel(p1=0.0, p2=0.1, readout_flip=0.0, seed=3)))
-    recorder.run(packed_chsh_circuit(), 100)
+    # An adapter may answer with other shots than were asked for, as a
+    # lenient replay did; the standard errors were computed from the 10 000
+    # requested, ten times too confident.
+    hundred = SimulatorAdapter(NoiseModel(p1=0.0, p2=0.1, readout_flip=0.0, seed=3)).run(
+        packed_chsh_circuit(), 100
+    )
+
+    class HundredShots(CountingAdapter):
+        def run(self, circuit, shots):
+            return hundred
+
     check = PackedCHSHTest(MinimumAcceptableValue(0.0))
-    result = check.evaluate(ReplayAdapter(recorder.recording()), 10_000)
+    result = check.evaluate(HundredShots(), 10_000)
     correlators = tuple(result[f"E{pair}"] for pair in ("00", "01", "10", "11"))
     assert result.evidence.shots == 100
     assert result["se_S"] == score_standard_error(correlators, 100) > 0.0
