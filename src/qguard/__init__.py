@@ -31,6 +31,7 @@ from .backends import (
 from .calibration import (
     CalibrationSnapshot,
     GateCalibration,
+    NoiseModel,
     QubitCalibration,
     calibration_from_dict,
     calibration_to_dict,
@@ -87,7 +88,7 @@ from .errors import (
     ScoreError,
 )
 from .executor import Branch, ConditionalResult, run_conditionally
-from .simulator import SIMULATOR_MAX_QUBITS, NoiseModel, run_shots
+from .simulator import SIMULATOR_MAX_QUBITS, run_shots
 
 __version__ = "0.1.0"
 

@@ -14,9 +14,6 @@ time.
 
 from __future__ import annotations
 
-import functools
-import hashlib
-import json
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Hashable, Mapping
 from dataclasses import dataclass, field, replace
@@ -26,17 +23,19 @@ from typing import Any
 
 from .calibration import (
     CalibrationSnapshot,
+    NoiseModel,
     calibration_from_dict,
     calibration_to_dict,
+    check_noise,
     synthetic_calibration_for,
 )
-from .circuits import BitstringCounts, Circuit, check_circuit, circuit_to_dict
+from .circuits import BitstringCounts, Circuit, check_circuit, circuit_sha256
 from .errors import (
     BackendError, CalibrationError, RecordingExhausted, check_aware, check_shots, check_tuple,
     check_type,
 )
 from .fields import decode, each, integer, join, located, obj, record, string, unreadable
-from .simulator import NoiseModel, check_noise, run_shots
+from .simulator import run_shots
 from .timestamps import format_timestamp, parse_timestamp, utc_now
 
 _MASK64 = (1 << 64) - 1
@@ -125,8 +124,11 @@ class SimulatorAdapter(BackendAdapter):
     so repeated runs are statistically independent while a whole session
     replays bit-identically from the base seed.  A calibration snapshot
     passed in is served as given, its own ``taken_at`` included.  Without
-    one, the snapshot is synthetic: its error fields mirror the noise model
-    and it is stamped with the adapter's clock on each call.
+    one, each read serves the snapshot that follows from the noise model
+    (:func:`synthetic_calibration_for`), stamped by the adapter's clock at
+    that read.  It is always current: the age a constraint judges is the gap
+    between that read and the constraint's clock, 0 when both read one
+    frozen clock.
     """
 
     def __init__(
@@ -136,12 +138,9 @@ class SimulatorAdapter(BackendAdapter):
         clock: Callable[[], datetime] = utc_now,
     ):
         self._noise = check_noise(noise) if noise is not None else NoiseModel()
-        self._stamp_each_call = synthetic_calibration is None
-        if self._stamp_each_call:
-            synthetic_calibration = synthetic_calibration_for(self._noise)
-        self._calibration = check_type(
-            synthetic_calibration, CalibrationSnapshot, "synthetic_calibration", CalibrationError
-        )
+        if synthetic_calibration is not None:
+            check_type(synthetic_calibration, CalibrationSnapshot, "synthetic_calibration", CalibrationError)
+        self._supplied = synthetic_calibration
         self._clock = check_type(clock, Callable, "clock", BackendError)
         self._run_index = 0
 
@@ -161,9 +160,9 @@ class SimulatorAdapter(BackendAdapter):
         )
 
     def calibration(self) -> CalibrationSnapshot:
-        if self._stamp_each_call:
-            return self._calibration.with_taken_at(self._clock())
-        return self._calibration
+        if self._supplied is not None:
+            return self._supplied
+        return synthetic_calibration_for(self._noise, taken_at=self._clock())
 
     def name(self) -> str:
         return "simulator"
@@ -172,12 +171,9 @@ class SimulatorAdapter(BackendAdapter):
         # Every simulator has one name; its noise and the snapshot that
         # constraints judge tell them apart.  The seed only picks the random
         # draws, so it is left out.  A supplied snapshot is judged by its own
-        # taken_at too, so all of it is in the key; the synthetic one is
-        # restamped on every read, so its taken_at is left out.
-        snapshot = self._calibration
-        if self._stamp_each_call:
-            snapshot = (snapshot.num_qubits, snapshot.qubits, snapshot.gates, snapshot.coupling_map)
-        return (self.name(), self._noise.with_seed(0), snapshot)
+        # taken_at too, so all of it is in the key; without one, the snapshot
+        # follows from the noise, which the key already holds.
+        return (self.name(), self._noise.with_seed(0), self._supplied)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,19 +229,6 @@ def parse_recording(text: str) -> Recording:
     return recording_from_dict(decode(text))
 
 
-@functools.lru_cache(maxsize=16)
-def _circuit_sha256(circuit: Circuit) -> str:
-    """The sha256 of the circuit's compact document, which a recorded result
-    carries as its ``circuit_sha256`` metadata.  Cached by circuit value, so
-    equal circuits must share one digest: an angle of -0.0, equal to 0.0, is
-    hashed as 0.0."""
-    doc = circuit_to_dict(circuit)
-    for gate in doc["gates"]:
-        if "angle" in gate:
-            gate["angle"] += 0.0
-    return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
-
-
 class ReplayAdapter(BackendAdapter):
     """Replays a recorded session: each run() returns the next recorded
     result, in order, exactly once.
@@ -257,8 +240,8 @@ class ReplayAdapter(BackendAdapter):
     :class:`RecordingAdapter` stores, and older recordings lack) is not the
     submitted circuit's raises :class:`BackendError`.  A circuit that
     is not a ``Circuit`` raises :class:`CircuitError`, and shots that are
-    not a positive integer :class:`BackendError`, before a recorded result
-    is used.
+    not a positive integer :class:`BackendError`.  A refused request uses
+    up no result: the next run is checked against the same one.
     """
 
     def __init__(self, recording: Recording):
@@ -285,7 +268,6 @@ class ReplayAdapter(BackendAdapter):
                 f"run call {self._cursor + 1} has nothing to replay"
             )
         result = self._recording.results[self._cursor]
-        self._cursor += 1
         if result.counts.num_bits != circuit.num_measured:
             raise BackendError(
                 f"recorded bitstrings have {result.counts.num_bits} bit(s) but the "
@@ -294,11 +276,12 @@ class ReplayAdapter(BackendAdapter):
         if result.shots != shots:
             raise BackendError(f"recorded shots {result.shots} != requested shots {shots}")
         recorded = result.metadata.get("circuit_sha256")
-        if recorded is not None and recorded != _circuit_sha256(circuit):
+        if recorded is not None and recorded != circuit_sha256(circuit):
             raise BackendError(
                 f"recorded circuit_sha256 {recorded} is not the submitted circuit's "
-                f"{_circuit_sha256(circuit)}"
+                f"{circuit_sha256(circuit)}"
             )
+        self._cursor += 1
         return result
 
     def calibration(self) -> CalibrationSnapshot:
@@ -329,10 +312,10 @@ class RecordingAdapter(BackendAdapter):
         self._served: CalibrationSnapshot | None = None
 
     def run(self, circuit: Circuit, shots: int) -> ExperimentResult:
-        circuit_sha256 = _circuit_sha256(check_circuit(circuit))
+        digest = circuit_sha256(check_circuit(circuit))
         result = self._inner.run(circuit, shots)
         check_type(result, ExperimentResult, "run() result", BackendError)
-        result = replace(result, metadata={**result.metadata, "circuit_sha256": circuit_sha256})
+        result = replace(result, metadata={**result.metadata, "circuit_sha256": digest})
         self._results.append(result)
         return result
 

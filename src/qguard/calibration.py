@@ -1,6 +1,7 @@
-"""Calibration snapshots: device properties at a point in time.
+"""The device model: the simulator's noise model, calibration snapshots
+(device properties at a point in time) and their documents.
 
-Snapshots are pure data.  They carry their own ``taken_at`` timestamp, and
+Both are pure data.  A snapshot carries its own ``taken_at`` timestamp, and
 staleness judgment lives entirely in the constraints layer, so everything
 here is testable with synthetic clocks and files.
 """
@@ -13,11 +14,10 @@ from datetime import datetime
 from typing import Any
 
 from .errors import (
-    CalibrationError, DocumentError, as_float, check_aware, check_integer, check_real, check_tuple,
-    check_type,
+    CalibrationError, DocumentError, NoiseModelError, as_float, check_aware, check_integer,
+    check_real, check_tuple, check_type, is_index, is_real,
 )
 from .fields import decode, each, integer, integers, items, number, record, string
-from .simulator import NoiseModel, check_noise
 from .timestamps import format_timestamp, parse_timestamp, utc_now
 
 
@@ -103,8 +103,48 @@ class CalibrationSnapshot:
             coupling.append((a, b))
         object.__setattr__(self, "coupling_map", tuple(coupling))
 
-    def with_taken_at(self, moment: datetime) -> "CalibrationSnapshot":
-        return replace(self, taken_at=moment)
+
+@dataclass(frozen=True)
+class NoiseModel:
+    """Stochastic noise parameters plus the seed that fixes all randomness.
+
+    The default magnitudes are placeholders sized for tests, not calibrated
+    to any particular device.  ``ideal()`` gives the zero-noise model.
+    """
+
+    p1: float = 0.001
+    p2: float = 0.01
+    readout_flip: float = 0.02
+    seed: int = 0
+
+    def __post_init__(self):
+        problems = {}
+        for name in ("p1", "p2", "readout_flip"):
+            value = getattr(self, name)
+            if not is_real(value) or not 0 <= value <= 1:
+                problems[name] = f"expected a probability in [0, 1], got {value!r}"
+            else:
+                object.__setattr__(self, name, float(value))
+        seed = self.seed
+        if not is_index(seed) or not 0 <= seed < 2**64:
+            problems["seed"] = f"expected an unsigned 64-bit integer, got {seed!r}"
+        if problems:
+            raise NoiseModelError(problems)
+        object.__setattr__(self, "seed", int(seed))
+
+    @classmethod
+    def ideal(cls, seed: int = 0) -> "NoiseModel":
+        return cls(p1=0.0, p2=0.0, readout_flip=0.0, seed=seed)
+
+    def with_seed(self, seed: int) -> "NoiseModel":
+        return replace(self, seed=seed)
+
+
+def check_noise(noise: Any) -> NoiseModel:
+    """``noise``; raises :class:`NoiseModelError` unless it is a ``NoiseModel``."""
+    if not isinstance(noise, NoiseModel):
+        raise NoiseModelError({"noise": f"expected a NoiseModel, got {noise!r}"})
+    return noise
 
 
 def synthetic_calibration_for(

@@ -10,6 +10,7 @@ circuit is an ordered gate list followed by a single measurement of
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
 from collections.abc import Mapping
@@ -336,6 +337,19 @@ def circuit_to_dict(circuit: Circuit) -> dict[str, Any]:
         "gates": gates,
         "measure": list(circuit.measured_qubits),
     }
+
+
+@functools.lru_cache(maxsize=16)
+def circuit_sha256(circuit: Circuit) -> str:
+    """The sha256 of the circuit's compact document, which a recorded result
+    carries as its ``circuit_sha256`` metadata.  Cached by circuit value, so
+    equal circuits must share one digest: an angle of -0.0, equal to 0.0, is
+    hashed as 0.0."""
+    doc = circuit_to_dict(circuit)
+    for gate in doc["gates"]:
+        if "angle" in gate:
+            gate["angle"] += 0.0
+    return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
 
 
 _GATE_KIND = choice({kind.value: kind for kind in GateKind})

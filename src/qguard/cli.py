@@ -23,7 +23,7 @@ from typing import Any
 
 from . import __version__
 from .backends import BackendAdapter, ExperimentResult, ReplayAdapter, SimulatorAdapter
-from .calibration import parse_calibration
+from .calibration import NoiseModel, parse_calibration
 from .circuits import Circuit, circuit_from_dict, circuit_to_dict
 from .constraints import ResourceConstraint, constraint_from_dict
 from .errors import DocumentError, NoiseModelError, QGuardError
@@ -31,7 +31,6 @@ from .executor import Branch, run_conditionally
 from .fields import (
     choice, decode, integer, no_unknown, number, record, required, string, unreadable,
 )
-from .simulator import NoiseModel
 from .timestamps import format_timestamp
 
 EXIT_PASSED = 0

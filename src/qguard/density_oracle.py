@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .calibration import NoiseModel, check_noise
 from .circuits import Circuit, Gate, GateKind, check_circuit
 from .errors import OracleLimitError
-from .simulator import NoiseModel, _apply_1q, _apply_cnot, _zero_states, check_noise, gate_unitary
+from .simulator import _apply_1q, _apply_cnot, _zero_states, gate_unitary
 
 ORACLE_MAX_QUBITS = 10
 

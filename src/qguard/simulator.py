@@ -97,15 +97,13 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
+from .calibration import NoiseModel, check_noise
 from .circuits import BitstringCounts, Circuit, Gate, GateKind, check_circuit
-from .errors import (
-    CircuitError, NoiseModelError, NormConservationError, check_shots, is_index, is_real
-)
+from .errors import CircuitError, NormConservationError, check_shots
 
 _NORM_TOL = 1e-10
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -146,42 +144,6 @@ def gate_unitary(gate: Gate) -> np.ndarray:
     raise CircuitError(f"{gate.kind.value} has no single-qubit unitary")
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Stochastic noise parameters plus the seed that fixes all randomness.
-
-    The default magnitudes are placeholders sized for tests, not calibrated
-    to any particular device.  ``ideal()`` gives the zero-noise model.
-    """
-
-    p1: float = 0.001
-    p2: float = 0.01
-    readout_flip: float = 0.02
-    seed: int = 0
-
-    def __post_init__(self):
-        problems = {}
-        for name in ("p1", "p2", "readout_flip"):
-            value = getattr(self, name)
-            if not is_real(value) or not 0 <= value <= 1:
-                problems[name] = f"expected a probability in [0, 1], got {value!r}"
-            else:
-                object.__setattr__(self, name, float(value))
-        seed = self.seed
-        if not is_index(seed) or not 0 <= seed < 2**64:
-            problems["seed"] = f"expected an unsigned 64-bit integer, got {seed!r}"
-        if problems:
-            raise NoiseModelError(problems)
-        object.__setattr__(self, "seed", int(seed))
-
-    @classmethod
-    def ideal(cls, seed: int = 0) -> "NoiseModel":
-        return cls(p1=0.0, p2=0.0, readout_flip=0.0, seed=seed)
-
-    def with_seed(self, seed: int) -> "NoiseModel":
-        return replace(self, seed=seed)
-
-
 # Widest circuit accepted.  One state takes 16 * 2**n bytes (16 MiB at 20
 # qubits), and a run also holds a few temporaries of that size.
 SIMULATOR_MAX_QUBITS = 20
@@ -194,13 +156,6 @@ _DRAW_BYTES = 4 * 1024 * 1024
 # Words taken from Philox per call: 128 KiB, which stays in a core's cache
 # until it is copied into its block.
 _CHUNK_WORDS = 1 << 14
-
-
-def check_noise(noise: Any) -> NoiseModel:
-    """``noise``; raises :class:`NoiseModelError` unless it is a ``NoiseModel``."""
-    if not isinstance(noise, NoiseModel):
-        raise NoiseModelError({"noise": f"expected a NoiseModel, got {noise!r}"})
-    return noise
 
 
 # Batched kernels: ``amps`` has shape (2, ..., 2, B); qubit q lives on axis

@@ -5,7 +5,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-import qguard.backends
+import qguard.circuits
 from qguard import (
     BackendError,
     BitstringCounts,
@@ -306,6 +306,25 @@ def test_replay_has_one_mode_and_it_checks_each_result():
         adapter.run(phi_plus(), 512)
 
 
+def test_replay_checks_a_result_before_using_it_up():
+    # The cursor moved before the checks, so the refused result was gone and
+    # this correct 256-shot request raised RecordingExhausted.
+    recording = make_recording(1)
+    adapter = ReplayAdapter(recording)
+    with pytest.raises(BackendError, match="recorded shots 256 != requested shots 512"):
+        adapter.run(phi_plus(), 512)
+    assert adapter.run(phi_plus(), 256) is recording.results[0]
+    with pytest.raises(RecordingExhausted):
+        adapter.run(phi_plus(), 256)
+
+
+def test_simulator_cache_key_holds_the_noise_without_its_seed_and_the_given_snapshot():
+    noise = NoiseModel(seed=7)
+    assert SimulatorAdapter(noise).cache_key() == ("simulator", noise.with_seed(0), None)
+    snapshot = SimulatorAdapter(noise).calibration()
+    assert SimulatorAdapter(noise, snapshot).cache_key() == ("simulator", noise.with_seed(0), snapshot)
+
+
 def test_recording_binds_each_result_to_its_circuit():
     inner = SimulatorAdapter(NoiseModel.ideal(seed=11))
     recorder = RecordingAdapter(inner)
@@ -362,7 +381,7 @@ def test_a_circuit_equal_to_the_recorded_one_replays(recorded, submitted):
     recorder = RecordingAdapter(SimulatorAdapter(NoiseModel.ideal()))
     recorder.run(rotated(recorded), 16)
     recorder.run(rotated(recorded), 16)
-    qguard.backends._circuit_sha256.cache_clear()  # as a new process would start
+    qguard.circuits.circuit_sha256.cache_clear()  # as a new process would start
     adapter = ReplayAdapter(recorder.recording())
     assert adapter.run(rotated(submitted), 16).shots == 16
     with pytest.raises(BackendError, match="circuit_sha256"):

@@ -214,14 +214,6 @@ def test_gate_qubits_accept_any_iterable_of_integers():
         GateCalibration("u", (0.0,), 0.1)
 
 
-def test_with_taken_at():
-    snapshot = calibration_from_dict(sample_doc())
-    later = datetime(2027, 1, 1, tzinfo=timezone.utc)
-    moved = snapshot.with_taken_at(later)
-    assert moved.taken_at == later
-    assert moved.qubits == snapshot.qubits
-
-
 def test_snapshot_requires_aware_timestamp():
     with pytest.raises(CalibrationError, match="aware"):
         CalibrationSnapshot(

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import threading
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -521,8 +522,24 @@ def test_calibration_constraint_max_age():
     assert not result.passed
     assert result.scores == {"calibration_age_s": six_years}
     assert result.evaluated_at == T0
-    hour_old = old.with_taken_at(T0 - timedelta(seconds=3600))  # the boundary passes
+    hour_old = replace(old, taken_at=T0 - timedelta(seconds=3600))  # the boundary passes
     assert constraint.evaluate(CountingAdapter(hour_old), 1, clock).passed
+
+
+def test_synthetic_calibration_is_always_current():
+    # With no snapshot given, the simulator stamps its synthetic one by its
+    # own clock at each read, so only the gap between that clock and the
+    # decision's shows as age.
+    clock = ManualClock()
+    adapter = SimulatorAdapter(NoiseModel.ideal(), clock=clock)
+    result = CalibrationConstraint(max_age_s=3600).evaluate(adapter, 1, clock)
+    assert result.scores == {"calibration_age_s": 0.0}
+    clock.advance(7200)
+    assert CalibrationConstraint(max_age_s=0).evaluate(adapter, 1, clock).passed
+    later = ManualClock(clock() + timedelta(seconds=5))
+    result = CalibrationConstraint(max_age_s=3600).evaluate(adapter, 1, later)
+    assert result.passed
+    assert result.scores == {"calibration_age_s": 5.0}
 
 
 def test_calibration_constraint_is_stamped_after_its_check():
@@ -826,7 +843,7 @@ def test_fresh_within_reevaluates_for_other_simulator_calibration():
     assert result["worst_t1_us"] == 40.0
     # A supplied snapshot is judged by its own taken_at too, so the same
     # properties taken at another moment are another backend: evaluated afresh.
-    restamped = SimulatorAdapter(noise, weak.with_taken_at(T0))
+    restamped = SimulatorAdapter(noise, replace(weak, taken_at=T0))
     again = fresh.evaluate(restamped, 1)
     assert again is not result
     assert not again.passed
@@ -839,8 +856,8 @@ def test_fresh_within_reevaluates_for_a_simulator_calibration_taken_at_another_t
     # the fresh one, although it fails max_age_s when evaluated directly.
     clock = ManualClock()
     noise = NoiseModel.ideal()
-    fresh_snapshot = synthetic_calibration_for(noise).with_taken_at(T0)
-    stale_snapshot = fresh_snapshot.with_taken_at(datetime(2020, 1, 1, tzinfo=timezone.utc))
+    fresh_snapshot = synthetic_calibration_for(noise, taken_at=T0)
+    stale_snapshot = replace(fresh_snapshot, taken_at=datetime(2020, 1, 1, tzinfo=timezone.utc))
     check = CalibrationConstraint(max_age_s=3600)
     stale = SimulatorAdapter(noise, stale_snapshot)
     assert not check.evaluate(stale, 1, clock).passed

@@ -54,22 +54,35 @@ def test_unused_imports_finds_exactly_the_unused_names(source, unused):
     assert unused_imports(source) == unused
 
 
-def absolute_imports(source: str) -> list[str]:
-    modules = []
+def imported_modules(source: str) -> set[str]:
+    """The top-level package of each absolute import in the source, and each
+    relative import with its leading dots."""
+    modules = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            modules.extend(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules.append(node.module)
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            modules.add("." * node.level + module if node.level else module.split(".")[0])
     return modules
 
 
-@pytest.mark.parametrize("name", ["chsh.py", "circuits.py"])
+# numpy, and the package modules that import it, directly or through one another.
+NUMPY_MODULES = {"numpy", ".simulator", ".density_oracle", ".backends"}
+
+
+@pytest.mark.parametrize(
+    "name", ["calibration.py", "chsh.py", "circuits.py", "errors.py", "fields.py", "timestamps.py"]
+)
 def test_module_imports_no_numpy(name):
-    # Counts, scores and circuits stay plain Python, so a run that simulates
-    # nothing can avoid importing numpy.
-    modules = absolute_imports((PACKAGE / name).read_text())
-    assert [module for module in modules if module.split(".")[0] == "numpy"] == []
+    # The device model, counts, scores, circuits and documents stay plain
+    # Python, so a run that simulates nothing can avoid importing numpy.
+    assert imported_modules((PACKAGE / name).read_text()) & NUMPY_MODULES == set()
+
+
+def test_imported_modules_names_relative_imports_with_their_dots():
+    source = "import numpy.linalg\nfrom . import x\nfrom .simulator import y\nfrom os.path import z\n"
+    assert imported_modules(source) == {"numpy", ".", ".simulator", "os"}
 
 
 def abcs_from_typing(source: str) -> list[str]:
