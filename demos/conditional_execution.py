@@ -41,7 +41,7 @@ def demonstrate(label, noise):
 
 def main():
     demonstrate("healthy backend", NoiseModel.ideal(seed=12))
-    demonstrate("degraded backend", NoiseModel(p2=0.3, p1=0.0, readout_flip=0.0, seed=12))
+    demonstrate("degraded backend", NoiseModel(p2=0.3, seed=12))
 
 
 if __name__ == "__main__":

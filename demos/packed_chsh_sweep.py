@@ -23,7 +23,7 @@ def main():
     print(f"{'lam':>5}  {'S sampled':>9}  {'S exact':>8}  {'se':>6}  decision")
     for step in range(7):
         lam = 0.05 * step
-        adapter = SimulatorAdapter(NoiseModel(p2=lam, p1=0.0, readout_flip=0.0, seed=3))
+        adapter = SimulatorAdapter(NoiseModel(p2=lam, seed=3))
         result = probe.evaluate(adapter, SHOTS)
         exact = 2.0 * math.sqrt(2.0) * (1.0 - lam)
         decision = "pass" if result.passed else "FAIL"

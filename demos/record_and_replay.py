@@ -35,7 +35,7 @@ def conditional_bell(adapter):
 
 
 def main():
-    recorder = RecordingAdapter(SimulatorAdapter(NoiseModel(p2=0.05, seed=2)))
+    recorder = RecordingAdapter(SimulatorAdapter(NoiseModel(p1=0.001, p2=0.05, readout_flip=0.02, seed=2)))
     live = conditional_bell(recorder)
     print(f"live run:   branch={live.branch.value}, "
           f"S={live.introspection['CHSH_score']:.4f}, "

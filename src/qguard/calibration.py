@@ -18,7 +18,7 @@ from .errors import (
     check_real, check_tuple, check_type, is_index, is_real,
 )
 from .fields import decode, each, integer, integers, items, number, record, string
-from .timestamps import format_timestamp, parse_timestamp, utc_now
+from .timestamps import format_timestamp, parse_timestamp
 
 
 @dataclass(frozen=True)
@@ -108,13 +108,13 @@ class CalibrationSnapshot:
 class NoiseModel:
     """Stochastic noise parameters plus the seed that fixes all randomness.
 
-    The default magnitudes are placeholders sized for tests, not calibrated
-    to any particular device.  ``ideal()`` gives the zero-noise model.
+    A field left out is 0, as in a workflow file: ``NoiseModel(p2=0.05)``
+    depolarizes two-qubit gates only, and ``NoiseModel()`` equals ``ideal()``.
     """
 
-    p1: float = 0.001
-    p2: float = 0.01
-    readout_flip: float = 0.02
+    p1: float = 0.0
+    p2: float = 0.0
+    readout_flip: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -134,7 +134,7 @@ class NoiseModel:
 
     @classmethod
     def ideal(cls, seed: int = 0) -> "NoiseModel":
-        return cls(p1=0.0, p2=0.0, readout_flip=0.0, seed=seed)
+        return cls(seed=seed)
 
     def with_seed(self, seed: int) -> "NoiseModel":
         return replace(self, seed=seed)
@@ -148,18 +148,17 @@ def check_noise(noise: Any) -> NoiseModel:
 
 
 def synthetic_calibration_for(
-    noise: NoiseModel, num_qubits: int = 8, taken_at: datetime | None = None
+    noise: NoiseModel, num_qubits: int = 8, *, taken_at: datetime
 ) -> CalibrationSnapshot:
     """A plausible snapshot whose error entries mirror a simulator noise model.
 
     Readout error equals ``readout_flip``, single-qubit gate errors ``p1``,
     CNOT errors ``p2``, so calibration-threshold constraints exercise the
     same numbers that drive the simulator.  T1/T2 are fixed mid-range values.
+    ``taken_at`` is required: the caller's clock stamps the snapshot.
     """
     check_noise(noise)
     check_integer(num_qubits, "num_qubits", CalibrationError)
-    if taken_at is None:
-        taken_at = utc_now()
     qubits = tuple(
         QubitCalibration(t1_us=120.0, t2_us=100.0, readout_error=noise.readout_flip)
         for _ in range(num_qubits)

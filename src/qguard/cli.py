@@ -65,9 +65,11 @@ class Workflow:
     adapter: BackendAdapter
     backend: dict[str, Any]  # the backend as the report records it
     constraint: ResourceConstraint
+    constraint_doc: Any  # the constraint document as given, which the report records
     main_circuit: Circuit
     constraint_shots: int
     main_shots: int
+    report_path: str = "report.json"
 
 
 def _referenced(base_dir: Path, name: str, path: str, load: Callable[[Path], Any]) -> Any:
@@ -96,10 +98,7 @@ def _load_backend(
         )
         return adapter, fields
 
-    noise = NoiseModel(
-        **{**dict.fromkeys(_NOISE_FIELDS, 0.0), **fields.get("noise", {})},
-        seed=fields.get("seed", 0),
-    )
+    noise = NoiseModel(**fields.get("noise", {}), seed=fields.get("seed", 0))
     if seed_override is not None:
         noise = noise.with_seed(seed_override)
     resolved = {
@@ -163,7 +162,7 @@ def load_workflow(
 
     sections = {
         "backend": lambda value, path: _load_backend(value, base_dir, seed_override),
-        "constraint": constraint_from_dict,
+        "constraint": lambda value, path: (constraint_from_dict(value, path), value),
         "main_circuit": lambda value, path: _load_main_circuit(value, base_dir),
         "constraint_shots": _shots,
         "main_shots": _shots,
@@ -178,8 +177,8 @@ def load_workflow(
     if diagnostics:
         return None, diagnostics
     adapter, resolved_backend = built.pop("backend")
-    built.pop("report_path", None)
-    return Workflow(adapter, resolved_backend, **built), []
+    constraint, constraint_doc = built.pop("constraint")
+    return Workflow(adapter, resolved_backend, constraint, constraint_doc, **built), []
 
 
 def _read_config(path: Path) -> Any:
@@ -294,13 +293,13 @@ def run_workflow(
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
 
-    report_path = report_override or doc.get("report_path", "report.json")
+    report_path = report_override or workflow.report_path
     report = {
         "branch": outcome.branch.value,
         "introspection": outcome.introspection.to_dict(),
         "config": {
             "backend": workflow.backend,
-            "constraint": doc["constraint"],
+            "constraint": workflow.constraint_doc,
             "main_circuit": circuit_to_dict(workflow.main_circuit),
             "constraint_shots": workflow.constraint_shots,
             "main_shots": workflow.main_shots,

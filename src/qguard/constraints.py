@@ -21,7 +21,7 @@ import math
 import operator
 import threading
 from collections.abc import Callable, Hashable, Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Any, NamedTuple
 
@@ -76,6 +76,7 @@ class MaximumAcceptableValue(_Threshold):
 class IntrospectionResult:
     """The outcome of one constraint evaluation.
 
+    Its name, outcome, ``scores`` and ``evaluated_at`` are required.
     ``scores`` holds the named numbers the decision was based on; composite
     constraints carry their evaluated children in order.  Subscripting reads
     a score, so ``result["CHSH_score"]`` works directly.  Every field is
@@ -84,8 +85,8 @@ class IntrospectionResult:
 
     constraint_name: str
     passed: bool
-    scores: Mapping[str, float] = field(default_factory=dict)
-    evaluated_at: datetime = field(default_factory=utc_now)
+    scores: Mapping[str, float]
+    evaluated_at: datetime
     evidence: ExperimentResult | None = None
     children: tuple["IntrospectionResult", ...] = ()
 
@@ -366,12 +367,6 @@ class FreshWithin(ResourceConstraint):
 
 
 # --- document format -------------------------------------------------------
-#
-# { "type": "packed_chsh" | "calibration" | "and" | "or" | "not" | "fresh_within",
-#   "policy": {"kind": "min"|"max", "threshold": number}?,   (packed_chsh)
-#   "criteria": {...}?,                                      (calibration)
-#   "children": [...]?,                                      (composites, not, fresh_within)
-#   "ttl_seconds": number? }                                 (fresh_within)
 
 _POLICY_KIND = choice({"min": MinimumAcceptableValue, "max": MaximumAcceptableValue})
 _POLICY_FIELDS = {"kind": _POLICY_KIND, "threshold": number}
@@ -387,38 +382,41 @@ def _criteria(value: Any, path: str) -> dict[str, float]:
     return record(value, path, _CRITERION_FIELDS, optional=_CRITERION_FIELDS)
 
 
+def _children(value: Any, path: str) -> list[ResourceConstraint]:
+    return each(constraint_from_dict)(value, path)
+
+
+def _only_child(value: Any, path: str) -> ResourceConstraint:
+    if len(items(value, path)) != 1:
+        raise DocumentError(path, f"expected exactly 1 child, got {len(value)}")
+    return _children(value, path)[0]
+
+
+# One row per constraint kind, keyed by its document "type", in the order an
+# unknown type lists them: the readers of the node's other fields, all of
+# them required; the field a constructor's error is reported at; and the
+# constructor, which takes those fields' values in reader order.
+_KINDS = {
+    "packed_chsh": ({"policy": _policy}, "policy", PackedCHSHTest),
+    "calibration": ({"criteria": _criteria}, "criteria", lambda kw: CalibrationConstraint(**kw)),
+    "and": ({"children": _children}, "children", AndConstraint),
+    "or": ({"children": _children}, "children", OrConstraint),
+    "not": ({"children": _only_child}, "children", NotConstraint),
+    "fresh_within": (
+        {"children": _only_child, "ttl_seconds": number},
+        "ttl_seconds",
+        lambda child, ttl: FreshWithin(child, timedelta(seconds=ttl)),
+    ),
+}
+
+
 def constraint_from_dict(doc: Mapping[str, Any], path: str = "constraint") -> ResourceConstraint:
     """Build a constraint tree from its document form.
 
     Malformed documents raise :class:`DocumentError` naming the offending
     field.  The tree holds no clock: each evaluation is given one.
     """
-    children = each(constraint_from_dict)
-
-    def only_child(value: Any, children_path: str) -> ResourceConstraint:
-        if len(items(value, children_path)) != 1:
-            raise DocumentError(children_path, f"expected exactly 1 child, got {len(value)}")
-        return children(value, children_path)[0]
-
-    readers = {
-        "packed_chsh": {"policy": _policy},
-        "calibration": {"criteria": _criteria},
-        "and": {"children": children},
-        "or": {"children": children},
-        "not": {"children": only_child},
-        "fresh_within": {"children": only_child, "ttl_seconds": number},
-    }
-    fields = record(doc, path, {"type": string, **required(doc, "type", path, choice(readers))})
-    kind = fields["type"]
-    if kind == "packed_chsh":
-        return PackedCHSHTest(fields["policy"])
-    if kind == "calibration":
-        with located(join(path, "criteria")):
-            return CalibrationConstraint(**fields["criteria"])
-    if kind in ("and", "or"):
-        with located(join(path, "children")):
-            return (AndConstraint if kind == "and" else OrConstraint)(fields["children"])
-    if kind == "not":
-        return NotConstraint(fields["children"])
-    with located(join(path, "ttl_seconds")):
-        return FreshWithin(fields["children"], timedelta(seconds=fields["ttl_seconds"]))
+    readers, located_at, build = required(doc, "type", path, choice(_KINDS))
+    fields = record(doc, path, {"type": string, **readers})
+    with located(join(path, located_at)):
+        return build(*(fields[key] for key in readers))

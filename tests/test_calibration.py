@@ -240,6 +240,15 @@ def test_synthetic_calibration_mirrors_noise():
     assert (0, 1) in snapshot.coupling_map and (1, 0) in snapshot.coupling_map
 
 
+def test_synthetic_calibration_requires_its_time():
+    # A snapshot built without one used to be stamped by the wall clock,
+    # below the clock of the decision that judges it.
+    with pytest.raises(TypeError, match="taken_at"):
+        synthetic_calibration_for(NoiseModel())
+    with pytest.raises(TypeError):
+        synthetic_calibration_for(NoiseModel(), 8, NOW)  # keyword only
+
+
 @pytest.mark.parametrize("num_qubits", ["a", 2.5])
 def test_synthetic_calibration_rejects_a_width_that_is_not_an_integer(num_qubits):
     # Each used to escape as a bare TypeError from range().

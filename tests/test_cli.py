@@ -24,6 +24,7 @@ from qguard.cli import (
     EXIT_PASSED,
     EXIT_RUNTIME_ERROR,
     _report_text,
+    load_workflow,
     main,
     validate_workflow,
 )
@@ -52,14 +53,16 @@ def write_workflow(directory, **overrides):
     return path
 
 
-def strip_timestamps(node):
+def strip_timestamps(node, also=()):
+    """``node`` with the value of every ``*_at`` key, and of every key in
+    ``also``, replaced by a placeholder."""
     if isinstance(node, dict):
         return {
-            key: ("<ts>" if key.endswith("_at") else strip_timestamps(value))
+            key: ("<ts>" if key.endswith("_at") or key in also else strip_timestamps(value, also))
             for key, value in node.items()
         }
     if isinstance(node, list):
-        return [strip_timestamps(value) for value in node]
+        return [strip_timestamps(value, also) for value in node]
     return node
 
 
@@ -100,6 +103,25 @@ def test_validate_catches_bad_noise_and_seed(tmp_path):
     paths = {d.path for d in validate_workflow(doc, tmp_path)}
     assert "backend.noise.p1" in paths
     assert "backend.seed" in paths
+
+
+def test_a_noise_field_left_out_is_zero_in_code_as_in_a_workflow(tmp_path):
+    # NoiseModel(p2=0.05) used to fill in p1 = 0.001 and readout_flip = 0.02,
+    # while a workflow's {"p2": 0.05} loaded with both at 0.
+    doc = workflow_doc(backend={"type": "simulator", "noise": {"p2": 0.05}})
+    workflow, diagnostics = load_workflow(doc, tmp_path)
+    assert diagnostics == []
+    assert workflow.adapter.cache_key() == SimulatorAdapter(NoiseModel(p2=0.05)).cache_key()
+    assert NoiseModel() == NoiseModel.ideal()
+
+
+def test_a_built_workflow_carries_its_report_path_and_constraint_document(tmp_path):
+    doc = workflow_doc(report_path="out.json")
+    workflow = load_workflow(doc, tmp_path)[0]
+    assert workflow.report_path == "out.json"
+    assert workflow.constraint_doc == doc["constraint"]
+    del doc["report_path"]
+    assert load_workflow(doc, tmp_path)[0].report_path == "report.json"
 
 
 def test_validate_catches_unknown_fields(tmp_path):
@@ -315,7 +337,8 @@ def test_run_reports_a_report_it_cannot_write(tmp_path, capsys):
 
 def test_run_judges_the_snapshot_of_a_calibration_file(tmp_path):
     # Every qubit has T1 = 40 us; the synthetic snapshot has 120 us.
-    snapshot = synthetic_calibration_for(NoiseModel.ideal(), num_qubits=2)
+    taken_at = datetime(2026, 1, 1, tzinfo=timezone.utc)
+    snapshot = synthetic_calibration_for(NoiseModel.ideal(), num_qubits=2, taken_at=taken_at)
     weak = [{"t1_us": 40.0, "t2_us": 30.0, "readout_error": 0.0}] * 2
     (tmp_path / "cal.json").write_text(json.dumps({**calibration_to_dict(snapshot), "qubits": weak}))
     backend = {"type": "simulator", "calibration_file": "cal.json"}
@@ -378,14 +401,25 @@ def test_run_circuit_from_file(tmp_path):
 
 
 def test_same_seed_reproduces_report(tmp_path):
-    reports = []
-    for name in ("a", "b"):
-        directory = tmp_path / name
-        directory.mkdir()
-        config = write_workflow(directory)
-        assert main(["run", str(config)]) == EXIT_PASSED
-        reports.append(json.loads((directory / "report.json").read_text()))
-    assert strip_timestamps(reports[0]) == strip_timestamps(reports[1])
+    # A max_age_s score is the synthetic snapshot's age on the wall clock, so
+    # it differs between runs by microseconds and is masked with the timestamps.
+    aged = {
+        "type": "and",
+        "children": [
+            {"type": "calibration", "criteria": {"max_age_s": 60}},
+            workflow_doc()["constraint"],
+        ],
+    }
+    for case, constraint in (("probe", workflow_doc()["constraint"]), ("aged", aged)):
+        reports = []
+        for name in ("a", "b"):
+            directory = tmp_path / case / name
+            directory.mkdir(parents=True)
+            config = write_workflow(directory, constraint=constraint)
+            assert main(["run", str(config)]) == EXIT_PASSED
+            reports.append(json.loads((directory / "report.json").read_text()))
+        masked = [strip_timestamps(report, also={"calibration_age_s"}) for report in reports]
+        assert masked[0] == masked[1]
 
 
 def test_seed_override_changes_outcomes(tmp_path):

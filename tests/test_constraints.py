@@ -76,7 +76,7 @@ class CountingAdapter(BackendAdapter):
 
     def calibration(self):
         if self._calibration is None:
-            self._calibration = synthetic_calibration_for(NoiseModel.ideal(), num_qubits=2)
+            self._calibration = synthetic_calibration_for(NoiseModel.ideal(), num_qubits=2, taken_at=T0)
         return self._calibration
 
     def name(self):
@@ -173,6 +173,15 @@ def test_introspection_result_to_dict():
     assert doc["evaluated_at"] == "2026-08-21T09:00:00Z"
     assert doc["children"][0]["constraint_name"] == "inner"
     assert json.dumps(doc)  # JSON-serializable throughout
+
+
+def test_introspection_result_requires_its_scores_and_its_time():
+    # A result built without a time used to be stamped by the wall clock,
+    # not by the clock of the decision it belongs to.
+    with pytest.raises(TypeError, match="scores.*evaluated_at"):
+        IntrospectionResult("c", True)
+    with pytest.raises(TypeError, match="evaluated_at"):
+        IntrospectionResult("c", True, {})
 
 
 @pytest.mark.parametrize(
@@ -504,7 +513,7 @@ def test_calibration_constraint_gate_error_vacuous_without_gate_data():
 
 def test_calibration_constraint_gate_error():
     adapter = SnapshotAdapter(
-        synthetic_calibration_for(NoiseModel(p1=0.001, p2=0.02, readout_flip=0.01), 3)
+        synthetic_calibration_for(NoiseModel(p1=0.001, p2=0.02, readout_flip=0.01), 3, taken_at=T0)
     )
     result = CalibrationConstraint(max_gate_error=0.01).evaluate(adapter, 1)
     assert not result.passed
@@ -828,7 +837,7 @@ def test_fresh_within_reevaluates_for_other_simulator_calibration():
     # Simulators with one noise model used to share a cache key, so B
     # passed on A's T1 of 120 although its own T1 is 40.
     noise = NoiseModel.ideal()
-    synthetic = synthetic_calibration_for(noise)
+    synthetic = synthetic_calibration_for(noise, taken_at=T0)
     weak = CalibrationSnapshot(
         taken_at=synthetic.taken_at,
         num_qubits=synthetic.num_qubits,
@@ -843,7 +852,7 @@ def test_fresh_within_reevaluates_for_other_simulator_calibration():
     assert result["worst_t1_us"] == 40.0
     # A supplied snapshot is judged by its own taken_at too, so the same
     # properties taken at another moment are another backend: evaluated afresh.
-    restamped = SimulatorAdapter(noise, replace(weak, taken_at=T0))
+    restamped = SimulatorAdapter(noise, replace(weak, taken_at=T0 + timedelta(seconds=1)))
     again = fresh.evaluate(restamped, 1)
     assert again is not result
     assert not again.passed
@@ -1008,6 +1017,43 @@ def test_constraint_from_dict_not_requires_single_child():
     }
     with pytest.raises(DocumentError, match="exactly 1"):
         constraint_from_dict(doc)
+
+
+ONE_CHILD = [{"type": "calibration", "criteria": {"min_qubits": 1}}]
+
+
+@pytest.mark.parametrize(
+    "kind, fields, built, refused, field",
+    [
+        ("packed_chsh", {"policy": {"kind": "min", "threshold": 2.2}}, PackedCHSHTest, {}, "policy"),
+        ("calibration", {"criteria": {"min_qubits": 1}}, CalibrationConstraint, {"criteria": {}}, "criteria"),
+        ("and", {"children": ONE_CHILD}, AndConstraint, {"children": []}, "children"),
+        ("or", {"children": ONE_CHILD}, OrConstraint, {"children": []}, "children"),
+        ("not", {"children": ONE_CHILD}, NotConstraint, {"children": ONE_CHILD * 2}, "children"),
+        (
+            "fresh_within",
+            {"children": ONE_CHILD, "ttl_seconds": 60},
+            FreshWithin,
+            {"children": ONE_CHILD, "ttl_seconds": 0},
+            "ttl_seconds",
+        ),
+    ],
+)
+def test_constraint_from_dict_builds_each_kind_and_reports_its_refusal_at_its_field(
+    kind, fields, built, refused, field
+):
+    assert type(constraint_from_dict({"type": kind, **fields})) is built
+    with pytest.raises(DocumentError) as excinfo:
+        constraint_from_dict({"type": kind, **refused})
+    assert excinfo.value.path == f"constraint.{field}"
+
+
+def test_constraint_from_dict_names_every_kind_in_order_for_an_unknown_one():
+    with pytest.raises(DocumentError) as excinfo:
+        constraint_from_dict({"type": "chsh_v2"})
+    assert excinfo.value.path == "constraint.type"
+    kinds = ["packed_chsh", "calibration", "and", "or", "not", "fresh_within"]
+    assert excinfo.value.message == f"expected one of {kinds}, got 'chsh_v2'"
 
 
 def test_every_node_of_a_document_tree_is_stamped_by_the_decision_clock():

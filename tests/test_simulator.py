@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -79,10 +80,10 @@ def test_noise_model_reports_every_bad_field():
 
 
 def test_noise_model_defaults_and_ideal():
-    placeholder = NoiseModel()
-    assert placeholder.p1 == 0.001
-    assert placeholder.p2 == 0.01
-    assert placeholder.readout_flip == 0.02
+    # A field left out is 0, as in a workflow file.
+    default = NoiseModel()
+    assert (default.p1, default.p2, default.readout_flip, default.seed) == (0.0, 0.0, 0.0, 0)
+    assert NoiseModel(p2=0.05) == NoiseModel(p1=0.0, p2=0.05, readout_flip=0.0)
     ideal = NoiseModel.ideal(seed=9)
     assert (ideal.p1, ideal.p2, ideal.readout_flip, ideal.seed) == (0.0, 0.0, 0.0, 9)
     assert ideal.with_seed(4).seed == 4
@@ -188,7 +189,10 @@ def test_run_shots_rejects_bad_shots_with_a_typed_error(shots):
         (lambda: density_matrix_oracle(phi_plus(), None), NoiseModelError),
         (lambda: SimulatorAdapter(noise="x"), NoiseModelError),
         (lambda: SimulatorAdapter(synthetic_calibration="x"), CalibrationError),
-        (lambda: synthetic_calibration_for("x"), NoiseModelError),
+        (
+            lambda: synthetic_calibration_for("x", taken_at=datetime(2026, 1, 1, tzinfo=timezone.utc)),
+            NoiseModelError,
+        ),
         (lambda: SimulatorAdapter(clock="x"), BackendError),
     ],
     ids=[
