@@ -4,7 +4,8 @@ constraint tree, then read the structured result back.
 Tree: AND( calibration gate, FreshWithin(60s, CHSH probe) ).  The cheap
 calibration check runs first; a failing snapshot short-circuits the tree
 before the probe spends any shots.  Within the TTL, repeated evaluations
-reuse the cached probe result and the tree costs nothing.
+reuse the cached probe result and the tree costs nothing; the demo exits
+non-zero if the second evaluation does not return the first one's probe.
 """
 
 from datetime import timedelta
@@ -36,10 +37,15 @@ def main():
     ])
 
     print("first evaluation (probe runs):")
-    describe(tree.evaluate(adapter, 10_000))
+    first = tree.evaluate(adapter, 10_000)
+    describe(first)
 
     print("\nsecond evaluation (probe cached, same evaluated_at):")
-    describe(tree.evaluate(adapter, 10_000))
+    second = tree.evaluate(adapter, 10_000)
+    describe(second)
+    # The cache serves only the adapter object that produced its result.
+    if second.children[1] is not first.children[1]:
+        raise SystemExit("the second evaluation re-ran the probe instead of reusing it")
 
     print("\ndemanding more qubits than the device has (probe never runs):")
     strict = AndConstraint([

@@ -15,7 +15,7 @@ time.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Hashable, Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from pathlib import Path
@@ -110,12 +110,6 @@ class BackendAdapter(ABC):
     def name(self) -> str:
         """Stable identifier used in results and reports."""
 
-    def cache_key(self) -> Hashable:
-        """What this backend's results depend on besides the request: results
-        of adapters with equal keys are interchangeable evidence.  Defaults
-        to ``name()``."""
-        return self.name()
-
 
 class SimulatorAdapter(BackendAdapter):
     """Runs circuits on the built-in noisy simulator.
@@ -167,21 +161,10 @@ class SimulatorAdapter(BackendAdapter):
     def name(self) -> str:
         return "simulator"
 
-    def cache_key(self) -> Hashable:
-        # Every simulator has one name; its noise and the snapshot that
-        # constraints judge tell them apart.  The seed only picks the random
-        # draws, so it is left out.  A supplied snapshot is judged by its own
-        # taken_at too, so all of it is in the key; without one, the snapshot
-        # follows from the noise, which the key already holds.
-        return (self.name(), self._noise.with_seed(0), self._supplied)
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Recording:
-    """A recorded backend session: one calibration and an ordered result list.
-
-    Recordings compare and hash by identity, so a replay's cache key names
-    the very recording it replays."""
+    """A recorded backend session: one calibration and an ordered result list."""
 
     calibration: CalibrationSnapshot
     results: tuple[ExperimentResult, ...]
@@ -290,10 +273,6 @@ class ReplayAdapter(BackendAdapter):
     def name(self) -> str:
         return "replay"
 
-    def cache_key(self) -> Hashable:
-        # Replays of one recording share evidence; replays of two never do.
-        return (self.name(), self._recording)
-
 
 class RecordingAdapter(BackendAdapter):
     """Pass-through wrapper that captures another adapter's outputs.
@@ -303,7 +282,9 @@ class RecordingAdapter(BackendAdapter):
     served, which is what a constraint judged.  Only if none was served does
     it ask the inner adapter for one.  Each result is recorded, and returned,
     with the submitted circuit's sha256 in its ``circuit_sha256`` metadata,
-    so a replay can tell that it answers the same circuit.
+    so a replay can tell that it answers the same circuit.  A ``FreshWithin``
+    hit on another adapter, even the wrapped one, never stands in for a run
+    here: the evidence a decision on this adapter uses was recorded by it.
     """
 
     def __init__(self, inner: BackendAdapter):
@@ -327,9 +308,6 @@ class RecordingAdapter(BackendAdapter):
 
     def name(self) -> str:
         return self._inner.name()
-
-    def cache_key(self) -> Hashable:
-        return self._inner.cache_key()
 
     def recording(self) -> Recording:
         served = self._served if self._served is not None else self._inner.calibration()

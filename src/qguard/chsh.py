@@ -13,7 +13,9 @@ from collections.abc import Mapping
 from itertools import product, repeat
 
 from .circuits import BitstringCounts
-from .errors import CircuitError, ScoreError, as_float, check_real, check_shots, is_index
+from .errors import (
+    CircuitError, ScoreError, as_float, check_real, check_shots, check_tuple, is_index,
+)
 
 PACKED_BITS = 8
 
@@ -45,23 +47,34 @@ def _agreeing_keys(pair_index: int) -> tuple[str, ...]:
     )
 
 
+def _correlator(value: float, name: str) -> float:
+    """``value`` as a float; raises ScoreError unless it is a real number in [-1, 1]."""
+    correlator = as_float(check_real(value, name, ScoreError))
+    if not -1.0 <= correlator <= 1.0:
+        raise ScoreError(f"{name} out of range [-1, 1]: {value}")
+    return correlator
+
+
 def chsh_score(e00: float, e01: float, e10: float, e11: float) -> float:
     """S = E00 + E01 + E10 - E11.  Each correlator must lie in [-1, 1]."""
     for name, value in (("E00", e00), ("E01", e01), ("E10", e10), ("E11", e11)):
-        if not -1.0 <= as_float(check_real(value, name, ScoreError)) <= 1.0:
-            raise ScoreError(f"{name} out of range [-1, 1]: {value}")
+        _correlator(value, name)
     return e00 + e01 + e10 - e11
 
 
 def correlator_standard_error(correlator: float, shots: int) -> float:
-    """Standard error of a single correlator estimated from ``shots`` samples."""
+    """Standard error of a single correlator in [-1, 1] estimated from ``shots`` samples."""
     shots = check_shots(shots, ScoreError)
-    variance = max(0.0, 1.0 - correlator * correlator)
-    return math.sqrt(variance / shots)
+    correlator = _correlator(correlator, "correlator")
+    return math.sqrt((1.0 - correlator * correlator) / shots)
 
 
 def score_standard_error(correlators: tuple[float, float, float, float], shots: int) -> float:
-    """Standard error of S; the four correlators come from independent pairs."""
+    """Standard error of S; the four correlators, each in [-1, 1], come from
+    independent pairs."""
     shots = check_shots(shots, ScoreError)
-    variance = sum(max(0.0, 1.0 - e * e) for e in correlators)
-    return math.sqrt(variance / shots)
+    correlators = check_tuple(correlators, "correlators", ScoreError)
+    if len(correlators) != 4:
+        raise ScoreError(f"expected 4 correlators, got {len(correlators)}")
+    values = [_correlator(e, f"correlators[{i}]") for i, e in enumerate(correlators)]
+    return math.sqrt(sum(1.0 - e * e for e in values) / shots)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from collections.abc import Callable, Hashable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Any, NamedTuple
@@ -325,12 +325,14 @@ class FreshWithin(ResourceConstraint):
     Introspection and use of its result are separated in time; this wrapper
     bounds that gap.  The child result is reused while ``0 <= now -
     evaluated_at <= ttl``, ``now`` being read from the clock ``evaluate`` is
-    given, for the same shot count on a backend with the same
-    ``cache_key()``; otherwise the child is re-evaluated.  A negative age
-    means the clock stepped back, so the result's age is unknown and it is
-    stale.  The cached result is returned as-is, original ``evaluated_at``
-    included, so callers can see exactly how stale their information is.
-    Errors do not populate the cache.
+    given, for the same shot count on the very adapter object that produced
+    it; any other adapter, however alike, gets a fresh child evaluation, so
+    a hit never stands in for a run a :class:`RecordingAdapter` should have
+    recorded.  A negative age means the clock stepped back, so the result's
+    age is unknown and it is stale.  The cached result is returned as-is,
+    original ``evaluated_at`` included, so callers can see exactly how stale
+    their information is.  Errors do not populate the cache.  The cache
+    holds its adapter until a later miss's result replaces it.
 
     Safe under concurrent ``evaluate`` calls: the lock admits at most one
     child evaluation at a time, and concurrent callers observe the cached
@@ -344,8 +346,7 @@ class FreshWithin(ResourceConstraint):
         self._child = check_type(child, ResourceConstraint, "child", ConstraintError)
         self._ttl = ttl
         self._lock = threading.Lock()
-        self._cached: IntrospectionResult | None = None
-        self._cached_for: tuple[Hashable, int] | None = None
+        self._cached: tuple[BackendAdapter, int, IntrospectionResult] | None = None
 
     def name(self) -> str:
         return f"FreshWithin({self._child.name()})"
@@ -355,14 +356,16 @@ class FreshWithin(ResourceConstraint):
     ) -> IntrospectionResult:
         check_type(adapter, BackendAdapter, "adapter", ConstraintError)
         check_type(clock, Callable, "clock", ConstraintError)
-        request = (adapter.cache_key(), shots)
         with self._lock:
-            if self._cached is not None and self._cached_for == request:
-                age = clock() - self._cached.evaluated_at
-                if timedelta(0) <= age <= self._ttl:
-                    return self._cached
+            if self._cached is not None:
+                cached_adapter, cached_shots, cached = self._cached
+                # Identity, never id(): a freed adapter's address can be reused.
+                if cached_adapter is adapter and cached_shots == shots:
+                    age = clock() - cached.evaluated_at
+                    if timedelta(0) <= age <= self._ttl:
+                        return cached
             outcome = self._child.evaluate(adapter, shots, clock)
-            self._cached, self._cached_for = outcome, request
+            self._cached = (adapter, shots, outcome)
             return outcome
 
 

@@ -410,12 +410,13 @@ def test_composite_and_freshness_logic():
     clock = lambda: now[0]
     child = FixedOutcome(True)
     fresh = FreshWithin(child, ttl=timedelta(seconds=60))
-    first = fresh.evaluate(IdleAdapter(), 1, clock)
+    adapter = IdleAdapter()
+    first = fresh.evaluate(adapter, 1, clock)
     now[0] = T0 + timedelta(seconds=30)
-    assert fresh.evaluate(IdleAdapter(), 1, clock) is first  # cache hit inside ttl
+    assert fresh.evaluate(adapter, 1, clock) is first  # cache hit inside ttl
     assert child.evaluations == 1
     now[0] = T0 + timedelta(seconds=90)
-    second = fresh.evaluate(IdleAdapter(), 1, clock)  # expired: re-evaluate
+    second = fresh.evaluate(adapter, 1, clock)  # expired: re-evaluate
     assert child.evaluations == 2
     assert second.evaluated_at == T0 + timedelta(seconds=90)
 

@@ -318,13 +318,6 @@ def test_replay_checks_a_result_before_using_it_up():
         adapter.run(phi_plus(), 256)
 
 
-def test_simulator_cache_key_holds_the_noise_without_its_seed_and_the_given_snapshot():
-    noise = NoiseModel(seed=7)
-    assert SimulatorAdapter(noise).cache_key() == ("simulator", noise.with_seed(0), None)
-    snapshot = SimulatorAdapter(noise).calibration()
-    assert SimulatorAdapter(noise, snapshot).cache_key() == ("simulator", noise.with_seed(0), snapshot)
-
-
 def test_recording_binds_each_result_to_its_circuit():
     inner = SimulatorAdapter(NoiseModel.ideal(seed=11))
     recorder = RecordingAdapter(inner)

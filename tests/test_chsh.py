@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -179,6 +180,22 @@ def test_score_rejects_a_correlator_that_is_not_a_number(value):
     # "a" used to escape as a bare TypeError from -1.0 <= "a".
     with pytest.raises(ScoreError, match="E00"):
         chsh_score(value, 0, 0, 0)
+
+
+@pytest.mark.parametrize("value", [1.5, -1.0001, float("nan"), math.inf, "a", None])
+def test_standard_errors_reject_a_correlator_chsh_score_rejects(value):
+    # 1.5 and NaN used to give a standard error of 0.0, and "a" a bare TypeError.
+    with pytest.raises(ScoreError, match="correlator"):
+        correlator_standard_error(value, 10)
+    with pytest.raises(ScoreError, match=re.escape("correlators[2]")):
+        score_standard_error((0.0, 0.0, value, 0.0), 10)
+
+
+@pytest.mark.parametrize("correlators", [(0.1,), (0.1,) * 3, (0.1,) * 5, ()])
+def test_score_standard_error_takes_exactly_four_correlators(correlators):
+    # One correlator used to give 0.70 at 2 shots, and five were accepted.
+    with pytest.raises(ScoreError, match="4 correlators"):
+        score_standard_error(correlators, 2)
 
 
 def per_key_correlator(counts, pair_index):

@@ -111,7 +111,11 @@ def test_a_noise_field_left_out_is_zero_in_code_as_in_a_workflow(tmp_path):
     doc = workflow_doc(backend={"type": "simulator", "noise": {"p2": 0.05}})
     workflow, diagnostics = load_workflow(doc, tmp_path)
     assert diagnostics == []
-    assert workflow.adapter.cache_key() == SimulatorAdapter(NoiseModel(p2=0.05)).cache_key()
+    assert workflow.backend["noise"] == {"p1": 0.0, "p2": 0.05, "readout_flip": 0.0}
+    # One seed, one noise model: the same counts.
+    circuit = packed_chsh_circuit()
+    coded = SimulatorAdapter(NoiseModel(p2=0.05))
+    assert workflow.adapter.run(circuit, 2000).counts == coded.run(circuit, 2000).counts
     assert NoiseModel() == NoiseModel.ideal()
 
 

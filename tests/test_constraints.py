@@ -41,6 +41,7 @@ from qguard import (
     score_standard_error,
     synthetic_calibration_for,
 )
+from qguard.circuits import circuit_sha256
 
 T0 = datetime(2026, 8, 21, 9, 0, 0, tzinfo=timezone.utc)
 CHSH_MAX = 2.0 * math.sqrt(2.0)
@@ -666,9 +667,10 @@ def test_fresh_within_caches_inside_ttl():
     clock = ManualClock()
     child = ClockedStub(True)
     fresh = FreshWithin(child, ttl=timedelta(seconds=60))
-    first = fresh.evaluate(CountingAdapter(), 1, clock)
+    adapter = CountingAdapter()
+    first = fresh.evaluate(adapter, 1, clock)
     clock.advance(1)
-    second = fresh.evaluate(CountingAdapter(), 1, clock)
+    second = fresh.evaluate(adapter, 1, clock)
     assert child.evaluations == 1
     assert second is first
     assert second.evaluated_at == first.evaluated_at
@@ -689,12 +691,13 @@ def test_fresh_within_boundary_is_inclusive():
     clock = ManualClock()
     child = ClockedStub(True)
     fresh = FreshWithin(child, ttl=timedelta(seconds=60))
-    fresh.evaluate(CountingAdapter(), 1, clock)
+    adapter = CountingAdapter()
+    fresh.evaluate(adapter, 1, clock)
     clock.advance(60)  # exactly ttl old: still fresh
-    fresh.evaluate(CountingAdapter(), 1, clock)
+    fresh.evaluate(adapter, 1, clock)
     assert child.evaluations == 1
     clock.advance(1)  # now past ttl
-    fresh.evaluate(CountingAdapter(), 1, clock)
+    fresh.evaluate(adapter, 1, clock)
     assert child.evaluations == 2
 
 
@@ -753,11 +756,12 @@ def test_fresh_within_evaluates_child_once_under_contention():
 
     child = SlowChild()
     fresh = FreshWithin(child, ttl=timedelta(seconds=60))
+    adapter = CountingAdapter()
     results = []
 
     def worker():
         barrier.wait()
-        results.append(fresh.evaluate(CountingAdapter(), 1, clock))
+        results.append(fresh.evaluate(adapter, 1, clock))
 
     threads = [threading.Thread(target=worker) for _ in range(4)]
     for t in threads:
@@ -795,11 +799,12 @@ def test_fresh_within_reevaluates_for_other_backend():
     clock = ManualClock()
     child = ClockedStub(True)
     fresh = FreshWithin(child, ttl=timedelta(seconds=60))
+    other = OtherAdapter()
     first = fresh.evaluate(CountingAdapter(), 1, clock)
-    second = fresh.evaluate(OtherAdapter(), 1, clock)
+    second = fresh.evaluate(other, 1, clock)
     assert child.evaluations == 2
     assert second is not first
-    assert fresh.evaluate(OtherAdapter(), 1, clock) is second
+    assert fresh.evaluate(other, 1, clock) is second
 
 
 def test_fresh_within_reevaluates_for_other_simulator_noise():
@@ -812,8 +817,8 @@ def test_fresh_within_reevaluates_for_other_simulator_noise():
     assert fresh.evaluate(RecordingAdapter(SimulatorAdapter(NoiseModel.ideal())), 1000).passed
     recorded_noisy = fresh.evaluate(RecordingAdapter(SimulatorAdapter(noisy)), 1000)
     assert not recorded_noisy.passed
-    # Same noise, other seed: the same backend, so the result is reused.
-    assert fresh.evaluate(SimulatorAdapter(noisy.with_seed(9)), 1000) is recorded_noisy
+    # Same noise, other seed: another adapter object, so evaluated afresh.
+    assert fresh.evaluate(SimulatorAdapter(noisy.with_seed(9)), 1000) is not recorded_noisy
 
 
 def test_fresh_within_reevaluates_for_other_recording():
@@ -829,8 +834,8 @@ def test_fresh_within_reevaluates_for_other_recording():
     noisy_result = fresh.evaluate(ReplayAdapter(noisy_recording), 1000)
     assert noisy_result is not ideal_result
     assert not noisy_result.passed
-    # A new replay of the same recording is the same evidence.
-    assert fresh.evaluate(ReplayAdapter(noisy_recording), 1000) is noisy_result
+    # A new replay of the same recording is another adapter: evaluated afresh.
+    assert fresh.evaluate(ReplayAdapter(noisy_recording), 1000) is not noisy_result
 
 
 def test_fresh_within_reevaluates_for_other_simulator_calibration():
@@ -876,11 +881,41 @@ def test_fresh_within_reevaluates_for_a_simulator_calibration_taken_at_another_t
     second = fresh.evaluate(stale, 1, clock)
     assert second is not first
     assert not second.passed
-    # The synthetic snapshot, restamped on every read, stays one backend.
+    # Another simulator with the synthetic snapshot is another adapter
+    # object, so it is evaluated afresh.
     synthetic = fresh.evaluate(SimulatorAdapter(noise, clock=clock), 1, clock)
     assert synthetic.passed
     clock.advance(1)
-    assert fresh.evaluate(SimulatorAdapter(noise, clock=clock), 1, clock) is synthetic
+    assert fresh.evaluate(SimulatorAdapter(noise, clock=clock), 1, clock) is not synthetic
+
+
+def test_fresh_within_does_not_share_a_result_between_equal_simulators():
+    fresh = FreshWithin(PackedCHSHTest(MinimumAcceptableValue(2.0)), ttl=timedelta(seconds=60))
+    first = SimulatorAdapter(NoiseModel.ideal(seed=7))
+    second = SimulatorAdapter(NoiseModel.ideal(seed=7))
+    result = fresh.evaluate(first, 200)
+    other = fresh.evaluate(second, 200)
+    assert other is not result
+    assert fresh.evaluate(second, 200) is other
+
+
+def test_a_recorded_decision_after_a_hit_on_the_wrapped_simulator_records_its_evidence():
+    # The recorder used to be served the simulator's cached pass, so its
+    # recording held no result, the evidence had no circuit_sha256, and a
+    # decision on the replay raised IntrospectionError from RecordingExhausted.
+    tree = FreshWithin(PackedCHSHTest(MinimumAcceptableValue(2.0)), ttl=timedelta(seconds=60))
+    simulator = SimulatorAdapter(NoiseModel.ideal(seed=3))
+    recorder = RecordingAdapter(simulator)
+    nothing = lambda adapter, introspection: None
+    assert run_conditionally(simulator, tree, nothing, nothing, 1000).introspection.passed
+    recorded = run_conditionally(recorder, tree, nothing, nothing, 1000).introspection
+    assert recorded.passed
+    (result,) = recorder.recording().results
+    assert recorded.evidence is result
+    assert result.metadata["circuit_sha256"] == circuit_sha256(packed_chsh_circuit())
+    replayed = run_conditionally(ReplayAdapter(recorder.recording()), tree, nothing, nothing, 1000)
+    assert replayed.introspection.passed
+    assert replayed.introspection.evidence is result
 
 
 # --- document form ---------------------------------------------------------
