@@ -115,14 +115,15 @@ class SimulatorAdapter(BackendAdapter):
     """Runs circuits on the built-in noisy simulator.
 
     Run ``i`` of a session uses the sub-seed ``derive_seed(noise.seed, i)``,
-    so repeated runs are statistically independent while a whole session
-    replays bit-identically from the base seed.  A calibration snapshot
-    passed in is served as given, its own ``taken_at`` included.  Without
-    one, each read serves the snapshot that follows from the noise model
-    (:func:`synthetic_calibration_for`), stamped by the adapter's clock at
-    that read.  It is always current: the age a constraint judges is the gap
-    between that read and the constraint's clock, 0 when both read one
-    frozen clock.
+    ``i`` counting only completed runs (a run refused for its circuit or
+    shots uses up no index), so repeated runs are statistically independent
+    while a whole session replays bit-identically from the base seed.  A
+    calibration snapshot passed in is served as given, its own ``taken_at``
+    included.  Without one, each read serves the snapshot that follows from
+    the noise model (:func:`synthetic_calibration_for`), stamped by the
+    adapter's clock at that read.  It is always current: the age a
+    constraint judges is the gap between that read and the constraint's
+    clock, 0 when both read one frozen clock.
     """
 
     def __init__(
@@ -141,9 +142,9 @@ class SimulatorAdapter(BackendAdapter):
     def run(self, circuit: Circuit, shots: int) -> ExperimentResult:
         submitted = self._clock()
         run_index = self._run_index
-        self._run_index += 1
         seed = derive_seed(self._noise.seed, run_index)
         counts = run_shots(circuit, shots, self._noise.with_seed(seed))
+        self._run_index += 1  # a refused run uses up no index
         return ExperimentResult(
             counts=counts,
             shots=shots,

@@ -199,56 +199,6 @@ def validate_workflow(doc: Any, base_dir: Path) -> list[DocumentError]:
     return load_workflow(doc, base_dir)[1]
 
 
-@functools.cache
-def _report_encoder(depth: int) -> json.JSONEncoder:
-    """json's C encoder, writing a container's items one to a line at
-    ``depth`` + 1 levels of two-space indentation."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
-
-
-def _key_text(key: Any, encoder: json.JSONEncoder) -> str:
-    """The JSON text of dictionary key ``key``, converted as json converts it."""
-    if isinstance(key, str):
-        return encoder.encode(key)
-    if key is None or isinstance(key, (int, float)):
-        return encoder.encode(encoder.encode(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _report_text(value: Any, depth: int = 0) -> str:
-    """The text ``json.dumps(value, indent=2, sort_keys=True)`` gives, with
-    every line after the first indented ``depth`` levels further.
-
-    json's C encoder ignores ``indent``, so that call runs json's pure-Python
-    encoder.  Here a container whose items are all scalars (such as a
-    probe's counts) is written in one C-encoder call whose item separator
-    carries the newline and indentation; only containers that hold
-    containers are assembled item by item.
-    """
-    encoder = _report_encoder(depth)
-    if isinstance(value, dict):
-        items = value.values()
-    elif isinstance(value, (list, tuple)):
-        items = value
-    else:
-        items = ()
-    if not items:  # a scalar or an empty container
-        return encoder.encode(value)
-    if any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, items))):
-        join = encoder.item_separator.join
-        if isinstance(value, dict):
-            text = "{" + join(
-                f"{_key_text(key, encoder)}: {_report_text(item, depth + 1)}"
-                for key, item in sorted(value.items())
-            ) + "}"
-        else:
-            text = "[" + join(_report_text(item, depth + 1) for item in value) + "]"
-    else:
-        text = encoder.encode(value)
-    indent = "\n" + "  " * depth
-    return f"{text[0]}{indent}  {text[1:-1]}{indent}{text[-1]}"
-
-
 def run_workflow(
     config_path: str | Path,
     report_override: str | None = None,
@@ -313,7 +263,7 @@ def run_workflow(
         report["main_result"] = outcome.main_result.to_dict()
 
     try:
-        (base_dir / report_path).write_text(_report_text(report) + "\n")
+        (base_dir / report_path).write_text(json.dumps(report, sort_keys=True) + "\n")
     except (OSError, TypeError) as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR

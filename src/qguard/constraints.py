@@ -77,10 +77,11 @@ class IntrospectionResult:
     """The outcome of one constraint evaluation.
 
     Its name, outcome, ``scores`` and ``evaluated_at`` are required.
-    ``scores`` holds the named numbers the decision was based on; composite
-    constraints carry their evaluated children in order.  Subscripting reads
-    a score, so ``result["CHSH_score"]`` works directly.  Every field is
-    checked when the result is built, so a report can always be written.
+    ``scores`` holds the named numbers the decision was based on, each kept
+    as a plain float; composite constraints carry their evaluated children
+    in order.  Subscripting reads a score, so ``result["CHSH_score"]`` works
+    directly.  Every field is checked when the result is built, so a report
+    can always be written.
     """
 
     constraint_name: str
@@ -93,10 +94,10 @@ class IntrospectionResult:
     def __post_init__(self):
         check_type(self.constraint_name, str, "constraint_name", ConstraintError)
         check_type(self.passed, bool, "passed", ConstraintError)
-        scores = dict(check_type(self.scores, Mapping, "scores", ConstraintError))
-        for name, value in scores.items():
+        scores = {}
+        for name, value in check_type(self.scores, Mapping, "scores", ConstraintError).items():
             check_type(name, str, "score name", ConstraintError)
-            check_real(value, f"scores[{name!r}]", ConstraintError)
+            scores[name] = as_float(check_real(value, f"scores[{name!r}]", ConstraintError))
         check_aware(self.evaluated_at, "evaluated_at", ConstraintError)
         if self.evidence is not None:
             check_type(self.evidence, ExperimentResult, "evidence", ConstraintError)
@@ -126,8 +127,9 @@ class ResourceConstraint:
 
     A subclass implements ``_evaluate``, and passes the clock it is given
     to any child it evaluates.  ``evaluate`` raises :class:`ConstraintError`
-    for an adapter that is not a ``BackendAdapter`` or a clock that cannot
-    be called, and builds the node's result from ``_evaluate``, named by
+    for an adapter that is not a ``BackendAdapter``, a clock that cannot be
+    called or shots that are not a positive integer, passes the shots on as
+    an int, and builds the node's result from ``_evaluate``, named by
     ``name()`` and stamped by one read of the clock, taken after the check.
     """
 
@@ -139,6 +141,7 @@ class ResourceConstraint:
     ) -> IntrospectionResult:
         check_type(adapter, BackendAdapter, "adapter", ConstraintError)
         check_type(clock, Callable, "clock", ConstraintError)
+        shots = check_shots(shots, ConstraintError)
         passed, scores, evidence, children = self._evaluate(adapter, shots, clock)
         return IntrospectionResult(self.name(), bool(passed), scores, clock(), evidence, children)
 
@@ -167,7 +170,7 @@ class PackedCHSHTest(ResourceConstraint):
 
     def _evaluate(self, adapter: BackendAdapter, shots: int, clock: Callable[[], datetime]):
         result = check_type(
-            adapter.run(packed_chsh_circuit(), check_shots(shots, ConstraintError)),
+            adapter.run(packed_chsh_circuit(), shots),
             ExperimentResult, "run() result", BackendError,
         )
         correlators = tuple(
@@ -231,9 +234,10 @@ class CalibrationConstraint(ResourceConstraint):
     error rates, because one bad qubit in the selected set breaks a
     computation.  ``max_age_s`` bounds the snapshot's age, ``taken_at`` to
     the decision's clock; a snapshot stamped in the future fails it.  No
-    circuit is run and ``shots`` is ignored.  A criterion over data the
-    snapshot does not carry (e.g. max_gate_error with an empty gate list)
-    passes vacuously and reports no score for it.
+    circuit is run, but ``shots`` must be a positive integer, as for every
+    node.  A criterion over data the snapshot does not carry (e.g.
+    max_gate_error with an empty gate list) passes vacuously and reports no
+    score for it.
     """
 
     def __init__(self, **criteria: float | None):
@@ -356,6 +360,7 @@ class FreshWithin(ResourceConstraint):
     ) -> IntrospectionResult:
         check_type(adapter, BackendAdapter, "adapter", ConstraintError)
         check_type(clock, Callable, "clock", ConstraintError)
+        shots = check_shots(shots, ConstraintError)
         with self._lock:
             if self._cached is not None:
                 cached_adapter, cached_shots, cached = self._cached

@@ -163,6 +163,19 @@ def test_repeat_runs_are_independent_but_sessions_reproduce():
     assert dict(a1.counts) != dict(a2.counts)
 
 
+def test_a_refused_simulator_run_uses_up_no_run_index():
+    # The index advanced before run_shots checked the arguments, so the first
+    # run to complete after two refused ones was run 2.
+    noise = NoiseModel(p2=0.1, readout_flip=0.05, seed=4)
+    adapter = SimulatorAdapter(noise)
+    for circuit, shots in [(phi_plus(), 0), ("x", 10)]:
+        with pytest.raises(CircuitError):
+            adapter.run(circuit, shots)
+    result = adapter.run(phi_plus(), 1000)
+    assert result.metadata["run_index"] == "0"
+    assert dict(result.counts) == dict(SimulatorAdapter(noise).run(phi_plus(), 1000).counts)
+
+
 def test_derive_seed_properties():
     seeds = {derive_seed(7, i) for i in range(200)}
     assert len(seeds) == 200

@@ -5,7 +5,6 @@ import sys
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from qguard import (
     DocumentError,
@@ -23,7 +22,6 @@ from qguard.cli import (
     EXIT_FAILED,
     EXIT_PASSED,
     EXIT_RUNTIME_ERROR,
-    _report_text,
     load_workflow,
     main,
     validate_workflow,
@@ -655,71 +653,6 @@ def test_module_invocation(tmp_path):
 # --- the report's text -----------------------------------------------------
 
 
-class Dict(dict):
-    pass
-
-
-class List(list):
-    pass
-
-
-class Str(str):
-    pass
-
-
-class Int(int):
-    pass
-
-
-TRICKY_TEXT = [",\n  ", "null", '"', "\\", "\n", "\u2028", "é", "\U0001f600", "\x00\x1f\x7f", "NaN"]
-SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=-(2**70), max_value=2**70).map(Int),
-    st.floats(),  # NaN and ±Infinity included
-    st.text(),
-    st.sampled_from(TRICKY_TEXT),
-    st.text().map(Str),
-)
-KEYS = st.one_of(st.text(), st.sampled_from(TRICKY_TEXT))
-
-
-def containers(children):
-    return st.one_of(
-        st.lists(children, max_size=5),
-        st.lists(children, max_size=5).map(tuple),
-        st.lists(children, max_size=5).map(List),
-        st.dictionaries(KEYS, children, max_size=5),
-        st.dictionaries(KEYS, children, max_size=5).map(Dict),
-        # json turns these keys into strings, and sorts them before it does
-        st.dictionaries(st.integers() | st.floats(), children, max_size=5),
-        st.dictionaries(st.booleans(), children, max_size=2),
-        st.dictionaries(st.none(), children, max_size=1),
-    )
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.recursive(SCALARS, containers, max_leaves=40))
-@example({"a": [{"b": ({"c": [[], {}, ()]},)}], "counts": {"01": 3, "00": 1}})  # depth 6
-@example({"x": [1, {"y": {"z": [float("nan"), float("inf"), -float("inf")]}}]})
-@example(Dict({"k": List([Dict(), List(), Str("s"), Int(3)])}))
-def test_report_text_is_the_text_of_json_dumps_with_indent_2_and_sorted_keys(value):
-    assert _report_text(value) == json.dumps(value, indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize(
-    "value",
-    [{"a": object()}, {"a": {"b": 1}, "c": {1j}}, {(1, 2): [1]}, {1: [1], "a": [2]}],
-    ids=["flat_value", "nested_value", "tuple_key", "mixed_keys"],
-)
-def test_report_text_raises_the_type_error_json_dumps_raises(value):
-    with pytest.raises(TypeError):
-        json.dumps(value, indent=2, sort_keys=True)
-    with pytest.raises(TypeError):
-        _report_text(value)
-
-
 def calibration_and_fresh_chsh(threshold):
     return {
         "type": "and",
@@ -743,5 +676,5 @@ def test_every_report_is_its_document_as_json_dumps_writes_it(tmp_path, backend,
         overrides["backend"] = {"type": "replay", "recording_file": "session.json", "strict": True}
     assert main(["run", str(write_workflow(tmp_path, **overrides))]) == status
     text = (tmp_path / "report.json").read_text()
-    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
     assert ("main_result" in json.loads(text)) == (status == EXIT_PASSED)

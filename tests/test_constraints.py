@@ -208,6 +208,16 @@ def test_introspection_result_checks_its_fields_when_built(field, value, message
         IntrospectionResult(**{**fields, field: value})
 
 
+def test_introspection_result_keeps_each_score_as_a_plain_float():
+    # A numpy score was kept as given, and json.dumps(result.to_dict()) then
+    # raised TypeError.
+    scores = {"f32": np.float32(0.5), "i64": np.int64(3), "int": 2, "huge": 10**400}
+    result = IntrospectionResult("c", True, scores, T0)
+    assert all(type(value) is float for value in result.scores.values())
+    assert result.scores == {"f32": 0.5, "i64": 3.0, "int": 2.0, "huge": math.inf}
+    assert json.loads(json.dumps(result.to_dict()))["scores"] == result.scores
+
+
 def test_a_clock_that_returns_a_naive_datetime_fails_the_evaluation():
     check = PackedCHSHTest(MinimumAcceptableValue(0.0))
     with pytest.raises(ConstraintError, match="^evaluated_at must be a timezone-aware"):
@@ -255,6 +265,25 @@ def test_a_subclass_that_implements_only_evaluate_gets_its_result_built():
     # One read of the clock it was given, taken after the check returned.
     assert clock.reads == 2
     assert result.evaluated_at == T0 + timedelta(seconds=2) > checked_at[0]
+
+
+@pytest.mark.parametrize("shots", ["nonsense", 1000.0, 0], ids=["string", "float", "zero"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CalibrationConstraint(min_qubits=1),
+        lambda: AndConstraint([CalibrationConstraint(min_qubits=1)]),
+        lambda: OrConstraint([CalibrationConstraint(min_qubits=1)]),
+        lambda: NotConstraint(CalibrationConstraint(min_qubits=1)),
+        lambda: FreshWithin(CalibrationConstraint(min_qubits=1), timedelta(seconds=60)),
+    ],
+    ids=["calibration", "and", "or", "not", "fresh_within"],
+)
+def test_every_node_rejects_shots_that_are_not_a_positive_integer(build, shots):
+    # Only the probe checked its shots, so a tree without one judged the
+    # calibration at shots="nonsense".
+    with pytest.raises(ConstraintError, match="^shots must be a positive integer"):
+        build().evaluate(CountingAdapter(), shots, ManualClock())
 
 
 @pytest.mark.parametrize(
@@ -781,6 +810,18 @@ def test_fresh_within_treats_a_clock_stepped_back_as_stale():
     clock.advance(-365 * 24 * 3600)  # the cached result now lies a year ahead
     fresh.evaluate(adapter, 1, clock)
     assert child.evaluations == 2
+
+
+def test_fresh_within_checks_its_shots_before_its_cache():
+    # 1000.0 equals the cached 1000, so it was served the cached pass, where a
+    # fresh tree's probe refused it.
+    fresh = FreshWithin(PackedCHSHTest(MinimumAcceptableValue(2.0)), ttl=timedelta(seconds=60))
+    adapter, clock = CountingAdapter(), ManualClock()
+    first = fresh.evaluate(adapter, np.int64(1000), clock)
+    with pytest.raises(ConstraintError, match="^shots must be a positive integer"):
+        fresh.evaluate(adapter, 1000.0, clock)
+    assert fresh.evaluate(adapter, 1000, clock) is first
+    assert adapter.run_calls == 1
 
 
 def test_fresh_within_reevaluates_for_other_shots():
